@@ -81,34 +81,6 @@ void BM_MatmulThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulThreaded)->Args({256, 1})->Args({256, 2})->Args({256, 4});
 
-// Reduced-precision eval kernels (gemm.h), routed exactly the way the
-// engine routes them: through an EvalPrecisionGuard around a regular
-// kernels::Gemm call.  Paired against BM_Matmul (the f32 fast kernel) in
-// bench_report.py.
-void MatmulPrecisionBody(benchmark::State& state,
-                         kernels::EvalPrecision precision) {
-  BackendGuard guard(kernels::Backend::kFast);
-  kernels::EvalPrecisionGuard precision_guard(precision);
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(1);
-  const Tensor a = Tensor::Randn({n, n}, rng);
-  const Tensor b = Tensor::Randn({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::Matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-
-void BM_MatmulBf16(benchmark::State& state) {
-  MatmulPrecisionBody(state, kernels::EvalPrecision::kBf16);
-}
-BENCHMARK(BM_MatmulBf16)->Arg(256);
-
-void BM_MatmulInt8(benchmark::State& state) {
-  MatmulPrecisionBody(state, kernels::EvalPrecision::kInt8);
-}
-BENCHMARK(BM_MatmulInt8)->Arg(256);
-
 // Conv workload: N=8, Cin=8, Cout=16, 8x8 spatial, 3x3 stride-1 pad-1
 // (output spatial = input).  Forward MACs = N*Cout*H*W*Cin*3*3; FLOPs =
 // 2x that.  Items-processed carries the FLOP count so bench_report.py

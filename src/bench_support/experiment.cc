@@ -108,6 +108,11 @@ metrics::MetricBundle RunWith(const std::string& algorithm,
                               const std::vector<double>& ladder,
                               double fedavg_ratio, bool allow_checkpoint) {
   const BenchPreset& p = options.preset;
+  if (p.eval_precision != "f32") {
+    throw Error("eval precision '" + p.eval_precision +
+                "': reduced-precision evaluation was removed; only f32 "
+                "is supported");
+  }
   const int repeats = std::max(1, EnvInt("MHB_REPEATS", 1));
   const bool checkpointing =
       allow_checkpoint &&
@@ -154,11 +159,6 @@ metrics::MetricBundle RunWith(const std::string& algorithm,
     fcfg2.seed = p.seed + static_cast<std::uint64_t>(rep) * 17;
     fcfg2.num_threads = p.threads;
     fcfg2.threaded_gemm = p.threaded_gemm != 0;
-    kernels::EvalPrecision ep = kernels::EvalPrecision::kF32;
-    MHB_CHECK(kernels::ParseEvalPrecision(p.eval_precision.c_str(), &ep))
-        << "unknown eval precision:" << p.eval_precision
-        << "(want f32|bf16|int8)";
-    fcfg2.eval_precision = ep;
     if (options.dirichlet_alpha > 0) {
       fcfg2.partition = fl::PartitionKind::kDirichlet;
       fcfg2.dirichlet_alpha = options.dirichlet_alpha;

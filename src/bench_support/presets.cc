@@ -17,7 +17,6 @@ BenchPreset BenchPreset::FromEnv() {
   p.seed = static_cast<std::uint64_t>(EnvInt("MHB_SEED", 1));
   p.threads = EnvInt("MHB_THREADS", 1);
   p.threaded_gemm = EnvInt("MHB_THREADED_GEMM", 0);
-  p.eval_precision = EnvString("MHB_EVAL_PRECISION", "f32");
   return p;
 }
 

@@ -24,13 +24,13 @@ struct BenchPreset {
   // Non-zero routes kernel macro-tile parallelism to the engine pool in
   // serial phases (fl::FlConfig::threaded_gemm; bit-identical either way).
   int threaded_gemm;
-  // Eval-side matmul precision: "f32", "bf16" or "int8"
-  // (fl::FlConfig::eval_precision).
-  std::string eval_precision;
+  // Evaluation precision.  Only "f32" exists; RunWith rejects any other
+  // value rather than silently running f32.
+  std::string eval_precision = "f32";
 
   // Reads MHB_ROUNDS, MHB_CLIENTS, MHB_TRAIN, MHB_TEST,
   // MHB_SAMPLE_FRACTION, MHB_EVAL_EVERY, MHB_SEED, MHB_THREADS,
-  // MHB_THREADED_GEMM, MHB_EVAL_PRECISION over the fast defaults.
+  // MHB_THREADED_GEMM over the fast defaults.
   static BenchPreset FromEnv();
 };
 

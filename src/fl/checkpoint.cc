@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "core/crc32.h"
 #include "core/error.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
@@ -28,29 +29,7 @@ namespace {
 // ParamStore's (param_store.cc); anything longer is corruption.
 constexpr std::uint32_t kMaxNameLen = 4096;
 
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      entries[i] = c;
-    }
-  }
-};
-
 }  // namespace
-
-std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
-  static const Crc32Table table;
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 // ---------------------------------------------------------------------------
 // SnapshotWriter

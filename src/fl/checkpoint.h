@@ -42,10 +42,6 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'H', 'B', 'S',
                                            'N', 'A', 'P', '1'};
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum each
-// section payload is gated by.
-std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
-
 // Serializes named sections of primitive values into the snapshot wire
 // format.  Usage: BeginSection, primitive writes, EndSection (repeat),
 // then Finish() or WriteFile().

@@ -160,8 +160,7 @@ RunResult FlEngine::Run() {
   // from the dispatch phase only ever touch pre-sized per-thread sinks.
   struct CounterIds {
     obs::Registry::CounterId selected{}, offline{}, dropped{}, trained{},
-        bytes_up{}, bytes_down{}, train_mflops{}, pool_tasks{}, gemm_flops{},
-        gemm_flops_bf16{}, gemm_flops_int8{};
+        bytes_up{}, bytes_down{}, train_mflops{}, pool_tasks{}, gemm_flops{};
   } ids;
   // Histograms follow the same rule: registered serially, observed from
   // any thread, merged at the barrier.  client_wall_us is wall-clock (its
@@ -198,12 +197,6 @@ RunResult FlEngine::Run() {
     ids.train_mflops = reg->Counter("train_mflops");
     ids.pool_tasks = reg->Counter("pool_tasks");
     ids.gemm_flops = reg->Counter("gemm_flops");
-    // Per-precision kernel work (tensor/gemm.h): reduced-precision eval
-    // flops count into their own totals, so the registry separates f32
-    // training work from bf16/int8 eval work.  Zero when eval_precision
-    // is f32.
-    ids.gemm_flops_bf16 = reg->Counter("gemm_flops_bf16");
-    ids.gemm_flops_int8 = reg->Counter("gemm_flops_int8");
     hids.client_wall_us = reg->Histogram("client_wall_us");
     hids.client_bytes_up = reg->Histogram("client_bytes_up");
     hids.client_train_mflops = reg->Histogram("client_train_mflops");
@@ -263,8 +256,6 @@ RunResult FlEngine::Run() {
   // shape probes must not count — their flops already live in the
   // snapshot's imported counter deltas.
   std::uint64_t gemm_base = kernels::TotalGemmFlops();
-  std::uint64_t gemm_bf16_base = kernels::TotalGemmFlopsBf16();
-  std::uint64_t gemm_int8_base = kernels::TotalGemmFlopsInt8();
   const int num_clients = ctx_.num_clients();
   const int sample_count = std::max(
       config_.min_sampled,
@@ -273,9 +264,6 @@ RunResult FlEngine::Run() {
   auto evaluate_global = [&]() {
     obs::Span span(tracer, "eval_global", "eval");
     obs::ProfileScope profile_scope("eval_global");
-    // Eval-side matmuls may run reduced-precision (FlConfig::eval_precision);
-    // the guard is thread-local and scope-bound, so training is untouched.
-    kernels::EvalPrecisionGuard precision(config_.eval_precision);
     return EvaluateAccuracy(
         [&](const Tensor& x) { return algorithm_.GlobalLogits(x); },
         ctx_.task->test, config_.eval_max_samples);
@@ -498,14 +486,6 @@ RunResult FlEngine::Run() {
       reg->Add(ids.gemm_flops,
                static_cast<std::int64_t>(gemm_now - gemm_base));
       gemm_base = gemm_now;
-      const std::uint64_t gemm_bf16_now = kernels::TotalGemmFlopsBf16();
-      reg->Add(ids.gemm_flops_bf16,
-               static_cast<std::int64_t>(gemm_bf16_now - gemm_bf16_base));
-      gemm_bf16_base = gemm_bf16_now;
-      const std::uint64_t gemm_int8_now = kernels::TotalGemmFlopsInt8();
-      reg->Add(ids.gemm_flops_int8,
-               static_cast<std::int64_t>(gemm_int8_now - gemm_int8_base));
-      gemm_int8_base = gemm_int8_now;
       reg->SetGauge("scratch_bytes_peak",
                     static_cast<double>(kernels::ScratchPeakBytesAllThreads()));
       if (pool_ != nullptr) {
@@ -565,7 +545,6 @@ RunResult FlEngine::Run() {
         span.Arg("client", static_cast<std::int64_t>(c));
         obs::ProfilerThreadGuard profiler_guard(prof);
         obs::ProfileScope profile_scope("client_eval");
-        kernels::EvalPrecisionGuard precision(config_.eval_precision);
         result.client_accuracies[c] = EvaluateAccuracy(
             [&](const Tensor& x) {
               return algorithm_.ClientLogits(static_cast<int>(c), x);

@@ -14,7 +14,6 @@
 #include "fl/client.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
-#include "tensor/gemm.h"
 
 namespace mhbench::fl {
 
@@ -66,12 +65,6 @@ struct FlConfig {
   // tile ownership map never splits or reorders an accumulation.  No-op
   // when num_threads <= 1 (no pool exists).
   bool threaded_gemm = false;
-  // Numeric precision for evaluation-side matmuls (global accuracy +
-  // stability eval), installed thread-locally around the eval calls only —
-  // training always runs f32.  Reduced precision changes eval *results*
-  // (deterministically), so resumed runs must keep the setting; it does
-  // not enter the snapshot format.
-  kernels::EvalPrecision eval_precision = kernels::EvalPrecision::kF32;
   // Observability hooks (tracer / counter registry); all-null by default,
   // in which case instrumentation reduces to untaken branches.  Collection
   // never feeds back into execution, so enabling it cannot change results.

@@ -32,11 +32,6 @@ Tensor Linear::Forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
   const int n = x.dim(0), in = in_features(), out = out_features();
   // Y[n, out] = X · W^T + bias, with the bias fused into the GEMM epilogue.
-  // kernels::Gemm is also the precision seam: under an active
-  // kernels::EvalPrecisionGuard (the engine installs one around eval-side
-  // calls only) this matmul runs the bf16/int8 eval kernels instead of f32;
-  // Backward's gradient GEMMs below are never rerouted because training
-  // code paths never hold a guard.
   Tensor y = Tensor::Uninitialized({n, out});
   kernels::Gemm(false, true, n, out, in, x.data().data(), in,
                 weight_.value.data().data(), in, 0.0f, y.data().data(), out,

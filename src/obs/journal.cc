@@ -1,25 +1,13 @@
 #include "obs/journal.h"
 
-#include <array>
 #include <cstring>
 
+#include "core/crc32.h"
 #include "core/error.h"
 
 namespace mhbench::obs {
 
 namespace {
-
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 void PushU8(std::vector<std::uint8_t>& buf, std::uint8_t v) {
   buf.push_back(v);
@@ -138,15 +126,6 @@ class Cursor {
 
 }  // namespace
 
-std::uint32_t JournalCrc32(const std::uint8_t* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 bool JournalSampleClient(std::uint64_t seed, int client, double rate) {
   // SplitMix64 finalizer over (seed, client): a high-quality stateless
   // hash, so the kept subset is a pure function of the pair — identical at
@@ -232,7 +211,7 @@ void ClientJournalWriter::Append(const std::vector<Registry::ClientRow>& rows) {
   std::vector<std::uint8_t> frame;
   frame.reserve(12);
   PushU64(frame, static_cast<std::uint64_t>(buf_.size()));
-  PushU32(frame, JournalCrc32(buf_.data(), buf_.size()));
+  PushU32(frame, Crc32(buf_.data(), buf_.size()));
   out_.write(reinterpret_cast<const char*>(frame.data()),
              static_cast<std::streamsize>(frame.size()));
   out_.write(reinterpret_cast<const char*>(buf_.data()),
@@ -284,7 +263,7 @@ ClientJournalContents ReadClientJournal(const std::string& path) {
       throw Error("client journal " + path + ": truncated block payload");
     }
     const std::uint8_t* payload = bytes.data() + pos + frame.pos();
-    if (JournalCrc32(payload, static_cast<std::size_t>(payload_len)) != crc) {
+    if (Crc32(payload, static_cast<std::size_t>(payload_len)) != crc) {
       throw Error("client journal " + path + ": block CRC mismatch");
     }
     Cursor body(payload, static_cast<std::size_t>(payload_len), "block body");

@@ -21,9 +21,8 @@
 //            | f64 sim_compute_s | f64 sim_comm_s | f64 memory_mb
 //            | i64 bytes_up | i64 bytes_down | i64 train_mflops
 //
-// drop_code: 0 = trained, 1 = offline, 2 = straggler.  CRC-32 is the IEEE
-// reflected polynomial (0xEDB88320), same convention as fl/checkpoint —
-// the implementation is duplicated here because obs layers below fl.
+// drop_code: 0 = trained, 1 = offline, 2 = straggler.  The checksum is
+// core/crc32.h's, the same one snapshot sections carry.
 //
 // Determinism: the measured wall time is deliberately NOT in the record
 // (it lives in the client_wall_us histograms) — every field is a pure
@@ -45,10 +44,6 @@
 #include "obs/registry.h"
 
 namespace mhbench::obs {
-
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes — the checksum
-// every journal block carries.  Exposed for tests.
-std::uint32_t JournalCrc32(const std::uint8_t* data, std::size_t size);
 
 // Deterministic per-client sampling decision: a SplitMix64-style hash of
 // (seed, client) mapped to [0, 1) and compared against `rate`.  A pure

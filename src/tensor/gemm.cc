@@ -15,11 +15,7 @@ namespace mhbench::kernels {
 namespace {
 
 std::atomic<std::uint64_t> g_flops{0};
-std::atomic<std::uint64_t> g_flops_bf16{0};
-std::atomic<std::uint64_t> g_flops_int8{0};
 thread_local std::uint64_t tl_flops = 0;
-
-thread_local EvalPrecision tl_eval_precision = EvalPrecision::kF32;
 
 std::atomic<core::ThreadPool*> g_gemm_pool{nullptr};
 
@@ -334,6 +330,31 @@ void FastGemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
   }
 }
 
+// The k == 0 epilogue shared by both entry points: C = beta·C + bias.
+void ScaleBiasEpilogue(int m, int n, float beta, float* c, int ldc,
+                       const float* bias) {
+  for (int i = 0; i < m; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * ldc;
+    if (beta == 0.0f) {
+      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
+    } else {
+      for (int j = 0; j < n; ++j) crow[j] = beta * crow[j];
+    }
+    if (bias != nullptr) {
+      for (int j = 0; j < n; ++j) crow[j] += bias[j];
+    }
+  }
+}
+
+// Counts 2*m*n*k into the global total and the calling thread's total.
+void CountGemmFlops(int m, int n, int k) {
+  const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
+                              static_cast<std::uint64_t>(n) *
+                              static_cast<std::uint64_t>(k);
+  g_flops.fetch_add(flops, std::memory_order_relaxed);
+  tl_flops += flops;
+}
+
 }  // namespace
 
 void SetBackend(Backend b) { BackendAtomic().store(b, std::memory_order_relaxed); }
@@ -374,63 +395,23 @@ core::ThreadPool* GemmThreadPool() {
   return g_gemm_pool.load(std::memory_order_relaxed);
 }
 
-const char* EvalPrecisionName(EvalPrecision p) {
-  switch (p) {
-    case EvalPrecision::kBf16:
-      return "bf16";
-    case EvalPrecision::kInt8:
-      return "int8";
-    case EvalPrecision::kF32:
-      break;
-  }
-  return "f32";
-}
-
-bool ParseEvalPrecision(const char* text, EvalPrecision* out) {
-  if (std::strcmp(text, "f32") == 0 || std::strcmp(text, "fp32") == 0) {
-    *out = EvalPrecision::kF32;
-  } else if (std::strcmp(text, "bf16") == 0) {
-    *out = EvalPrecision::kBf16;
-  } else if (std::strcmp(text, "int8") == 0) {
-    *out = EvalPrecision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-EvalPrecision ActiveEvalPrecision() { return tl_eval_precision; }
-
-EvalPrecisionGuard::EvalPrecisionGuard(EvalPrecision p)
-    : prev_(tl_eval_precision) {
-  tl_eval_precision = p;
-}
-
-EvalPrecisionGuard::~EvalPrecisionGuard() { tl_eval_precision = prev_; }
-
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
           int lda, const float* b, int ldb, float beta, float* c, int ldc,
           const float* bias) {
   MHB_CHECK(m >= 0 && n >= 0 && k >= 0)
       << "gemm dims" << m << n << k << "must be non-negative";
   if (m == 0 || n == 0) return;
-  switch (tl_eval_precision) {
-    case EvalPrecision::kBf16:
-      GemmBf16(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc, bias);
-      return;
-    case EvalPrecision::kInt8:
-      GemmInt8(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc, bias);
-      return;
-    case EvalPrecision::kF32:
-      break;
-  }
   if (k == 0) {
-    internal::ScaleBiasEpilogue(m, n, beta, c, ldc, bias);
+    ScaleBiasEpilogue(m, n, beta, c, ldc, bias);
     return;
   }
-  internal::CountGemmFlops(m, n, k, EvalPrecision::kF32);
-  internal::GemmRaw(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc,
-                    bias);
+  CountGemmFlops(m, n, k);
+  if (CurrentBackend() == Backend::kNaive) {
+    internal::NaiveGemmImpl(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c,
+                            ldc, bias);
+  } else {
+    FastGemm(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc, bias);
+  }
 }
 
 void NaiveGemm(bool trans_a, bool trans_b, int m, int n, int k,
@@ -440,10 +421,10 @@ void NaiveGemm(bool trans_a, bool trans_b, int m, int n, int k,
       << "gemm dims" << m << n << k << "must be non-negative";
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    internal::ScaleBiasEpilogue(m, n, beta, c, ldc, bias);
+    ScaleBiasEpilogue(m, n, beta, c, ldc, bias);
     return;
   }
-  internal::CountGemmFlops(m, n, k, EvalPrecision::kF32);
+  CountGemmFlops(m, n, k);
   internal::NaiveGemmImpl(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c,
                           ldc, bias);
 }
@@ -459,62 +440,6 @@ std::uint64_t TotalGemmFlops() {
   return g_flops.load(std::memory_order_relaxed);
 }
 
-std::uint64_t TotalGemmFlopsBf16() {
-  return g_flops_bf16.load(std::memory_order_relaxed);
-}
-
-std::uint64_t TotalGemmFlopsInt8() {
-  return g_flops_int8.load(std::memory_order_relaxed);
-}
-
 std::uint64_t ThreadGemmFlops() { return tl_flops; }
-
-namespace internal {
-
-void GemmRaw(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-             int lda, const float* b, int ldb, float beta, float* c, int ldc,
-             const float* bias) {
-  if (CurrentBackend() == Backend::kNaive) {
-    NaiveGemmImpl(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc,
-                  bias);
-  } else {
-    FastGemm(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc, bias);
-  }
-}
-
-void ScaleBiasEpilogue(int m, int n, float beta, float* c, int ldc,
-                       const float* bias) {
-  for (int i = 0; i < m; ++i) {
-    float* crow = c + static_cast<std::size_t>(i) * ldc;
-    if (beta == 0.0f) {
-      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-    } else {
-      for (int j = 0; j < n; ++j) crow[j] = beta * crow[j];
-    }
-    if (bias != nullptr) {
-      for (int j = 0; j < n; ++j) crow[j] += bias[j];
-    }
-  }
-}
-
-void CountGemmFlops(int m, int n, int k, EvalPrecision p) {
-  const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
-                              static_cast<std::uint64_t>(n) *
-                              static_cast<std::uint64_t>(k);
-  switch (p) {
-    case EvalPrecision::kBf16:
-      g_flops_bf16.fetch_add(flops, std::memory_order_relaxed);
-      break;
-    case EvalPrecision::kInt8:
-      g_flops_int8.fetch_add(flops, std::memory_order_relaxed);
-      break;
-    case EvalPrecision::kF32:
-      g_flops.fetch_add(flops, std::memory_order_relaxed);
-      break;
-  }
-  tl_flops += flops;
-}
-
-}  // namespace internal
 
 }  // namespace mhbench::kernels

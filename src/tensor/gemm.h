@@ -33,14 +33,6 @@
 // therefore compare variants with a tight relative tolerance and reserve
 // exact equality for run-to-run / cross-thread-count checks within one
 // variant.
-//
-// Reduced precision (eval paths): GemmBf16 rounds both operands to bf16
-// (round-to-nearest-even) and accumulates in f32 through the same dispatched
-// fast kernel; GemmInt8 quantizes per-tensor symmetric int8 with
-// deterministic index-seeded stochastic rounding and accumulates in int32.
-// An EvalPrecisionGuard reroutes every Gemm() on the current thread for its
-// scope — the seam the FL engine uses to run evaluation (accuracy-tolerant
-// by design) at reduced precision without touching training.
 #pragma once
 
 #include <cstdint>
@@ -97,27 +89,6 @@ const char* KernelBackendName();
 core::ThreadPool* SetGemmThreadPool(core::ThreadPool* pool);
 core::ThreadPool* GemmThreadPool();
 
-// Per-thread evaluation precision, installed scope-wise by
-// EvalPrecisionGuard.  kF32 (the default) leaves Gemm untouched; kBf16 /
-// kInt8 reroute it to the reduced-precision variants below.
-enum class EvalPrecision { kF32 = 0, kBf16 = 1, kInt8 = 2 };
-const char* EvalPrecisionName(EvalPrecision p);
-// Parses "f32" / "bf16" / "int8"; false leaves *out untouched.
-bool ParseEvalPrecision(const char* text, EvalPrecision* out);
-EvalPrecision ActiveEvalPrecision();
-
-class EvalPrecisionGuard {
- public:
-  explicit EvalPrecisionGuard(EvalPrecision p);
-  ~EvalPrecisionGuard();
-
-  EvalPrecisionGuard(const EvalPrecisionGuard&) = delete;
-  EvalPrecisionGuard& operator=(const EvalPrecisionGuard&) = delete;
-
- private:
-  EvalPrecision prev_;
-};
-
 // C[m,n] = op(A)·op(B) + beta·C + bias.
 //
 //   op(A) is m x k: element (i,p) is a[i*lda + p], or a[p*lda + i] when
@@ -134,30 +105,11 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
           int lda, const float* b, int ldb, float beta, float* c, int ldc,
           const float* bias = nullptr);
 
-// Same contract as Gemm, with both operands rounded to bf16
-// (round-to-nearest-even on the stored f32 bits) before the f32-accumulate
-// fast kernel runs.  Deterministic: the rounding is a pure function of each
-// element.  Eval-only precision — training gradients stay f32.
-void GemmBf16(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-              int lda, const float* b, int ldb, float beta, float* c, int ldc,
-              const float* bias = nullptr);
-
-// Same contract as Gemm over per-tensor symmetric int8 quantized operands
-// (scale = max|x| / 127, fixed-order scan) with int32 accumulation and a
-// deterministic index-seeded stochastic rounding of each quantized value —
-// seeded rounding keeps the coarse int8 grid unbiased while staying a pure
-// function of (value, element index).  k is capped so the int32 accumulator
-// cannot overflow.
-void GemmInt8(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-              int lda, const float* b, int ldb, float beta, float* c, int ldc,
-              const float* bias = nullptr);
-
 // The naive reference (triple loop, no packing, no blocking — and no
 // data-dependent zero-skip branches: the old `if (a == 0) continue` made
 // timing input-dependent and blocked vectorization, and no caller relied on
 // its 0*inf/NaN masking).  Same contraction order as the fast path; retained
-// for tests and for the --naive benchmark baseline.  Never rerouted by
-// EvalPrecisionGuard.
+// for tests and for the --naive benchmark baseline.
 void NaiveGemm(bool trans_a, bool trans_b, int m, int n, int k,
                const float* a, int lda, const float* b, int ldb, float beta,
                float* c, int ldc, const float* bias = nullptr);
@@ -166,16 +118,12 @@ void NaiveGemm(bool trans_a, bool trans_b, int m, int n, int k,
 // gradient (one pass, row-major streaming, auto-vectorizable).
 void ColSumAcc(const float* rows, int nrows, int ncols, int ld, float* out);
 
-// Process-wide count of multiply-add FLOPs executed by the f32 Gemm paths
+// Process-wide count of multiply-add FLOPs executed by Gemm and NaiveGemm
 // (2*m*n*k per call, both backends).  Monotone; the engine publishes round
-// deltas as the `gemm_flops` counter.  The reduced-precision variants count
-// into their own totals below, so per-precision work is separable in the
-// obs registry.
+// deltas as the `gemm_flops` counter.
 std::uint64_t TotalGemmFlops();
-std::uint64_t TotalGemmFlopsBf16();
-std::uint64_t TotalGemmFlopsInt8();
 
-// Calling thread's share of all GEMM FLOPs, every precision (monotone, no
+// Calling thread's share of all GEMM FLOPs (monotone, no
 // synchronization).  The per-op profiler differences it around a scope;
 // using the global total there would attribute other threads' concurrent
 // GEMMs to this scope.
@@ -188,22 +136,6 @@ namespace internal {
 void NaiveGemmImpl(bool trans_a, bool trans_b, int m, int n, int k,
                    const float* a, int lda, const float* b, int ldb,
                    float beta, float* c, int ldc, const float* bias);
-
-// Uncounted backend-routed f32 implementation (fast dispatch or naive),
-// with no precision rerouting and no degenerate-dim handling: m, n, k must
-// be positive.  The reduced-precision TU calls this on its rounded
-// operands so bf16 rides the same dispatched/threaded kernel as f32.
-void GemmRaw(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-             int lda, const float* b, int ldb, float beta, float* c, int ldc,
-             const float* bias);
-
-// The k == 0 epilogue shared by every entry point: C = beta·C + bias.
-void ScaleBiasEpilogue(int m, int n, float beta, float* c, int ldc,
-                       const float* bias);
-
-// Counts 2*m*n*k into the per-precision global total and the calling
-// thread's total.
-void CountGemmFlops(int m, int n, int k, EvalPrecision p);
 }  // namespace internal
 
 }  // namespace mhbench::kernels

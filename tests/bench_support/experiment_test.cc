@@ -1,6 +1,7 @@
 #include "bench_support/experiment.h"
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,22 @@ TEST(ExperimentTest, AllConstraintNamesAccepted) {
   }
   options.constraint = "gravity";
   EXPECT_THROW(RunOne("sheterofl", options), Error);
+}
+
+TEST(ExperimentTest, NonF32PrecisionIsRejected) {
+  // Evaluation runs f32 only; a caller still asking for a reduced
+  // precision must fail loudly instead of silently getting f32.
+  SuiteOptions options;
+  options.task = "cifar10";
+  options.preset = TinyPreset();
+  options.preset.eval_precision = "int8";
+  try {
+    RunOne("sheterofl", options);
+    FAIL() << "expected mhbench::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExperimentTest, DeterministicAcrossCalls) {

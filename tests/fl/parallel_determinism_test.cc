@@ -325,18 +325,15 @@ TEST(ParallelDeterminismTest, ProfilerAttributionDeterministicAcrossThreads) {
 // engine pool during serial phases (aggregation, global eval).  The tile
 // ownership map makes it a pure wall-time knob, so runs with it forced on
 // at any thread count must be bit-identical to the serial reference with
-// it off.  Reduced-precision eval (FlConfig::eval_precision) changes eval
-// numbers — deterministically — so it gets its own reference, which must
-// likewise be thread-count and threaded-gemm independent.
-TEST(ParallelDeterminismTest, ThreadedGemmAndEvalPrecisionStayBitIdentical) {
+// it off.
+TEST(ParallelDeterminismTest, ThreadedGemmStaysBitIdentical) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
   tcfg.test_samples = 120;
   tcfg.num_clients = 6;
   const data::Task task = data::MakeTask("cifar10", tcfg);
 
-  const auto run = [&](int threads, bool threaded_gemm,
-                       kernels::EvalPrecision precision) {
+  const auto run = [&](int threads, bool threaded_gemm) {
     const auto tm = models::MakeTaskModels("cifar10");
     auto alg = algorithms::MakeAlgorithm("sheterofl", tm);
     FlConfig cfg;
@@ -348,20 +345,14 @@ TEST(ParallelDeterminismTest, ThreadedGemmAndEvalPrecisionStayBitIdentical) {
     cfg.round_deadline_s = 25.0;
     cfg.num_threads = threads;
     cfg.threaded_gemm = threaded_gemm;
-    cfg.eval_precision = precision;
     FlEngine engine(task, cfg, HeterogeneousAssignments(6), *alg);
     return engine.Run();
   };
 
-  const RunResult reference = run(1, false, kernels::EvalPrecision::kF32);
-  ExpectIdentical(reference, run(1, true, kernels::EvalPrecision::kF32), 1);
-  ExpectIdentical(reference, run(2, true, kernels::EvalPrecision::kF32), 2);
-  ExpectIdentical(reference, run(4, true, kernels::EvalPrecision::kF32), 4);
-
-  const RunResult bf16 = run(1, false, kernels::EvalPrecision::kBf16);
-  ExpectIdentical(bf16, run(4, true, kernels::EvalPrecision::kBf16), 4);
-  const RunResult int8 = run(1, false, kernels::EvalPrecision::kInt8);
-  ExpectIdentical(int8, run(4, true, kernels::EvalPrecision::kInt8), 4);
+  const RunResult reference = run(1, false);
+  ExpectIdentical(reference, run(1, true), 1);
+  ExpectIdentical(reference, run(2, true), 2);
+  ExpectIdentical(reference, run(4, true), 4);
 }
 
 // Determinism auditor ledger (obs/det_audit.h, DESIGN.md §5k): on a conv

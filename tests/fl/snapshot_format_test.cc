@@ -1,5 +1,5 @@
 // Wire-format contract of the snapshot subsystem (fl/checkpoint.h):
-// golden byte layout, CRC vectors, round-trips, and exhaustive
+// golden byte layout, round-trips, and exhaustive
 // corruption/truncation fuzzing — every flipped byte and every truncated
 // prefix must be detected, never decoded approximately.
 #include "fl/checkpoint.h"
@@ -39,21 +39,6 @@ void PushF64(std::vector<std::uint8_t>& out, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   PushLe(out, bits);
-}
-
-TEST(Crc32Test, KnownAnswerVector) {
-  // The standard CRC-32 check value.
-  const char* s = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
-}
-
-TEST(Crc32Test, MatchesBitwiseReference) {
-  std::vector<std::uint8_t> data;
-  for (int i = 0; i < 300; ++i) {
-    data.push_back(static_cast<std::uint8_t>((i * 37 + 11) & 0xFF));
-  }
-  EXPECT_EQ(Crc32(data.data(), data.size()), BitwiseCrc32(data));
 }
 
 // A snapshot exercising every primitive, shared by the golden-layout,

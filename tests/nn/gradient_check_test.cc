@@ -8,7 +8,6 @@
 #include "nn/attention.h"
 #include "nn/composite.h"
 #include "nn/conv.h"
-#include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/norm.h"
@@ -102,29 +101,6 @@ TEST(CompositeGradTest, EmbeddingGradient) {
   for (int j = 0; j < 4; ++j) {
     EXPECT_EQ(emb.table().grad.at({2, j}), 0.0f);
   }
-}
-
-TEST(CompositeGradTest, DropoutEvalIsIdentity) {
-  Rng rng(7);
-  Dropout drop(0.5f, rng);
-  const Tensor x = Tensor::Randn({3, 4}, rng);
-  EXPECT_TRUE(drop.Forward(x, false).AllClose(x));
-}
-
-TEST(CompositeGradTest, DropoutTrainMasksAndScales) {
-  Rng rng(8);
-  Dropout drop(0.5f, rng);
-  Tensor x({1, 1000}, 1.0f);
-  const Tensor y = drop.Forward(x, true);
-  int zeros = 0;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(y[i], 2.0f, 1e-6);
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.08);
 }
 
 TEST(CompositeGradTest, SequentialCollectsNestedNames) {

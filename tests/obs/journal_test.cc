@@ -203,22 +203,6 @@ bool SurvivesIntact(const std::vector<std::uint8_t>& bytes,
   return true;
 }
 
-TEST(JournalCrcTest, MatchesKnownAnswerAndBitwiseReference) {
-  // The canonical CRC-32 check value.
-  const std::string check = "123456789";
-  EXPECT_EQ(JournalCrc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                         check.size()),
-            0xCBF43926u);
-
-  std::vector<std::uint8_t> data;
-  EXPECT_EQ(JournalCrc32(data.data(), 0), BitwiseCrc32(data));
-  for (int i = 0; i < 300; ++i) {
-    data.push_back(static_cast<std::uint8_t>((i * 37 + 11) & 0xFF));
-    EXPECT_EQ(JournalCrc32(data.data(), data.size()), BitwiseCrc32(data))
-        << "length " << data.size();
-  }
-}
-
 TEST(JournalSamplingTest, IsAPureFunctionWithExactEdgeRates) {
   for (int client = 0; client < 64; ++client) {
     // Rate >= 1 keeps everyone, rate <= 0 keeps no one, exactly.

@@ -4,7 +4,6 @@
 // zero-allocation steady state of the conv hot path.
 #include "tensor/gemm.h"
 
-#include <cmath>
 #include <future>
 #include <memory>
 #include <vector>
@@ -224,14 +223,6 @@ TEST(GemmTest, ZeroSizedDimsFollowTheDegenerateContract) {
        bias.data());
   EXPECT_EQ(c3, (std::vector<float>{10.0f, 20.0f, 10.0f, 20.0f}));
 
-  std::vector<float> c4 = {5.0f, 5.0f};
-  kernels::GemmBf16(false, false, 1, 2, 0, nullptr, 1, nullptr, 2, 1.0f,
-                    c4.data(), 2, bias.data());
-  EXPECT_EQ(c4, (std::vector<float>{15.0f, 25.0f}));
-  std::vector<float> c5 = {5.0f, 5.0f};
-  kernels::GemmInt8(false, false, 1, 2, 0, nullptr, 1, nullptr, 2, 1.0f,
-                    c5.data(), 2, bias.data());
-  EXPECT_EQ(c5, (std::vector<float>{15.0f, 25.0f}));
 }
 
 // Runs one shape serially and through pools of several worker counts; the
@@ -303,116 +294,6 @@ TEST(GemmTest, ThreadedBelowThresholdAndNestedStaysSerial) {
   EXPECT_TRUE(ran_in_worker);
   EXPECT_EQ(serial_small, small);
   EXPECT_EQ(serial, nested);
-}
-
-TEST(GemmTest, Bf16AgreesWithReferenceToReducedPrecision) {
-  Rng rng(22);
-  for (const int k : {8, 96, 520}) {
-    const int m = 33, n = 47;
-    const std::vector<float> a = RandVec(static_cast<std::size_t>(m) * k, rng);
-    const std::vector<float> b = RandVec(static_cast<std::size_t>(k) * n, rng);
-    std::vector<float> got(static_cast<std::size_t>(m) * n);
-    std::vector<float> want(static_cast<std::size_t>(m) * n);
-    kernels::GemmBf16(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-                      got.data(), n);
-    RefGemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-            want.data(), n, nullptr);
-    // bf16 keeps 8 mantissa bits per operand: per-product relative error
-    // ~2^-8, accumulating like a random walk over k unit-variance products.
-    const float tol = 0.03f * std::sqrt(static_cast<float>(k));
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_NEAR(got[i], want[i], tol) << "k=" << k << " at " << i;
-    }
-  }
-}
-
-TEST(GemmTest, Int8AgreesWithReferenceToQuantizationTolerance) {
-  Rng rng(23);
-  for (const int k : {8, 96, 520}) {
-    const int m = 33, n = 47;
-    const std::vector<float> a = RandVec(static_cast<std::size_t>(m) * k, rng);
-    const std::vector<float> b = RandVec(static_cast<std::size_t>(k) * n, rng);
-    std::vector<float> got(static_cast<std::size_t>(m) * n);
-    std::vector<float> want(static_cast<std::size_t>(m) * n);
-    kernels::GemmInt8(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-                      got.data(), n);
-    RefGemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-            want.data(), n, nullptr);
-    // Per-tensor symmetric quantization of N(0,1) data: each operand's
-    // rounding error is bounded by one step (~max|x|/127), accumulating
-    // like a random walk over k — loose but shape-scaled.
-    const float tol = 0.25f * std::sqrt(static_cast<float>(k));
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_NEAR(got[i], want[i], tol) << "k=" << k << " at " << i;
-    }
-  }
-}
-
-TEST(GemmTest, ReducedPrecisionIsBitDeterministicIncludingThreaded) {
-  Rng rng(24);
-  const int m = 96, n = 128, k = 256;
-  const std::vector<float> a = RandVec(static_cast<std::size_t>(m) * k, rng);
-  const std::vector<float> b = RandVec(static_cast<std::size_t>(k) * n, rng);
-  for (const bool bf16 : {true, false}) {
-    std::vector<float> first(static_cast<std::size_t>(m) * n);
-    const auto run = [&](float* c) {
-      if (bf16) {
-        kernels::GemmBf16(false, false, m, n, k, a.data(), k, b.data(), n,
-                          0.0f, c, n);
-      } else {
-        kernels::GemmInt8(false, false, m, n, k, a.data(), k, b.data(), n,
-                          0.0f, c, n);
-      }
-    };
-    run(first.data());
-    std::vector<float> again(static_cast<std::size_t>(m) * n, -1.0f);
-    run(again.data());
-    ASSERT_EQ(first, again) << "bf16=" << bf16;
-    core::ThreadPool pool(4);
-    core::ThreadPool* prev = kernels::SetGemmThreadPool(&pool);
-    std::vector<float> threaded(static_cast<std::size_t>(m) * n, -1.0f);
-    run(threaded.data());
-    kernels::SetGemmThreadPool(prev);
-    ASSERT_EQ(first, threaded) << "bf16=" << bf16;
-  }
-}
-
-TEST(GemmTest, EvalPrecisionGuardReroutesGemmAndCountsSeparately) {
-  Rng rng(25);
-  const int m = 8, n = 8, k = 8;
-  const std::vector<float> a = RandVec(64, rng);
-  const std::vector<float> b = RandVec(64, rng);
-  std::vector<float> direct(64), routed(64);
-  kernels::GemmBf16(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-                    direct.data(), n);
-  EXPECT_EQ(kernels::ActiveEvalPrecision(), kernels::EvalPrecision::kF32);
-  const std::uint64_t f32_before = kernels::TotalGemmFlops();
-  const std::uint64_t bf16_before = kernels::TotalGemmFlopsBf16();
-  const std::uint64_t int8_before = kernels::TotalGemmFlopsInt8();
-  {
-    kernels::EvalPrecisionGuard guard(kernels::EvalPrecision::kBf16);
-    EXPECT_EQ(kernels::ActiveEvalPrecision(), kernels::EvalPrecision::kBf16);
-    Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, routed.data(),
-         n);
-  }
-  EXPECT_EQ(kernels::ActiveEvalPrecision(), kernels::EvalPrecision::kF32);
-  EXPECT_EQ(routed, direct);
-  // Rerouted work lands on the bf16 counter only.
-  EXPECT_EQ(kernels::TotalGemmFlops(), f32_before);
-  EXPECT_EQ(kernels::TotalGemmFlopsBf16() - bf16_before, 2ull * m * n * k);
-  {
-    kernels::EvalPrecisionGuard guard(kernels::EvalPrecision::kInt8);
-    Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, routed.data(),
-         n);
-  }
-  EXPECT_EQ(kernels::TotalGemmFlopsInt8() - int8_before, 2ull * m * n * k);
-  // NaiveGemm is never rerouted: it must keep counting as f32.
-  {
-    kernels::EvalPrecisionGuard guard(kernels::EvalPrecision::kBf16);
-    NaiveGemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f,
-              routed.data(), n);
-  }
-  EXPECT_EQ(kernels::TotalGemmFlops() - f32_before, 2ull * m * n * k);
 }
 
 TEST(GemmTest, EveryAvailableIsaMatchesReferenceAndRepeats) {

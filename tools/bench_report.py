@@ -4,8 +4,8 @@
 Usage: bench_report.py [--allow-debug] <raw-benchmark.json> <out.json>
 
 Pairs each fast kernel benchmark (BM_Matmul/128, BM_Conv2dForward, ...) with
-its *Naive twin, each BM_MatmulThreaded/n/T entry with the serial
-BM_Matmul/n, and each BM_MatmulBf16/Int8 entry with its f32 twin.
+its *Naive twin and each BM_MatmulThreaded/n/T entry with the serial
+BM_Matmul/n.
 Per-repetition samples (run with --benchmark_repetitions=N and WITHOUT
 --benchmark_report_aggregates_only) give real p50/p95 wall times rather than
 a median-of-3; speedup ratios come from the p50s.  The context block embeds
@@ -41,7 +41,6 @@ TARGETS = {
 }
 
 THREADED_RE = re.compile(r"^BM_MatmulThreaded/(\d+)/(\d+)$")
-PRECISION_RE = re.compile(r"^BM_Matmul(Bf16|Int8)/(\d+)$")
 
 
 def percentile(sorted_samples, q):
@@ -145,7 +144,6 @@ def main() -> int:
             continue
         entry = {"fast": fast}
         threaded = THREADED_RE.match(name)
-        precision = PRECISION_RE.match(name)
         if threaded:
             threads = int(threaded.group(2))
             entry["threads"] = threads
@@ -158,11 +156,6 @@ def main() -> int:
                 # T logical threads on fewer CPUs: the parallel speedup is
                 # physically unattainable, so the gate is informational.
                 entry["threads_exceed_cpus"] = True
-        elif precision:
-            f32 = stats.get("BM_Matmul/" + precision.group(2))
-            if f32 is not None:
-                entry["f32"] = f32
-                entry["speedup"] = round(f32["wall_ns"] / fast["wall_ns"], 2)
         else:
             naive_name = (
                 name.replace("/", "Naive/", 1)
@@ -186,11 +179,7 @@ def main() -> int:
 
     for base, entry in report["kernels"].items():
         ratio = entry.get("speedup")
-        against = (
-            "serial" if "serial" in entry
-            else "f32" if "f32" in entry
-            else "naive"
-        )
+        against = "serial" if "serial" in entry else "naive"
         mark = ""
         if "target_speedup" in entry:
             mark = " (target %.1fx: %s)" % (

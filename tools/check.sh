@@ -450,8 +450,8 @@ PY
 }
 
 # Kernel benchmark smoke: builds Release, runs the GEMM/conv micro-benchmarks
-# through every variant (fast vs naive, threaded at 1/2/4 workers, bf16/int8
-# vs f32), and distills the raw google-benchmark output into
+# through every variant (fast vs naive, threaded at 1/2/4 workers), and
+# distills the raw google-benchmark output into
 # BENCH_kernels.json (p50/p95 wall time per shape plus machine-normalized
 # speedup ratios; threaded entries where the thread count exceeds the host's
 # CPUs are annotated rather than gated).  Per-repetition rows (no

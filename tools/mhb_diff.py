@@ -25,8 +25,8 @@ What is compared, and against which gate:
                         heap_allocs is skipped (pool-warmup dependent).
 
   bench mode
-    per-kernel speedup (fast/naive, threaded/serial per thread count, and
-    reduced-precision/f32 — each BENCH entry carries its own ratio): the
+    per-kernel speedup (fast/naive and threaded/serial per thread count —
+    each BENCH entry carries its own ratio): the
     candidate's speedup may shrink by at most the latency ratio
     (machine-normalized, so two different hosts can be compared).
     Entries flagged threads_exceed_cpus on either side are exempt from

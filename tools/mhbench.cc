@@ -11,7 +11,7 @@
 //   mhbench run --task cifar10 --algorithm sheterofl
 //               [--constraint computation] [--rounds 20] [--clients 10]
 //               [--alpha 0.5] [--deadline 0] [--seed 1] [--threads 1]
-//               [--threaded-gemm 0|1] [--eval-precision f32|bf16|int8]
+//               [--threaded-gemm 0|1] [--client-journal-sample R]
 //               [--trace out.json] [--trace-sim-clock 1]
 //               [--manifest-dir results] [--profile 0|1]
 //               [--checkpoint-every N] [--checkpoint-dir checkpoints]
@@ -24,9 +24,8 @@
 //       results are bit-identical for any thread count.
 //       --threaded-gemm 1 additionally routes kernel macro-tile
 //       parallelism to the same pool during serial phases (bit-identical
-//       either way; no-op with --threads 1).  --eval-precision selects
-//       the eval-side matmul precision (training always runs f32); the
-//       kernel ISA itself follows MHB_KERNELS (see README).
+//       either way; no-op with --threads 1).  The kernel ISA follows
+//       MHB_KERNELS (see README).
 //       --trace writes a Chrome-tracing JSON (open in chrome://tracing or
 //       https://ui.perfetto.dev) plus a .jsonl event log next to it;
 //       --trace-sim-clock 1 adds simulated-clock lanes per client.
@@ -66,12 +65,14 @@
 //
 // Every command also accepts --log-level <silent|error|warn|info|debug|
 // trace|0-5>, mirroring the MHB_LOG_LEVEL environment variable (the flag
-// wins when both are given).
+// wins when both are given).  A flag the command does not read is an
+// error, so a typo such as --thread fails instead of running defaults.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -99,7 +100,8 @@ namespace {
 
 using namespace mhbench;
 
-// Minimal --key value parser.
+// Minimal --key value parser.  Every Get* marks its key as read, and
+// RejectUnused() throws for any key nothing read.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -111,21 +113,37 @@ class Args {
     MHB_CHECK((argc - first) % 2 == 0) << "flag without value";
   }
 
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+  std::string Get(const std::string& key, const std::string& fallback) {
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : *v;
   }
-  double GetD(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+  double GetD(const std::string& key, double fallback) {
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : std::stod(*v);
   }
-  int GetI(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+  int GetI(const std::string& key, int fallback) {
+    const std::string* v = Find(key);
+    return v == nullptr ? fallback : std::stoi(*v);
+  }
+
+  // Called by each command once it has read all of its flags.
+  void RejectUnused() const {
+    for (const auto& [key, value] : values_) {
+      if (used_.count(key) == 0) {
+        throw Error("unknown flag --" + key + " for this command");
+      }
+    }
   }
 
  private:
+  const std::string* Find(const std::string& key) {
+    used_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> used_;
 };
 
 const char* LevelName(algorithms::HeteroLevel level) {
@@ -142,7 +160,8 @@ const char* LevelName(algorithms::HeteroLevel level) {
   return "?";
 }
 
-int CmdList() {
+int CmdList(const Args& args) {
+  args.RejectUnused();
   std::puts("Algorithms:");
   AsciiTable algos({"Name", "Level"});
   for (const auto& info : algorithms::AllAlgorithms()) {
@@ -165,16 +184,18 @@ int CmdList() {
   return 0;
 }
 
-int CmdCost(const Args& args) {
+int CmdCost(Args& args) {
   const std::string model = args.Get("model", "resnet101");
   const std::string algorithm = args.Get("algorithm", "sheterofl");
   const double ratio = args.GetD("ratio", 1.0);
   const std::string device_name = args.Get("device", "jetson-nano");
+  const double bandwidth_mbps = args.GetD("bandwidth", 20.0);
+  args.RejectUnused();
 
   device::DeviceProfile dev;
   dev.name = device_name;
   dev.gflops = device::DeviceGflops(device_name);
-  dev.bandwidth_mbps = args.GetD("bandwidth", 20.0);
+  dev.bandwidth_mbps = bandwidth_mbps;
 
   device::CostModel cm(device::PaperDesc(model));
   const auto cost = cm.Cost(algorithm, ratio, dev);
@@ -189,7 +210,7 @@ int CmdCost(const Args& args) {
   return 0;
 }
 
-int CmdPlan(const Args& args) {
+int CmdPlan(Args& args) {
   const std::string task = args.Get("task", "cifar100");
   const std::string constraint = args.Get("constraint", "computation");
   const std::string algorithm = args.Get("algorithm", "sheterofl");
@@ -197,6 +218,7 @@ int CmdPlan(const Args& args) {
   device::FleetConfig fcfg;
   fcfg.num_clients = args.GetI("clients", 12);
   fcfg.seed = static_cast<std::uint64_t>(args.GetI("seed", 11));
+  args.RejectUnused();
   const device::Fleet fleet = device::SampleFleet(fcfg);
 
   // "comp" only occurs in computation, "comm" only in communication, and
@@ -228,7 +250,7 @@ int CmdPlan(const Args& args) {
   return 0;
 }
 
-int CmdRun(const Args& args) {
+int CmdRun(Args& args) {
   bench_support::SuiteOptions options;
   options.task = args.Get("task", "cifar10");
   options.constraint = args.Get("constraint", "computation");
@@ -241,8 +263,6 @@ int CmdRun(const Args& args) {
   options.preset.threads = args.GetI("threads", options.preset.threads);
   options.preset.threaded_gemm =
       args.GetI("threaded-gemm", options.preset.threaded_gemm);
-  options.preset.eval_precision =
-      args.Get("eval-precision", options.preset.eval_precision);
 
   options.checkpoint_every = args.GetI("checkpoint-every", 0);
   options.checkpoint_dir = args.Get("checkpoint-dir", "checkpoints");
@@ -258,6 +278,10 @@ int CmdRun(const Args& args) {
   double heartbeat_every = args.GetD("heartbeat-every", 0.0);
   const double watchdog_sec = args.GetD("watchdog-sec", 0.0);
   const bool watchdog_abort = args.GetI("watchdog-abort", 0) != 0;
+  const bool sim_spans = args.GetI("trace-sim-clock", 0) != 0;
+  const double journal_sample = args.GetD("client-journal-sample", 1.0);
+  std::string det_audit_path = args.Get("det-audit", "");
+  args.RejectUnused();
   const bool live_enabled =
       live_port >= 0 || heartbeat_every > 0 || watchdog_sec > 0;
   if (heartbeat_every > 0 && manifest_dir.empty()) {
@@ -282,7 +306,7 @@ int CmdRun(const Args& args) {
   options.obs.tracer = tracer.get();
   options.obs.registry = registry.get();
   options.obs.profiler = profiler.get();
-  options.obs.sim_spans = args.GetI("trace-sim-clock", 0) != 0;
+  options.obs.sim_spans = sim_spans;
   MHB_LOG_INFO << "obs config: trace="
                << (tracer != nullptr ? trace_path : "off")
                << " manifest_dir="
@@ -322,7 +346,6 @@ int CmdRun(const Args& args) {
   // drains each round's client rows into clients.mhbj at the barrier
   // instead of retaining them for the whole run.
   std::unique_ptr<obs::ClientJournalWriter> journal;
-  const double journal_sample = args.GetD("client-journal-sample", 1.0);
   if (!run_dir.empty() && registry != nullptr) {
     obs::ClientJournalWriter::Options jopts;
     jopts.sample_rate = journal_sample;
@@ -340,7 +363,6 @@ int CmdRun(const Args& args) {
   // "--det-audit 1" resolves to the run directory; any other value is the
   // ledger path itself.
   std::unique_ptr<obs::DetAuditor> det_audit;
-  std::string det_audit_path = args.Get("det-audit", "");
   if (det_audit_path == "1" || det_audit_path == "true") {
     if (run_dir.empty()) {
       MHB_LOG_WARN << "--det-audit 1 needs --manifest-dir for the "
@@ -448,9 +470,8 @@ int CmdRun(const Args& args) {
         {"dirichlet_alpha", std::to_string(options.dirichlet_alpha)},
         {"round_deadline_s", std::to_string(options.round_deadline_s)},
         // Kernel provenance: which micro-kernel ISA dispatch picked at
-        // startup and how eval-side matmuls were run (DESIGN.md §5i).
+        // startup (DESIGN.md §5i).
         {"kernel_backend", kernels::KernelBackendName()},
-        {"eval_precision", options.preset.eval_precision},
         {"threaded_gemm",
          std::to_string(options.preset.threaded_gemm != 0 ? 1 : 0)},
         {"client_journal_sample", std::to_string(journal_sample)},
@@ -491,7 +512,7 @@ int main(int argc, char** argv) {
       mhbench::SetLogLevel(
           mhbench::ParseLogLevel(log_level, mhbench::GetLogLevel()));
     }
-    if (cmd == "list") return CmdList();
+    if (cmd == "list") return CmdList(args);
     if (cmd == "cost") return CmdCost(args);
     if (cmd == "plan") return CmdPlan(args);
     if (cmd == "run") return CmdRun(args);
