@@ -94,10 +94,6 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   std::vector<int> round_participants_;
   std::vector<fl::ClientUpdate> staged_;
   std::vector<std::size_t> slot_of_client_;  // client id -> staging slot
-  // Observability counter ids, pre-registered serially in BeginRound so the
-  // concurrent RunClient only touches per-thread sinks (0 = unregistered).
-  std::size_t obs_upload_params_id_ = 0;
-  bool obs_ids_ready_ = false;
 };
 
 }  // namespace mhbench::algorithms

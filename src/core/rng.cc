@@ -9,12 +9,8 @@
 namespace mhbench {
 
 std::uint64_t Rng::NextU64() {
-  // SplitMix64 (Steele, Lea, Flood 2014).
-  state_ += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  state_ += kSplitMix64Gamma;
+  return SplitMix64Mix(state_);
 }
 
 double Rng::Uniform() {
@@ -133,7 +129,7 @@ int Rng::WeightedChoice(const std::vector<double>& weights) {
 Rng Rng::Fork(std::uint64_t stream) {
   // Mix the stream id into a fresh state derived from this generator.
   const std::uint64_t base = NextU64();
-  return Rng(base ^ (stream * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL));
+  return Rng(base ^ (stream * kSplitMix64Gamma + 0xD1B54A32D192ED03ULL));
 }
 
 }  // namespace mhbench

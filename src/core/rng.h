@@ -12,6 +12,19 @@
 
 namespace mhbench {
 
+// SplitMix64's state increment (the 64-bit golden-ratio constant).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
+
+// SplitMix64's output finalizer (Steele, Lea, Flood 2014): a bijective
+// 64-bit mixer.  Rng::NextU64 applies it to each state step; stateless
+// hashes (obs::JournalSampleClient) apply it to a key derived from their
+// inputs.
+constexpr std::uint64_t SplitMix64Mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}

@@ -1,8 +1,8 @@
 // Clang thread-safety analysis macros (no-ops on GCC/MSVC).
 //
 // These wrap clang's -Wthread-safety attributes so the locking contracts
-// audited in PR 1 (per-thread sinks merged at serial barriers, the FedEt
-// eval mutex, the thread-pool queue) are compiler-checked invariants
+// (the obs registry's barrier-published totals, the FedEt eval mutex, the
+// thread-pool queue) are compiler-checked invariants
 // instead of comments: a clang build with `-Wthread-safety
 // -Werror=thread-safety` (added automatically when CMake detects clang,
 // exercised by `tools/check.sh --wthread-safety`) refuses to compile code

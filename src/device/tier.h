@@ -18,7 +18,7 @@ namespace mhbench::device {
 //   "mem16g" — GPU with >= 4 GiB of device memory (the 16 GB tier)
 //   "mem4g"  — any other GPU device (the 4 GB tier)
 // Matches the ima_fleet sampler's three memory tiers; synthetic or test
-// fleets that never set a tier report as "untiered" at the engine level.
+// fleets that never set a tier report as "untiered" in the tier rollups.
 std::string DeviceTierName(double memory_mb, bool has_gpu);
 
 }  // namespace mhbench::device

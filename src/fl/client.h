@@ -29,8 +29,8 @@ struct ClientSystemProfile {
   // Device-tier label for cohort observability (device::DeviceTierName —
   // "cpu" / "mem4g" / "mem16g").  Telemetry-only: consumed by the obs
   // layer's tier-keyed rollups, never by the simulated clock.  Empty means
-  // untiered (synthetic/test assignments); the engine reports those under
-  // the "untiered" cohort.
+  // untiered (synthetic/test assignments); the obs registry reports those
+  // under the "untiered" cohort.
   std::string device_tier;
 };
 

@@ -95,6 +95,7 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
     : config_(config), algorithm_(algorithm), rng_(config.seed) {
   ctx_.task = &task;
   ctx_.config = &config_;
+  MHB_CHECK_GE(config_.eval_every, 1) << "eval_every must be >= 1";
   if (config_.num_threads > 1) {
     // The calling thread participates in every ParallelFor, so num_threads
     // total threads execute client work.
@@ -156,76 +157,24 @@ RunResult FlEngine::Run() {
     }
   } gemm_pool_scope(config_.threaded_gemm ? pool_.get() : nullptr);
 
-  // All counters are registered serially up front so concurrent Add calls
-  // from the dispatch phase only ever touch pre-sized per-thread sinks.
+  // Engine-scoped counters, registered serially up front.  Client-scoped
+  // telemetry is counted by the registry itself from each round's
+  // ClientRows (AddClientRow at the barrier), so the engine only declares
+  // the run's device tiers: every tier in the assignment table exports its
+  // tier twins, sampled or not.
   struct CounterIds {
-    obs::Registry::CounterId selected{}, offline{}, dropped{}, trained{},
-        bytes_up{}, bytes_down{}, train_mflops{}, pool_tasks{}, gemm_flops{};
+    obs::Registry::CounterId pool_tasks{}, gemm_flops{};
   } ids;
-  // Histograms follow the same rule: registered serially, observed from
-  // any thread, merged at the barrier.  client_wall_us is wall-clock (its
-  // quantiles vary run to run); bytes_up / train_mflops distributions are
-  // pure functions of the cost model and stay thread-count independent.
-  struct HistIds {
-    obs::Registry::HistogramId client_wall_us{}, client_bytes_up{},
-        client_train_mflops{};
-  } hids;
-  // Tier-keyed rollups (DESIGN.md §5j): every client-scoped counter and
-  // histogram also accumulates into a `<base>@<tier>` twin keyed by the
-  // client's device tier.  Tiers and ids are fixed serially here from the
-  // assignment table, so the dispatch phase only ever touches pre-registered
-  // ids; per-thread sinks + barrier merge keep the per-tier totals exactly
-  // as thread-count independent as the untiered ones.
-  struct TierIds {
-    std::string name;
-    obs::Registry::CounterId selected{}, offline{}, dropped{}, trained{},
-        bytes_up{}, bytes_down{}, train_mflops{};
-    obs::Registry::HistogramId client_wall_us{}, client_bytes_up{},
-        client_train_mflops{};
-  };
-  std::vector<TierIds> tiers;
-  // Per client: index into `tiers`, and the tier's name for ClientRow.
-  std::vector<std::size_t> client_tier;
-  // mhb-obs-phase: serial — pre-dispatch registration and phase-1 counting.
+  // mhb-obs-phase: serial — registration before the first round.
   if (reg != nullptr) {
-    ids.selected = reg->Counter("clients_selected");
-    ids.offline = reg->Counter("clients_offline");
-    ids.dropped = reg->Counter("clients_dropped");
-    ids.trained = reg->Counter("clients_trained");
-    ids.bytes_up = reg->Counter("bytes_up");
-    ids.bytes_down = reg->Counter("bytes_down");
-    ids.train_mflops = reg->Counter("train_mflops");
     ids.pool_tasks = reg->Counter("pool_tasks");
     ids.gemm_flops = reg->Counter("gemm_flops");
-    hids.client_wall_us = reg->Histogram("client_wall_us");
-    hids.client_bytes_up = reg->Histogram("client_bytes_up");
-    hids.client_train_mflops = reg->Histogram("client_train_mflops");
-    client_tier.reserve(ctx_.assignments.size());
+    std::vector<std::string> device_tiers;
+    device_tiers.reserve(ctx_.assignments.size());
     for (const auto& a : ctx_.assignments) {
-      const std::string tier =
-          a.system.device_tier.empty() ? "untiered" : a.system.device_tier;
-      std::size_t t = 0;
-      for (; t < tiers.size(); ++t) {
-        if (tiers[t].name == tier) break;
-      }
-      if (t == tiers.size()) {
-        TierIds ti;
-        ti.name = tier;
-        ti.selected = reg->Counter("clients_selected@" + tier);
-        ti.offline = reg->Counter("clients_offline@" + tier);
-        ti.dropped = reg->Counter("clients_dropped@" + tier);
-        ti.trained = reg->Counter("clients_trained@" + tier);
-        ti.bytes_up = reg->Counter("bytes_up@" + tier);
-        ti.bytes_down = reg->Counter("bytes_down@" + tier);
-        ti.train_mflops = reg->Counter("train_mflops@" + tier);
-        ti.client_wall_us = reg->Histogram("client_wall_us@" + tier);
-        ti.client_bytes_up = reg->Histogram("client_bytes_up@" + tier);
-        ti.client_train_mflops =
-            reg->Histogram("client_train_mflops@" + tier);
-        tiers.push_back(std::move(ti));
-      }
-      client_tier.push_back(t);
+      device_tiers.push_back(a.system.device_tier);
     }
+    reg->DeclareClientTiers(device_tiers);
   }
   core::ThreadPool::Stats pool_base =
       pool_ != nullptr ? pool_->stats() : core::ThreadPool::Stats{};
@@ -287,19 +236,13 @@ RunResult FlEngine::Run() {
     std::vector<Participant> participants;
     participants.reserve(sampled.size());
     // Per-client timeline rows, built serially for every sampled client
-    // (dropped ones included, with their drop reason).  Each participant
-    // remembers its row index so the dispatch lambda can write the measured
-    // wall time into its own slot without synchronization.
+    // (dropped ones included, with their drop reason) and handed to the
+    // registry at the barrier, which counts every client metric from them.
+    // Each participant remembers its row index so the dispatch lambda can
+    // write the measured wall time into its own slot without
+    // synchronization.
     std::vector<obs::Registry::ClientRow> client_rows;
     std::vector<std::size_t> participant_row;
-    // Per participant: index into `tiers`, for the dispatch lambda's
-    // tier-keyed increments (pre-registered ids, no locks on the hot path).
-    std::vector<std::size_t> participant_tier;
-    // Per-tier selected/offline/dropped tallies for this round, added once
-    // after the loop (serial, like the untiered bulk Adds below).
-    std::vector<std::int64_t> tier_selected(tiers.size(), 0);
-    std::vector<std::int64_t> tier_offline(tiers.size(), 0);
-    std::vector<std::int64_t> tier_dropped(tiers.size(), 0);
     double round_time = 0.0;
     int round_offline = 0;
     int round_dropped = 0;
@@ -307,31 +250,23 @@ RunResult FlEngine::Run() {
       const auto& sys = ctx_.assignments[static_cast<std::size_t>(c)].system;
       const double client_time = sys.compute_time_s + sys.comm_time_s;
       ++result.total_participations;
-      std::size_t row_idx = 0;
-      std::size_t tier_idx = 0;
+      obs::Registry::ClientRow* row = nullptr;
       if (reg != nullptr) {
-        tier_idx = client_tier[static_cast<std::size_t>(c)];
-        ++tier_selected[tier_idx];
-        row_idx = client_rows.size();
-        obs::Registry::ClientRow row;
-        row.run = algorithm_.name();
-        row.round = round;
-        row.client = c;
-        row.device_tier = tiers[tier_idx].name;
-        row.sim_compute_s = sys.compute_time_s;
-        row.sim_comm_s = sys.comm_time_s;
-        row.memory_mb = sys.memory_mb;
-        client_rows.push_back(std::move(row));
+        row = &client_rows.emplace_back();
+        row->run = algorithm_.name();
+        row->round = round;
+        row->client = c;
+        row->device_tier = sys.device_tier;
+        row->sim_compute_s = sys.compute_time_s;
+        row->sim_comm_s = sys.comm_time_s;
+        row->memory_mb = sys.memory_mb;
       }
       if (sys.availability < 1.0 &&
           round_rng.Uniform() >= sys.availability) {
         // State heterogeneity: the device is offline this round.
         ++result.offline_skips;
         ++round_offline;
-        if (reg != nullptr) {
-          client_rows[row_idx].drop_reason = "offline";
-          ++tier_offline[tier_idx];
-        }
+        if (row != nullptr) row->drop_reason = "offline";
         continue;
       }
       if (config_.round_deadline_s > 0 &&
@@ -339,19 +274,15 @@ RunResult FlEngine::Run() {
         // Straggler: the synchronous round closes without this client.
         ++result.straggler_drops;
         ++round_dropped;
-        if (reg != nullptr) {
-          client_rows[row_idx].drop_reason = "straggler";
-          ++tier_dropped[tier_idx];
-        }
+        if (row != nullptr) row->drop_reason = "straggler";
         continue;
       }
-      if (reg != nullptr) {
-        auto& row = client_rows[row_idx];
-        row.bytes_up = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        row.bytes_down = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        row.train_mflops = static_cast<std::int64_t>(sys.train_gflops * 1e3);
-        participant_row.push_back(row_idx);
-        participant_tier.push_back(tier_idx);
+      if (row != nullptr) {
+        // The cost model charges comm_mb for the full up+down payload.
+        row->bytes_up = static_cast<std::int64_t>(sys.comm_mb * 5e5);
+        row->bytes_down = static_cast<std::int64_t>(sys.comm_mb * 5e5);
+        row->train_mflops = static_cast<std::int64_t>(sys.train_gflops * 1e3);
+        participant_row.push_back(client_rows.size() - 1);
       }
       participants.push_back(
           {c, round_rng.Fork(static_cast<std::uint64_t>(c))});
@@ -362,16 +293,6 @@ RunResult FlEngine::Run() {
       round_time = config_.round_deadline_s;
     }
     select_span.End();
-    if (reg != nullptr) {
-      reg->Add(ids.selected, static_cast<std::int64_t>(sampled.size()));
-      reg->Add(ids.offline, round_offline);
-      reg->Add(ids.dropped, round_dropped);
-      for (std::size_t t = 0; t < tiers.size(); ++t) {
-        if (tier_selected[t] != 0) reg->Add(tiers[t].selected, tier_selected[t]);
-        if (tier_offline[t] != 0) reg->Add(tiers[t].offline, tier_offline[t]);
-        if (tier_dropped[t] != 0) reg->Add(tiers[t].dropped, tier_dropped[t]);
-      }
-    }
 
     std::vector<int> participant_ids;
     participant_ids.reserve(participants.size());
@@ -380,12 +301,12 @@ RunResult FlEngine::Run() {
 
     // Phase 2: dispatch.  Each participant trains with the Rng fixed above;
     // algorithms stage uploads per client and merge them in participant
-    // order inside FinishRound.  Counter increments land in per-thread
-    // sinks; integer addition commutes, so totals match the serial run.
+    // order inside FinishRound.  Each client writes only its own row's
+    // wall time; every registry call waits for the serial barrier.
     obs::Span dispatch_span(tracer, "dispatch", "fl");
     dispatch_span.Arg("participants",
                       static_cast<std::int64_t>(participants.size()));
-    // mhb-obs-phase: parallel — per-thread sinks only inside the dispatch.
+    // mhb-obs-phase: parallel — no registry calls inside the dispatch.
     core::ParallelFor(pool_.get(), participants.size(), [&](std::size_t i) {
       const int client_id = participants[i].client_id;
       const auto& sys =
@@ -403,33 +324,11 @@ RunResult FlEngine::Run() {
         obs::ProfileScope profile_scope("client");
         algorithm_.RunClient(client_id, round, participants[i].rng);
       }
-      const double client_wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - client_wall_start)
-              .count();
       if (reg != nullptr) {
-        // The cost model charges comm_mb for the full up+down payload.
-        const auto bytes = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        const auto mflops =
-            static_cast<std::int64_t>(sys.train_gflops * 1e3);
-        const auto wall_us =
-            static_cast<std::int64_t>(client_wall_ms * 1e3);
-        reg->Add(ids.bytes_up, bytes);
-        reg->Add(ids.bytes_down, bytes);
-        reg->Add(ids.train_mflops, mflops);
-        reg->Add(ids.trained, 1);
-        reg->Observe(hids.client_wall_us, wall_us);
-        reg->Observe(hids.client_bytes_up, bytes);
-        reg->Observe(hids.client_train_mflops, mflops);
-        const TierIds& tier = tiers[participant_tier[i]];
-        reg->Add(tier.bytes_up, bytes);
-        reg->Add(tier.bytes_down, bytes);
-        reg->Add(tier.train_mflops, mflops);
-        reg->Add(tier.trained, 1);
-        reg->Observe(tier.client_wall_us, wall_us);
-        reg->Observe(tier.client_bytes_up, bytes);
-        reg->Observe(tier.client_train_mflops, mflops);
-        client_rows[participant_row[i]].wall_ms = client_wall_ms;
+        client_rows[participant_row[i]].wall_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - client_wall_start)
+                .count();
       }
     });
     dispatch_span.End();
@@ -472,8 +371,8 @@ RunResult FlEngine::Run() {
     round_span.End();
 
     if (reg != nullptr) {
-      // Round barrier: merge per-thread sinks and snapshot this round's
-      // counter deltas + gauges into a manifest row.
+      // Round barrier: count this round's client rows, then publish the
+      // round's counter deltas + gauges as a manifest row.
       const double wall_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - round_wall_start)
@@ -507,7 +406,7 @@ RunResult FlEngine::Run() {
     }
 
     // Divergence ledger, also after EndRound: the counter component must
-    // hash the merged totals, not a mid-round per-thread view.  Read-only
+    // hash the published totals, not a mid-round pending view.  Read-only
     // over engine state, so auditing cannot perturb the run it audits.
     if (config_.obs.det_audit != nullptr) {
       AuditRound(round);
@@ -522,8 +421,8 @@ RunResult FlEngine::Run() {
 
     if (config_.checkpoint_every > 0 &&
         (round + 1) % config_.checkpoint_every == 0) {
-      // After the round barrier: all sinks merged (EndRound above when a
-      // registry is attached), no client work in flight.
+      // After the round barrier: all counts published (EndRound above when
+      // a registry is attached), no client work in flight.
       obs::Span ckpt_span(tracer, "checkpoint", "fl");
       WriteCheckpoint(round + 1, sim_time, result);
     }
@@ -552,7 +451,7 @@ RunResult FlEngine::Run() {
             ctx_.task->test, config_.stability_max_samples);
       });
   stability_span.End();
-  if (reg != nullptr) reg->FlushThreadSinks();
+  if (reg != nullptr) reg->Flush();
   return result;
 }
 

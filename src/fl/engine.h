@@ -202,7 +202,7 @@ class FlEngine {
   // Records round `round`'s component hashes (RNG stream, auditable
   // counter/histogram totals, algorithm SaveState bytes) into
   // config_.obs.det_audit.  Called at the serial round barrier, after
-  // EndRound merged the per-thread sinks (obs/det_audit.h).
+  // EndRound published the round's counts (obs/det_audit.h).
   void AuditRound(int round) const;
   // Restores config_.resume_path into the freshly-Setup engine; fills the
   // partial result and simulated clock and returns the round to resume at.

@@ -7,6 +7,7 @@
 
 #include "core/env.h"
 #include "core/error.h"
+#include "obs/registry.h"
 
 namespace mhbench::obs {
 
@@ -112,9 +113,7 @@ void DetAuditor::RecordRound(
 bool DetAuditor::AuditableMetric(const std::string& name) {
   if (name == "pool_tasks") return false;
   if (name.rfind("checkpoint_", 0) == 0) return false;
-  const std::size_t at = name.find('@');
-  const std::string base =
-      at == std::string::npos ? name : name.substr(0, at);
+  const std::string base = SplitTierName(name).first;
   for (const char* suffix : {"_us", "_ms"}) {
     const std::size_t n = std::strlen(suffix);
     if (base.size() >= n && base.compare(base.size() - n, n, suffix) == 0) {

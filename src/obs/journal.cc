@@ -4,6 +4,7 @@
 
 #include "core/crc32.h"
 #include "core/error.h"
+#include "core/rng.h"
 
 namespace mhbench::obs {
 
@@ -130,15 +131,9 @@ bool JournalSampleClient(std::uint64_t seed, int client, double rate) {
   // SplitMix64 finalizer over (seed, client): a high-quality stateless
   // hash, so the kept subset is a pure function of the pair — identical at
   // any thread count, call order, or round.
-  std::uint64_t x =
-      seed + 0x9E3779B97F4A7C15ull *
-                 (static_cast<std::uint64_t>(static_cast<std::uint32_t>(client)) +
-                  1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(client)) + 1;
+  const std::uint64_t x = SplitMix64Mix(seed + kSplitMix64Gamma * key);
   const double u =
       static_cast<double>(x >> 11) / 9007199254740992.0;  // [0, 1)
   return u < rate;

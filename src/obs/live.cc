@@ -256,7 +256,7 @@ std::string LiveExporter::MetricsTextLocked() const {
       << "\n";
   out << "# TYPE mhb_checkpoints_written counter\nmhb_checkpoints_written "
       << checkpoints_written_ << "\n";
-  // Tier-keyed registry entries (`<base>@<tier>`, DESIGN.md §5j) render as
+  // Tier twins (obs/registry.h, DESIGN.md §5j) render as
   // the base metric with a Prometheus `tier` label; untiered entries render
   // exactly as before.  The snapshot map is name-sorted, so a base and its
   // tier variants are adjacent and the TYPE line dedup below emits one
@@ -269,25 +269,17 @@ std::string LiveExporter::MetricsTextLocked() const {
     }
   };
   for (const auto& [name, value] : snap.counters) {
-    const auto at = name.find('@');
-    if (at == std::string::npos) {
-      const std::string metric = "mhb_counter_" + MetricName(name);
-      type_line(metric, "counter");
-      out << metric << " " << value << "\n";
-    } else {
-      const std::string metric =
-          "mhb_counter_" + MetricName(name.substr(0, at));
-      type_line(metric, "counter");
-      out << metric << "{tier=\"" << JsonEscape(name.substr(at + 1))
-          << "\"} " << value << "\n";
-    }
+    const auto [base, tier] = SplitTierName(name);
+    const std::string metric = "mhb_counter_" + MetricName(base);
+    type_line(metric, "counter");
+    out << metric;
+    if (!tier.empty()) out << "{tier=\"" << JsonEscape(tier) << "\"}";
+    out << " " << value << "\n";
   }
   last_type.clear();
   for (const auto& [name, h] : snap.hists) {
-    const auto at = name.find('@');
-    const std::string base = at == std::string::npos ? name : name.substr(0, at);
-    const std::string tier =
-        at == std::string::npos ? "" : JsonEscape(name.substr(at + 1));
+    const auto [base, raw_tier] = SplitTierName(name);
+    const std::string tier = JsonEscape(raw_tier);
     const std::string metric = "mhb_hist_" + MetricName(base);
     type_line(metric, "summary");
     auto label = [&](const char* quantile) {
@@ -344,14 +336,14 @@ std::string LiveExporter::StatusJsonLocked() const {
         << FmtD(snap.accuracy[i].second) << "]";
   }
   out << "],\n";
-  // Tier-keyed entries (`<base>@<tier>`) are regrouped under "tiers";
+  // Tier twins (obs/registry.h) are regrouped under "tiers";
   // the flat counters / histograms objects stay tier-free so their schema
   // is unchanged for existing pollers.
   out << "  \"counters\": {";
   {
     std::size_t i = 0;
     for (const auto& [name, value] : snap.counters) {
-      if (name.find('@') != std::string::npos) continue;
+      if (!SplitTierName(name).second.empty()) continue;
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
           << "\": " << value;
     }
@@ -361,7 +353,7 @@ std::string LiveExporter::StatusJsonLocked() const {
   {
     std::size_t i = 0;
     for (const auto& [name, h] : snap.hists) {
-      if (name.find('@') != std::string::npos) continue;
+      if (!SplitTierName(name).second.empty()) continue;
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
           << "\": {\"count\":" << h.count() << ",\"sum\":" << h.sum
           << ",\"min\":" << h.min << ",\"max\":" << h.max
@@ -375,15 +367,13 @@ std::string LiveExporter::StatusJsonLocked() const {
   {
     std::map<std::string, std::map<std::string, std::int64_t>> tc;
     for (const auto& [name, value] : snap.counters) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      tc[name.substr(at + 1)][name.substr(0, at)] = value;
+      const auto [base, tier] = SplitTierName(name);
+      if (!tier.empty()) tc[tier][base] = value;
     }
     std::map<std::string, std::map<std::string, Registry::HistogramData>> th;
     for (const auto& [name, h] : snap.hists) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      th[name.substr(at + 1)][name.substr(0, at)] = h;
+      const auto [base, tier] = SplitTierName(name);
+      if (!tier.empty()) th[tier][base] = h;
     }
     std::set<std::string> tiers;
     for (const auto& [tier, unused] : tc) tiers.insert(tier);

@@ -157,18 +157,18 @@ void WriteRoundsCsv(const std::string& run_dir, const Registry& registry) {
 }
 
 void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
-  // Column set: the union of `<base>@<tier>` bases over all rows; a row is
+  // Column set: the union of tier-twin bases over all rows; a row is
   // emitted per (run, round, tier) seen in that round's entries.
   std::set<std::string> counter_cols;
   std::set<std::string> hist_cols;
   for (const auto& row : registry.rounds()) {
     for (const auto& [k, v] : row.counters) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) counter_cols.insert(k.substr(0, at));
+      const auto [base, tier] = SplitTierName(k);
+      if (!tier.empty()) counter_cols.insert(base);
     }
     for (const auto& [k, v] : row.hists) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) hist_cols.insert(k.substr(0, at));
+      const auto [base, tier] = SplitTierName(k);
+      if (!tier.empty()) hist_cols.insert(base);
     }
   }
   if (counter_cols.empty() && hist_cols.empty()) return;
@@ -182,26 +182,32 @@ void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
   }
   CsvWriter csv(header);
   for (const auto& row : registry.rounds()) {
-    std::set<std::string> row_tiers;
+    // This round's tier twins regrouped as tier -> base -> value.
+    std::map<std::string, std::map<std::string, std::int64_t>> counters;
+    std::map<std::string, std::map<std::string, Registry::HistogramData>>
+        hists;
     for (const auto& [k, v] : row.counters) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) row_tiers.insert(k.substr(at + 1));
+      const auto [base, tier] = SplitTierName(k);
+      if (!tier.empty()) counters[tier][base] = v;
     }
     for (const auto& [k, v] : row.hists) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) row_tiers.insert(k.substr(at + 1));
+      const auto [base, tier] = SplitTierName(k);
+      if (!tier.empty()) hists[tier][base] = v;
     }
+    std::set<std::string> row_tiers;
+    for (const auto& [tier, unused] : counters) row_tiers.insert(tier);
+    for (const auto& [tier, unused] : hists) row_tiers.insert(tier);
     for (const auto& tier : row_tiers) {
       std::vector<std::string> cells = {row.run, std::to_string(row.round),
                                         tier};
       for (const auto& c : counter_cols) {
-        auto it = row.counters.find(c + "@" + tier);
+        auto it = counters[tier].find(c);
         cells.push_back(
-            it == row.counters.end() ? "0" : std::to_string(it->second));
+            it == counters[tier].end() ? "0" : std::to_string(it->second));
       }
       for (const auto& h : hist_cols) {
-        auto it = row.hists.find(h + "@" + tier);
-        if (it == row.hists.end()) {
+        auto it = hists[tier].find(h);
+        if (it == hists[tier].end()) {
           cells.push_back("0");
           cells.push_back("");
           cells.push_back("");
@@ -281,24 +287,22 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
            << ",\"p99\":" << FormatDouble(h.Quantile(0.99)) << "}";
     }
   }
-  // Per-tier rollups: the `<base>@<tier>` totals regrouped by tier, so
-  // report tooling never has to re-split names.  The flat counters /
-  // histograms objects above still carry the raw `@` entries — that keeps
+  // Per-tier rollups: the tier twins' totals regrouped by tier, so report
+  // tooling never has to re-split names.  The flat counters / histograms
+  // objects above still carry the raw twin entries — that keeps
   // mhb_diff's exact-counter gate covering the tier dimension for free.
   json << "\n  },\n  \"tiers\": {";
   if (registry != nullptr) {
     std::map<std::string, std::map<std::string, std::int64_t>> tier_counters;
     for (const auto& [name, value] : registry->Totals()) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      tier_counters[name.substr(at + 1)][name.substr(0, at)] = value;
+      const auto [base, tier] = SplitTierName(name);
+      if (!tier.empty()) tier_counters[tier][base] = value;
     }
     std::map<std::string, std::map<std::string, Registry::HistogramData>>
         tier_hists;
     for (const auto& [name, h] : registry->Histograms()) {
-      const auto at = name.find('@');
-      if (at == std::string::npos || h.empty()) continue;
-      tier_hists[name.substr(at + 1)][name.substr(0, at)] = h;
+      const auto [base, tier] = SplitTierName(name);
+      if (!tier.empty() && !h.empty()) tier_hists[tier][base] = h;
     }
     std::set<std::string> tier_names;
     for (const auto& [tier, unused] : tier_counters) tier_names.insert(tier);

@@ -1,7 +1,6 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -9,17 +8,8 @@ namespace mhbench::obs {
 
 namespace {
 
-struct TlEntry {
-  const void* registry = nullptr;
-  std::uint64_t generation = 0;
-  void* sink = nullptr;
-};
-thread_local std::vector<TlEntry> tl_sinks;
-
-std::uint64_t NextGeneration() {
-  static std::atomic<std::uint64_t> g{1};
-  return g.fetch_add(1, std::memory_order_relaxed);
-}
+constexpr char kTierSeparator = '@';
+constexpr const char* kUntiered = "untiered";
 
 // std::bit_width without requiring <bit> (the TSan config builds with
 // older language-mode fallbacks elsewhere): position of the highest set
@@ -115,53 +105,43 @@ double Registry::HistogramData::Quantile(double q) const {
   return static_cast<double>(max);
 }
 
-Registry::Registry() : generation_(NextGeneration()) {}
-Registry::~Registry() = default;
-
 Registry::CounterId Registry::Counter(const std::string& name) {
   core::MutexLock lock(mu_);
+  return CounterLocked(name);
+}
+
+Registry::CounterId Registry::CounterLocked(const std::string& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   const CounterId id = names_.size();
   names_.push_back(name);
   ids_.emplace(name, id);
   totals_.push_back(0);
+  pending_.push_back(0);
   round_base_.push_back(0);
   return id;
 }
 
 Registry::HistogramId Registry::Histogram(const std::string& name) {
   core::MutexLock lock(mu_);
+  return HistogramLocked(name);
+}
+
+Registry::HistogramId Registry::HistogramLocked(const std::string& name) {
   auto it = hist_ids_.find(name);
   if (it != hist_ids_.end()) return it->second;
   const HistogramId id = hist_names_.size();
   hist_names_.push_back(name);
   hist_ids_.emplace(name, id);
   hist_totals_.emplace_back();
+  hist_pending_.emplace_back();
   hist_round_.emplace_back();
   return id;
 }
 
-Registry::Sink* Registry::ThreadSink() {
-  for (auto& e : tl_sinks) {
-    if (e.registry == this && e.generation == generation_) {
-      return static_cast<Sink*>(e.sink);
-    }
-  }
-  auto sink = std::make_unique<Sink>();
-  Sink* raw = sink.get();
-  {
-    core::MutexLock lock(mu_);
-    sinks_.push_back(std::move(sink));
-  }
-  tl_sinks.push_back({this, generation_, raw});
-  return raw;
-}
-
 void Registry::Add(CounterId id, std::int64_t delta) {
-  Sink* sink = ThreadSink();
-  if (sink->values.size() <= id) sink->values.resize(id + 1, 0);
-  sink->values[id] += delta;
+  core::MutexLock lock(mu_);
+  pending_[id] += delta;
 }
 
 void Registry::AddNamed(const std::string& name, std::int64_t delta) {
@@ -169,9 +149,8 @@ void Registry::AddNamed(const std::string& name, std::int64_t delta) {
 }
 
 void Registry::Observe(HistogramId id, std::int64_t value) {
-  Sink* sink = ThreadSink();
-  if (sink->hists.size() <= id) sink->hists.resize(id + 1);
-  sink->hists[id].Observe(value);
+  core::MutexLock lock(mu_);
+  hist_pending_[id].Observe(value);
 }
 
 void Registry::ObserveNamed(const std::string& name, std::int64_t value) {
@@ -184,20 +163,18 @@ void Registry::SetGauge(const std::string& name, double value) {
 }
 
 void Registry::FlushLocked() {
-  for (auto& sink : sinks_) {
-    for (std::size_t id = 0; id < sink->values.size(); ++id) {
-      totals_[id] += sink->values[id];
-      sink->values[id] = 0;
-    }
-    for (std::size_t id = 0; id < sink->hists.size(); ++id) {
-      hist_totals_[id].Merge(sink->hists[id]);
-      hist_round_[id].Merge(sink->hists[id]);
-      sink->hists[id] = HistogramData{};
-    }
+  for (std::size_t id = 0; id < pending_.size(); ++id) {
+    totals_[id] += pending_[id];
+    pending_[id] = 0;
+  }
+  for (std::size_t id = 0; id < hist_pending_.size(); ++id) {
+    hist_totals_[id].Merge(hist_pending_[id]);
+    hist_round_[id].Merge(hist_pending_[id]);
+    hist_pending_[id] = HistogramData{};
   }
 }
 
-void Registry::FlushThreadSinks() {
+void Registry::Flush() {
   core::MutexLock lock(mu_);
   FlushLocked();
 }
@@ -316,22 +293,77 @@ std::map<std::string, Registry::HistogramData> Registry::Histograms() const {
 void Registry::ImportTotals(
     const std::map<std::string, std::int64_t>& counters,
     const std::map<std::string, HistogramData>& hists) {
+  core::MutexLock lock(mu_);
   for (const auto& [name, delta] : counters) {
-    const CounterId id = Counter(name);
-    core::MutexLock lock(mu_);
+    const CounterId id = CounterLocked(name);
     totals_[id] += delta;
     round_base_[id] += delta;
   }
   for (const auto& [name, data] : hists) {
-    const HistogramId id = Histogram(name);
-    core::MutexLock lock(mu_);
-    hist_totals_[id].Merge(data);
+    hist_totals_[HistogramLocked(name)].Merge(data);
   }
 }
 
-void Registry::AddClientRow(ClientRow row) {
+const Registry::ClientIds& Registry::ClientIdsLocked(const std::string& tier) {
+  auto it = client_ids_.find(tier);
+  if (it != client_ids_.end()) return it->second;
+  const std::string suffix = tier.empty() ? "" : kTierSeparator + tier;
+  ClientIds ids;
+  ids.selected = CounterLocked("clients_selected" + suffix);
+  ids.offline = CounterLocked("clients_offline" + suffix);
+  ids.dropped = CounterLocked("clients_dropped" + suffix);
+  ids.trained = CounterLocked("clients_trained" + suffix);
+  ids.bytes_up = CounterLocked("bytes_up" + suffix);
+  ids.bytes_down = CounterLocked("bytes_down" + suffix);
+  ids.train_mflops = CounterLocked("train_mflops" + suffix);
+  ids.wall_us_hist = HistogramLocked("client_wall_us" + suffix);
+  ids.bytes_up_hist = HistogramLocked("client_bytes_up" + suffix);
+  ids.train_mflops_hist = HistogramLocked("client_train_mflops" + suffix);
+  return client_ids_.emplace(tier, ids).first->second;
+}
+
+void Registry::DeclareClientTiers(
+    const std::vector<std::string>& device_tiers) {
   core::MutexLock lock(mu_);
+  ClientIdsLocked("");
+  for (const std::string& tier : device_tiers) {
+    ClientIdsLocked(tier.empty() ? kUntiered : tier);
+  }
+}
+
+void Registry::CountClientRowLocked(const ClientIds& ids,
+                                    const ClientRow& row) {
+  pending_[ids.selected] += 1;
+  if (row.drop_reason == "offline") {
+    pending_[ids.offline] += 1;
+    return;
+  }
+  if (!row.drop_reason.empty()) {
+    pending_[ids.dropped] += 1;
+    return;
+  }
+  pending_[ids.trained] += 1;
+  pending_[ids.bytes_up] += row.bytes_up;
+  pending_[ids.bytes_down] += row.bytes_down;
+  pending_[ids.train_mflops] += row.train_mflops;
+  hist_pending_[ids.wall_us_hist].Observe(
+      static_cast<std::int64_t>(row.wall_ms * 1e3));
+  hist_pending_[ids.bytes_up_hist].Observe(row.bytes_up);
+  hist_pending_[ids.train_mflops_hist].Observe(row.train_mflops);
+}
+
+void Registry::AddClientRow(ClientRow row) {
+  if (row.device_tier.empty()) row.device_tier = kUntiered;
+  core::MutexLock lock(mu_);
+  CountClientRowLocked(ClientIdsLocked(""), row);
+  CountClientRowLocked(ClientIdsLocked(row.device_tier), row);
   client_rows_.push_back(std::move(row));
+}
+
+std::pair<std::string, std::string> SplitTierName(const std::string& name) {
+  const std::size_t at = name.find(kTierSeparator);
+  if (at == std::string::npos) return {name, ""};
+  return {name.substr(0, at), name.substr(at + 1)};
 }
 
 }  // namespace mhbench::obs

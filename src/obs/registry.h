@@ -1,16 +1,15 @@
-// Counter/gauge/histogram registry with deterministic parallel aggregation.
+// Counter/gauge/histogram registry with deterministic aggregation.
 //
-// Counters are 64-bit integers (bytes, FLOPs, drops, task counts) that may
-// be incremented from any thread between round barriers: each thread writes
-// into a private sink (no locks, no atomics on the hot path after the
-// thread's first Add) and the engine merges all sinks serially at the round
-// barrier.  Integer addition is order-independent, so totals are identical
-// for any thread count — determinism is untouched.
+// Counters are 64-bit integers (bytes, FLOPs, drops, task counts).  Add()
+// may be called from any thread: the delta lands in a pending buffer under
+// the registry mutex and is folded into the published totals only at a
+// serial round barrier (EndRound, Flush).  Integer addition is
+// order-independent, so totals are identical for any thread count.
 //
 // Histograms are fixed log2-bucketed int64 distributions (latency µs,
-// bytes, batch sizes).  Observe() lands in the calling thread's sink like
-// counters; bucket counts, sums and min/max all merge with commutative
-// operations, so bucket totals are thread-count independent too.  Quantiles
+// bytes, batch sizes).  Observe() lands in the pending buffer like Add;
+// bucket counts, sums and min/max all merge with commutative operations,
+// so bucket totals are thread-count independent too.  Quantiles
 // (p50/p95/p99) are derived from the bucket counts at export time by linear
 // interpolation inside the crossing bucket, clamped to the observed
 // [min, max] — never tracked online.
@@ -20,24 +19,25 @@
 //
 // EndRound snapshots the per-round counter deltas, histogram deltas and the
 // round's gauges into a row; the manifest writer turns the rows into
-// rounds.csv.  AddClientRow (serial phases only) stages the per-client
-// per-round timeline; EndRound drains the staged rows into the installed
-// client-row sink (obs/journal) — or discards them when no sink is
-// installed — so client-row memory is bounded by one round's cohort, never
+// rounds.csv.
+//
+// Client-scoped telemetry has one source: AddClientRow (serial barrier
+// only) counts each ClientRow into the client metrics and stages it;
+// EndRound drains the staged rows into the installed client-row sink
+// (obs/journal) — or discards them when no sink is installed — so
+// client-row memory is bounded by one round's cohort, never
 // O(fleet x rounds).
 //
-// Tier-keyed rollups (DESIGN.md §5j) are ordinary counters/histograms named
-// `<base>@<tier>` (e.g. "clients_trained@mem16g"); '@' never appears in
-// untiered names, so exporters can split on it to recover the (base, tier)
-// pair while every registry mechanism (sinks, barriers, round rows,
-// checkpoint import) applies unchanged.
+// Tier-keyed rollups (DESIGN.md §5j): each client metric also has a twin
+// named `<base>@<tier>` (e.g. "clients_trained@mem16g").  Twins are
+// ordinary counters/histograms; '@' never appears in an untiered name, and
+// exporters recover the (base, tier) pair only through SplitTierName.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -80,8 +80,7 @@ class Registry {
     bool empty() const { return count() == 0; }
   };
 
-  Registry();
-  ~Registry();
+  Registry() = default;
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -92,10 +91,9 @@ class Registry {
   CounterId Counter(const std::string& name);
 
   // Adds `delta` to the counter.  Safe to call concurrently from any
-  // thread; the value lands in the calling thread's sink until the next
-  // barrier merge.  Must not race with FlushThreadSinks/EndRound (the
-  // engine only merges at round barriers, when no client work is running).
-  void Add(CounterId id, std::int64_t delta);
+  // thread; the value stays pending (invisible to Total, Totals and
+  // SnapshotTotals) until the next Flush or EndRound publishes it.
+  void Add(CounterId id, std::int64_t delta) MHB_EXCLUDES(mu_);
 
   // Serial convenience: register + add in one call.
   void AddNamed(const std::string& name, std::int64_t delta);
@@ -105,7 +103,7 @@ class Registry {
   HistogramId Histogram(const std::string& name);
 
   // Records one observation.  Same threading contract as Add.
-  void Observe(HistogramId id, std::int64_t value);
+  void Observe(HistogramId id, std::int64_t value) MHB_EXCLUDES(mu_);
 
   // Serial convenience: register + observe in one call.
   void ObserveNamed(const std::string& name, std::int64_t value);
@@ -113,20 +111,21 @@ class Registry {
   // Sets a gauge for the current round.  Serial phases only.
   void SetGauge(const std::string& name, double value);
 
-  // Merges every thread sink into the global totals.  Serial barrier only.
-  void FlushThreadSinks() MHB_EXCLUDES(mu_);
+  // Publishes the pending counter/histogram contributions into the totals.
+  // Serial barrier only.
+  void Flush() MHB_EXCLUDES(mu_);
 
-  // Flushes sinks, then snapshots this round's counter/histogram deltas and
+  // Flushes, then snapshots this round's counter/histogram deltas and
   // gauges into a row labelled (`run`, `round`).  Serial barrier only.
   void EndRound(const std::string& run, int round) MHB_EXCLUDES(mu_);
 
   // Total for a counter (0 if never registered).  Includes only flushed
-  // sink contributions.
+  // contributions.
   std::int64_t Total(const std::string& name) const;
   std::map<std::string, std::int64_t> Totals() const;
 
   // Merged state of one histogram (empty data if never registered) / all
-  // histograms.  Includes only flushed sink contributions.
+  // histograms.  Includes only flushed contributions.
   HistogramData HistogramTotals(const std::string& name) const;
   std::map<std::string, HistogramData> Histograms() const;
 
@@ -148,7 +147,7 @@ class Registry {
     std::map<std::string, HistogramData> hists;  // this round's observations
   };
   // Lock-free read of guarded state: legal because it is called only from
-  // serial phases (manifest export), when no sink writer is live.
+  // serial phases (manifest export), when no EndRound can run.
   const std::vector<RoundRow>& rounds() const MHB_NO_THREAD_SAFETY_ANALYSIS {
     return rounds_;
   }
@@ -164,9 +163,9 @@ class Registry {
   // Lock-bounded cross-thread view of the *published* state: flushed
   // counter/histogram totals plus the last completed round's label, gauges
   // and the accuracy-curve points gathered from the round rows.  Reads only
-  // mutex-guarded merged state — never the per-thread sinks — so it is safe
-  // to call from a background exporter thread while client work is running;
-  // it simply cannot observe anything that has not crossed a round barrier
+  // published state — never the pending buffer — so it is safe to call
+  // from a background exporter thread while client work is running; it
+  // simply cannot observe anything that has not crossed a round barrier
   // yet.  Strictly read-only: the live exporter's determinism contract
   // (DESIGN.md §5h) depends on this being the only registry surface it
   // touches.
@@ -189,7 +188,8 @@ class Registry {
     std::string run;
     int round = 0;
     int client = 0;
-    std::string device_tier;  // "" = untiered (DESIGN.md §5j taxonomy)
+    // DESIGN.md §5j taxonomy; "" is staged as "untiered".
+    std::string device_tier;
     std::string drop_reason;  // "" (trained), "offline", "straggler"
     double sim_compute_s = 0.0;
     double sim_comm_s = 0.0;
@@ -199,8 +199,22 @@ class Registry {
     std::int64_t bytes_down = 0;
     std::int64_t train_mflops = 0;
   };
-  // Stages one client's row for the current round.  Serial phases only (the
-  // engine appends at the round barrier); EndRound drains the staged rows.
+
+  // Registers the client metrics and their `@<tier>` twins for every tier
+  // in `device_tiers` (duplicates ignored, "" = "untiered").  The engine
+  // declares its whole assignment table at Run entry, so a tier whose
+  // clients are never sampled still exports zero-valued twins.  Serial
+  // phases only.
+  void DeclareClientTiers(const std::vector<std::string>& device_tiers)
+      MHB_EXCLUDES(mu_);
+
+  // Counts one client's row, into each base name and its tier twin, and
+  // stages the row for the current round.  Every row counts in
+  // clients_selected; an "offline" row in clients_offline, any other drop
+  // in clients_dropped; a trained row (empty drop_reason) in
+  // clients_trained, bytes_up, bytes_down, train_mflops and the
+  // client_wall_us, client_bytes_up and client_train_mflops histograms.
+  // Serial barrier only; EndRound publishes the counts.
   void AddClientRow(ClientRow row) MHB_EXCLUDES(mu_);
 
   // Installs the per-round client-row drain, invoked by EndRound with the
@@ -213,35 +227,45 @@ class Registry {
       MHB_EXCLUDES(mu_);
 
  private:
-  struct Sink {
-    std::vector<std::int64_t> values;  // indexed by CounterId
-    std::vector<HistogramData> hists;  // indexed by HistogramId
+  // One tier's (or the base's) client metric ids.
+  struct ClientIds {
+    CounterId selected{}, offline{}, dropped{}, trained{}, bytes_up{},
+        bytes_down{}, train_mflops{};
+    HistogramId wall_us_hist{}, bytes_up_hist{}, train_mflops_hist{};
   };
 
-  Sink* ThreadSink() MHB_EXCLUDES(mu_);
+  CounterId CounterLocked(const std::string& name) MHB_REQUIRES(mu_);
+  HistogramId HistogramLocked(const std::string& name) MHB_REQUIRES(mu_);
+  // Ids for `tier` ("" = the base names), registered on first use.
+  const ClientIds& ClientIdsLocked(const std::string& tier)
+      MHB_REQUIRES(mu_);
+  void CountClientRowLocked(const ClientIds& ids, const ClientRow& row)
+      MHB_REQUIRES(mu_);
   void FlushLocked() MHB_REQUIRES(mu_);
 
-  const std::uint64_t generation_;
-  // Guards all registration/merge state below.  Sink *contents* are
-  // deliberately unguarded: each Sink is written by its owning thread only
-  // and read by the serial barrier merge (FlushLocked), which cannot run
-  // concurrently with client work by the engine's round-barrier contract.
+  // Guards everything below.
   mutable core::Mutex mu_;
   std::vector<std::string> names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, CounterId> ids_ MHB_GUARDED_BY(mu_);
   // Flushed totals, by id.
   std::vector<std::int64_t> totals_ MHB_GUARDED_BY(mu_);
+  // Added since the last flush, by id.
+  std::vector<std::int64_t> pending_ MHB_GUARDED_BY(mu_);
   // Totals at the last EndRound.
   std::vector<std::int64_t> round_base_ MHB_GUARDED_BY(mu_);
   std::vector<std::string> hist_names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, HistogramId> hist_ids_ MHB_GUARDED_BY(mu_);
   // Flushed, by histogram id.
   std::vector<HistogramData> hist_totals_ MHB_GUARDED_BY(mu_);
-  // Since the last EndRound.
+  // Observed since the last flush.
+  std::vector<HistogramData> hist_pending_ MHB_GUARDED_BY(mu_);
+  // Flushed since the last EndRound.
   std::vector<HistogramData> hist_round_ MHB_GUARDED_BY(mu_);
+  // Client metric ids by tier name ("" = base); map nodes keep references
+  // stable while further tiers are registered.
+  std::map<std::string, ClientIds> client_ids_ MHB_GUARDED_BY(mu_);
   // Current round's gauges.
   std::map<std::string, double> gauges_ MHB_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Sink>> sinks_ MHB_GUARDED_BY(mu_);
   std::vector<RoundRow> rounds_ MHB_GUARDED_BY(mu_);
   // Staged rows for the round in flight; drained (or discarded) by every
   // EndRound, so this never grows past one round's cohort.
@@ -250,5 +274,9 @@ class Registry {
   std::function<void(std::vector<ClientRow>&&)> client_row_sink_
       MHB_GUARDED_BY(mu_);
 };
+
+// Splits a registry name into its (base, tier) pair:
+// "bytes_up@cpu" -> {"bytes_up", "cpu"}; an untiered name gets tier "".
+std::pair<std::string, std::string> SplitTierName(const std::string& name);
 
 }  // namespace mhbench::obs

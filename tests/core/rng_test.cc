@@ -205,6 +205,18 @@ TEST(RngGoldenTest, NextU64Sequence) {
   EXPECT_EQ(rng.NextU64(), 701532786141963250ull);
 }
 
+// The exported finalizer is the one NextU64 applies: SplitMix64's first
+// output for seed 0 is the reference implementation's 0xE220A8397B1DCDAF.
+TEST(RngGoldenTest, SplitMix64MixIsTheNextU64Finalizer) {
+  EXPECT_EQ(SplitMix64Mix(kSplitMix64Gamma), 0xE220A8397B1DCDAFull);
+  Rng rng(42);
+  std::uint64_t state = 42;
+  for (int i = 0; i < 5; ++i) {
+    state += kSplitMix64Gamma;
+    EXPECT_EQ(rng.NextU64(), SplitMix64Mix(state));
+  }
+}
+
 TEST(RngGoldenTest, UniformSequence) {
   Rng rng(7);
   EXPECT_EQ(rng.Uniform(), 0.38982974839127149);

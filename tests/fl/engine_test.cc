@@ -1,12 +1,14 @@
 #include "fl/engine.h"
 
 #include <cmath>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/registry.h"
 #include "data/tasks.h"
 #include "models/zoo.h"
+#include "obs/registry.h"
 
 namespace mhbench::fl {
 namespace {
@@ -120,6 +122,68 @@ TEST(FlEngineTest, AssignmentCountMismatchThrows) {
   auto alg = algorithms::MakeAlgorithm("fedavg", tm);
   std::vector<ClientAssignment> assign(2);  // 6 clients expected
   EXPECT_THROW(FlEngine(task, FastConfig(2), assign, *alg), Error);
+}
+
+TEST(FlEngineTest, NonPositiveEvalEveryIsRejected) {
+  const data::Task task = SmallTask();
+  const auto tm = models::MakeTaskModels("cifar10");
+  auto alg = algorithms::MakeAlgorithm("fedavg", tm);
+  FlConfig cfg = FastConfig(1);
+  for (const int every : {0, -2}) {
+    cfg.eval_every = every;
+    EXPECT_THROW(FlEngine(task, cfg, {}, *alg), Error) << every;
+  }
+}
+
+// Tiers are declared from the whole assignment table at Run entry, so a
+// tier none of whose clients is ever sampled still exports its twins, at
+// zero.
+TEST(FlEngineTest, UnsampledTierStillExportsZeroTwins) {
+  const data::Task task = SmallTask();
+  const auto tm = models::MakeTaskModels("cifar10");
+  FlConfig cfg = FastConfig(1);
+  auto sampled_clients = [&](const std::vector<ClientAssignment>& assign,
+                             obs::Registry& reg) {
+    std::set<int> sampled;
+    reg.SetClientRowSink([&](std::vector<obs::Registry::ClientRow>&& rows) {
+      for (const auto& row : rows) sampled.insert(row.client);
+    });
+    cfg.obs.registry = &reg;
+    auto alg = algorithms::MakeAlgorithm("fedavg", tm);
+    FlEngine(task, cfg, assign, *alg).Run();
+    reg.SetClientRowSink(nullptr);
+    return sampled;
+  };
+  std::vector<ClientAssignment> assign(6);
+  for (auto& a : assign) a.system.device_tier = "cpu";
+  obs::Registry probe;
+  const std::set<int> sampled = sampled_clients(assign, probe);
+  ASSERT_LT(sampled.size(), assign.size());
+  int lonely = 0;
+  while (sampled.count(lonely) != 0) ++lonely;
+  assign[static_cast<std::size_t>(lonely)].system.device_tier = "mem16g";
+
+  obs::Registry reg;
+  // Sampling does not depend on tiers: the same clients are drawn.
+  EXPECT_EQ(sampled_clients(assign, reg), sampled);
+  const auto totals = reg.Totals();
+  for (const char* name :
+       {"clients_selected@mem16g", "clients_offline@mem16g",
+        "clients_dropped@mem16g", "clients_trained@mem16g", "bytes_up@mem16g",
+        "bytes_down@mem16g", "train_mflops@mem16g"}) {
+    ASSERT_EQ(totals.count(name), 1u) << name;
+    EXPECT_EQ(totals.at(name), 0) << name;
+  }
+  const auto hists = reg.Histograms();
+  for (const char* name : {"client_wall_us@mem16g", "client_bytes_up@mem16g",
+                           "client_train_mflops@mem16g"}) {
+    ASSERT_EQ(hists.count(name), 1u) << name;
+    EXPECT_TRUE(hists.at(name).empty()) << name;
+  }
+  EXPECT_EQ(totals.at("clients_selected@cpu"),
+            static_cast<std::int64_t>(sampled.size()));
+  EXPECT_EQ(totals.at("clients_selected"),
+            static_cast<std::int64_t>(sampled.size()));
 }
 
 TEST(UniformCapacityTest, CyclesCapacities) {

@@ -13,7 +13,7 @@ void Unannotated(obs::Registry* reg) {
 
 // mhb-obs-phase: parallel
 void WrongPhase(obs::Registry* reg, std::size_t id) {
-  reg->Add(id, 1);           // legal: per-thread sink call
+  reg->Add(id, 1);           // legal: thread-safe pending write
   reg->EndRound("algo", 0);  // expect: barrier-phase-writes
 }
 

@@ -1,6 +1,6 @@
 // mhb-lint: path(src/fl/fixture_barrier_phase_clean.cc)
 // The annotated-phase convention used correctly: registration and barrier
-// merges under 'serial', per-thread sink calls under 'parallel'.
+// merges under 'serial', thread-safe Add/Observe under 'parallel'.
 #include "obs/registry.h"
 
 namespace mhbench {
@@ -11,7 +11,7 @@ void Register(obs::Registry* reg) {
   reg->AddNamed("agg_updates", 1);
 }
 
-// mhb-obs-phase: parallel — per-thread sinks only.
+// mhb-obs-phase: parallel — thread-safe pending writes only.
 void Worker(obs::Registry* reg, std::size_t id) {
   reg->Add(id, 1);
   reg->Observe(id, 2);
@@ -20,7 +20,7 @@ void Worker(obs::Registry* reg, std::size_t id) {
 // mhb-obs-phase: serial — the round barrier.
 void Barrier(obs::Registry* reg) {
   reg->EndRound("algo", 0);
-  reg->FlushThreadSinks();
+  reg->Flush();
 }
 
 }  // namespace mhbench

@@ -91,9 +91,9 @@ TEST(HistogramDataTest, QuantilesClampToObservedRange) {
   EXPECT_LE(many.Quantile(0.95), many.Quantile(0.99));
 }
 
-// The tentpole determinism contract: per-thread sinks merged at the barrier
-// must give bucket totals (and therefore quantiles) that do not depend on
-// how observations were spread over threads.
+// The determinism contract: observations from any thread, published at the
+// barrier, must give bucket totals (and therefore quantiles) that do not
+// depend on how observations were spread over threads.
 TEST(HistogramRegistryTest, TotalsIdenticalAcrossThreadCounts) {
   std::vector<std::int64_t> values;
   for (std::int64_t i = 0; i < 500; ++i) values.push_back((i * 37) % 6000);

@@ -1,6 +1,7 @@
 // Observability layer: span collection/nesting, JSON escaping and export,
 // the disabled (null-tracer) zero-cost path, the counter registry's
-// per-thread sinks + round snapshots, and the run-manifest writer.
+// barrier-published totals, client-row accounting and round snapshots, and
+// the run-manifest writer.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -160,14 +161,17 @@ TEST(RegistryTest, CountersAccumulateAndSnapshotPerRound) {
   EXPECT_EQ(rounds[1].gauges.count("acc"), 0u);
 }
 
-TEST(RegistryTest, PerThreadSinksMergeToOrderIndependentTotals) {
+TEST(RegistryTest, ConcurrentAddsSumToOrderIndependentTotals) {
   Registry reg;
   const auto c = reg.Counter("c");
   core::ThreadPool pool(4);
   core::ParallelFor(&pool, 1000, [&](std::size_t i) {
     reg.Add(c, static_cast<std::int64_t>(i));
   });
-  reg.FlushThreadSinks();
+  // Pending until the barrier publishes it.
+  EXPECT_EQ(reg.Total("c"), 0);
+  EXPECT_EQ(reg.SnapshotTotals().counters.at("c"), 0);
+  reg.Flush();
   EXPECT_EQ(reg.Total("c"), 999 * 1000 / 2);
 }
 
@@ -176,8 +180,113 @@ TEST(RegistryTest, CounterRegistrationIsIdempotent) {
   EXPECT_EQ(reg.Counter("x"), reg.Counter("x"));
   reg.AddNamed("x", 2);
   reg.AddNamed("x", 3);
-  reg.FlushThreadSinks();
+  reg.Flush();
   EXPECT_EQ(reg.Total("x"), 5);
+}
+
+// AddClientRow is the only source of client telemetry: each row counts into
+// the base metrics and into its tier's twins, with drops split by reason.
+TEST(RegistryTest, ClientRowsCountIntoBaseAndTierTwins) {
+  Registry reg;
+  auto row = [](int client, const std::string& tier,
+                const std::string& drop_reason, double wall_ms,
+                std::int64_t bytes, std::int64_t mflops) {
+    Registry::ClientRow r;
+    r.run = "alg";
+    r.client = client;
+    r.device_tier = tier;
+    r.drop_reason = drop_reason;
+    r.wall_ms = wall_ms;
+    r.bytes_up = bytes;
+    r.bytes_down = bytes;
+    r.train_mflops = mflops;
+    return r;
+  };
+  reg.AddClientRow(row(0, "cpu", "", 2.5, 1000, 40));
+  reg.AddClientRow(row(1, "cpu", "offline", 0.0, 0, 0));
+  reg.AddClientRow(row(2, "mem4g", "", 7.0, 3000, 90));
+  reg.AddClientRow(row(3, "mem4g", "straggler", 0.0, 0, 0));
+  reg.AddClientRow(row(4, "mem4g", "", 1.25, 500, 10));
+  // Counted at the barrier, not before.
+  EXPECT_EQ(reg.Total("clients_selected"), 0);
+  reg.EndRound("alg", 0);
+
+  EXPECT_EQ(reg.Total("clients_selected"), 5);
+  EXPECT_EQ(reg.Total("clients_offline"), 1);
+  EXPECT_EQ(reg.Total("clients_dropped"), 1);
+  EXPECT_EQ(reg.Total("clients_trained"), 3);
+  EXPECT_EQ(reg.Total("bytes_up"), 4500);
+  EXPECT_EQ(reg.Total("bytes_down"), 4500);
+  EXPECT_EQ(reg.Total("train_mflops"), 140);
+
+  EXPECT_EQ(reg.Total("clients_selected@cpu"), 2);
+  EXPECT_EQ(reg.Total("clients_offline@cpu"), 1);
+  EXPECT_EQ(reg.Total("clients_dropped@cpu"), 0);
+  EXPECT_EQ(reg.Total("clients_trained@cpu"), 1);
+  EXPECT_EQ(reg.Total("bytes_up@cpu"), 1000);
+  EXPECT_EQ(reg.Total("train_mflops@cpu"), 40);
+  EXPECT_EQ(reg.Total("clients_selected@mem4g"), 3);
+  EXPECT_EQ(reg.Total("clients_offline@mem4g"), 0);
+  EXPECT_EQ(reg.Total("clients_dropped@mem4g"), 1);
+  EXPECT_EQ(reg.Total("clients_trained@mem4g"), 2);
+  EXPECT_EQ(reg.Total("bytes_down@mem4g"), 3500);
+  EXPECT_EQ(reg.Total("train_mflops@mem4g"), 100);
+  // Zero-valued twins are registered, so they export.
+  EXPECT_EQ(reg.Totals().count("clients_dropped@cpu"), 1u);
+
+  // Histograms observe trained rows only; wall time in whole microseconds.
+  const Registry::HistogramData wall = reg.HistogramTotals("client_wall_us");
+  EXPECT_EQ(wall.count(), 3);
+  EXPECT_EQ(wall.sum, 2500 + 7000 + 1250);
+  EXPECT_EQ(wall.min, 1250);
+  EXPECT_EQ(wall.max, 7000);
+  EXPECT_EQ(reg.HistogramTotals("client_bytes_up").sum, 4500);
+  EXPECT_EQ(reg.HistogramTotals("client_train_mflops").max, 90);
+  const Registry::HistogramData cpu_wall =
+      reg.HistogramTotals("client_wall_us@cpu");
+  EXPECT_EQ(cpu_wall.count(), 1);
+  EXPECT_EQ(cpu_wall.sum, 2500);
+  const Registry::HistogramData mem4g_bytes =
+      reg.HistogramTotals("client_bytes_up@mem4g");
+  EXPECT_EQ(mem4g_bytes.count(), 2);
+  EXPECT_EQ(mem4g_bytes.min, 500);
+  EXPECT_EQ(mem4g_bytes.max, 3000);
+
+  // The round row carries the same deltas.
+  ASSERT_EQ(reg.rounds().size(), 1u);
+  EXPECT_EQ(reg.rounds()[0].counters.at("clients_trained@mem4g"), 2);
+  EXPECT_EQ(reg.rounds()[0].hists.at("client_wall_us@cpu").count(), 1);
+}
+
+TEST(RegistryTest, DeclaredTiersRegisterZeroTwinsAndEmptyTierIsUntiered) {
+  Registry reg;
+  reg.DeclareClientTiers({"cpu", "", "cpu"});
+  const auto totals = reg.Totals();
+  for (const char* name :
+       {"clients_selected", "clients_offline@cpu", "train_mflops@untiered"}) {
+    ASSERT_EQ(totals.count(name), 1u) << name;
+    EXPECT_EQ(totals.at(name), 0) << name;
+  }
+  EXPECT_EQ(reg.Histograms().count("client_wall_us@untiered"), 1u);
+
+  std::vector<Registry::ClientRow> drained;
+  reg.SetClientRowSink([&](std::vector<Registry::ClientRow>&& rows) {
+    drained = std::move(rows);
+  });
+  Registry::ClientRow r;
+  r.bytes_up = 8;
+  reg.AddClientRow(r);
+  reg.EndRound("alg", 0);
+  EXPECT_EQ(reg.Total("bytes_up@untiered"), 8);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].device_tier, "untiered");
+}
+
+TEST(RegistryTest, SplitTierName) {
+  EXPECT_EQ(SplitTierName("bytes_up@cpu"),
+            (std::pair<std::string, std::string>("bytes_up", "cpu")));
+  EXPECT_EQ(SplitTierName("bytes_up"),
+            (std::pair<std::string, std::string>("bytes_up", "")));
 }
 
 TEST(ManifestTest, SanitizeRunId) {
