@@ -1,12 +1,8 @@
 #include "fl/checkpoint.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "core/crc32.h"
 #include "core/error.h"
@@ -20,92 +16,67 @@ namespace mhbench::fl {
 // mhb-obs-phase: serial — snapshots are written/read only at round
 // barriers (and before round 0), never with client work in flight.
 
-static_assert(std::endian::native == std::endian::little,
-              "snapshot format assumes a little-endian host");
-
-namespace {
-
-// Section names and parameter names share the same plausibility bound as
-// ParamStore's (param_store.cc); anything longer is corruption.
-constexpr std::uint32_t kMaxNameLen = 4096;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // SnapshotWriter
 
-void SnapshotWriter::Append(const void* p, std::size_t n) {
+ByteWriter& SnapshotWriter::Payload() {
   MHB_CHECK(in_section_) << "snapshot write outside BeginSection/EndSection";
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  payload_.insert(payload_.end(), b, b + n);
+  return payload_;
 }
 
 void SnapshotWriter::BeginSection(const std::string& name) {
   MHB_CHECK(!in_section_) << "BeginSection inside an open section" << name;
-  MHB_CHECK(!name.empty() && name.size() <= kMaxNameLen)
+  MHB_CHECK(!name.empty() && name.size() <= kMaxSnapshotNameLen)
       << "bad section name length" << name.size();
   for (const auto& [existing, payload] : sections_) {
     MHB_CHECK(existing != name) << "duplicate snapshot section" << name;
   }
   in_section_ = true;
   section_name_ = name;
-  payload_.clear();
+  payload_.Clear();
 }
 
 void SnapshotWriter::EndSection() {
   MHB_CHECK(in_section_) << "EndSection without BeginSection";
-  sections_.emplace_back(section_name_, std::move(payload_));
-  payload_ = {};
+  sections_.emplace_back(section_name_, payload_.Release());
   in_section_ = false;
 }
 
-void SnapshotWriter::WriteU8(std::uint8_t v) { Append(&v, sizeof(v)); }
-void SnapshotWriter::WriteU32(std::uint32_t v) { Append(&v, sizeof(v)); }
-void SnapshotWriter::WriteI32(std::int32_t v) { Append(&v, sizeof(v)); }
-void SnapshotWriter::WriteU64(std::uint64_t v) { Append(&v, sizeof(v)); }
-void SnapshotWriter::WriteI64(std::int64_t v) { Append(&v, sizeof(v)); }
-void SnapshotWriter::WriteF64(double v) { Append(&v, sizeof(v)); }
+void SnapshotWriter::WriteU8(std::uint8_t v) { Payload().U8(v); }
+void SnapshotWriter::WriteU32(std::uint32_t v) { Payload().U32(v); }
+void SnapshotWriter::WriteI32(std::int32_t v) { Payload().I32(v); }
+void SnapshotWriter::WriteU64(std::uint64_t v) { Payload().U64(v); }
+void SnapshotWriter::WriteI64(std::int64_t v) { Payload().I64(v); }
+void SnapshotWriter::WriteF64(double v) { Payload().F64(v); }
 
 void SnapshotWriter::WriteString(const std::string& s) {
-  MHB_CHECK_LE(s.size(), kMaxNameLen) << "snapshot string too long";
-  WriteU32(static_cast<std::uint32_t>(s.size()));
-  Append(s.data(), s.size());
+  MHB_CHECK_LE(s.size(), kMaxSnapshotNameLen) << "snapshot string too long";
+  Payload().String(s);
 }
 
 void SnapshotWriter::WriteBytes(const std::vector<std::uint8_t>& bytes) {
-  WriteU64(static_cast<std::uint64_t>(bytes.size()));
-  Append(bytes.data(), bytes.size());
+  ByteWriter& out = Payload();
+  out.U64(bytes.size());
+  out.Raw(bytes.data(), bytes.size());
 }
 
 void SnapshotWriter::WriteTensor(const Tensor& t) {
-  const auto blob = SerializeTensor(t);
-  Append(blob.data(), blob.size());
+  SerializeTensor(t, Payload());
 }
 
 std::vector<std::uint8_t> SnapshotWriter::Finish() const {
   MHB_CHECK(!in_section_) << "Finish with an open section" << section_name_;
-  std::vector<std::uint8_t> out;
-  auto push = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  push(kSnapshotMagic, sizeof(kSnapshotMagic));
-  const std::uint32_t version = kSnapshotVersion;
-  push(&version, sizeof(version));
-  const std::uint32_t count = static_cast<std::uint32_t>(sections_.size());
-  push(&count, sizeof(count));
+  ByteWriter out;
+  out.Raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  out.U32(kSnapshotVersion);
+  out.U32(static_cast<std::uint32_t>(sections_.size()));
   for (const auto& [name, payload] : sections_) {
-    const std::uint32_t name_len = static_cast<std::uint32_t>(name.size());
-    push(&name_len, sizeof(name_len));
-    push(name.data(), name.size());
-    const std::uint64_t payload_len =
-        static_cast<std::uint64_t>(payload.size());
-    push(&payload_len, sizeof(payload_len));
-    const std::uint32_t crc = Crc32(payload.data(), payload.size());
-    push(&crc, sizeof(crc));
-    push(payload.data(), payload.size());
+    out.String(name);
+    out.U64(payload.size());
+    out.U32(Crc32(payload.data(), payload.size()));
+    out.Raw(payload.data(), payload.size());
   }
-  return out;
+  return out.Release();
 }
 
 void SnapshotWriter::WriteFile(const std::string& path,
@@ -115,17 +86,7 @@ void SnapshotWriter::WriteFile(const std::string& path,
   const auto t0 = std::chrono::steady_clock::now();
   obs::Span span(tracer, "snapshot_write", "checkpoint");
   const auto bytes = Finish();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    MHB_CHECK(f.good()) << "cannot open" << tmp;
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-    MHB_CHECK(f.good()) << "write failed for" << tmp;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  MHB_CHECK(!ec) << "cannot move snapshot into place:" << ec.message();
+  WriteFileAtomic(path, bytes);
   span.Arg("bytes", static_cast<std::int64_t>(bytes.size()));
   if (reg != nullptr) {
     const auto write_us =
@@ -148,59 +109,36 @@ void SnapshotWriter::WriteFile(const std::string& path,
 // SnapshotReader
 
 SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes) {
-  std::size_t offset = 0;
-  auto read = [&](void* p, std::size_t n) {
-    MHB_CHECK_LE(n, bytes.size() - offset) << "truncated snapshot";
-    std::memcpy(p, bytes.data() + offset, n);
-    offset += n;
-  };
-  char magic[sizeof(kSnapshotMagic)];
-  MHB_CHECK_GE(bytes.size(), sizeof(magic)) << "truncated snapshot";
-  read(magic, sizeof(magic));
-  MHB_CHECK(std::memcmp(magic, kSnapshotMagic, sizeof(magic)) == 0)
+  ByteReader in(bytes, "snapshot");
+  MHB_CHECK(std::memcmp(in.Take(sizeof(kSnapshotMagic)), kSnapshotMagic,
+                        sizeof(kSnapshotMagic)) == 0)
       << "not an mhbench snapshot (bad magic)";
-  read(&version_, sizeof(version_));
+  version_ = in.U32();
   MHB_CHECK_EQ(version_, kSnapshotVersion)
       << "unsupported snapshot version (no cross-version resume)";
-  std::uint32_t count = 0;
-  read(&count, sizeof(count));
+  const std::uint32_t count = in.U32();
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    read(&name_len, sizeof(name_len));
-    MHB_CHECK(name_len > 0 && name_len <= kMaxNameLen)
-        << "implausible snapshot section name length" << name_len;
-    std::string name(name_len, '\0');
-    read(name.data(), name.size());
-    std::uint64_t payload_len = 0;
-    read(&payload_len, sizeof(payload_len));
-    std::uint32_t crc = 0;
-    read(&crc, sizeof(crc));
-    // Bounds-check against the cursor AFTER the CRC word: checking before
-    // it would admit a payload_len up to 4 bytes past the end of the file.
-    MHB_CHECK_LE(payload_len, bytes.size() - offset)
-        << "snapshot section" << name << "overruns the file";
-    std::vector<std::uint8_t> payload(
-        bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-        bytes.begin() + static_cast<std::ptrdiff_t>(offset + payload_len));
-    offset += payload_len;
-    MHB_CHECK_EQ(Crc32(payload.data(), payload.size()), crc)
+    std::string name = in.String(kMaxSnapshotNameLen);
+    MHB_CHECK(!name.empty()) << "empty snapshot section name";
+    const std::uint64_t payload_len = in.U64();
+    const std::uint32_t crc = in.U32();
+    const std::uint8_t* payload = in.Take(payload_len);
+    MHB_CHECK_EQ(Crc32(payload, payload_len), crc)
         << "CRC mismatch in snapshot section" << name;
     MHB_CHECK(sections_.find(name) == sections_.end())
         << "duplicate snapshot section" << name;
     order_.push_back(name);
-    sections_.emplace(name, std::move(payload));
+    sections_.emplace(std::move(name), std::vector<std::uint8_t>(
+                                           payload, payload + payload_len));
   }
-  MHB_CHECK_EQ(offset, bytes.size()) << "trailing bytes in snapshot";
+  in.ExpectEnd();
 }
 
 SnapshotReader SnapshotReader::FromFile(const std::string& path,
                                         const obs::ObsConfig* obs) {
   obs::Span span(obs != nullptr ? obs->tracer : nullptr, "snapshot_read",
                  "checkpoint");
-  std::ifstream f(path, std::ios::binary);
-  MHB_CHECK(f.good()) << "cannot open snapshot" << path;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+  std::vector<std::uint8_t> bytes = ReadFileBytes(path);
   if (obs != nullptr && obs->registry != nullptr) {
     // Serial restore phase, before any client dispatch.
     obs->registry->AddNamed("checkpoint_read_bytes",
@@ -226,82 +164,37 @@ const std::vector<std::uint8_t>& SnapshotReader::SectionPayload(
 }
 
 void SnapshotReader::EnterSection(const std::string& name) {
-  auto it = sections_.find(name);
-  MHB_CHECK(it != sections_.end()) << "snapshot has no section" << name;
-  current_ = &it->second;
-  cursor_ = 0;
+  section_.emplace(SectionPayload(name), "snapshot section " + name);
+}
+
+ByteReader& SnapshotReader::Section() {
+  MHB_CHECK(section_.has_value()) << "read before EnterSection";
+  return *section_;
 }
 
 void SnapshotReader::ExpectSectionEnd() const {
-  MHB_CHECK(current_ != nullptr) << "no section entered";
-  MHB_CHECK_EQ(cursor_, current_->size())
-      << "trailing bytes in snapshot section";
+  MHB_CHECK(section_.has_value()) << "no section entered";
+  section_->ExpectEnd();
 }
 
-void SnapshotReader::ReadRaw(void* p, std::size_t n) {
-  MHB_CHECK(current_ != nullptr) << "read before EnterSection";
-  MHB_CHECK_LE(n, current_->size() - cursor_)
-      << "truncated snapshot section";
-  std::memcpy(p, current_->data() + cursor_, n);
-  cursor_ += n;
-}
-
-std::uint8_t SnapshotReader::ReadU8() {
-  std::uint8_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
-std::uint32_t SnapshotReader::ReadU32() {
-  std::uint32_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
-std::int32_t SnapshotReader::ReadI32() {
-  std::int32_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
-std::uint64_t SnapshotReader::ReadU64() {
-  std::uint64_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
-std::int64_t SnapshotReader::ReadI64() {
-  std::int64_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
-double SnapshotReader::ReadF64() {
-  double v = 0;
-  ReadRaw(&v, sizeof(v));
-  return v;
-}
+std::uint8_t SnapshotReader::ReadU8() { return Section().U8(); }
+std::uint32_t SnapshotReader::ReadU32() { return Section().U32(); }
+std::int32_t SnapshotReader::ReadI32() { return Section().I32(); }
+std::uint64_t SnapshotReader::ReadU64() { return Section().U64(); }
+std::int64_t SnapshotReader::ReadI64() { return Section().I64(); }
+double SnapshotReader::ReadF64() { return Section().F64(); }
 
 std::string SnapshotReader::ReadString() {
-  const std::uint32_t len = ReadU32();
-  MHB_CHECK_LE(len, kMaxNameLen) << "implausible snapshot string length";
-  std::string s(len, '\0');
-  ReadRaw(s.data(), s.size());
-  return s;
+  return Section().String(kMaxSnapshotNameLen);
 }
 
 std::vector<std::uint8_t> SnapshotReader::ReadBytes() {
-  const std::uint64_t len = ReadU64();
-  MHB_CHECK(current_ != nullptr) << "read before EnterSection";
-  MHB_CHECK_LE(len, current_->size() - cursor_)
-      << "truncated snapshot byte blob";
-  std::vector<std::uint8_t> out(
-      current_->begin() + static_cast<std::ptrdiff_t>(cursor_),
-      current_->begin() + static_cast<std::ptrdiff_t>(cursor_ + len));
-  cursor_ += len;
-  return out;
+  ByteReader& in = Section();
+  const std::uint64_t len = in.U64();
+  const std::uint8_t* p = in.Take(len);
+  return std::vector<std::uint8_t>(p, p + len);
 }
 
-Tensor SnapshotReader::ReadTensor() {
-  MHB_CHECK(current_ != nullptr) << "read before EnterSection";
-  // DeserializeTensor bounds-checks against the section payload and
-  // advances the cursor past the blob.
-  return DeserializeTensor(*current_, cursor_);
-}
+Tensor SnapshotReader::ReadTensor() { return DeserializeTensor(Section()); }
 
 }  // namespace mhbench::fl

@@ -11,12 +11,11 @@
 //        uint64 payload length, uint32 CRC-32 of the payload,
 //        payload bytes
 //
-// Section payloads are flat streams of the primitives below; every multi-
-// byte value is little-endian (the platform already static_asserts a
-// little-endian host in tensor/serialize.cc).  The reader validates magic,
-// version, section bounds and every CRC up front, and every typed read is
-// bounds-checked, so truncated or corrupted snapshots throw `Error`
-// instead of resuming from garbage.
+// Section payloads are flat streams of the primitives below, encoded and
+// decoded by core/bytes (which holds the little-endian host assertion).
+// The reader validates magic, version, section bounds and every CRC up
+// front, and every typed read is bounds-checked, so truncated or corrupted
+// snapshots throw `Error` instead of resuming from garbage.
 //
 // Version policy: kSnapshotVersion is bumped on ANY wire-format change —
 // there is no in-place migration; a reader rejects every version other
@@ -26,10 +25,12 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/bytes.h"
 #include "tensor/tensor.h"
 
 namespace mhbench::obs {
@@ -41,6 +42,9 @@ namespace mhbench::fl {
 inline constexpr char kSnapshotMagic[8] = {'M', 'H', 'B', 'S',
                                            'N', 'A', 'P', '1'};
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Plausibility bound on section names, snapshot strings and ParamStore
+// parameter names; anything longer is corruption.
+inline constexpr std::uint32_t kMaxSnapshotNameLen = 4096;
 
 // Serializes named sections of primitive values into the snapshot wire
 // format.  Usage: BeginSection, primitive writes, EndSection (repeat),
@@ -77,11 +81,11 @@ class SnapshotWriter {
                  const obs::ObsConfig* obs = nullptr) const;
 
  private:
-  void Append(const void* p, std::size_t n);
+  ByteWriter& Payload();
 
   bool in_section_ = false;
   std::string section_name_;
-  std::vector<std::uint8_t> payload_;  // the open section's payload
+  ByteWriter payload_;  // the open section's payload
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
 };
 
@@ -122,13 +126,12 @@ class SnapshotReader {
       const std::string& name) const;
 
  private:
-  void ReadRaw(void* p, std::size_t n);
+  ByteReader& Section();
 
   std::uint32_t version_ = 0;
   std::vector<std::string> order_;
   std::map<std::string, std::vector<std::uint8_t>> sections_;
-  const std::vector<std::uint8_t>* current_ = nullptr;
-  std::size_t cursor_ = 0;
+  std::optional<ByteReader> section_;  // cursor over the entered section
 };
 
 }  // namespace mhbench::fl

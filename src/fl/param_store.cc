@@ -1,10 +1,8 @@
 #include "fl/param_store.h"
 
-#include <cstring>
-#include <fstream>
-#include <iterator>
-
+#include "core/bytes.h"
 #include "core/error.h"
+#include "fl/checkpoint.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 
@@ -92,63 +90,28 @@ void ParamStore::LoadAll(nn::Module& module) const {
   }
 }
 
-// Checkpoint format: uint32 entry count, then per entry uint32 name length,
-// raw name bytes, and a SerializeTensor blob.
+// Checkpoint format: u32 entry count, then per entry a u32-prefixed name
+// and a SerializeTensor blob.
 std::vector<std::uint8_t> ParamStore::Serialize() const {
-  std::vector<std::uint8_t> out;
-  auto push = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  const std::uint32_t count = static_cast<std::uint32_t>(params_.size());
-  push(&count, sizeof(count));
+  ByteWriter out;
+  out.U32(static_cast<std::uint32_t>(params_.size()));
   for (const auto& [name, tensor] : params_) {
-    const std::uint32_t len = static_cast<std::uint32_t>(name.size());
-    push(&len, sizeof(len));
-    push(name.data(), name.size());
-    const auto blob = SerializeTensor(tensor);
-    out.insert(out.end(), blob.begin(), blob.end());
+    out.String(name);
+    SerializeTensor(tensor, out);
   }
-  return out;
+  return out.Release();
 }
 
 ParamStore ParamStore::Deserialize(const std::vector<std::uint8_t>& bytes) {
-  std::size_t offset = 0;
-  auto read = [&](void* p, std::size_t n) {
-    MHB_CHECK_LE(offset + n, bytes.size()) << "truncated checkpoint";
-    std::memcpy(p, bytes.data() + offset, n);
-    offset += n;
-  };
-  std::uint32_t count = 0;
-  read(&count, sizeof(count));
+  ByteReader in(bytes, "parameter store");
+  const std::uint32_t count = in.U32();
   ParamStore store;
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t len = 0;
-    read(&len, sizeof(len));
-    MHB_CHECK_LE(len, 4096u) << "implausible parameter name length";
-    std::string name(len, '\0');
-    read(name.data(), len);
-    store.params_[name] = DeserializeTensor(bytes, offset);
+    std::string name = in.String(kMaxSnapshotNameLen);
+    store.params_[std::move(name)] = DeserializeTensor(in);
   }
-  MHB_CHECK_EQ(offset, bytes.size()) << "trailing bytes in checkpoint";
+  in.ExpectEnd();
   return store;
-}
-
-void ParamStore::SaveFile(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  MHB_CHECK(f.good()) << "cannot open" << path;
-  const auto bytes = Serialize();
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  MHB_CHECK(f.good()) << "write failed for" << path;
-}
-
-ParamStore ParamStore::LoadFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  MHB_CHECK(f.good()) << "cannot open" << path;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  return Deserialize(bytes);
 }
 
 std::size_t ModuleParamBytes(nn::Module& module) {

@@ -42,11 +42,10 @@ class ParamStore {
   void LoadAll(nn::Module& module) const;
 
   // Checkpointing: byte-serializes every named tensor (little-endian;
-  // format documented in param_store.cc) and restores it.
+  // format documented in param_store.cc) and restores it.  Snapshots carry
+  // these bytes inside their "algorithm" section (fl/checkpoint.h).
   std::vector<std::uint8_t> Serialize() const;
   static ParamStore Deserialize(const std::vector<std::uint8_t>& bytes);
-  void SaveFile(const std::string& path) const;
-  static ParamStore LoadFile(const std::string& path);
 
  private:
   std::map<std::string, Tensor> params_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/bytes.h"
 #include "core/env.h"
 #include "core/error.h"
 #include "obs/registry.h"
@@ -28,24 +29,15 @@ void DetHash::Update(const void* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ p[i]) * kFnvPrime;
 }
 
-void DetHash::UpdateU64(std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-  Update(b, sizeof(b));
-}
+// Host bytes are little-endian bytes (core/bytes.h asserts the host order),
+// so a value hashes the same as its wire encoding.
+void DetHash::UpdateU64(std::uint64_t v) { Update(&v, sizeof(v)); }
 
 void DetHash::UpdateI64(std::int64_t v) {
   UpdateU64(static_cast<std::uint64_t>(v));
 }
 
-void DetHash::UpdateF64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double is 8 bytes");
-  std::memcpy(&bits, &v, sizeof(bits));
-  UpdateU64(bits);
-}
+void DetHash::UpdateF64(double v) { Update(&v, sizeof(v)); }
 
 void DetHash::UpdateString(const std::string& s) {
   UpdateU64(s.size());

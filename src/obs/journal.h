@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.h"
 #include "obs/registry.h"
 
 namespace mhbench::obs {
@@ -87,10 +88,12 @@ class ClientJournalWriter {
   std::size_t peak_block_bytes() const { return peak_block_bytes_; }
 
  private:
+  void Write(const ByteWriter& bytes);
+
   const std::string path_;
   const Options options_;
   std::ofstream out_;
-  std::vector<std::uint8_t> buf_;
+  ByteWriter buf_;
   std::int64_t blocks_ = 0;
   std::int64_t records_ = 0;
   std::size_t peak_block_bytes_ = 0;

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -365,31 +363,18 @@ std::string LiveExporter::StatusJsonLocked() const {
   out << "\n  },\n";
   out << "  \"tiers\": {";
   {
-    std::map<std::string, std::map<std::string, std::int64_t>> tc;
-    for (const auto& [name, value] : snap.counters) {
-      const auto [base, tier] = SplitTierName(name);
-      if (!tier.empty()) tc[tier][base] = value;
-    }
-    std::map<std::string, std::map<std::string, Registry::HistogramData>> th;
-    for (const auto& [name, h] : snap.hists) {
-      const auto [base, tier] = SplitTierName(name);
-      if (!tier.empty()) th[tier][base] = h;
-    }
-    std::set<std::string> tiers;
-    for (const auto& [tier, unused] : tc) tiers.insert(tier);
-    for (const auto& [tier, unused] : th) tiers.insert(tier);
     std::size_t i = 0;
-    for (const auto& tier : tiers) {
+    for (const auto& [tier, m] : GroupByTier(snap.counters, snap.hists)) {
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(tier)
           << "\": {\"counters\": {";
       std::size_t j = 0;
-      for (const auto& [name, value] : tc[tier]) {
+      for (const auto& [name, value] : m.counters) {
         out << (j++ == 0 ? "" : ", ") << "\"" << JsonEscape(name)
             << "\": " << value;
       }
       out << "}, \"histograms\": {";
       j = 0;
-      for (const auto& [name, h] : th[tier]) {
+      for (const auto& [name, h] : m.hists) {
         out << (j++ == 0 ? "" : ", ") << "\"" << JsonEscape(name)
             << "\": {\"count\":" << h.count()
             << ",\"p50\":" << FmtD(h.Quantile(0.50))

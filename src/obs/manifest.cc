@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "core/bytes.h"
 #include "core/csv.h"
 #include "core/error.h"
 #include "obs/profile.h"
@@ -79,23 +79,31 @@ std::string FormatDouble(double v) {
   return out.str();
 }
 
-// Atomic publish: write to `<path>.tmp`, then rename over `path`.  Readers
-// polling the run directory (mhb_watch, the live smoke) never see a torn
-// file, and a crash mid-write leaves the previous version intact.
-void WriteFileAtomic(const std::filesystem::path& path,
-                     const std::string& content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream f(tmp);
-    if (!f.good()) throw Error("cannot open " + tmp.string());
-    f << content;
-    if (!f.good()) throw Error("failed writing " + tmp.string());
+// Header and row cells of histogram columns: `<h>_count`, `_p50`, `_p95`,
+// `_p99`.  A histogram absent from `hists` renders a zero count and blank
+// quantiles.
+void AppendHistHeader(std::vector<std::string>& header,
+                      const std::set<std::string>& hist_cols) {
+  for (const auto& h : hist_cols) {
+    for (const char* suffix : {"_count", "_p50", "_p95", "_p99"}) {
+      header.push_back(h + suffix);
+    }
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw Error("cannot move " + tmp.string() + " into place: " +
-                ec.message());
+}
+
+void AppendHistCells(
+    std::vector<std::string>& cells, const std::set<std::string>& hist_cols,
+    const std::map<std::string, Registry::HistogramData>& hists) {
+  for (const auto& h : hist_cols) {
+    auto it = hists.find(h);
+    if (it == hists.end()) {
+      cells.insert(cells.end(), {"0", "", "", ""});
+      continue;
+    }
+    cells.push_back(std::to_string(it->second.count()));
+    for (const double q : {0.50, 0.95, 0.99}) {
+      cells.push_back(FormatDouble(it->second.Quantile(q)));
+    }
   }
 }
 
@@ -116,12 +124,7 @@ void WriteRoundsCsv(const std::string& run_dir, const Registry& registry) {
   std::vector<std::string> header = {"run", "round"};
   header.insert(header.end(), gauge_cols.begin(), gauge_cols.end());
   header.insert(header.end(), counter_cols.begin(), counter_cols.end());
-  for (const auto& h : hist_cols) {
-    header.push_back(h + "_count");
-    header.push_back(h + "_p50");
-    header.push_back(h + "_p95");
-    header.push_back(h + "_p99");
-  }
+  AppendHistHeader(header, hist_cols);
   CsvWriter csv(header);
   for (const auto& row : registry.rounds()) {
     std::vector<std::string> cells = {row.run, std::to_string(row.round)};
@@ -136,23 +139,10 @@ void WriteRoundsCsv(const std::string& run_dir, const Registry& registry) {
       cells.push_back(
           it == row.counters.end() ? "0" : std::to_string(it->second));
     }
-    for (const auto& h : hist_cols) {
-      auto it = row.hists.find(h);
-      if (it == row.hists.end()) {
-        cells.push_back("0");
-        cells.push_back("");
-        cells.push_back("");
-        cells.push_back("");
-      } else {
-        cells.push_back(std::to_string(it->second.count()));
-        cells.push_back(FormatDouble(it->second.Quantile(0.50)));
-        cells.push_back(FormatDouble(it->second.Quantile(0.95)));
-        cells.push_back(FormatDouble(it->second.Quantile(0.99)));
-      }
-    }
+    AppendHistCells(cells, hist_cols, row.hists);
     csv.AddRow(cells);
   }
-  WriteFileAtomic(std::filesystem::path(run_dir) / "rounds.csv",
+  WriteFileAtomic((std::filesystem::path(run_dir) / "rounds.csv").string(),
                   csv.ToString());
 }
 
@@ -162,67 +152,30 @@ void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
   std::set<std::string> counter_cols;
   std::set<std::string> hist_cols;
   for (const auto& row : registry.rounds()) {
-    for (const auto& [k, v] : row.counters) {
-      const auto [base, tier] = SplitTierName(k);
-      if (!tier.empty()) counter_cols.insert(base);
-    }
-    for (const auto& [k, v] : row.hists) {
-      const auto [base, tier] = SplitTierName(k);
-      if (!tier.empty()) hist_cols.insert(base);
+    for (const auto& [tier, m] : GroupByTier(row.counters, row.hists)) {
+      for (const auto& [base, v] : m.counters) counter_cols.insert(base);
+      for (const auto& [base, h] : m.hists) hist_cols.insert(base);
     }
   }
   if (counter_cols.empty() && hist_cols.empty()) return;
   std::vector<std::string> header = {"run", "round", "tier"};
   header.insert(header.end(), counter_cols.begin(), counter_cols.end());
-  for (const auto& h : hist_cols) {
-    header.push_back(h + "_count");
-    header.push_back(h + "_p50");
-    header.push_back(h + "_p95");
-    header.push_back(h + "_p99");
-  }
+  AppendHistHeader(header, hist_cols);
   CsvWriter csv(header);
   for (const auto& row : registry.rounds()) {
-    // This round's tier twins regrouped as tier -> base -> value.
-    std::map<std::string, std::map<std::string, std::int64_t>> counters;
-    std::map<std::string, std::map<std::string, Registry::HistogramData>>
-        hists;
-    for (const auto& [k, v] : row.counters) {
-      const auto [base, tier] = SplitTierName(k);
-      if (!tier.empty()) counters[tier][base] = v;
-    }
-    for (const auto& [k, v] : row.hists) {
-      const auto [base, tier] = SplitTierName(k);
-      if (!tier.empty()) hists[tier][base] = v;
-    }
-    std::set<std::string> row_tiers;
-    for (const auto& [tier, unused] : counters) row_tiers.insert(tier);
-    for (const auto& [tier, unused] : hists) row_tiers.insert(tier);
-    for (const auto& tier : row_tiers) {
+    for (const auto& [tier, m] : GroupByTier(row.counters, row.hists)) {
       std::vector<std::string> cells = {row.run, std::to_string(row.round),
                                         tier};
       for (const auto& c : counter_cols) {
-        auto it = counters[tier].find(c);
+        auto it = m.counters.find(c);
         cells.push_back(
-            it == counters[tier].end() ? "0" : std::to_string(it->second));
+            it == m.counters.end() ? "0" : std::to_string(it->second));
       }
-      for (const auto& h : hist_cols) {
-        auto it = hists[tier].find(h);
-        if (it == hists[tier].end()) {
-          cells.push_back("0");
-          cells.push_back("");
-          cells.push_back("");
-          cells.push_back("");
-        } else {
-          cells.push_back(std::to_string(it->second.count()));
-          cells.push_back(FormatDouble(it->second.Quantile(0.50)));
-          cells.push_back(FormatDouble(it->second.Quantile(0.95)));
-          cells.push_back(FormatDouble(it->second.Quantile(0.99)));
-        }
-      }
+      AppendHistCells(cells, hist_cols, m.hists);
       csv.AddRow(cells);
     }
   }
-  WriteFileAtomic(std::filesystem::path(run_dir) / "tiers.csv",
+  WriteFileAtomic((std::filesystem::path(run_dir) / "tiers.csv").string(),
                   csv.ToString());
 }
 
@@ -293,34 +246,22 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
   // mhb_diff's exact-counter gate covering the tier dimension for free.
   json << "\n  },\n  \"tiers\": {";
   if (registry != nullptr) {
-    std::map<std::string, std::map<std::string, std::int64_t>> tier_counters;
-    for (const auto& [name, value] : registry->Totals()) {
-      const auto [base, tier] = SplitTierName(name);
-      if (!tier.empty()) tier_counters[tier][base] = value;
-    }
-    std::map<std::string, std::map<std::string, Registry::HistogramData>>
-        tier_hists;
-    for (const auto& [name, h] : registry->Histograms()) {
-      const auto [base, tier] = SplitTierName(name);
-      if (!tier.empty() && !h.empty()) tier_hists[tier][base] = h;
-    }
-    std::set<std::string> tier_names;
-    for (const auto& [tier, unused] : tier_counters) tier_names.insert(tier);
-    for (const auto& [tier, unused] : tier_hists) tier_names.insert(tier);
     std::size_t i = 0;
-    for (const auto& tier : tier_names) {
+    for (const auto& [tier, m] :
+         GroupByTier(registry->Totals(), registry->Histograms())) {
       json << (i++ == 0 ? "\n" : ",\n") << "    ";
       AppendJsonString(json, tier);
       json << ": {\"counters\": {";
       std::size_t j = 0;
-      for (const auto& [name, value] : tier_counters[tier]) {
+      for (const auto& [name, value] : m.counters) {
         json << (j++ == 0 ? "" : ", ");
         AppendJsonString(json, name);
         json << ": " << value;
       }
       json << "}, \"histograms\": {";
       j = 0;
-      for (const auto& [name, h] : tier_hists[tier]) {
+      for (const auto& [name, h] : m.hists) {
+        if (h.empty()) continue;
         json << (j++ == 0 ? "" : ", ");
         AppendJsonString(json, name);
         json << ": {\"count\":" << h.count() << ",\"sum\":" << h.sum
@@ -334,7 +275,7 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
   json << "\n  },\n  \"rounds\": " << (registry ? registry->rounds().size() : 0)
        << "\n}\n";
 
-  WriteFileAtomic(run_dir / "manifest.json", json.str());
+  WriteFileAtomic((run_dir / "manifest.json").string(), json.str());
 
   if (registry != nullptr) {
     WriteRoundsCsv(run_dir.string(), *registry);

@@ -366,4 +366,19 @@ std::pair<std::string, std::string> SplitTierName(const std::string& name) {
   return {name.substr(0, at), name.substr(at + 1)};
 }
 
+std::map<std::string, TierMetrics> GroupByTier(
+    const std::map<std::string, std::int64_t>& counters,
+    const std::map<std::string, Registry::HistogramData>& hists) {
+  std::map<std::string, TierMetrics> tiers;
+  for (const auto& [name, value] : counters) {
+    auto [base, tier] = SplitTierName(name);
+    if (!tier.empty()) tiers[tier].counters.emplace(std::move(base), value);
+  }
+  for (const auto& [name, h] : hists) {
+    auto [base, tier] = SplitTierName(name);
+    if (!tier.empty()) tiers[tier].hists.emplace(std::move(base), h);
+  }
+  return tiers;
+}
+
 }  // namespace mhbench::obs

@@ -279,4 +279,17 @@ class Registry {
 // "bytes_up@cpu" -> {"bytes_up", "cpu"}; an untiered name gets tier "".
 std::pair<std::string, std::string> SplitTierName(const std::string& name);
 
+// One tier's twins, keyed by base name.
+struct TierMetrics {
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, Registry::HistogramData> hists;
+};
+
+// Regroups the tier twins of a counter map and a histogram map as
+// tier -> base -> value (untiered names have no tier and are left out).
+// Filters nothing else: each exporter applies its own empty-histogram rule.
+std::map<std::string, TierMetrics> GroupByTier(
+    const std::map<std::string, std::int64_t>& counters,
+    const std::map<std::string, Registry::HistogramData>& hists);
+
 }  // namespace mhbench::obs

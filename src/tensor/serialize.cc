@@ -1,55 +1,33 @@
 #include "tensor/serialize.h"
 
-#include <bit>
-#include <cstring>
-
 namespace mhbench {
 
-static_assert(std::endian::native == std::endian::little,
-              "serialization assumes a little-endian host");
-
-std::vector<std::uint8_t> SerializeTensor(const Tensor& t) {
-  std::vector<std::uint8_t> out;
-  out.reserve(SerializedTensorBytes(t));
-  auto push = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  const std::int32_t nd = t.ndim();
-  push(&nd, sizeof(nd));
-  for (int d : t.shape()) {
-    const std::int32_t v = d;
-    push(&v, sizeof(v));
-  }
-  push(t.data().data(), t.numel() * sizeof(Scalar));
-  return out;
+void SerializeTensor(const Tensor& t, ByteWriter& out) {
+  out.I32(t.ndim());
+  for (int d : t.shape()) out.I32(d);
+  out.Raw(t.data().data(), t.numel() * sizeof(Scalar));
 }
 
-Tensor DeserializeTensor(const std::vector<std::uint8_t>& bytes,
-                         std::size_t& offset) {
-  auto read = [&](void* p, std::size_t n) {
-    MHB_CHECK_LE(offset + n, bytes.size()) << "truncated tensor buffer";
-    std::memcpy(p, bytes.data() + offset, n);
-    offset += n;
-  };
-  std::int32_t nd = 0;
-  read(&nd, sizeof(nd));
+Tensor DeserializeTensor(ByteReader& in) {
+  const std::int32_t nd = in.I32();
   MHB_CHECK(nd >= 0 && nd <= 8) << "implausible tensor rank" << nd;
   Shape shape(static_cast<std::size_t>(nd));
   for (auto& d : shape) {
-    std::int32_t v = 0;
-    read(&v, sizeof(v));
-    MHB_CHECK_GT(v, 0) << "non-positive extent in serialized tensor";
-    d = v;
+    d = in.I32();
+    MHB_CHECK_GT(d, 0) << "non-positive extent in serialized tensor";
   }
-  std::vector<Scalar> data(ShapeNumel(shape));
-  read(data.data(), data.size() * sizeof(Scalar));
-  return Tensor(std::move(shape), std::move(data));
-}
-
-std::size_t SerializedTensorBytes(const Tensor& t) {
-  return sizeof(std::int32_t) * (1 + t.shape().size()) +
-         t.numel() * sizeof(Scalar);
+  // numel * sizeof(Scalar) <= remaining, checked one extent at a time so
+  // the running product never overflows (a rank-0 tensor holds no data).
+  std::size_t numel = shape.empty() ? 0 : 1;
+  for (const int d : shape) {
+    MHB_CHECK_LE(numel,
+                 in.remaining() / sizeof(Scalar) / static_cast<std::size_t>(d))
+        << "serialized tensor data overruns the buffer";
+    numel *= static_cast<std::size_t>(d);
+  }
+  Tensor t = Tensor::Uninitialized(std::move(shape));
+  in.Raw(t.data().data(), numel * sizeof(Scalar));
+  return t;
 }
 
 }  // namespace mhbench

@@ -1,27 +1,19 @@
-// Byte-level tensor serialization.
-//
-// Used by the FL layer to measure payload sizes (communication cost) and by
-// tests to round-trip parameter states.  Format: int32 ndim, int32 extents,
-// float32 data, little-endian (asserted at compile time for this platform).
+// Byte-level tensor serialization: the self-describing tensor blob that
+// snapshot sections and ParamStore checkpoints embed.  Format: i32 ndim,
+// i32 extents, float32 data, framed with core/bytes.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
+#include "core/bytes.h"
 #include "tensor/tensor.h"
 
 namespace mhbench {
 
-// Serializes a tensor to bytes.
-std::vector<std::uint8_t> SerializeTensor(const Tensor& t);
+// Appends `t`'s blob to `out` (the float data as one bulk copy).
+void SerializeTensor(const Tensor& t, ByteWriter& out);
 
-// Parses a tensor serialized by SerializeTensor.  `offset` is advanced past
-// the consumed bytes.  Throws Error on malformed input.
-Tensor DeserializeTensor(const std::vector<std::uint8_t>& bytes,
-                         std::size_t& offset);
-
-// Serialized size in bytes without materializing the buffer.
-std::size_t SerializedTensorBytes(const Tensor& t);
+// Reads one blob written by SerializeTensor and advances `in` past it.
+// Throws Error on malformed input — including extents whose data the
+// remaining bytes cannot hold, which is checked before allocating.
+Tensor DeserializeTensor(ByteReader& in);
 
 }  // namespace mhbench

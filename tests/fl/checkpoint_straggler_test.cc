@@ -7,7 +7,6 @@
 #include "fl/engine.h"
 #include "fl/param_store.h"
 #include "models/zoo.h"
-#include "support/temp_dir.h"
 
 namespace mhbench::fl {
 namespace {
@@ -26,20 +25,6 @@ TEST(CheckpointTest, SerializeRoundTrip) {
   }
 }
 
-TEST(CheckpointTest, FileRoundTrip) {
-  ParamStore store;
-  store.Set("a/weight", Tensor({2, 3}, 1.5f));
-  store.Set("b/bias", Tensor::FromVector({1, 2, 3}));
-  // Unique per-test dir: a fixed name under TempDir() collides under
-  // `ctest -j` when another binary's test round-trips concurrently.
-  const auto dir = testsupport::MakeTempDir();
-  const std::string path = dir.File("mhb_ckpt.bin");
-  store.SaveFile(path);
-  const ParamStore restored = ParamStore::LoadFile(path);
-  EXPECT_TRUE(restored.Get("a/weight").AllClose(store.Get("a/weight")));
-  EXPECT_TRUE(restored.Get("b/bias").AllClose(store.Get("b/bias")));
-}
-
 TEST(CheckpointTest, CorruptedBufferThrows) {
   ParamStore store;
   store.Set("w", Tensor({4}));
@@ -56,10 +41,6 @@ TEST(CheckpointTest, TrailingGarbageThrows) {
   auto bytes = store.Serialize();
   bytes.push_back(0xAB);
   EXPECT_THROW(ParamStore::Deserialize(bytes), Error);
-}
-
-TEST(CheckpointTest, MissingFileThrows) {
-  EXPECT_THROW(ParamStore::LoadFile("/nonexistent/ckpt.bin"), Error);
 }
 
 struct EngineFixture {

@@ -27,6 +27,8 @@
 #   tools/check.sh --bench   # Release build + kernel bench smoke (gates the
 #                            #   fresh report against BENCH_kernels.json with
 #                            #   mhb_diff, then refreshes it) + obs artifacts
+#                            #   + end-to-end benchmark harness build and
+#                            #   fidelity test
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -483,6 +485,20 @@ smoke_bench() {
   cp "$build_dir/BENCH_kernels.json" "$repo/BENCH_kernels.json"
 }
 
+# End-to-end benchmark harness smoke: e2ebench/ is a separate CMake project
+# compiled against the library's public API (SnapshotWriter, Registry,
+# ObsConfig, BenchPreset).  Configure it into $build_dir/e2ebench, build its
+# fidelity test and run it, so a refactor that breaks that API fails here
+# rather than only when the benchmark itself is next run.
+smoke_e2ebench() {
+  local build_dir="$1"
+  cmake -S "$repo/e2ebench" -B "$build_dir/e2ebench" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$build_dir/e2ebench" -j --target fidelity_test
+  "$build_dir/e2ebench/fidelity_test" "$build_dir/e2ebench/fidelity_tmp"
+  echo "check.sh: e2ebench fidelity test passed"
+}
+
 # Writes the observability artifacts of two small profiled runs into
 # $build_dir/obs-artifacts so CI can upload them alongside the bench
 # report: per-run manifests, rounds.csv + tiers.csv, client journals, and
@@ -543,6 +559,7 @@ case "$mode" in
     run_suite "$repo/build-release" -DCMAKE_BUILD_TYPE=Release
     smoke_bench "$repo/build-release"
     emit_obs_artifacts "$repo/build-release"
+    smoke_e2ebench "$repo/build-release"
     ;;
   *)
     echo "usage: tools/check.sh [--lint|--plain|--tsan|--asan|--ubsan|" \

@@ -67,6 +67,7 @@
 // trace|0-5>, mirroring the MHB_LOG_LEVEL environment variable (the flag
 // wins when both are given).  A flag the command does not read is an
 // error, so a typo such as --thread fails instead of running defaults.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -118,12 +119,10 @@ class Args {
     return v == nullptr ? fallback : *v;
   }
   double GetD(const std::string& key, double fallback) {
-    const std::string* v = Find(key);
-    return v == nullptr ? fallback : std::stod(*v);
+    return Parse(key, fallback, "a number");
   }
   int GetI(const std::string& key, int fallback) {
-    const std::string* v = Find(key);
-    return v == nullptr ? fallback : std::stoi(*v);
+    return Parse(key, fallback, "an integer");
   }
 
   // Called by each command once it has read all of its flags.
@@ -136,6 +135,20 @@ class Args {
   }
 
  private:
+  // The whole value must parse: "abc" and "1x" both throw.
+  template <typename T>
+  T Parse(const std::string& key, T fallback, const char* kind) {
+    const std::string* v = Find(key);
+    if (v == nullptr) return fallback;
+    T out{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+    if (ec != std::errc() || ptr != end) {
+      throw Error("--" + key + " expects " + kind + ", got '" + *v + "'");
+    }
+    return out;
+  }
+
   const std::string* Find(const std::string& key) {
     used_.insert(key);
     auto it = values_.find(key);
