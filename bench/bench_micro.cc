@@ -93,7 +93,7 @@ void Conv2dForwardBody(benchmark::State& state, kernels::Backend backend) {
   nn::Conv2d conv(8, 16, 3, 1, 1, rng);
   const Tensor x = Tensor::Randn({8, 8, 8, 8}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x, true));
+    benchmark::DoNotOptimize(conv.Forward(x));
     kernels::ResetThreadScratch();
   }
   state.SetItemsProcessed(state.iterations() * kConvForwardFlops);
@@ -114,7 +114,7 @@ void Conv2dBackwardBody(benchmark::State& state, kernels::Backend backend) {
   Rng rng(3);
   nn::Conv2d conv(8, 16, 3, 1, 1, rng);
   const Tensor x = Tensor::Randn({8, 8, 8, 8}, rng);
-  const Tensor y = conv.Forward(x, true);
+  const Tensor y = conv.Forward(x);
   const Tensor g = Tensor::Randn(y.shape(), rng);
   for (auto _ : state) {
     conv.ZeroGrad();

@@ -103,6 +103,10 @@ void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
     }
   }
   staged_.clear();
+  {
+    core::MutexLock lock(eval_model_mu_);
+    eval_model_.reset();
+  }
   if (!averager_.empty()) {
     averager_.ApplyTo(global_->store());
   }
@@ -131,6 +135,10 @@ void WeightSharingAlgorithm::LoadState(fl::SnapshotReader& reader) {
   MHB_CHECK_EQ(saved, name()) << "algorithm state belongs to" << saved;
   last_round_ = reader.ReadI32();
   global_->store() = fl::ParamStore::Deserialize(reader.ReadBytes());
+  {
+    core::MutexLock lock(eval_model_mu_);
+    eval_model_.reset();
+  }
   LoadExtraState(reader);
 }
 
@@ -150,19 +158,28 @@ models::BuildSpec WeightSharingAlgorithm::GlobalEvalSpec() {
   return models::BuildSpec{};
 }
 
+const models::BuiltModel& WeightSharingAlgorithm::GlobalEvalModel() {
+  core::MutexLock lock(eval_model_mu_);
+  if (eval_model_ == nullptr) {
+    models::BuildSpec spec = GlobalEvalSpec();
+    if (UseEnsembleEval()) spec.multi_head = true;
+    Rng build_rng(seed_ ^ 0x6E0BULL);
+    eval_model_ = std::make_unique<models::BuiltModel>(
+        family_->Build(spec, build_rng));
+    global_->store().LoadInto(*eval_model_->net, eval_model_->mapping);
+  }
+  return *eval_model_;
+}
+
 Tensor WeightSharingAlgorithm::GlobalLogits(const Tensor& x) {
   // Evaluation defaults to batch statistics (HeteroFL's static batch
   // norm): running BN statistics averaged over *different-width*
   // sub-networks are mutually inconsistent, so eval-mode normalization
   // collapses.  Batch statistics over the evaluation batch are the sBN
   // equivalent; set_sbn_eval(false) exposes the collapse for ablation.
-  models::BuildSpec spec = GlobalEvalSpec();
-  if (UseEnsembleEval()) spec.multi_head = true;
-  Rng build_rng(seed_ ^ 0x6E0BULL);
-  models::BuiltModel built = family_->Build(spec, build_rng);
-  global_->store().LoadInto(*built.net, built.mapping);
-  if (!UseEnsembleEval()) return built.net->Forward(x, sbn_eval_);
-  auto logits = built.trunk().ForwardHeads(x, sbn_eval_);
+  const models::BuiltModel& built = GlobalEvalModel();
+  if (!UseEnsembleEval()) return built.net->Infer(x, EvalNormStats());
+  auto logits = built.trunk().InferHeads(x, EvalNormStats()).logits;
   Tensor mean = logits.front();
   for (std::size_t h = 1; h < logits.size(); ++h) mean.AddInPlace(logits[h]);
   mean.Scale(1.0f / static_cast<Scalar>(logits.size()));
@@ -179,7 +196,7 @@ Tensor WeightSharingAlgorithm::ClientLogits(int client_id, const Tensor& x) {
   Rng build_rng(seed_ ^ 0xC11E);
   models::BuiltModel built = family_->Build(spec, build_rng);
   global_->store().LoadInto(*built.net, built.mapping);
-  return built.net->Forward(x, sbn_eval_);  // sBN, see GlobalLogits
+  return built.net->Infer(x, EvalNormStats());  // sBN, see GlobalLogits
 }
 
 double WeightSharingAlgorithm::TrainClientModel(models::BuiltModel& built,

@@ -7,6 +7,8 @@
 // dispatch, masked aggregation, evaluation — lives here.
 #pragma once
 
+#include "core/mutex.h"
+#include "core/thread_annotations.h"
 #include "fl/aggregator.h"
 #include "fl/engine.h"
 #include "fl/server.h"
@@ -25,6 +27,7 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Merges staged uploads in participant order (bit-identical to eager
   // serial accumulation), applies the masked average, then PostAggregate.
   void FinishRound(int round, Rng& rng) override;
+  // Both evaluate through const Infer, so concurrent calls are safe.
   Tensor GlobalLogits(const Tensor& x) override;
   Tensor ClientLogits(int client_id, const Tensor& x) override;
 
@@ -81,6 +84,14 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Staging slot for `client_id` in the current round, fixed by BeginRound.
   std::size_t SlotOf(int client_id) const;
 
+  // Normalization GlobalLogits and ClientLogits evaluate with.
+  nn::NormStats EvalNormStats() const {
+    return sbn_eval_ ? nn::NormStats::kBatch : nn::NormStats::kRunning;
+  }
+  // The GlobalEvalSpec model loaded from the store: built by the first
+  // GlobalLogits after each store change, shared by the concurrent rest.
+  const models::BuiltModel& GlobalEvalModel();
+
   const fl::FlContext* ctx_ = nullptr;
   models::FamilyPtr family_;
   std::unique_ptr<fl::GlobalModel> global_;
@@ -94,6 +105,12 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   std::vector<int> round_participants_;
   std::vector<fl::ClientUpdate> staged_;
   std::vector<std::size_t> slot_of_client_;  // client id -> staging slot
+
+ private:
+  // Reset wherever the store changes (FinishRound, LoadState).
+  core::Mutex eval_model_mu_;
+  std::unique_ptr<models::BuiltModel> eval_model_
+      MHB_GUARDED_BY(eval_model_mu_);
 };
 
 }  // namespace mhbench::algorithms

@@ -51,7 +51,7 @@ double DepthFl::TrainClientModel(models::BuiltModel& built, int /*client_id*/,
     int batch_count = 0;
     while (batches.Next(x, y)) {
       sgd.ZeroGrad();
-      auto logits = trunk.ForwardHeads(x, true);
+      auto logits = trunk.ForwardHeads(x);
       std::vector<Tensor> grads(logits.size());
 
       // Consensus soft target: mean of all heads' tempered probabilities.

@@ -51,7 +51,7 @@ double FeDepth::TrainClientModel(models::BuiltModel& built, int /*client_id*/,
     int batch_count = 0;
     while (batches.Next(x, y)) {
       sgd.ZeroGrad();
-      const Tensor logits = trunk.Forward(x, true);
+      const Tensor logits = trunk.Forward(x);
       Tensor grad;
       loss_sum += nn::SoftmaxCrossEntropy(logits, y, grad);
       trunk.Backward(grad);

@@ -7,6 +7,7 @@
 #include "fl/param_store.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "obs/profile.h"
 #include "tensor/ops.h"
 
 namespace mhbench::algorithms {
@@ -76,10 +77,6 @@ void FedEt::RunClient(int client_id, int round, Rng& rng) {
                         static_cast<double>(shard.size()));
 }
 
-Tensor FedEt::GroupLogits(int arch, const Tensor& x) {
-  return group_models_[static_cast<std::size_t>(arch)]->Logits(x);
-}
-
 void FedEt::FinishRound(int /*round*/, Rng& rng) {
   // Merge staged uploads into the per-group averagers in participant order
   // (the order eager serial accumulation used).
@@ -91,10 +88,11 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   }
   staged_.clear();
 
-  // Within-group FedAvg.
+  // Within-group FedAvg; the synced models stay fixed until the next one.
   for (std::size_t a = 0; a < families_.size(); ++a) {
     if (!group_averagers_[a].empty()) {
       group_averagers_[a].ApplyTo(group_models_[a]->store());
+      group_models_[a]->Sync();
     }
   }
 
@@ -109,16 +107,12 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   group_round_clients_.assign(families_.size(), 0);
   if (total <= 0) return;
 
-  nn::SgdOptions sgd_opts;
-  sgd_opts.lr = options_.server_lr;
-  sgd_opts.momentum = 0.9;
-  nn::Sgd sgd(*server_model_.net, sgd_opts);
-
+  // Every step's random public batch, drawn up front in the serial rng
+  // order.
   const int n_public = public_features_.dim(0);
-  const int batch = std::max(
-      1, n_public / options_.distill_batches);
-  for (int step = 0; step < options_.distill_batches; ++step) {
-    // Random public batch.
+  const int batch = std::max(1, n_public / options_.distill_batches);
+  std::vector<Tensor> xs(static_cast<std::size_t>(options_.distill_batches));
+  for (Tensor& x : xs) {
     std::vector<int> idx(static_cast<std::size_t>(batch));
     for (auto& i : idx) {
       i = static_cast<int>(
@@ -126,7 +120,7 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
     }
     Shape bshape = public_features_.shape();
     bshape[0] = batch;
-    Tensor x(bshape);
+    x = Tensor(bshape);
     const std::size_t elems = x.numel() / static_cast<std::size_t>(batch);
     for (int i = 0; i < batch; ++i) {
       const Scalar* src =
@@ -135,55 +129,81 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
       Scalar* dst = x.data().data() + static_cast<std::size_t>(i) * elems;
       for (std::size_t e = 0; e < elems; ++e) dst[e] = src[e];
     }
+  }
 
-    // Weighted consensus teacher.  FinishRound is a serial phase, but
-    // GroupLogits requires eval_mu_ unconditionally (see fedet.h); the
-    // acquisition is uncontended here.
-    Tensor teacher;
-    core::MutexLock lock(eval_mu_);
-    for (std::size_t a = 0; a < families_.size(); ++a) {
-      if (group_weight[a] <= 0) continue;
-      Tensor probs = nn::SoftmaxWithTemperature(GroupLogits(static_cast<int>(a), x),
-                                                options_.temperature);
-      probs.Scale(static_cast<Scalar>(group_weight[a] / total));
-      if (teacher.empty()) {
-        teacher = std::move(probs);
-      } else {
-        teacher.AddInPlace(probs);
+  // The group models stay fixed through the distillation, so every
+  // (step, group) teacher is independent and goes into its own slot.  The
+  // teachers run on the pool, pipelined against the student: the phase for
+  // step s computes step s's teachers while one item trains the student on
+  // step s - 1, whose teachers the previous phase completed.  The
+  // student's SGD steps stay serial and in order; each phase joins before
+  // the next starts.
+  std::vector<std::size_t> groups;  // weighted groups, in group order
+  for (std::size_t a = 0; a < families_.size(); ++a) {
+    if (group_weight[a] > 0) groups.push_back(a);
+  }
+  const std::size_t g = groups.size();
+  std::vector<Tensor> probs(xs.size() * g);
+  nn::SgdOptions sgd_opts;
+  sgd_opts.lr = options_.server_lr;
+  sgd_opts.momentum = 0.9;
+  nn::Sgd sgd(*server_model_.net, sgd_opts);
+  obs::Profiler* const prof = ctx_->config->obs.profiler;
+  for (std::size_t step = 0; step <= xs.size(); ++step) {
+    const std::size_t student = step > 0 ? 1 : 0;  // item 0, when present
+    const std::size_t teachers = step < xs.size() ? g : 0;
+    core::ParallelFor(ctx_->pool, student + teachers, [&](std::size_t i) {
+      obs::ProfilerThreadGuard profiler_guard(prof);
+      if (i < student) {
+        // Weighted consensus teacher, summed in group order.
+        Tensor teacher = std::move(probs[(step - 1) * g]);
+        for (std::size_t k = 1; k < g; ++k) {
+          teacher.AddInPlace(probs[(step - 1) * g + k]);
+        }
+        DistillStep(xs[step - 1], teacher, sgd);
+        return;
       }
-    }
-
-    // Per-sample confidence weighting (Fed-ET's weighted consensus): scale
-    // each sample's soft target toward one-hot confidence by re-weighting
-    // the KD gradient with the teacher's max probability.
-    const int classes = teacher.dim(1);
-    sgd.ZeroGrad();
-    const Tensor student = server_model_.net->Forward(x, true);
-    Tensor kd_grad;
-    nn::DistillationKL(student, teacher, options_.temperature, kd_grad);
-    for (int i = 0; i < batch; ++i) {
-      Scalar conf = 0;
-      for (int c = 0; c < classes; ++c) {
-        conf = std::max(conf,
-                        teacher[static_cast<std::size_t>(i) * classes + c]);
-      }
-      for (int c = 0; c < classes; ++c) {
-        kd_grad[static_cast<std::size_t>(i) * classes + c] *= conf;
-      }
-    }
-    server_model_.net->Backward(kd_grad);
-    sgd.Step();
+      obs::ProfileScope profile_scope("distill_teacher");
+      const std::size_t k = i - student;
+      const std::size_t a = groups[k];
+      Tensor p = nn::SoftmaxWithTemperature(group_models_[a]->Logits(xs[step]),
+                                            options_.temperature);
+      p.Scale(static_cast<Scalar>(group_weight[a] / total));
+      probs[step * g + k] = std::move(p);
+    });
   }
 }
 
+void FedEt::DistillStep(const Tensor& x, const Tensor& teacher,
+                        nn::Sgd& sgd) {
+  // Per-sample confidence weighting (Fed-ET's weighted consensus): scale
+  // each sample's soft target toward one-hot confidence by re-weighting
+  // the KD gradient with the teacher's max probability.
+  const int batch = teacher.dim(0);
+  const int classes = teacher.dim(1);
+  sgd.ZeroGrad();
+  const Tensor student = server_model_.net->Forward(x);
+  Tensor kd_grad;
+  nn::DistillationKL(student, teacher, options_.temperature, kd_grad);
+  for (int i = 0; i < batch; ++i) {
+    Scalar conf = 0;
+    for (int c = 0; c < classes; ++c) {
+      conf = std::max(conf, teacher[static_cast<std::size_t>(i) * classes + c]);
+    }
+    for (int c = 0; c < classes; ++c) {
+      kd_grad[static_cast<std::size_t>(i) * classes + c] *= conf;
+    }
+  }
+  server_model_.net->Backward(kd_grad);
+  sgd.Step();
+}
+
 Tensor FedEt::GlobalLogits(const Tensor& x) {
-  return server_model_.net->Forward(x, false);
+  return server_model_.net->Infer(x, nn::NormStats::kRunning);
 }
 
 Tensor FedEt::ClientLogits(int client_id, const Tensor& x) {
-  // Shared group models; see eval_mu_ in the header.
-  core::MutexLock lock(eval_mu_);
-  return GroupLogits(ArchOf(client_id), x);
+  return group_models_[static_cast<std::size_t>(ArchOf(client_id))]->Logits(x);
 }
 
 void FedEt::SaveState(fl::SnapshotWriter& writer) const {
@@ -206,6 +226,7 @@ void FedEt::LoadState(fl::SnapshotReader& reader) {
       << "restored group count mismatch";
   for (auto& group : group_models_) {
     group->store() = fl::ParamStore::Deserialize(reader.ReadBytes());
+    group->Sync();
   }
   fl::ParamStore::Deserialize(reader.ReadBytes()).LoadAll(*server_model_.net);
 }

@@ -6,15 +6,20 @@
 // is what the global-accuracy metric evaluates.  Our public set is a fixed
 // unlabeled slice of the training pool (labels unused); Fed-ET's diversity
 // regularization term is omitted at sim scale (see DESIGN.md).
+//
+// Threading: group models are synced once after each change to their store
+// (FinishRound, LoadState) and only read through const Infer afterwards, so
+// the stability eval's concurrent ClientLogits share them without a lock.
+// FinishRound fans the (step x group) teacher forwards out to the engine
+// pool, overlapped with the student's SGD steps, which stay serial.
 #pragma once
 
 #include <memory>
 
-#include "core/mutex.h"
-#include "core/thread_annotations.h"
 #include "fl/aggregator.h"
 #include "fl/engine.h"
 #include "fl/server.h"
+#include "nn/optimizer.h"
 
 namespace mhbench::algorithms {
 
@@ -47,11 +52,9 @@ class FedEt : public fl::MhflAlgorithm {
 
  private:
   int ArchOf(int client_id) const;
-  // Syncs and forwards through the shared group models.  Callers hold
-  // eval_mu_ — serial phases too, so the invariant is uniform and clang's
-  // thread-safety analysis can check it (the serial acquisition is
-  // uncontended and per distill batch, not per sample).
-  Tensor GroupLogits(int arch, const Tensor& x) MHB_REQUIRES(eval_mu_);
+  // One SGD step of the server model toward `teacher` (the consensus
+  // probabilities for public batch `x`).
+  void DistillStep(const Tensor& x, const Tensor& teacher, nn::Sgd& sgd);
 
   std::vector<models::FamilyPtr> families_;
   Options options_;
@@ -68,12 +71,6 @@ class FedEt : public fl::MhflAlgorithm {
   std::vector<int> round_participants_;
   std::vector<fl::ClientUpdate> staged_;
   std::vector<std::size_t> slot_of_client_;
-
-  // GroupLogits syncs and forwards through the shared group models; the
-  // engine may evaluate ClientLogits concurrently, so serialize access.
-  // Results are independent of acquisition order (sync + eval-mode forward
-  // is a pure function of store contents), preserving determinism.
-  core::Mutex eval_mu_;
 
   // Server (large) model, trained by distillation.
   models::BuiltModel server_model_;

@@ -112,6 +112,7 @@ int FedProto::ArchOf(int client_id) const {
 }
 
 FedProto::ClientState& FedProto::GetOrCreateState(int client_id) {
+  core::MutexLock lock(states_mu_);
   auto it = states_.find(client_id);
   if (it != states_.end()) return it->second;
   ClientState state;
@@ -126,9 +127,11 @@ FedProto::ClientState& FedProto::GetOrCreateState(int client_id) {
     s.insert(s.begin(), 1);
     return Tensor(s);  // zeros are fine for a shape probe
   }();
-  state.model.trunk().ForwardHeads(x_probe, false);
-  const Tensor pooled = PoolEmbedding(state.model.trunk().last_embedding(),
-                                      state.model.trunk().embedding_layout());
+  const Tensor pooled = PoolEmbedding(
+      state.model.trunk()
+          .InferHeads(x_probe, nn::NormStats::kRunning, /*embedding=*/true)
+          .embedding,
+      state.model.trunk().embedding_layout());
   const int emb_dim = pooled.dim(1);
   state.proj = std::make_unique<nn::Linear>(
       nn::KaimingNormal({proto_dim_, emb_dim}, emb_dim, rng),
@@ -136,13 +139,14 @@ FedProto::ClientState& FedProto::GetOrCreateState(int client_id) {
   return states_.emplace(client_id, std::move(state)).first->second;
 }
 
-void FedProto::EmbedAndLogits(ClientState& state, const Tensor& x,
-                              Tensor& proto_emb, Tensor& logits) {
-  auto& trunk = state.model.trunk();
-  logits = trunk.ForwardHeads(x, false).back();
-  const Tensor pooled =
-      PoolEmbedding(trunk.last_embedding(), trunk.embedding_layout());
-  proto_emb = state.proj->Forward(pooled, false);
+void FedProto::EmbedAndLogits(const ClientState& state, const Tensor& x,
+                              Tensor& proto_emb, Tensor& logits) const {
+  const TrunkModel& trunk = state.model.trunk();
+  auto out = trunk.InferHeads(x, nn::NormStats::kRunning, /*embedding=*/true);
+  logits = std::move(out.logits.back());
+  proto_emb = state.proj->Infer(
+      PoolEmbedding(out.embedding, trunk.embedding_layout()),
+      nn::NormStats::kRunning);
 }
 
 Tensor FedProto::DistanceLogits(const Tensor& proto_emb) const {
@@ -208,7 +212,7 @@ void FedProto::RunClient(int client_id, int round, Rng& rng) {
     while (batches.Next(x, y)) {
       sgd_model.ZeroGrad();
       sgd_proj.ZeroGrad();
-      auto logits = trunk.ForwardHeads(x, true);
+      auto logits = trunk.ForwardHeads(x);
       std::vector<Tensor> grads(logits.size());
       Tensor ce_grad;
       nn::SoftmaxCrossEntropy(logits.back(), y, ce_grad);
@@ -218,7 +222,7 @@ void FedProto::RunClient(int client_id, int round, Rng& rng) {
       if (!global_protos_.empty() && lambda_ > 0) {
         const Tensor& emb = trunk.last_embedding();
         const Tensor pooled = PoolEmbedding(emb, trunk.embedding_layout());
-        const Tensor proto_emb = state.proj->Forward(pooled, true);
+        const Tensor proto_emb = state.proj->Forward(pooled);
         // Targets: each sample's class prototype.
         Tensor target({proto_emb.dim(0), proto_dim_});
         for (int i = 0; i < proto_emb.dim(0); ++i) {
@@ -347,6 +351,7 @@ void FedProto::SaveState(fl::SnapshotWriter& writer) const {
   // proto_sum_ / proto_count_ / staged_ are empty at every round barrier
   // (FinishRound drains them), so only the per-client personal models and
   // projection heads persist.
+  core::MutexLock lock(states_mu_);
   writer.WriteU32(static_cast<std::uint32_t>(states_.size()));
   for (const auto& [client_id, state] : states_) {
     writer.WriteI32(client_id);

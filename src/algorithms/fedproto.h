@@ -15,6 +15,8 @@
 
 #include <map>
 
+#include "core/mutex.h"
+#include "core/thread_annotations.h"
 #include "fl/engine.h"
 #include "models/model_spec.h"
 #include "nn/linear.h"
@@ -63,12 +65,13 @@ class FedProto : public fl::MhflAlgorithm {
     std::vector<Scalar> embeddings; // proto_dim_ values per sample
   };
 
-  ClientState& GetOrCreateState(int client_id);
+  // Thread-safe; the returned state is stable (map nodes never move).
+  ClientState& GetOrCreateState(int client_id) MHB_EXCLUDES(states_mu_);
   int ArchOf(int client_id) const;
   // Projected pooled embedding [n, proto_dim] plus logits of the deepest
-  // head [n, classes] (eval mode).
-  void EmbedAndLogits(ClientState& state, const Tensor& x, Tensor& proto_emb,
-                      Tensor& logits);
+  // head [n, classes], through const Infer (safe from many threads).
+  void EmbedAndLogits(const ClientState& state, const Tensor& x,
+                      Tensor& proto_emb, Tensor& logits) const;
   Tensor DistanceLogits(const Tensor& proto_emb) const;
 
   std::vector<models::FamilyPtr> families_;
@@ -78,7 +81,11 @@ class FedProto : public fl::MhflAlgorithm {
   const fl::FlContext* ctx_ = nullptr;
   int num_classes_ = 0;
 
-  std::map<int, ClientState> states_;
+  // Created serially in BeginRound / PrepareEvaluation, except the global
+  // eval committee's, which the first (possibly concurrent) GlobalLogits
+  // creates; the lock covers lookup and creation, never inference.
+  mutable core::Mutex states_mu_;
+  std::map<int, ClientState> states_ MHB_GUARDED_BY(states_mu_);
   // Global prototypes [classes, proto_dim]; empty until the first round
   // completes.
   Tensor global_protos_;

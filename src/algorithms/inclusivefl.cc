@@ -40,7 +40,7 @@ void InclusiveFl::BeginRound(int round, const std::vector<int>& participants) {
 void InclusiveFl::PostAggregate(int /*round*/, Rng& /*rng*/) {
   if (momentum_ <= 0 || pre_round_.empty()) return;
   // Ordered block names from the full model.
-  auto& trunk = global_->SyncedTrunk();
+  const auto& trunk = global_->trunk();
   for (int b = 0; b + 1 < trunk.num_blocks(); ++b) {
     const std::string from = trunk.block_name(b + 1) + "/";
     const std::string to = trunk.block_name(b) + "/";

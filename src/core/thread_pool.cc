@@ -9,7 +9,9 @@
 namespace mhbench::core {
 
 namespace {
-thread_local bool tl_in_worker = false;
+// Workers set it for their lifetime; ParallelFor sets it on its caller for
+// the duration of the call.
+thread_local bool tl_in_parallel = false;
 }  // namespace
 
 ThreadPool::ThreadPool(int num_workers) {
@@ -38,7 +40,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::InWorker() { return tl_in_worker; }
+bool InParallelRegion() { return tl_in_parallel; }
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
@@ -48,7 +50,7 @@ ThreadPool::Stats ThreadPool::stats() const {
 }
 
 void ThreadPool::WorkerLoop() {
-  tl_in_worker = true;
+  tl_in_parallel = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -76,10 +78,15 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   const int workers = pool == nullptr ? 0 : pool->num_workers();
-  if (workers == 0 || n == 1 || ThreadPool::InWorker()) {
+  if (workers == 0 || n == 1 || tl_in_parallel) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // The caller runs items too; anything they fan out must stay inline.
+  struct RegionMark {
+    RegionMark() { tl_in_parallel = true; }
+    ~RegionMark() { tl_in_parallel = false; }
+  } region_mark;
 
   // Shared per-call state: an index dispenser plus completion tracking for
   // the helper tasks.  The caller participates, so completion only needs to

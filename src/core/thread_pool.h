@@ -36,11 +36,6 @@ class ThreadPool {
   // Enqueues a task.  Must not be called after destruction has begun.
   void Submit(std::function<void()> task) MHB_EXCLUDES(mu_);
 
-  // True when the calling thread is one of *any* pool's workers.  Nested
-  // ParallelFor calls use this to run inline instead of submitting to a
-  // queue they are themselves responsible for draining (deadlock guard).
-  static bool InWorker();
-
   // Lifetime utilization counters, maintained by the workers themselves.
   // Cheap enough to keep always-on (two clock reads per dequeue, against
   // tasks that are typically milliseconds of training); the engine
@@ -63,10 +58,17 @@ class ThreadPool {
   std::atomic<std::uint64_t> idle_ns_{0};
 };
 
+// True on every pool worker and on any thread inside a ParallelFor call
+// (its caller included, for the whole call).  A ParallelFor or threaded
+// GEMM issued from such a thread runs inline: fanning out again could wait
+// on a worker that is itself waiting on this thread, e.g. for a lock the
+// calling item holds (nested-parallelism deadlock guard).
+bool InParallelRegion();
+
 // Runs fn(i) for every i in [0, n).  Iterations execute on the pool's
 // workers *and* the calling thread; the call returns once all iterations
 // have finished.  Runs serially inline when `pool` is null, has no workers,
-// n <= 1, or the caller is itself a pool worker (nested-submit guard).
+// n <= 1, or InParallelRegion() holds (nested-parallelism guard).
 //
 // Exception safety: the first exception thrown by any iteration is captured,
 // remaining unstarted iterations are abandoned, and the exception is

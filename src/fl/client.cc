@@ -47,7 +47,7 @@ double TrainLocal(nn::Module& model, const data::Dataset& shard,
       Tensor grad;
       {
         obs::ProfileScope fwd_scope("forward");
-        const Tensor logits = model.Forward(x, true);
+        const Tensor logits = model.Forward(x);
         loss_sum += nn::SoftmaxCrossEntropy(logits, y, grad);
       }
       {

@@ -100,6 +100,7 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
     // The calling thread participates in every ParallelFor, so num_threads
     // total threads execute client work.
     pool_ = std::make_unique<core::ThreadPool>(config_.num_threads - 1);
+    ctx_.pool = pool_.get();
   }
 
   // Partition the training data into client shards.
@@ -210,12 +211,19 @@ RunResult FlEngine::Run() {
       config_.min_sampled,
       static_cast<int>(std::lround(config_.sample_fraction * num_clients)));
 
+  // The test batches run on the pool; GlobalLogits is safe to call
+  // concurrently (stateless inference, nn/module.h).  The profile scope is
+  // per batch so every batch's work lands under it, whichever thread runs
+  // it.
   auto evaluate_global = [&]() {
     obs::Span span(tracer, "eval_global", "eval");
-    obs::ProfileScope profile_scope("eval_global");
     return EvaluateAccuracy(
-        [&](const Tensor& x) { return algorithm_.GlobalLogits(x); },
-        ctx_.task->test, config_.eval_max_samples);
+        [&](const Tensor& x) {
+          obs::ProfileScope profile_scope("eval_global");
+          return algorithm_.GlobalLogits(x);
+        },
+        ctx_.task->test, config_.eval_max_samples, kEvalBatchSize,
+        pool_.get());
   };
 
   for (int round = start_round; round < config_.rounds; ++round) {

@@ -88,6 +88,11 @@ struct FlContext {
   const FlConfig* config = nullptr;
   std::vector<data::Dataset> shards;           // per client
   std::vector<ClientAssignment> assignments;   // per client
+  // The engine's worker pool (null at one thread).  Serial phases may fan
+  // independent work out to it with core::ParallelFor, writing per-index
+  // slots only; RunClient and ClientLogits already run inside a parallel
+  // region, where a nested ParallelFor runs inline.
+  core::ThreadPool* pool = nullptr;
   int num_clients() const { return static_cast<int>(shards.size()); }
   // Local training options; the learning rate carries the round's schedule
   // multiplier when `round` is given.

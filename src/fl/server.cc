@@ -13,25 +13,18 @@ GlobalModel::GlobalModel(models::FamilyPtr family, Rng& init_rng)
 
 void GlobalModel::Sync() { store_.LoadInto(*built_.net, built_.mapping); }
 
-Tensor GlobalModel::Logits(const Tensor& x) {
-  Sync();
-  return built_.net->Forward(x, false);
+Tensor GlobalModel::Logits(const Tensor& x) const {
+  return built_.net->Infer(x, nn::NormStats::kRunning);
 }
 
-Tensor GlobalModel::EnsembleLogits(const Tensor& x) {
-  Sync();
-  auto logits = built_.trunk().ForwardHeads(x, false);
+Tensor GlobalModel::EnsembleLogits(const Tensor& x) const {
+  auto logits = trunk().InferHeads(x, nn::NormStats::kRunning).logits;
   Tensor mean = logits.front();
   for (std::size_t h = 1; h < logits.size(); ++h) {
     mean.AddInPlace(logits[h]);
   }
   mean.Scale(1.0f / static_cast<Scalar>(logits.size()));
   return mean;
-}
-
-models::TrunkModel& GlobalModel::SyncedTrunk() {
-  Sync();
-  return built_.trunk();
 }
 
 }  // namespace mhbench::fl

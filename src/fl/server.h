@@ -1,8 +1,8 @@
-// Server-side global model holder for weight-sharing algorithms.
+// Server-side global model holder.
 //
 // Owns the full-size multi-head model of a family plus the authoritative
-// ParamStore.  Sub-model dispatch gathers from the store; evaluation syncs
-// the store back into the full model.
+// ParamStore.  Sub-model dispatch gathers from the store; evaluation reads
+// the full model, which Sync() refreshes from the store.
 #pragma once
 
 #include "fl/param_store.h"
@@ -12,26 +12,29 @@ namespace mhbench::fl {
 
 class GlobalModel {
  public:
-  // Builds the family's full model (all heads) and seeds the store from it.
+  // Builds the family's full model (all heads) and seeds the store from it;
+  // the two start in sync.
   GlobalModel(models::FamilyPtr family, Rng& init_rng);
 
   ParamStore& store() { return store_; }
   const ParamStore& store() const { return store_; }
   const models::ModelFamily& family() const { return *family_; }
 
-  // Logits of the deepest head (eval mode); store values are synced into
-  // the model first.
-  Tensor Logits(const Tensor& x);
-
-  // Mean of all heads' logits (DepthFL's ensemble inference).
-  Tensor EnsembleLogits(const Tensor& x);
-
-  // Direct access to the synced full model (syncs first).
-  models::TrunkModel& SyncedTrunk();
-
- private:
+  // Copies the store into the model.  Call once after every change to the
+  // store (aggregation, checkpoint restore) and before evaluating.
   void Sync();
 
+  // Logits of the deepest head with running statistics, from the model as
+  // of the last Sync().  Const: any number of threads may evaluate at once.
+  Tensor Logits(const Tensor& x) const;
+
+  // Mean of all heads' logits (DepthFL's ensemble inference), as Logits.
+  Tensor EnsembleLogits(const Tensor& x) const;
+
+  // The full model's structure (block names etc.), as of the last Sync().
+  const models::TrunkModel& trunk() const { return built_.trunk(); }
+
+ private:
   models::FamilyPtr family_;
   models::BuiltModel built_;
   ParamStore store_;

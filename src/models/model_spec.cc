@@ -64,14 +64,14 @@ obs::Profiler* TrunkModel::ProfilerScopeNames() {
   return prof;
 }
 
-std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x, bool train) {
+std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x) {
   obs::Profiler* const prof = ProfilerScopeNames();
   std::vector<Tensor> logits;
   logits.reserve(heads_.size());
   Tensor h;
   {
     obs::ProfileScope stem_scope("stem");
-    h = stem_->Forward(x, train);
+    h = stem_->Forward(x);
   }
   std::size_t next_exit = 0;
   for (int b = 0; b < num_blocks(); ++b) {
@@ -79,20 +79,53 @@ std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x, bool train) {
       obs::ProfileScope block_scope(
           prof != nullptr ? block_scope_names_[static_cast<std::size_t>(b)]
                           : "block");
-      h = blocks_[static_cast<std::size_t>(b)]->Forward(h, train);
+      h = blocks_[static_cast<std::size_t>(b)]->Forward(h);
     }
     if (next_exit < exit_blocks_.size() && exit_blocks_[next_exit] == b) {
       if (capture_embedding_ && next_exit + 1 == exit_blocks_.size()) {
         last_embedding_ = h;
       }
       obs::ProfileScope head_scope("head");
-      logits.push_back(
-          heads_[next_exit]->Forward(h, train));
+      logits.push_back(heads_[next_exit]->Forward(h));
       ++next_exit;
     }
   }
   MHB_CHECK_EQ(next_exit, heads_.size());
   return logits;
+}
+
+TrunkModel::HeadsOutput TrunkModel::InferHeads(const Tensor& x,
+                                               nn::NormStats stats,
+                                               bool embedding) const {
+  // Const, so no shared name cache: block names are interned per call (a
+  // handful of lookups per batch).
+  obs::Profiler* const prof = obs::Profiler::Current();
+  HeadsOutput out;
+  out.logits.reserve(heads_.size());
+  Tensor h;
+  {
+    obs::ProfileScope stem_scope("stem");
+    h = stem_->Infer(x, stats);
+  }
+  std::size_t next_exit = 0;
+  for (int b = 0; b < num_blocks(); ++b) {
+    const auto bu = static_cast<std::size_t>(b);
+    {
+      obs::ProfileScope block_scope(
+          prof != nullptr ? prof->Intern(block_names_[bu]) : "block");
+      h = blocks_[bu]->Infer(h, stats);
+    }
+    if (next_exit < exit_blocks_.size() && exit_blocks_[next_exit] == b) {
+      if (embedding && next_exit + 1 == exit_blocks_.size()) {
+        out.embedding = h;
+      }
+      obs::ProfileScope head_scope("head");
+      out.logits.push_back(heads_[next_exit]->Infer(h, stats));
+      ++next_exit;
+    }
+  }
+  MHB_CHECK_EQ(next_exit, heads_.size());
+  return out;
 }
 
 Tensor TrunkModel::BackwardHeads(const std::vector<Tensor>& head_grads,
@@ -133,8 +166,10 @@ Tensor TrunkModel::BackwardHeads(const std::vector<Tensor>& head_grads,
   return stem_->Backward(g);
 }
 
-Tensor TrunkModel::Forward(const Tensor& x, bool train) {
-  return ForwardHeads(x, train).back();
+Tensor TrunkModel::Forward(const Tensor& x) { return ForwardHeads(x).back(); }
+
+Tensor TrunkModel::Infer(const Tensor& x, nn::NormStats stats) const {
+  return InferHeads(x, stats).logits.back();
 }
 
 Tensor TrunkModel::Backward(const Tensor& grad_out) {
@@ -159,13 +194,20 @@ Tokenwise::Tokenwise(nn::ModulePtr inner) : inner_(std::move(inner)) {
   MHB_CHECK(inner_ != nullptr);
 }
 
-Tensor Tokenwise::Forward(const Tensor& x, bool train) {
+Tensor Tokenwise::Forward(const Tensor& x) {
   MHB_CHECK_EQ(x.ndim(), 3);
   cached_n_ = x.dim(0);
   cached_l_ = x.dim(1);
   const Tensor x2 = x.Reshape({cached_n_ * cached_l_, x.dim(2)});
-  Tensor y2 = inner_->Forward(x2, train);
+  Tensor y2 = inner_->Forward(x2);
   return y2.Reshape({cached_n_, cached_l_, y2.dim(1)});
+}
+
+Tensor Tokenwise::Infer(const Tensor& x, nn::NormStats stats) const {
+  MHB_CHECK_EQ(x.ndim(), 3);
+  const int n = x.dim(0), l = x.dim(1);
+  Tensor y2 = inner_->Infer(x.Reshape({n * l, x.dim(2)}), stats);
+  return y2.Reshape({n, l, y2.dim(1)});
 }
 
 Tensor Tokenwise::Backward(const Tensor& grad_out) {
@@ -187,7 +229,12 @@ PositionalEmbedding::PositionalEmbedding(int seq_len, int dim, Rng& rng)
   MHB_CHECK_GT(dim, 0);
 }
 
-Tensor PositionalEmbedding::Forward(const Tensor& x, bool /*train*/) {
+Tensor PositionalEmbedding::Forward(const Tensor& x) {
+  return Infer(x, nn::NormStats::kBatch);
+}
+
+Tensor PositionalEmbedding::Infer(const Tensor& x,
+                                  nn::NormStats /*stats*/) const {
   MHB_CHECK_EQ(x.ndim(), 3);
   MHB_CHECK_EQ(x.dim(1), table_.value.dim(0));
   MHB_CHECK_EQ(x.dim(2), table_.value.dim(1));

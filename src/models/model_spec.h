@@ -47,9 +47,10 @@ struct BuiltModel {
 
 // Sequential trunk with multiple classifier exits.
 //
-// ForwardHeads returns logits for every attached head in exit order (the
-// last entry is the deepest head).  Backward accepts per-head logit
-// gradients; missing heads get zero gradient.
+// ForwardHeads (training) and InferHeads (evaluation, const) return logits
+// for every attached head in exit order (the last entry is the deepest
+// head).  Backward accepts per-head logit gradients; missing heads get zero
+// gradient.
 class TrunkModel : public nn::Module {
  public:
   TrunkModel(nn::ModulePtr stem, std::vector<nn::ModulePtr> blocks,
@@ -57,15 +58,25 @@ class TrunkModel : public nn::Module {
              std::vector<std::string> block_names,
              std::vector<std::string> head_names);
 
-  std::vector<Tensor> ForwardHeads(const Tensor& x, bool train);
+  std::vector<Tensor> ForwardHeads(const Tensor& x);
   // `embedding_grad`, when non-empty, is an extra gradient on the deepest
   // block's output (shape of `last_embedding()`); prototype-regularized
   // algorithms use it to train the trunk through the embedding.
   Tensor BackwardHeads(const std::vector<Tensor>& head_grads,
                        const Tensor& embedding_grad = Tensor());
 
-  // Module interface: forward/backward through the deepest head only.
-  Tensor Forward(const Tensor& x, bool train) override;
+  struct HeadsOutput {
+    std::vector<Tensor> logits;  // one per head, exit order
+    Tensor embedding;  // the deepest head's input, when requested
+  };
+  // Evaluation pass over every head; with `embedding`, also returns the
+  // deepest block's output (what prototype-based algorithms pool).
+  HeadsOutput InferHeads(const Tensor& x, nn::NormStats stats,
+                         bool embedding = false) const;
+
+  // Module interface: the deepest head only.
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, nn::NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<nn::NamedParam>& out) override;
@@ -80,9 +91,9 @@ class TrunkModel : public nn::Module {
     return block_names_.at(static_cast<std::size_t>(i));
   }
 
-  // Embedding of the deepest head's input (output of the last block);
-  // used by prototype-based algorithms.  Computed during ForwardHeads when
-  // `capture_embedding` was set.
+  // Embedding of the deepest head's input (output of the last block) from
+  // the last ForwardHeads, captured when `capture_embedding` was set; the
+  // training side of InferHeads' `embedding`.
   void set_capture_embedding(bool v) { capture_embedding_ = v; }
   const Tensor& last_embedding() const { return last_embedding_; }
 
@@ -117,7 +128,8 @@ class Tokenwise : public nn::Module {
  public:
   explicit Tokenwise(nn::ModulePtr inner);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, nn::NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<nn::NamedParam>& out) override;
@@ -132,7 +144,8 @@ class PositionalEmbedding : public nn::Module {
  public:
   PositionalEmbedding(int seq_len, int dim, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, nn::NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<nn::NamedParam>& out) override;

@@ -4,8 +4,12 @@
 
 namespace mhbench::nn {
 
-Tensor ReLU::Forward(const Tensor& x, bool /*train*/) {
+Tensor ReLU::Forward(const Tensor& x) {
   cached_input_ = x;
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor ReLU::Infer(const Tensor& x, NormStats /*stats*/) const {
   Tensor y = x;
   for (auto& v : y.data()) {
     if (v < 0) v = 0;
@@ -41,8 +45,12 @@ double GeluDeriv(double x) {
 }
 }  // namespace
 
-Tensor Gelu::Forward(const Tensor& x, bool /*train*/) {
+Tensor Gelu::Forward(const Tensor& x) {
   cached_input_ = x;
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor Gelu::Infer(const Tensor& x, NormStats /*stats*/) const {
   Tensor y = x;
   for (auto& v : y.data()) v = static_cast<Scalar>(GeluValue(v));
   return y;
@@ -59,10 +67,15 @@ Tensor Gelu::Backward(const Tensor& grad_out) {
   return gx;
 }
 
-Tensor Tanh::Forward(const Tensor& x, bool /*train*/) {
+Tensor Tanh::Forward(const Tensor& x) {
+  Tensor y = Infer(x, NormStats::kBatch);
+  cached_output_ = y;
+  return y;
+}
+
+Tensor Tanh::Infer(const Tensor& x, NormStats /*stats*/) const {
   Tensor y = x;
   for (auto& v : y.data()) v = std::tanh(v);
-  cached_output_ = y;
   return y;
 }
 

@@ -7,7 +7,8 @@ namespace mhbench::nn {
 
 class ReLU : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
@@ -17,7 +18,8 @@ class ReLU : public Module {
 
 class Gelu : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
@@ -27,7 +29,8 @@ class Gelu : public Module {
 
 class Tanh : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 

@@ -27,7 +27,38 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int heads,
 // exactly once, so all block GEMMs run with beta = 0 into uninitialized
 // storage.
 
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool train) {
+namespace {
+
+// One (batch, head) block at offset `off` of the packed projections:
+// attn[l, l] = softmax(Q_blk · K_blk^T * scale), then O_blk = attn · V_blk
+// into `po`.
+void AttendBlock(const Scalar* pq, const Scalar* pk, const Scalar* pv,
+                 std::size_t off, int l, int d, int dh, Scalar scale,
+                 Scalar* attn, Scalar* po) {
+  // S = Q_blk · K_blk^T (unscaled; the scale folds into the softmax).
+  kernels::Gemm(false, true, l, l, dh, pq + off, d, pk + off, d, 0.0f, attn,
+                l);
+  for (int i = 0; i < l; ++i) {
+    Scalar* arow = attn + static_cast<std::size_t>(i) * l;
+    Scalar mx = -1e30f;
+    for (int j = 0; j < l; ++j) mx = std::max(mx, arow[j] * scale);
+    double sum = 0.0;
+    for (int j = 0; j < l; ++j) {
+      const Scalar e = std::exp(arow[j] * scale - mx);
+      arow[j] = e;
+      sum += e;
+    }
+    const Scalar inv = static_cast<Scalar>(1.0 / sum);
+    for (int j = 0; j < l; ++j) arow[j] *= inv;
+  }
+  // O_blk = A · V_blk.
+  kernels::Gemm(false, false, l, dh, l, attn, l, pv + off, d, 0.0f, po + off,
+                d);
+}
+
+}  // namespace
+
+Tensor MultiHeadSelfAttention::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("attention_fwd");
   MHB_CHECK_EQ(x.ndim(), 3);
   MHB_CHECK_EQ(x.dim(2), d_model_);
@@ -37,48 +68,55 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool train) {
   cached_l_ = l;
 
   const Tensor x2 = x.Reshape({n * l, d});
-  cached_q_ = wq_.Forward(x2, train);
-  cached_k_ = wk_.Forward(x2, train);
-  cached_v_ = wv_.Forward(x2, train);
+  cached_q_ = wq_.Forward(x2);
+  cached_k_ = wk_.Forward(x2);
+  cached_v_ = wv_.Forward(x2);
   cached_attn_ = Tensor::Uninitialized({n, h, l, l});
   cached_concat_ = Tensor::Uninitialized({n * l, d});
 
   const Scalar scale = 1.0f / std::sqrt(static_cast<Scalar>(dh));
-  const Scalar* pq = cached_q_.data().data();
-  const Scalar* pk = cached_k_.data().data();
-  const Scalar* pv = cached_v_.data().data();
-  Scalar* pa = cached_attn_.data().data();
-  Scalar* po = cached_concat_.data().data();
-
   for (int b = 0; b < n; ++b) {
-    const std::size_t blk = static_cast<std::size_t>(b) * l * d;
     for (int hd = 0; hd < h; ++hd) {
-      const std::size_t off = blk + static_cast<std::size_t>(hd) * dh;
-      Scalar* attn = pa + (static_cast<std::size_t>(b) * h + hd) *
-                              static_cast<std::size_t>(l) * l;
-      // S = Q_blk · K_blk^T (unscaled; the scale folds into the softmax).
-      kernels::Gemm(false, true, l, l, dh, pq + off, d, pk + off, d, 0.0f,
-                    attn, l);
-      for (int i = 0; i < l; ++i) {
-        Scalar* arow = attn + static_cast<std::size_t>(i) * l;
-        Scalar mx = -1e30f;
-        for (int j = 0; j < l; ++j) mx = std::max(mx, arow[j] * scale);
-        double sum = 0.0;
-        for (int j = 0; j < l; ++j) {
-          const Scalar e = std::exp(arow[j] * scale - mx);
-          arow[j] = e;
-          sum += e;
-        }
-        const Scalar inv = static_cast<Scalar>(1.0 / sum);
-        for (int j = 0; j < l; ++j) arow[j] *= inv;
-      }
-      // O_blk = A · V_blk.
-      kernels::Gemm(false, false, l, dh, l, attn, l, pv + off, d, 0.0f,
-                    po + off, d);
+      const std::size_t off = static_cast<std::size_t>(b) * l * d +
+                              static_cast<std::size_t>(hd) * dh;
+      Scalar* attn = cached_attn_.data().data() +
+                     (static_cast<std::size_t>(b) * h + hd) *
+                         static_cast<std::size_t>(l) * l;
+      AttendBlock(cached_q_.data().data(), cached_k_.data().data(),
+                  cached_v_.data().data(), off, l, d, dh, scale, attn,
+                  cached_concat_.data().data());
     }
   }
-  Tensor y2 = wo_.Forward(cached_concat_, train);
+  Tensor y2 = wo_.Forward(cached_concat_);
   return y2.Reshape({n, l, d});
+}
+
+Tensor MultiHeadSelfAttention::Infer(const Tensor& x, NormStats stats) const {
+  obs::ProfileScope profile_scope("attention_fwd");
+  MHB_CHECK_EQ(x.ndim(), 3);
+  MHB_CHECK_EQ(x.dim(2), d_model_);
+  const int n = x.dim(0), l = x.dim(1), d = d_model_, h = heads_;
+  const int dh = d / h;
+
+  const Tensor x2 = x.Reshape({n * l, d});
+  const Tensor q = wq_.Infer(x2, stats);
+  const Tensor k = wk_.Infer(x2, stats);
+  const Tensor v = wv_.Infer(x2, stats);
+  Tensor concat = Tensor::Uninitialized({n * l, d});
+
+  // Attention probabilities are only needed block by block here.
+  kernels::ScratchScope scratch;
+  Scalar* attn = scratch.Alloc(static_cast<std::size_t>(l) * l);
+  const Scalar scale = 1.0f / std::sqrt(static_cast<Scalar>(dh));
+  for (int b = 0; b < n; ++b) {
+    for (int hd = 0; hd < h; ++hd) {
+      const std::size_t off = static_cast<std::size_t>(b) * l * d +
+                              static_cast<std::size_t>(hd) * dh;
+      AttendBlock(q.data().data(), k.data().data(), v.data().data(), off, l,
+                  d, dh, scale, attn, concat.data().data());
+    }
+  }
+  return wo_.Infer(concat, stats).Reshape({n, l, d});
 }
 
 Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_out) {

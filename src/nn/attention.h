@@ -17,7 +17,8 @@ class MultiHeadSelfAttention : public Module {
   // `d_model` must be divisible by `heads`.
   MultiHeadSelfAttention(int d_model, int heads, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;

@@ -13,9 +13,15 @@ Module& Sequential::Add(ModulePtr m) {
   return *modules_.back();
 }
 
-Tensor Sequential::Forward(const Tensor& x, bool train) {
+Tensor Sequential::Forward(const Tensor& x) {
   Tensor cur = x;
-  for (auto& m : modules_) cur = m->Forward(cur, train);
+  for (auto& m : modules_) cur = m->Forward(cur);
+  return cur;
+}
+
+Tensor Sequential::Infer(const Tensor& x, NormStats stats) const {
+  Tensor cur = x;
+  for (const auto& m : modules_) cur = m->Infer(cur, stats);
   return cur;
 }
 
@@ -39,15 +45,33 @@ Residual::Residual(ModulePtr body, ModulePtr shortcut_or_null)
   MHB_CHECK(body_ != nullptr);
 }
 
-Tensor Residual::Forward(const Tensor& x, bool train) {
-  Tensor y = body_->Forward(x, train);
+namespace {
+
+void AddIdentitySkip(Tensor& y, const Tensor& x) {
+  MHB_CHECK(y.shape() == x.shape())
+      << "identity skip needs matching shapes:" << ShapeToString(y.shape())
+      << "vs" << ShapeToString(x.shape());
+  y.AddInPlace(x);
+}
+
+}  // namespace
+
+Tensor Residual::Forward(const Tensor& x) {
+  Tensor y = body_->Forward(x);
   if (shortcut_ != nullptr) {
-    y.AddInPlace(shortcut_->Forward(x, train));
+    y.AddInPlace(shortcut_->Forward(x));
   } else {
-    MHB_CHECK(y.shape() == x.shape())
-        << "identity skip needs matching shapes:" << ShapeToString(y.shape())
-        << "vs" << ShapeToString(x.shape());
-    y.AddInPlace(x);
+    AddIdentitySkip(y, x);
+  }
+  return y;
+}
+
+Tensor Residual::Infer(const Tensor& x, NormStats stats) const {
+  Tensor y = body_->Infer(x, stats);
+  if (shortcut_ != nullptr) {
+    y.AddInPlace(shortcut_->Infer(x, stats));
+  } else {
+    AddIdentitySkip(y, x);
   }
   return y;
 }
@@ -76,22 +100,20 @@ ConcatBranches::ConcatBranches(std::vector<ModulePtr> branches)
   for (const auto& b : branches_) MHB_CHECK(b != nullptr);
 }
 
-Tensor ConcatBranches::Forward(const Tensor& x, bool train) {
-  std::vector<Tensor> outs;
-  outs.reserve(branches_.size());
-  cached_channels_.clear();
+namespace {
+
+// Concatenates branch outputs along dim 1; all must agree on every other
+// dimension.
+Tensor ConcatChannels(const std::vector<Tensor>& outs) {
   int total_c = 0;
-  for (auto& b : branches_) {
-    outs.push_back(b->Forward(x, train));
-    MHB_CHECK_GE(outs.back().ndim(), 2);
-    // All branch outputs must agree except on the channel dim.
-    Shape got = outs.back().shape();
+  for (const Tensor& o : outs) {
+    MHB_CHECK_GE(o.ndim(), 2);
+    Shape got = o.shape();
     Shape first = outs.front().shape();
     got[1] = 0;
     first[1] = 0;
     MHB_CHECK(got == first) << "branch outputs differ beyond the channel dim";
-    cached_channels_.push_back(outs.back().dim(1));
-    total_c += outs.back().dim(1);
+    total_c += o.dim(1);
   }
   Shape out_shape = outs.front().shape();
   out_shape[1] = total_c;
@@ -103,10 +125,10 @@ Tensor ConcatBranches::Forward(const Tensor& x, bool train) {
   Scalar* py = y.data().data();
   for (int b = 0; b < n; ++b) {
     std::size_t ch_base = 0;
-    for (std::size_t k = 0; k < outs.size(); ++k) {
-      const int ck = cached_channels_[k];
-      const Scalar* src = outs[k].data().data() +
-                          static_cast<std::size_t>(b) * ck * spatial;
+    for (const Tensor& o : outs) {
+      const int ck = o.dim(1);
+      const Scalar* src =
+          o.data().data() + static_cast<std::size_t>(b) * ck * spatial;
       Scalar* dst = py + (static_cast<std::size_t>(b) * total_c + ch_base) *
                              spatial;
       for (std::size_t e = 0; e < static_cast<std::size_t>(ck) * spatial;
@@ -117,6 +139,25 @@ Tensor ConcatBranches::Forward(const Tensor& x, bool train) {
     }
   }
   return y;
+}
+
+}  // namespace
+
+Tensor ConcatBranches::Forward(const Tensor& x) {
+  std::vector<Tensor> outs;
+  outs.reserve(branches_.size());
+  for (auto& b : branches_) outs.push_back(b->Forward(x));
+  Tensor y = ConcatChannels(outs);
+  cached_channels_.clear();
+  for (const Tensor& o : outs) cached_channels_.push_back(o.dim(1));
+  return y;
+}
+
+Tensor ConcatBranches::Infer(const Tensor& x, NormStats stats) const {
+  std::vector<Tensor> outs;
+  outs.reserve(branches_.size());
+  for (const auto& b : branches_) outs.push_back(b->Infer(x, stats));
+  return ConcatChannels(outs);
 }
 
 Tensor ConcatBranches::Backward(const Tensor& grad_out) {
@@ -165,9 +206,13 @@ void ConcatBranches::CollectParams(const std::string& prefix,
   }
 }
 
-Tensor Flatten::Forward(const Tensor& x, bool /*train*/) {
-  MHB_CHECK_GE(x.ndim(), 2);
+Tensor Flatten::Forward(const Tensor& x) {
   cached_input_shape_ = x.shape();
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor Flatten::Infer(const Tensor& x, NormStats /*stats*/) const {
+  MHB_CHECK_GE(x.ndim(), 2);
   const int n = x.dim(0);
   const int rest = static_cast<int>(x.numel() / static_cast<std::size_t>(n));
   return x.Reshape({n, rest});

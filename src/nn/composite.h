@@ -16,7 +16,8 @@ class Sequential : public Module {
   // Appends a module; returns a reference to the appended module.
   Module& Add(ModulePtr m);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -34,7 +35,8 @@ class Residual : public Module {
  public:
   Residual(ModulePtr body, ModulePtr shortcut_or_null);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -51,7 +53,8 @@ class ConcatBranches : public Module {
  public:
   explicit ConcatBranches(std::vector<ModulePtr> branches);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -66,7 +69,8 @@ class ConcatBranches : public Module {
 // Collapses all dims after the batch dim: [N, ...] -> [N, prod(...)].
 class Flatten : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 

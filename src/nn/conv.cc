@@ -75,36 +75,51 @@ Conv2d::Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad_h,
   weight_ = Parameter(std::move(weight));
 }
 
-Tensor Conv2d::Forward(const Tensor& x, bool /*train*/) {
-  obs::ProfileScope profile_scope("conv2d_fwd");
+Conv2d::Geometry Conv2d::GeometryOf(const Tensor& x) const {
   MHB_CHECK_EQ(x.ndim(), 4);
   MHB_CHECK_EQ(x.dim(1), in_channels());
-  cached_input_shape_ = x.shape();
-  const int n = x.dim(0);
+  Geometry g;
+  g.n = x.dim(0);
+  g.oh = (x.dim(2) + 2 * pad_h_ - kernel_h()) / stride_ + 1;
+  g.ow = (x.dim(3) + 2 * pad_w_ - kernel_w()) / stride_ + 1;
+  g.ickk = in_channels() * kernel_h() * kernel_w();
+  return g;
+}
+
+Tensor Conv2d::FromColumns(const Geometry& g, const float* cols) const {
   const int oc = out_channels();
-  const int ickk = in_channels() * kernel_h() * kernel_w();
-  const int oh = (x.dim(2) + 2 * pad_h_ - kernel_h()) / stride_ + 1;
-  const int ow = (x.dim(3) + 2 * pad_w_ - kernel_w()) / stride_ + 1;
-  const int rows_n = n * oh * ow;
-
-  // The column matrix lives in a member tensor so repeated steps with the
-  // same geometry reuse the buffer; Backward reads it back.
-  const int cols_shape[2] = {rows_n, ickk};
-  cached_cols_.ResizeUninitialized(cols_shape);
-  ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
-                  cached_cols_.data().data());
-
   // rows[N*OH*OW, out_c] = cols · W^T + bias, staged in the scratch arena;
   // the weight tensor [oc, ic, kh, kw] is read as a flat [oc, ickk] matrix.
   kernels::ScratchScope scratch;
-  float* rows = scratch.Alloc(static_cast<std::size_t>(rows_n) * oc);
-  kernels::Gemm(false, true, rows_n, oc, ickk, cached_cols_.data().data(),
-                ickk, weight_.value.data().data(), ickk, 0.0f, rows, oc,
+  float* rows = scratch.Alloc(static_cast<std::size_t>(g.rows()) * oc);
+  kernels::Gemm(false, true, g.rows(), oc, g.ickk, cols, g.ickk,
+                weight_.value.data().data(), g.ickk, 0.0f, rows, oc,
                 has_bias() ? bias_.value.data().data() : nullptr);
-
-  Tensor out = Tensor::Uninitialized({n, oc, oh, ow});
-  RowsToNCHWInto(rows, n, oc, oh, ow, out.data().data());
+  Tensor out = Tensor::Uninitialized({g.n, oc, g.oh, g.ow});
+  RowsToNCHWInto(rows, g.n, oc, g.oh, g.ow, out.data().data());
   return out;
+}
+
+Tensor Conv2d::Forward(const Tensor& x) {
+  obs::ProfileScope profile_scope("conv2d_fwd");
+  const Geometry g = GeometryOf(x);
+  cached_input_shape_ = x.shape();
+  // The column matrix lives in a member tensor so repeated steps with the
+  // same geometry reuse the buffer; Backward reads it back.
+  const int cols_shape[2] = {g.rows(), g.ickk};
+  cached_cols_.ResizeUninitialized(cols_shape);
+  ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
+                  cached_cols_.data().data());
+  return FromColumns(g, cached_cols_.data().data());
+}
+
+Tensor Conv2d::Infer(const Tensor& x, NormStats /*stats*/) const {
+  obs::ProfileScope profile_scope("conv2d_fwd");
+  const Geometry g = GeometryOf(x);
+  kernels::ScratchScope scratch;
+  float* cols = scratch.Alloc(static_cast<std::size_t>(g.rows()) * g.ickk);
+  ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_, cols);
+  return FromColumns(g, cols);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
@@ -164,12 +179,23 @@ Conv1d::Conv1d(Tensor weight, Tensor bias_or_empty, int stride, int pad)
     : conv_(Unsqueeze1dWeight(std::move(weight)), std::move(bias_or_empty),
             stride, /*pad_h=*/0, pad) {}
 
-Tensor Conv1d::Forward(const Tensor& x, bool train) {
+namespace {
+// [N, C, L] <-> [N, C, 1, L] views of Conv1d's input and output.
+Tensor AddUnitHeight(const Tensor& x) {
   MHB_CHECK_EQ(x.ndim(), 3);  // [N, C, L]
-  const int n = x.dim(0), c = x.dim(1), l = x.dim(2);
-  const Tensor x4 = x.Reshape({n, c, 1, l});
-  Tensor y4 = conv_.Forward(x4, train);  // [N, OC, 1, OL]
+  return x.Reshape({x.dim(0), x.dim(1), 1, x.dim(2)});
+}
+Tensor DropUnitHeight(const Tensor& y4) {
   return y4.Reshape({y4.dim(0), y4.dim(1), y4.dim(3)});
+}
+}  // namespace
+
+Tensor Conv1d::Forward(const Tensor& x) {
+  return DropUnitHeight(conv_.Forward(AddUnitHeight(x)));
+}
+
+Tensor Conv1d::Infer(const Tensor& x, NormStats stats) const {
+  return DropUnitHeight(conv_.Infer(AddUnitHeight(x), stats));
 }
 
 Tensor Conv1d::Backward(const Tensor& grad_out) {

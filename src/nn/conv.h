@@ -19,7 +19,8 @@ class Conv2d : public Module {
   Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad_h,
          int pad_w);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -37,6 +38,15 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
+  // Output extents for input `x` (checked).
+  struct Geometry {
+    int n, oh, ow, ickk;
+    int rows() const { return n * oh * ow; }
+  };
+  Geometry GeometryOf(const Tensor& x) const;
+  // The output for the im2col matrix `cols` ([rows, ickk]) of an input.
+  Tensor FromColumns(const Geometry& g, const float* cols) const;
+
   Parameter weight_;  // [out_c, in_c, kh, kw]
   Parameter bias_;    // [out_c] or empty
   int stride_ = 1;
@@ -54,7 +64,8 @@ class Conv1d : public Module {
   Conv1d(Tensor weight /*[out_c, in_c, k]*/, Tensor bias_or_empty, int stride,
          int pad);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;

@@ -18,19 +18,26 @@ Embedding::Embedding(Tensor table) {
   table_ = Parameter(std::move(table));
 }
 
-Tensor Embedding::Forward(const Tensor& ids, bool /*train*/) {
+Tensor Embedding::Forward(const Tensor& ids) {
+  Tensor out = Infer(ids, NormStats::kBatch);  // validates every id
+  cached_id_shape_ = ids.shape();
+  cached_ids_.resize(ids.numel());
+  for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
+    cached_ids_[i] = static_cast<int>(ids[i]);
+  }
+  return out;
+}
+
+Tensor Embedding::Infer(const Tensor& ids, NormStats /*stats*/) const {
   obs::ProfileScope profile_scope("embedding_fwd");
   MHB_CHECK_EQ(ids.ndim(), 2);  // [N, L]
   const int n = ids.dim(0), l = ids.dim(1), d = dim();
-  cached_id_shape_ = ids.shape();
-  cached_ids_.resize(static_cast<std::size_t>(n) * l);
   Tensor out({n, l, d});
   Scalar* po = out.data().data();
   const Scalar* pt = table_.value.data().data();
-  for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
+  for (std::size_t i = 0; i < ids.numel(); ++i) {
     const int id = static_cast<int>(ids[i]);
     MHB_CHECK(id >= 0 && id < vocab_size()) << "token id" << id;
-    cached_ids_[i] = id;
     const Scalar* row = pt + static_cast<std::size_t>(id) * d;
     Scalar* orow = po + i * static_cast<std::size_t>(d);
     for (int j = 0; j < d; ++j) orow[j] = row[j];

@@ -11,7 +11,8 @@ class Embedding : public Module {
   Embedding(int vocab_size, int dim, Rng& rng);
   explicit Embedding(Tensor table /*[vocab, dim]*/);
 
-  Tensor Forward(const Tensor& ids, bool train) override;
+  Tensor Forward(const Tensor& ids) override;
+  Tensor Infer(const Tensor& ids, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;

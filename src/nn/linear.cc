@@ -25,11 +25,20 @@ Linear::Linear(Tensor weight, Tensor bias_or_empty) {
   weight_ = Parameter(std::move(weight));
 }
 
-Tensor Linear::Forward(const Tensor& x, bool /*train*/) {
+Tensor Linear::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("linear_fwd");
+  cached_input_ = x;
+  return Apply(x);
+}
+
+Tensor Linear::Infer(const Tensor& x, NormStats /*stats*/) const {
+  obs::ProfileScope profile_scope("linear_fwd");
+  return Apply(x);
+}
+
+Tensor Linear::Apply(const Tensor& x) const {
   MHB_CHECK_EQ(x.ndim(), 2);
   MHB_CHECK_EQ(x.dim(1), in_features());
-  cached_input_ = x;
   const int n = x.dim(0), in = in_features(), out = out_features();
   // Y[n, out] = X · W^T + bias, with the bias fused into the GEMM epilogue.
   Tensor y = Tensor::Uninitialized({n, out});

@@ -14,7 +14,8 @@ class Linear : public Module {
   // Constructs with externally provided weights (used by sub-model builders).
   Linear(Tensor weight, Tensor bias_or_empty);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -27,6 +28,8 @@ class Linear : public Module {
   Parameter& bias() { return bias_; }
 
  private:
+  Tensor Apply(const Tensor& x) const;  // x W^T + b, shared by both passes
+
   Parameter weight_;  // [out, in]
   Parameter bias_;    // [out] or empty
   Tensor cached_input_;

@@ -26,15 +26,21 @@ double SoftmaxCrossEntropy(const Tensor& logits,
   return loss / n;
 }
 
-double Accuracy(const Tensor& logits, const std::vector<int>& labels) {
+int CountCorrect(const Tensor& logits, const std::vector<int>& labels) {
   MHB_CHECK_EQ(logits.ndim(), 2);
   MHB_CHECK_EQ(labels.size(), static_cast<std::size_t>(logits.dim(0)));
-  if (labels.empty()) return 0.0;
+  if (labels.empty()) return 0;
   const std::vector<int> pred = ops::ArgmaxRows(logits);
   int correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (pred[i] == labels[i]) ++correct;
   }
+  return correct;
+}
+
+double Accuracy(const Tensor& logits, const std::vector<int>& labels) {
+  const int correct = CountCorrect(logits, labels);
+  if (labels.empty()) return 0.0;
   return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 

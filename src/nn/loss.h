@@ -13,7 +13,10 @@ namespace mhbench::nn {
 double SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& labels, Tensor& grad);
 
-// Fraction of rows whose argmax equals the label.
+// Number of rows whose argmax equals the label.
+int CountCorrect(const Tensor& logits, const std::vector<int>& labels);
+
+// Fraction of rows whose argmax equals the label (0 for no rows).
 double Accuracy(const Tensor& logits, const std::vector<int>& labels);
 
 // Temperature-scaled distillation loss: KL(teacher_probs^T || student^T),

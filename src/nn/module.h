@@ -5,6 +5,16 @@
 // adjoint in Backward, accumulating parameter gradients.  This keeps the
 // stack small, deterministic and easy to verify against numerical gradients
 // (see tests/nn/gradient_check_test.cc).
+//
+// Two passes, split by what they may touch:
+//   - Forward is the training pass.  It normalizes with batch statistics,
+//     updates BatchNorm running statistics and caches activations for
+//     Backward, so one model serves one thread at a time.
+//   - Infer is the evaluation pass.  It is const: it writes no member (no
+//     cache, no running statistic) and takes its temporaries from the
+//     calling thread's scratch arena or fresh tensors, so any number of
+//     threads may run it on one shared model.  Infer(x, NormStats::kBatch)
+//     returns the bytes Forward(x) returns.
 #pragma once
 
 #include <memory>
@@ -34,6 +44,12 @@ struct NamedParam {
   Parameter* param = nullptr;
 };
 
+// Which statistics BatchNorm normalizes with in Infer.
+enum class NormStats {
+  kRunning,  // the running statistics (classic eval mode)
+  kBatch,    // the batch's own statistics, as in training (static BN eval)
+};
+
 class Module {
  public:
   virtual ~Module() = default;
@@ -42,9 +58,13 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  // Computes the output for `x`.  `train` toggles batch statistics /
-  // dropout.  The module caches the activations Backward needs.
-  virtual Tensor Forward(const Tensor& x, bool train) = 0;
+  // Training pass: computes the output for `x` with batch statistics,
+  // updating running statistics and caching what Backward needs.
+  virtual Tensor Forward(const Tensor& x) = 0;
+
+  // Evaluation pass: the output for `x`, normalized per `stats`.  Writes
+  // no member, so concurrent calls on one module are safe.
+  virtual Tensor Infer(const Tensor& x, NormStats stats) const = 0;
 
   // Propagates `grad_out` (gradient of the loss w.r.t. this module's last
   // output) back to the input, accumulating parameter gradients.  Must be

@@ -16,6 +16,34 @@ void SplitNCS(const Shape& shape, int& n, int& c, int& s) {
   for (std::size_t d = 2; d < shape.size(); ++d) s *= shape[d];
 }
 
+// Flat offset of (batch b, channel ch, spatial sp) in [N, C, S].
+std::size_t Offset(int c, int s, int b, int ch, int sp) {
+  return (static_cast<std::size_t>(b) * c + static_cast<std::size_t>(ch)) *
+             static_cast<std::size_t>(s) +
+         static_cast<std::size_t>(sp);
+}
+
+// Biased batch mean and variance of channel `ch`.
+void BatchMoments(const Tensor& x, int ch, Scalar& mean, Scalar& var) {
+  int n = 0, c = 0, s = 0;
+  SplitNCS(x.shape(), n, c, s);
+  const Scalar* px = x.data().data();
+  const double m = static_cast<double>(n) * static_cast<double>(s);
+  double sum = 0.0;
+  for (int b = 0; b < n; ++b) {
+    for (int sp = 0; sp < s; ++sp) sum += px[Offset(c, s, b, ch, sp)];
+  }
+  mean = static_cast<Scalar>(sum / m);
+  double vsum = 0.0;
+  for (int b = 0; b < n; ++b) {
+    for (int sp = 0; sp < s; ++sp) {
+      const double d = px[Offset(c, s, b, ch, sp)] - mean;
+      vsum += d * d;
+    }
+  }
+  var = static_cast<Scalar>(vsum / m);
+}
+
 }  // namespace
 
 BatchNorm::BatchNorm(int channels, Scalar momentum, Scalar eps)
@@ -42,68 +70,65 @@ BatchNorm::BatchNorm(Tensor gamma, Tensor beta, Tensor running_mean,
   MHB_CHECK_EQ(running_var_.value.dim(0), c);
 }
 
-Tensor BatchNorm::Forward(const Tensor& x, bool train) {
+Tensor BatchNorm::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("batchnorm_fwd");
   int n = 0, c = 0, s = 0;
   SplitNCS(x.shape(), n, c, s);
   MHB_CHECK_EQ(c, channels());
   cached_shape_ = x.shape();
-  cached_train_ = train;
-
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(s);
   Tensor y(x.shape());
   cached_xhat_ = Tensor(x.shape());
   cached_std_.assign(static_cast<std::size_t>(c), 1.0f);
-
-  const Scalar* px = x.data().data();
-  Scalar* py = y.data().data();
-  Scalar* pxh = cached_xhat_.data().data();
-
-  auto offset = [&](int b, int ch, int sp) {
-    return (static_cast<std::size_t>(b) * c + static_cast<std::size_t>(ch)) *
-               static_cast<std::size_t>(s) +
-           static_cast<std::size_t>(sp);
-  };
-
   for (int ch = 0; ch < c; ++ch) {
+    const auto chu = static_cast<std::size_t>(ch);
     Scalar mean, var;
-    if (train) {
-      double sum = 0.0;
-      for (int b = 0; b < n; ++b) {
-        for (int sp = 0; sp < s; ++sp) sum += px[offset(b, ch, sp)];
-      }
-      mean = static_cast<Scalar>(sum / static_cast<double>(m));
-      double vsum = 0.0;
-      for (int b = 0; b < n; ++b) {
-        for (int sp = 0; sp < s; ++sp) {
-          const double d = px[offset(b, ch, sp)] - mean;
-          vsum += d * d;
-        }
-      }
-      var = static_cast<Scalar>(vsum / static_cast<double>(m));
-      auto chu = static_cast<std::size_t>(ch);
-      running_mean_.value[chu] =
-          (1 - momentum_) * running_mean_.value[chu] + momentum_ * mean;
-      running_var_.value[chu] =
-          (1 - momentum_) * running_var_.value[chu] + momentum_ * var;
-    } else {
-      mean = running_mean_.value[static_cast<std::size_t>(ch)];
-      var = running_var_.value[static_cast<std::size_t>(ch)];
-    }
-    const Scalar stdv = std::sqrt(var + eps_);
-    cached_std_[static_cast<std::size_t>(ch)] = stdv;
-    const Scalar g = gamma_.value[static_cast<std::size_t>(ch)];
-    const Scalar bta = beta_.value[static_cast<std::size_t>(ch)];
-    for (int b = 0; b < n; ++b) {
-      for (int sp = 0; sp < s; ++sp) {
-        const std::size_t o = offset(b, ch, sp);
-        const Scalar xh = (px[o] - mean) / stdv;
-        pxh[o] = xh;
-        py[o] = g * xh + bta;
-      }
-    }
+    BatchMoments(x, ch, mean, var);
+    running_mean_.value[chu] =
+        (1 - momentum_) * running_mean_.value[chu] + momentum_ * mean;
+    running_var_.value[chu] =
+        (1 - momentum_) * running_var_.value[chu] + momentum_ * var;
+    cached_std_[chu] = NormalizeChannel(x, ch, mean, var, y, &cached_xhat_);
   }
   return y;
+}
+
+Tensor BatchNorm::Infer(const Tensor& x, NormStats stats) const {
+  obs::ProfileScope profile_scope("batchnorm_fwd");
+  int n = 0, c = 0, s = 0;
+  SplitNCS(x.shape(), n, c, s);
+  MHB_CHECK_EQ(c, channels());
+  Tensor y(x.shape());
+  for (int ch = 0; ch < c; ++ch) {
+    const auto chu = static_cast<std::size_t>(ch);
+    Scalar mean = running_mean_.value[chu];
+    Scalar var = running_var_.value[chu];
+    if (stats == NormStats::kBatch) BatchMoments(x, ch, mean, var);
+    NormalizeChannel(x, ch, mean, var, y, nullptr);
+  }
+  return y;
+}
+
+Scalar BatchNorm::NormalizeChannel(const Tensor& x, int ch, Scalar mean,
+                                   Scalar var, Tensor& y,
+                                   Tensor* xhat) const {
+  int n = 0, c = 0, s = 0;
+  SplitNCS(x.shape(), n, c, s);
+  const auto chu = static_cast<std::size_t>(ch);
+  const Scalar stdv = std::sqrt(var + eps_);
+  const Scalar g = gamma_.value[chu];
+  const Scalar bta = beta_.value[chu];
+  const Scalar* px = x.data().data();
+  Scalar* py = y.data().data();
+  Scalar* pxh = xhat != nullptr ? xhat->data().data() : nullptr;
+  for (int b = 0; b < n; ++b) {
+    for (int sp = 0; sp < s; ++sp) {
+      const std::size_t o = Offset(c, s, b, ch, sp);
+      const Scalar xh = (px[o] - mean) / stdv;
+      if (pxh != nullptr) pxh[o] = xh;
+      py[o] = g * xh + bta;
+    }
+  }
+  return stdv;
 }
 
 Tensor BatchNorm::Backward(const Tensor& grad_out) {
@@ -118,18 +143,12 @@ Tensor BatchNorm::Backward(const Tensor& grad_out) {
   const Scalar* pxh = cached_xhat_.data().data();
   Scalar* pgx = gx.data().data();
 
-  auto offset = [&](int b, int ch, int sp) {
-    return (static_cast<std::size_t>(b) * c + static_cast<std::size_t>(ch)) *
-               static_cast<std::size_t>(s) +
-           static_cast<std::size_t>(sp);
-  };
-
   for (int ch = 0; ch < c; ++ch) {
     const auto chu = static_cast<std::size_t>(ch);
     double sum_g = 0.0, sum_gxh = 0.0;
     for (int b = 0; b < n; ++b) {
       for (int sp = 0; sp < s; ++sp) {
-        const std::size_t o = offset(b, ch, sp);
+        const std::size_t o = Offset(c, s, b, ch, sp);
         sum_g += pg[o];
         sum_gxh += static_cast<double>(pg[o]) * pxh[o];
       }
@@ -139,22 +158,12 @@ Tensor BatchNorm::Backward(const Tensor& grad_out) {
 
     const Scalar g = gamma_.value[chu];
     const Scalar inv_std = 1.0f / cached_std_[chu];
-    if (cached_train_) {
-      // Standard batch-norm backward with batch statistics.
-      for (int b = 0; b < n; ++b) {
-        for (int sp = 0; sp < s; ++sp) {
-          const std::size_t o = offset(b, ch, sp);
-          const double term = m * pg[o] - sum_g - pxh[o] * sum_gxh;
-          pgx[o] = static_cast<Scalar>(g * inv_std * term / m);
-        }
-      }
-    } else {
-      // Eval-mode stats are constants w.r.t. x.
-      for (int b = 0; b < n; ++b) {
-        for (int sp = 0; sp < s; ++sp) {
-          const std::size_t o = offset(b, ch, sp);
-          pgx[o] = g * inv_std * pg[o];
-        }
+    // Standard batch-norm backward with batch statistics.
+    for (int b = 0; b < n; ++b) {
+      for (int sp = 0; sp < s; ++sp) {
+        const std::size_t o = Offset(c, s, b, ch, sp);
+        const double term = m * pg[o] - sum_g - pxh[o] * sum_gxh;
+        pgx[o] = static_cast<Scalar>(g * inv_std * term / m);
       }
     }
   }
@@ -174,19 +183,28 @@ LayerNorm::LayerNorm(int dim, Scalar eps)
   MHB_CHECK_GT(dim, 0);
 }
 
-Tensor LayerNorm::Forward(const Tensor& x, bool /*train*/) {
+Tensor LayerNorm::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("layernorm_fwd");
+  cached_xhat_ = Tensor(x.shape());
+  cached_inv_std_.assign(x.numel() / static_cast<std::size_t>(dim()), 1.0f);
+  return Normalize(x, &cached_xhat_, cached_inv_std_.data());
+}
+
+Tensor LayerNorm::Infer(const Tensor& x, NormStats /*stats*/) const {
+  obs::ProfileScope profile_scope("layernorm_fwd");
+  return Normalize(x, nullptr, nullptr);
+}
+
+Tensor LayerNorm::Normalize(const Tensor& x, Tensor* xhat,
+                            Scalar* inv_stds) const {
   MHB_CHECK_GE(x.ndim(), 2);
   const int d = x.dim(x.ndim() - 1);
   MHB_CHECK_EQ(d, dim());
   const std::size_t rows = x.numel() / static_cast<std::size_t>(d);
   Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  cached_inv_std_.assign(rows, 1.0f);
-
   const Scalar* px = x.data().data();
   Scalar* py = y.data().data();
-  Scalar* pxh = cached_xhat_.data().data();
+  Scalar* pxh = xhat != nullptr ? xhat->data().data() : nullptr;
   for (std::size_t r = 0; r < rows; ++r) {
     const Scalar* xr = px + r * static_cast<std::size_t>(d);
     double sum = 0.0;
@@ -198,13 +216,12 @@ Tensor LayerNorm::Forward(const Tensor& x, bool /*train*/) {
       vsum += diff * diff;
     }
     const double inv_std = 1.0 / std::sqrt(vsum / d + eps_);
-    cached_inv_std_[r] = static_cast<Scalar>(inv_std);
+    if (inv_stds != nullptr) inv_stds[r] = static_cast<Scalar>(inv_std);
     Scalar* yr = py + r * static_cast<std::size_t>(d);
-    Scalar* xhr = pxh + r * static_cast<std::size_t>(d);
     for (int j = 0; j < d; ++j) {
       const auto ju = static_cast<std::size_t>(j);
       const Scalar xh = static_cast<Scalar>((xr[j] - mean) * inv_std);
-      xhr[j] = xh;
+      if (pxh != nullptr) pxh[r * static_cast<std::size_t>(d) + ju] = xh;
       yr[j] = gamma_.value[ju] * xh + beta_.value[ju];
     }
   }

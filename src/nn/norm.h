@@ -1,7 +1,9 @@
 // Normalization layers.
 //
 // BatchNorm normalizes over the channel dimension (dim 1) of [N, C],
-// [N, C, L] or [N, C, H, W] inputs, with running statistics for eval mode.
+// [N, C, L] or [N, C, H, W] inputs.  Forward (training) uses batch
+// statistics and updates the running ones; Infer uses whichever NormStats
+// names and updates nothing.
 // In federated use the running statistics travel with the other parameters
 // (HeteroFL's "static batch norm" corresponds to aggregating them like
 // weights, which is what the param store does).
@@ -20,7 +22,8 @@ class BatchNorm : public Module {
   BatchNorm(Tensor gamma, Tensor beta, Tensor running_mean, Tensor running_var,
             Scalar momentum = 0.1f, Scalar eps = 1e-5f);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -35,22 +38,27 @@ class BatchNorm : public Module {
   Parameter& running_var() { return running_var_; }
 
  private:
+  // Writes channel `ch` of y = gamma (x - mean) / std + beta (and of
+  // `xhat`, when non-null); returns std = sqrt(var + eps).
+  Scalar NormalizeChannel(const Tensor& x, int ch, Scalar mean, Scalar var,
+                          Tensor& y, Tensor* xhat) const;
+
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;
   Scalar momentum_, eps_;
 
-  // Caches from the last training-mode forward.
+  // Caches from the last Forward.
   Tensor cached_xhat_;
   std::vector<Scalar> cached_std_;  // per channel
   Shape cached_shape_;
-  bool cached_train_ = false;
 };
 
 class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim, Scalar eps = 1e-5f);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>& out) override;
@@ -61,6 +69,10 @@ class LayerNorm : public Module {
   Parameter& beta() { return beta_; }
 
  private:
+  // y for `x`; also writes x-hat and per-row 1/std when the outputs are
+  // non-null (Forward's caches).
+  Tensor Normalize(const Tensor& x, Tensor* xhat, Scalar* inv_stds) const;
+
   Parameter gamma_, beta_;
   Scalar eps_;
   Tensor cached_xhat_;

@@ -8,13 +8,17 @@ AvgPool2d::AvgPool2d(int kernel) : kernel_(kernel) {
   MHB_CHECK_GT(kernel, 0);
 }
 
-Tensor AvgPool2d::Forward(const Tensor& x, bool /*train*/) {
+Tensor AvgPool2d::Forward(const Tensor& x) {
+  cached_input_shape_ = x.shape();
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor AvgPool2d::Infer(const Tensor& x, NormStats /*stats*/) const {
   obs::ProfileScope profile_scope("avgpool2d_fwd");
   MHB_CHECK_EQ(x.ndim(), 4);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   MHB_CHECK_EQ(h % kernel_, 0);
   MHB_CHECK_EQ(w % kernel_, 0);
-  cached_input_shape_ = x.shape();
   const int oh = h / kernel_, ow = w / kernel_;
   Tensor y({n, c, oh, ow});
   const Scalar* px = x.data().data();
@@ -73,9 +77,13 @@ Tensor AvgPool2d::Backward(const Tensor& grad_out) {
   return gx;
 }
 
-Tensor GlobalAvgPool2d::Forward(const Tensor& x, bool /*train*/) {
-  MHB_CHECK_EQ(x.ndim(), 4);
+Tensor GlobalAvgPool2d::Forward(const Tensor& x) {
   cached_input_shape_ = x.shape();
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor GlobalAvgPool2d::Infer(const Tensor& x, NormStats /*stats*/) const {
+  MHB_CHECK_EQ(x.ndim(), 4);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor y({n, c});
   const Scalar* px = x.data().data();
@@ -112,9 +120,13 @@ Tensor GlobalAvgPool2d::Backward(const Tensor& grad_out) {
   return gx;
 }
 
-Tensor GlobalAvgPool1d::Forward(const Tensor& x, bool /*train*/) {
-  MHB_CHECK_EQ(x.ndim(), 3);
+Tensor GlobalAvgPool1d::Forward(const Tensor& x) {
   cached_input_shape_ = x.shape();
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor GlobalAvgPool1d::Infer(const Tensor& x, NormStats /*stats*/) const {
+  MHB_CHECK_EQ(x.ndim(), 3);
   const int n = x.dim(0), c = x.dim(1), l = x.dim(2);
   Tensor y({n, c});
   const Scalar* px = x.data().data();
@@ -150,9 +162,13 @@ Tensor GlobalAvgPool1d::Backward(const Tensor& grad_out) {
   return gx;
 }
 
-Tensor MeanPoolSeq::Forward(const Tensor& x, bool /*train*/) {
-  MHB_CHECK_EQ(x.ndim(), 3);  // [N, L, D]
+Tensor MeanPoolSeq::Forward(const Tensor& x) {
   cached_input_shape_ = x.shape();
+  return Infer(x, NormStats::kBatch);
+}
+
+Tensor MeanPoolSeq::Infer(const Tensor& x, NormStats /*stats*/) const {
+  MHB_CHECK_EQ(x.ndim(), 3);  // [N, L, D]
   const int n = x.dim(0), l = x.dim(1), d = x.dim(2);
   Tensor y({n, d});
   const Scalar* px = x.data().data();

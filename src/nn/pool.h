@@ -11,7 +11,8 @@ class AvgPool2d : public Module {
  public:
   explicit AvgPool2d(int kernel);
 
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
@@ -23,7 +24,8 @@ class AvgPool2d : public Module {
 // Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool2d : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
@@ -34,7 +36,8 @@ class GlobalAvgPool2d : public Module {
 // Global average pooling over the length axis: [N, C, L] -> [N, C].
 class GlobalAvgPool1d : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
@@ -45,7 +48,8 @@ class GlobalAvgPool1d : public Module {
 // Mean over the sequence axis: [N, L, D] -> [N, D] (text classifiers).
 class MeanPoolSeq : public Module {
  public:
-  Tensor Forward(const Tensor& x, bool train) override;
+  Tensor Forward(const Tensor& x) override;
+  Tensor Infer(const Tensor& x, NormStats stats) const override;
   Tensor Backward(const Tensor& grad_out) override;
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 

@@ -320,7 +320,7 @@ void FastGemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
   // More than one tile task must exist for threading to buy anything.
   const bool multi_tile = m > kMC || std::min(n, kNC) > kJRB;
   if (pool != nullptr && pool->num_workers() > 0 &&
-      !core::ThreadPool::InWorker() && flops >= kThreadedMinFlops &&
+      !core::InParallelRegion() && flops >= kThreadedMinFlops &&
       multi_tile) {
     FastGemmThreaded(pool, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta,
                      c, ldc, bias);

@@ -83,9 +83,10 @@ const char* KernelBackendName();
 // Installs the pool used for macro-tile parallelism (null restores serial
 // execution); returns the previous pool.  Results are bit-identical with or
 // without a pool and at any worker count, so this only trades wall time.
-// Calls from inside a pool worker always run serially (nested-submit
-// guard), keeping per-client training single-threaded under the FL
-// engine's client dispatch.
+// Calls from inside a parallel region (a pool worker, or any thread inside
+// a ParallelFor; core::InParallelRegion) always run serially, keeping
+// per-client training single-threaded under the FL engine's client
+// dispatch and nested fan-out deadlock-free.
 core::ThreadPool* SetGemmThreadPool(core::ThreadPool* pool);
 core::ThreadPool* GemmThreadPool();
 

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "core/mutex.h"
 
 #include <gtest/gtest.h>
 
@@ -96,6 +99,37 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     ParallelFor(&pool, 4, [&](std::size_t) { ++inner_calls; });
   });
   EXPECT_EQ(inner_calls.load(), 16);
+}
+
+// The calling thread of an outer ParallelFor holds a lock its one worker
+// is blocked on, then fans out again.  Were the caller not marked as inside
+// a parallel region, the inner helper task would queue behind the blocked
+// worker and the caller would wait for it forever (ctest's TIMEOUT on
+// core_test turns that hang into a failure).
+TEST(ThreadPoolTest, NestedParallelForOnCallerHoldingLockRunsInline) {
+  ThreadPool pool(1);
+  Mutex mu;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> caller_locked{false};
+  std::atomic<int> inner_calls{0};
+  EXPECT_FALSE(InParallelRegion());
+  ParallelFor(&pool, 2, [&](std::size_t) {
+    EXPECT_TRUE(InParallelRegion());
+    // Both items start before either locks, so one runs on the caller and
+    // one on the worker.
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (!on_caller) {
+      while (!caller_locked.load()) std::this_thread::yield();
+    }
+    MutexLock lock(mu);
+    if (on_caller) caller_locked.store(true);
+    ParallelFor(&pool, 4, [&](std::size_t) { inner_calls.fetch_add(1); });
+  });
+  EXPECT_EQ(inner_calls.load(), 8);
+  EXPECT_FALSE(InParallelRegion());
 }
 
 TEST(ThreadPoolTest, ZeroWorkerPoolDegradesToCaller) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "core/error.h"
 
 namespace mhbench::fl {
@@ -60,6 +63,30 @@ TEST(EvaluationTest, BatchBoundariesDoNotChangeResult) {
   const double c = EvaluateAccuracy(PerfectLogits, ds, 0, 5);
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_DOUBLE_EQ(b, c);
+}
+
+// Batches spread over a pool: the integer per-batch counts sum to the
+// serial result exactly, and every batch keeps its serial boundaries.
+TEST(EvaluationTest, PooledBatchesMatchSerial) {
+  auto ds = TwoClassDataset(203);
+  for (std::size_t i = 0; i < ds.labels.size(); i += 3) {
+    ds.labels[i] = 1 - ds.labels[i];
+  }
+  std::vector<std::atomic<int>> batch_rows(8);
+  auto logits_fn = [&](const Tensor& x) {
+    const auto b = static_cast<std::size_t>(x.dim(0));
+    if (b < batch_rows.size()) batch_rows[b].fetch_add(1);
+    return PerfectLogits(x);
+  };
+  const double serial = EvaluateAccuracy(logits_fn, ds, 0, 7);
+  core::ThreadPool pool(3);
+  EXPECT_EQ(EvaluateAccuracy(logits_fn, ds, 0, 7, &pool), serial);
+  EXPECT_EQ(EvaluateAccuracy(logits_fn, ds, 150, 7, &pool),
+            EvaluateAccuracy(logits_fn, ds, 150, 7));
+  // 203 = 29 * 7 and 150 = 21 * 7 + 3: only full batches, plus one
+  // 3-row tail per 150-sample call.
+  EXPECT_EQ(batch_rows[7].load(), 2 * 29 + 2 * 21);
+  EXPECT_EQ(batch_rows[3].load(), 2);
 }
 
 TEST(EvaluationTest, EmptyDatasetThrows) {

@@ -404,6 +404,60 @@ TEST(ParallelDeterminismTest, AuditLedgerIdenticalAcrossThreadCounts) {
   }
 }
 
+// Fed-ET and FedProto evaluate through shared models from many threads at
+// once: Fed-ET's teacher fan-out, the batch-parallel global eval, and the
+// lock-free stability eval.  The text tasks route those paths through the
+// Embedding, attention and LayerNorm Infer kernels; results and the
+// det-audit ledger must match the serial run at 2 and 4 threads.
+class TopologyEvalDeterminismTest : public ::testing::TestWithParam<Case> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    TextTasks, TopologyEvalDeterminismTest,
+    ::testing::ValuesIn(std::vector<Case>{
+        {"fedet", "agnews"},
+        {"fedproto", "agnews"},
+        {"fedet", "stackoverflow"},
+        {"fedproto", "stackoverflow"},
+    }),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return info.param.algorithm + "_" + info.param.task;
+    });
+
+TEST_P(TopologyEvalDeterminismTest, ResultsAndLedgerIdenticalAcrossThreads) {
+  const Case c = GetParam();
+  data::TaskConfig tcfg;
+  tcfg.train_samples = 240;
+  tcfg.test_samples = 120;
+  tcfg.num_clients = 6;
+  const data::Task task = data::MakeTask(c.task, tcfg);
+
+  RunResult reference;
+  std::vector<obs::DetAuditor::Round> reference_ledger;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    obs::Registry registry;
+    obs::DetAuditor audit;
+    obs::ObsConfig obs;
+    obs.registry = &registry;
+    obs.det_audit = &audit;
+    const RunResult result = RunWithThreads(c, task, threads, obs);
+    ASSERT_EQ(audit.rounds().size(), 4u);
+    if (threads == 1) {
+      EXPECT_FALSE(result.curve.empty());
+      reference = result;
+      reference_ledger = audit.rounds();
+      continue;
+    }
+    ExpectIdentical(reference, result, threads);
+    for (std::size_t r = 0; r < reference_ledger.size(); ++r) {
+      EXPECT_EQ(audit.rounds()[r].chain, reference_ledger[r].chain)
+          << "round " << r;
+      EXPECT_EQ(audit.rounds()[r].components, reference_ledger[r].components)
+          << "round " << r;
+    }
+  }
+}
+
 // The refactor must not have changed the serial reference itself: two
 // serial runs of the same seed agree (guards the phase-1 draw order).
 TEST(ParallelDeterminismTest, SerialRunIsReproducible) {

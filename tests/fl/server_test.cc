@@ -31,7 +31,7 @@ TEST(GlobalModelTest, LogitsShapeAndDeterminism) {
   EXPECT_TRUE(a.AllClose(b));
 }
 
-TEST(GlobalModelTest, StoreEditsPropagateToLogits) {
+TEST(GlobalModelTest, StoreEditsReachLogitsAfterSync) {
   Rng rng(4);
   const auto tm = models::MakeTaskModels("cifar10");
   GlobalModel gm(tm.primary, rng);
@@ -43,6 +43,10 @@ TEST(GlobalModelTest, StoreEditsPropagateToLogits) {
       "head" + std::to_string(tm.primary->total_blocks() - 1);
   gm.store().GetMutable(head + "/1/weight").Fill(0.0f);
   gm.store().GetMutable(head + "/1/bias").Fill(0.0f);
+  // Logits read the model as of the last Sync: the edit is invisible...
+  EXPECT_TRUE(gm.Logits(x).AllClose(before, 0.0f));
+  // ...until the store is synced in.
+  gm.Sync();
   const Tensor after = gm.Logits(x);
   EXPECT_FALSE(after.AllClose(before));
   EXPECT_NEAR(after.MaxAbs(), 0.0f, 1e-6);
@@ -57,8 +61,8 @@ TEST(GlobalModelTest, EnsembleAveragesHeads) {
   const Tensor ens = gm.EnsembleLogits(x);
   EXPECT_EQ(ens.shape(), Shape({2, 10}));
   // Manually average head outputs through the synced trunk.
-  auto& trunk = gm.SyncedTrunk();
-  auto logits = trunk.ForwardHeads(x, false);
+  const auto& trunk = gm.trunk();
+  auto logits = trunk.InferHeads(x, nn::NormStats::kRunning).logits;
   Tensor mean = logits.front();
   for (std::size_t h = 1; h < logits.size(); ++h) mean.AddInPlace(logits[h]);
   mean.Scale(1.0f / static_cast<Scalar>(logits.size()));

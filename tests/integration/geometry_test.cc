@@ -56,7 +56,7 @@ TEST_P(GeometryTest, ModelsForwardRealTaskBatches) {
   Rng rng(1);
   for (const auto& fam : tm.topology) {
     auto built = fam->Build(models::BuildSpec{}, rng);
-    const Tensor logits = built.net->Forward(x, false);
+    const Tensor logits = built.net->Infer(x, nn::NormStats::kRunning);
     EXPECT_EQ(logits.shape(), Shape({3, task.train.num_classes}))
         << fam->name();
   }

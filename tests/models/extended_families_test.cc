@@ -28,7 +28,7 @@ TEST(ConcatBranchesTest, ConcatenatesAlongChannels) {
       Tensor({1, 3}, std::vector<Scalar>{0, 0, 2}), Tensor()));
   ConcatBranches cat(std::move(branches));
   Tensor x({1, 3}, std::vector<Scalar>{10, 20, 30});
-  const Tensor y = cat.Forward(x, true);
+  const Tensor y = cat.Forward(x);
   EXPECT_TRUE(y.AllClose(Tensor({1, 3}, std::vector<Scalar>{10, 20, 60})));
 }
 
@@ -40,7 +40,7 @@ TEST(ConcatBranchesTest, BackwardSplitsGradients) {
   branches.push_back(std::make_unique<Linear>(3, 4, rng));
   ConcatBranches cat(std::move(branches));
   const Tensor x = Tensor::Randn({5, 3}, rng);
-  const Tensor y = cat.Forward(x, true);
+  const Tensor y = cat.Forward(x);
   EXPECT_EQ(y.shape(), Shape({5, 6}));
   const Tensor g = Tensor::Randn(y.shape(), rng);
   const Tensor gx = cat.Backward(g);
@@ -49,7 +49,7 @@ TEST(ConcatBranchesTest, BackwardSplitsGradients) {
   Tensor coeff = g;
   auto loss = [&](const Tensor& in) {
     ConcatBranches* c = &cat;
-    const Tensor out = c->Forward(in, true);
+    const Tensor out = c->Forward(in);
     double l = 0;
     for (std::size_t i = 0; i < out.numel(); ++i) {
       l += static_cast<double>(coeff[i]) * out[i];
@@ -96,7 +96,7 @@ TEST(GoogleNetLikeTest, BuildsAndForwardsAllRatios) {
     spec.width_ratio = r;
     auto built = fam.Build(spec, rng);
     const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-    EXPECT_EQ(built.net->Forward(x, true).shape(), Shape({2, 10})) << r;
+    EXPECT_EQ(built.net->Forward(x).shape(), Shape({2, 10})) << r;
   }
 }
 
@@ -114,7 +114,7 @@ TEST(GoogleNetLikeTest, MappingGathersFromGlobal) {
     // Must not throw and must produce exactly matching shapes.
     store.LoadInto(*sub.net, sub.mapping);
     const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-    EXPECT_EQ(sub.net->Forward(x, false).dim(1), 10);
+    EXPECT_EQ(sub.net->Infer(x, nn::NormStats::kRunning).dim(1), 10);
   }
 }
 
@@ -126,7 +126,7 @@ TEST(GoogleNetLikeTest, DepthSlicingKeepsBlocks) {
   auto built = fam.Build(spec, rng);
   EXPECT_EQ(built.trunk().num_blocks(), 2);  // of 4
   const Tensor x = Tensor::Randn({1, 3, 8, 8}, rng);
-  EXPECT_EQ(built.net->Forward(x, false).dim(1), 10);
+  EXPECT_EQ(built.net->Infer(x, nn::NormStats::kRunning).dim(1), 10);
 }
 
 TEST(GoogleNetLikeTest, TrainsOneStep) {
@@ -134,7 +134,7 @@ TEST(GoogleNetLikeTest, TrainsOneStep) {
   GoogleNetLike fam(GoogleNetLikeConfig{});
   auto built = fam.Build(BuildSpec{}, rng);
   const Tensor x = Tensor::Randn({4, 3, 8, 8}, rng);
-  const Tensor logits = built.net->Forward(x, true);
+  const Tensor logits = built.net->Forward(x);
   Tensor grad(logits.shape(), 0.1f);
   built.net->ZeroGrad();
   built.net->Backward(grad);
@@ -168,7 +168,7 @@ TEST(EfficientNetLikeTest, ForwardShape) {
   EfficientNetLike fam(EfficientNetLikeConfig{});
   auto built = fam.Build(BuildSpec{}, rng);
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-  EXPECT_EQ(built.net->Forward(x, true).shape(), Shape({2, 10}));
+  EXPECT_EQ(built.net->Forward(x).shape(), Shape({2, 10}));
 }
 
 TEST(MixedCvFamiliesTest, FourDistinctArchitectures) {

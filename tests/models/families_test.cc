@@ -1,6 +1,7 @@
 // Cross-family structural tests: every family must build at every
 // width/depth ratio, produce correctly shaped logits, and yield a parameter
 // mapping that gathers consistently from the full model's tensors.
+#include <algorithm>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -43,7 +44,7 @@ TEST_P(AllFamiliesTest, FullBuildForwardShape) {
     BuildSpec spec;
     BuiltModel m = fam->Build(spec, rng);
     const Tensor x = MakeInput(*fam, 3, rng);
-    const Tensor logits = m.net->Forward(x, true);
+    const Tensor logits = m.net->Forward(x);
     EXPECT_EQ(logits.shape(), Shape({3, fam->num_classes()}))
         << fam->name();
   }
@@ -57,7 +58,7 @@ TEST_P(AllFamiliesTest, WidthRatiosBuildAndForward) {
     spec.width_ratio = r;
     BuiltModel m = tm.primary->Build(spec, rng);
     const Tensor x = MakeInput(*tm.primary, 2, rng);
-    const Tensor logits = m.net->Forward(x, false);
+    const Tensor logits = m.net->Infer(x, nn::NormStats::kRunning);
     EXPECT_EQ(logits.dim(1), tm.primary->num_classes());
   }
 }
@@ -74,7 +75,8 @@ TEST_P(AllFamiliesTest, DepthRatiosKeepBlocks) {
     EXPECT_LE(trunk.num_blocks(), total);
     EXPECT_GE(trunk.num_blocks(), 1);
     const Tensor x = MakeInput(*tm.primary, 2, rng);
-    EXPECT_EQ(m.net->Forward(x, false).dim(1), tm.primary->num_classes());
+    EXPECT_EQ(m.net->Infer(x, nn::NormStats::kRunning).dim(1),
+              tm.primary->num_classes());
   }
   // Full depth keeps everything.
   BuildSpec full;
@@ -101,7 +103,7 @@ TEST_P(AllFamiliesTest, MultiHeadHasHeadPerBlock) {
   auto& trunk = m.trunk();
   EXPECT_EQ(trunk.num_heads(), trunk.num_blocks());
   const Tensor x = MakeInput(*tm.primary, 2, rng);
-  const auto logits = trunk.ForwardHeads(x, true);
+  const auto logits = trunk.ForwardHeads(x);
   EXPECT_EQ(static_cast<int>(logits.size()), trunk.num_heads());
   for (const auto& l : logits) {
     EXPECT_EQ(l.shape(), Shape({2, tm.primary->num_classes()}));
@@ -154,7 +156,8 @@ TEST_P(AllFamiliesTest, RollingOffsetsStayValid) {
     spec.width_offset = offset;
     BuiltModel m = tm.primary->Build(spec, rng);
     const Tensor x = MakeInput(*tm.primary, 2, rng);
-    EXPECT_EQ(m.net->Forward(x, false).dim(1), tm.primary->num_classes());
+    EXPECT_EQ(m.net->Infer(x, nn::NormStats::kRunning).dim(1),
+              tm.primary->num_classes());
   }
 }
 
@@ -171,11 +174,11 @@ TEST_P(AllFamiliesTest, SubModelTrainsOneStep) {
   std::vector<int> y = {0, 1, 0, 1};
   sgd.ZeroGrad();
   Tensor grad;
-  const double l0 = nn::SoftmaxCrossEntropy(m.net->Forward(x, true), y, grad);
+  const double l0 = nn::SoftmaxCrossEntropy(m.net->Forward(x), y, grad);
   m.net->Backward(grad);
   sgd.Step();
   Tensor grad2;
-  const double l1 = nn::SoftmaxCrossEntropy(m.net->Forward(x, true), y, grad2);
+  const double l1 = nn::SoftmaxCrossEntropy(m.net->Forward(x), y, grad2);
   EXPECT_LT(l1, l0 + 0.05) << tm.primary->name();
 }
 
@@ -188,7 +191,7 @@ TEST(TrunkModelTest, MultiHeadBackwardTrainsAllHeads) {
   auto& trunk = m.trunk();
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
   std::vector<int> y = {0, 1};
-  auto logits = trunk.ForwardHeads(x, true);
+  auto logits = trunk.ForwardHeads(x);
   std::vector<Tensor> grads(logits.size());
   for (std::size_t h = 0; h < logits.size(); ++h) {
     nn::SoftmaxCrossEntropy(logits[h], y, grads[h]);
@@ -217,7 +220,7 @@ TEST(TrunkModelTest, PartialHeadGradientsSkipMissing) {
   BuiltModel m = tm.primary->Build(spec, rng);
   auto& trunk = m.trunk();
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-  auto logits = trunk.ForwardHeads(x, true);
+  auto logits = trunk.ForwardHeads(x);
   std::vector<Tensor> grads(logits.size());  // all empty except the first
   grads[0] = Tensor(logits[0].shape(), 1.0f);
   trunk.ZeroGrad();
@@ -244,9 +247,16 @@ TEST(TrunkModelTest, CapturesEmbedding) {
   auto& trunk = m.trunk();
   trunk.set_capture_embedding(true);
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-  trunk.ForwardHeads(x, false);
+  trunk.ForwardHeads(x);
   EXPECT_FALSE(trunk.last_embedding().empty());
   EXPECT_EQ(trunk.last_embedding().dim(0), 2);
+  // The evaluation pass returns the same embedding (batch statistics match
+  // the training pass) without touching the model.
+  const Tensor emb =
+      trunk.InferHeads(x, nn::NormStats::kBatch, /*embedding=*/true).embedding;
+  EXPECT_EQ(emb.shape(), trunk.last_embedding().shape());
+  EXPECT_TRUE(std::equal(emb.data().begin(), emb.data().end(),
+                         trunk.last_embedding().data().begin()));
 }
 
 TEST(ZooTest, UnknownTaskThrows) {

@@ -124,7 +124,7 @@ TEST_P(SlicingSweep, MultiHeadExitsConsistent) {
   if (in.size() == 2) {  // token ids
     for (auto& v : x.data()) v = 1.0f;
   }
-  const auto logits = trunk.ForwardHeads(x, false);
+  const auto logits = trunk.InferHeads(x, nn::NormStats::kRunning).logits;
   for (const auto& l : logits) {
     EXPECT_EQ(l.shape(), Shape({2, tm.primary->num_classes()}));
   }

@@ -13,13 +13,13 @@ namespace {
 TEST(ReluTest, ClampsNegatives) {
   ReLU relu;
   Tensor x = Tensor::FromVector({-1, 0, 2});
-  EXPECT_TRUE(relu.Forward(x, true).AllClose(Tensor::FromVector({0, 0, 2})));
+  EXPECT_TRUE(relu.Forward(x).AllClose(Tensor::FromVector({0, 0, 2})));
 }
 
 TEST(ReluTest, GradientMasksNegatives) {
   ReLU relu;
   Tensor x = Tensor::FromVector({-1, 2});
-  relu.Forward(x, true);
+  relu.Forward(x);
   const Tensor g = relu.Backward(Tensor::FromVector({5, 5}));
   EXPECT_TRUE(g.AllClose(Tensor::FromVector({0, 5})));
 }
@@ -38,11 +38,11 @@ TEST(ReluTest, GradientCheck) {
 TEST(GeluTest, KnownValues) {
   Gelu gelu;
   Tensor x = Tensor::FromVector({0.0f});
-  EXPECT_NEAR(gelu.Forward(x, true)[0], 0.0f, 1e-6);
+  EXPECT_NEAR(gelu.Forward(x)[0], 0.0f, 1e-6);
   Tensor big = Tensor::FromVector({10.0f});
-  EXPECT_NEAR(gelu.Forward(big, true)[0], 10.0f, 1e-3);
+  EXPECT_NEAR(gelu.Forward(big)[0], 10.0f, 1e-3);
   Tensor neg = Tensor::FromVector({-10.0f});
-  EXPECT_NEAR(gelu.Forward(neg, true)[0], 0.0f, 1e-3);
+  EXPECT_NEAR(gelu.Forward(neg)[0], 0.0f, 1e-3);
 }
 
 TEST(GeluTest, GradientCheck) {
@@ -55,7 +55,7 @@ TEST(GeluTest, GradientCheck) {
 TEST(TanhTest, KnownValuesAndGradient) {
   Tanh tanh;
   Tensor x = Tensor::FromVector({0.0f, 100.0f});
-  const Tensor y = tanh.Forward(x, true);
+  const Tensor y = tanh.Forward(x);
   EXPECT_NEAR(y[0], 0.0f, 1e-6);
   EXPECT_NEAR(y[1], 1.0f, 1e-5);
   Rng rng(3);

@@ -109,10 +109,10 @@ TEST(AdamTest, TrainsMlpFasterThanPlainSgdOnIllConditioned) {
     for (int e = 0; e < 30; ++e) {
       opt->ZeroGrad();
       Tensor grad;
-      SoftmaxCrossEntropy(net->Forward(x, true), y, grad);
+      SoftmaxCrossEntropy(net->Forward(x), y, grad);
       net->Backward(grad);
       opt->Step();
-      acc = Accuracy(net->Forward(x, false), y);
+      acc = Accuracy(net->Infer(x, NormStats::kRunning), y);
     }
     return acc;
   };

@@ -12,7 +12,7 @@ TEST(AttentionTest, OutputShape) {
   Rng rng(1);
   MultiHeadSelfAttention attn(8, 2, rng);
   const Tensor x = Tensor::Randn({2, 5, 8}, rng);
-  EXPECT_EQ(attn.Forward(x, true).shape(), Shape({2, 5, 8}));
+  EXPECT_EQ(attn.Forward(x).shape(), Shape({2, 5, 8}));
 }
 
 TEST(AttentionTest, RejectsIndivisibleHeads) {
@@ -26,8 +26,8 @@ TEST(AttentionTest, SingleTokenActsLikeProjection) {
   Rng rng(3);
   MultiHeadSelfAttention attn(4, 1, rng);
   const Tensor x = Tensor::Randn({1, 1, 4}, rng);
-  const Tensor y1 = attn.Forward(x, true);
-  const Tensor y2 = attn.Forward(x, true);
+  const Tensor y1 = attn.Forward(x);
+  const Tensor y2 = attn.Forward(x);
   EXPECT_TRUE(y1.AllClose(y2));
 }
 
@@ -37,14 +37,14 @@ TEST(AttentionTest, PermutationEquivariance) {
   Rng rng(4);
   MultiHeadSelfAttention attn(4, 2, rng);
   Tensor x = Tensor::Randn({1, 3, 4}, rng);
-  const Tensor y = attn.Forward(x, true);
+  const Tensor y = attn.Forward(x);
   // Swap tokens 0 and 2 in the input.
   Tensor xp = x;
   for (int j = 0; j < 4; ++j) {
     std::swap(xp[static_cast<std::size_t>(j)],
               xp[static_cast<std::size_t>(2 * 4 + j)]);
   }
-  const Tensor yp = attn.Forward(xp, true);
+  const Tensor yp = attn.Forward(xp);
   for (int j = 0; j < 4; ++j) {
     EXPECT_NEAR(y[static_cast<std::size_t>(j)],
                 yp[static_cast<std::size_t>(2 * 4 + j)], 1e-4);

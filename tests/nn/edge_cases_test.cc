@@ -20,7 +20,7 @@ TEST(EdgeCaseTest, EmptySequentialIsIdentity) {
   Sequential net;
   Rng rng(1);
   const Tensor x = Tensor::Randn({2, 3}, rng);
-  EXPECT_TRUE(net.Forward(x, true).AllClose(x));
+  EXPECT_TRUE(net.Forward(x).AllClose(x));
   EXPECT_TRUE(net.Backward(x).AllClose(x));
 }
 
@@ -29,7 +29,7 @@ TEST(EdgeCaseTest, BatchSizeOneBatchNormTrain) {
   Rng rng(2);
   BatchNorm bn(2);
   const Tensor x = Tensor::Randn({1, 2, 4, 4}, rng);
-  const Tensor y = bn.Forward(x, true);
+  const Tensor y = bn.Forward(x);
   EXPECT_EQ(y.shape(), x.shape());
   for (std::size_t i = 0; i < y.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(y[i]));
@@ -40,9 +40,9 @@ TEST(EdgeCaseTest, EmbeddingRejectsOutOfVocabIds) {
   Rng rng(3);
   Embedding emb(8, 4, rng);
   Tensor bad({1, 2}, std::vector<Scalar>{0, 8});
-  EXPECT_THROW(emb.Forward(bad, true), Error);
+  EXPECT_THROW(emb.Forward(bad), Error);
   Tensor neg({1, 1}, std::vector<Scalar>{-1});
-  EXPECT_THROW(emb.Forward(neg, true), Error);
+  EXPECT_THROW(emb.Forward(neg), Error);
 }
 
 TEST(EdgeCaseTest, SingleHeadAttentionMatchesMultiHeadShapes) {
@@ -50,7 +50,7 @@ TEST(EdgeCaseTest, SingleHeadAttentionMatchesMultiHeadShapes) {
   MultiHeadSelfAttention one(8, 1, rng);
   MultiHeadSelfAttention four(8, 4, rng);
   const Tensor x = Tensor::Randn({2, 3, 8}, rng);
-  EXPECT_EQ(one.Forward(x, true).shape(), four.Forward(x, true).shape());
+  EXPECT_EQ(one.Forward(x).shape(), four.Forward(x).shape());
 }
 
 TEST(EdgeCaseTest, CrossEntropySingleClass) {
@@ -73,7 +73,7 @@ TEST(EdgeCaseTest, Conv1x1ActsAsPerPixelLinear) {
   const Tensor w = Tensor::Randn({3, 2, 1, 1}, rng);
   Conv2d conv(w, Tensor(), 1, 0);
   const Tensor x = Tensor::Randn({1, 2, 4, 4}, rng);
-  const Tensor y = conv.Forward(x, true);
+  const Tensor y = conv.Forward(x);
   // Check one pixel by hand.
   for (int oc = 0; oc < 3; ++oc) {
     const float expect = w.at({oc, 0, 0, 0}) * x.at({0, 0, 2, 1}) +
@@ -87,7 +87,7 @@ TEST(EdgeCaseTest, ResidualShapeMismatchThrows) {
   auto body = std::make_unique<Linear>(3, 4, rng);  // changes width
   Residual res(std::move(body), nullptr);           // identity skip
   const Tensor x = Tensor::Randn({2, 3}, rng);
-  EXPECT_THROW(res.Forward(x, true), Error);
+  EXPECT_THROW(res.Forward(x), Error);
 }
 
 TEST(EdgeCaseTest, ConcatBranchMismatchedSpatialThrows) {
@@ -97,7 +97,7 @@ TEST(EdgeCaseTest, ConcatBranchMismatchedSpatialThrows) {
   branches.push_back(std::make_unique<Conv2d>(1, 2, 3, 2, 1, rng));  // 4x4
   ConcatBranches cat(std::move(branches));
   const Tensor x = Tensor::Randn({1, 1, 8, 8}, rng);
-  EXPECT_THROW(cat.Forward(x, true), Error);
+  EXPECT_THROW(cat.Forward(x), Error);
 }
 
 TEST(EdgeCaseTest, ZeroGradResetsEntireTree) {
@@ -108,7 +108,7 @@ TEST(EdgeCaseTest, ZeroGradResetsEntireTree) {
   net.Add(std::make_unique<Linear>(4, 2, rng));
   const Tensor x = Tensor::Randn({3, 2}, rng);
   Tensor grad;
-  SoftmaxCrossEntropy(net.Forward(x, true), {0, 1, 0}, grad);
+  SoftmaxCrossEntropy(net.Forward(x), {0, 1, 0}, grad);
   net.Backward(grad);
   net.ZeroGrad();
   std::vector<NamedParam> params;

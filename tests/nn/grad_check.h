@@ -15,7 +15,6 @@ namespace mhbench::nn::testing {
 struct GradCheckOptions {
   float epsilon = 1e-2f;
   float tolerance = 2e-2f;  // relative-ish tolerance on gradients
-  bool train = true;
   bool check_params = true;
   // Check at most this many coordinates per tensor (spread evenly); keeps
   // large layers fast.
@@ -26,11 +25,11 @@ inline void ExpectGradientsClose(Module& module, const Tensor& input,
                                  Rng& rng, const GradCheckOptions& opts = {}) {
   Tensor coeffs;
   {
-    const Tensor y = module.Forward(input, opts.train);
+    const Tensor y = module.Forward(input);
     coeffs = Tensor::Randn(y.shape(), rng);
   }
   auto loss_at = [&](const Tensor& x) -> double {
-    const Tensor y = module.Forward(x, opts.train);
+    const Tensor y = module.Forward(x);
     double l = 0.0;
     for (std::size_t i = 0; i < y.numel(); ++i) {
       l += static_cast<double>(coeffs[i]) * y[i];
@@ -40,7 +39,7 @@ inline void ExpectGradientsClose(Module& module, const Tensor& input,
 
   // Analytic gradients.
   module.ZeroGrad();
-  module.Forward(input, opts.train);
+  module.Forward(input);
   const Tensor grad_input = module.Backward(coeffs);
   ASSERT_EQ(grad_input.shape(), input.shape());
 

@@ -85,10 +85,10 @@ TEST(CompositeGradTest, EmbeddingGradient) {
   Embedding emb(10, 4, rng);
   // Integer ids as tensor.
   Tensor ids({2, 3}, std::vector<Scalar>{0, 5, 9, 5, 5, 1});
-  const Tensor y = emb.Forward(ids, true);
+  const Tensor y = emb.Forward(ids);
   Tensor coeffs = Tensor::Randn(y.shape(), rng);
   emb.ZeroGrad();
-  emb.Forward(ids, true);
+  emb.Forward(ids);
   emb.Backward(coeffs);
   // Token 5 appears three times: its gradient row is the sum of the three
   // coefficient rows.
@@ -120,7 +120,7 @@ TEST(CompositeGradTest, FlattenRoundTrip) {
   Rng rng(10);
   Flatten flat;
   const Tensor x = Tensor::Randn({2, 3, 4}, rng);
-  const Tensor y = flat.Forward(x, true);
+  const Tensor y = flat.Forward(x);
   EXPECT_EQ(y.shape(), Shape({2, 12}));
   const Tensor gx = flat.Backward(y);
   EXPECT_EQ(gx.shape(), x.shape());

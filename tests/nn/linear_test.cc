@@ -13,7 +13,7 @@ TEST(LinearTest, ForwardKnownValues) {
   Linear lin(Tensor({2, 2}, std::vector<Scalar>{1, 2, 3, 4}),
              Tensor::FromVector({10, 20}));
   Tensor x({1, 2}, std::vector<Scalar>{1, 1});
-  const Tensor y = lin.Forward(x, true);
+  const Tensor y = lin.Forward(x);
   EXPECT_TRUE(y.AllClose(Tensor({1, 2}, std::vector<Scalar>{13, 27})));
 }
 
@@ -21,7 +21,7 @@ TEST(LinearTest, NoBiasVariant) {
   Linear lin(Tensor({1, 2}, std::vector<Scalar>{2, 3}), Tensor());
   EXPECT_FALSE(lin.has_bias());
   Tensor x({1, 2}, std::vector<Scalar>{1, 1});
-  EXPECT_TRUE(lin.Forward(x, true).AllClose(Tensor({1, 1}, {5.0f})));
+  EXPECT_TRUE(lin.Forward(x).AllClose(Tensor({1, 1}, {5.0f})));
 }
 
 TEST(LinearTest, ShapesValidated) {
@@ -30,7 +30,7 @@ TEST(LinearTest, ShapesValidated) {
   EXPECT_EQ(lin.in_features(), 3);
   EXPECT_EQ(lin.out_features(), 4);
   Tensor bad({2, 5});
-  EXPECT_THROW(lin.Forward(bad, true), Error);
+  EXPECT_THROW(lin.Forward(bad), Error);
 }
 
 TEST(LinearTest, GradientCheck) {
@@ -52,10 +52,10 @@ TEST(LinearTest, GradAccumulatesAcrossBackwards) {
   Linear lin(2, 2, rng);
   const Tensor x = Tensor::Randn({3, 2}, rng);
   const Tensor g = Tensor::Randn({3, 2}, rng);
-  lin.Forward(x, true);
+  lin.Forward(x);
   lin.Backward(g);
   const Tensor after_one = lin.weight().grad;
-  lin.Forward(x, true);
+  lin.Forward(x);
   lin.Backward(g);
   Tensor doubled = after_one;
   doubled.Scale(2.0f);

@@ -66,6 +66,13 @@ TEST(AccuracyTest, CountsCorrectRows) {
   EXPECT_NEAR(Accuracy(logits, {0, 1, 1}), 2.0 / 3.0, 1e-9);
 }
 
+TEST(AccuracyTest, CountCorrectIsTheExactInteger) {
+  Tensor logits({3, 2}, std::vector<Scalar>{1, 0, 0, 1, 1, 0});
+  EXPECT_EQ(CountCorrect(logits, {0, 1, 1}), 2);
+  EXPECT_EQ(CountCorrect(logits, {1, 0, 1}), 0);
+  EXPECT_THROW(CountCorrect(logits, {0, 1}), Error);
+}
+
 TEST(DistillationTest, MatchingDistributionsZeroLoss) {
   Rng rng(3);
   Tensor logits = Tensor::Randn({2, 4}, rng);

@@ -14,7 +14,7 @@ TEST(BatchNormTest, NormalizesTrainingBatch) {
   Rng rng(1);
   BatchNorm bn(3);
   const Tensor x = Tensor::Randn({16, 3, 4, 4}, rng, 5.0f);
-  const Tensor y = bn.Forward(x, true);
+  const Tensor y = bn.Forward(x);
   // Per-channel mean ~0, var ~1.
   const int n = 16, c = 3, s = 16;
   for (int ch = 0; ch < c; ++ch) {
@@ -47,7 +47,7 @@ TEST(BatchNormTest, RunningStatsConverge) {
             -1.0f + static_cast<Scalar>(rng.Gaussian()) * 0.1f;
       }
     }
-    bn.Forward(x, true);
+    bn.Forward(x);
   }
   EXPECT_NEAR(bn.running_mean().value[0], 3.0, 0.1);
   EXPECT_NEAR(bn.running_mean().value[1], -1.0, 0.1);
@@ -58,7 +58,7 @@ TEST(BatchNormTest, EvalUsesRunningStats) {
   bn.running_mean().value[0] = 2.0f;
   bn.running_var().value[0] = 4.0f;
   Tensor x({1, 1, 1, 2}, std::vector<Scalar>{2.0f, 4.0f});
-  const Tensor y = bn.Forward(x, false);
+  const Tensor y = bn.Infer(x, NormStats::kRunning);
   EXPECT_NEAR(y[0], 0.0f, 1e-4);
   EXPECT_NEAR(y[1], (4.0 - 2.0) / std::sqrt(4.0 + 1e-5), 1e-4);
 }
@@ -70,7 +70,7 @@ TEST(BatchNormTest, AffineParametersApplied) {
   bn.running_mean().value[0] = 0.0f;
   bn.running_var().value[0] = 1.0f;
   Tensor x({1, 1, 1, 1}, std::vector<Scalar>{1.0f});
-  const Tensor y = bn.Forward(x, false);
+  const Tensor y = bn.Infer(x, NormStats::kRunning);
   EXPECT_NEAR(y[0], 12.0f, 1e-3);
 }
 
@@ -83,20 +83,11 @@ TEST(BatchNormTest, GradientCheckTrainMode) {
   testing::ExpectGradientsClose(bn, x, rng, opts);
 }
 
-TEST(BatchNormTest, GradientCheckEvalMode) {
-  Rng rng(4);
-  BatchNorm bn(2);
-  const Tensor x = Tensor::Randn({3, 2, 2, 2}, rng);
-  testing::GradCheckOptions opts;
-  opts.train = false;
-  testing::ExpectGradientsClose(bn, x, rng, opts);
-}
-
 TEST(BatchNormTest, WorksOn2dInput) {
   Rng rng(5);
   BatchNorm bn(4);
   const Tensor x = Tensor::Randn({8, 4}, rng);
-  const Tensor y = bn.Forward(x, true);
+  const Tensor y = bn.Forward(x);
   EXPECT_EQ(y.shape(), x.shape());
 }
 
@@ -113,7 +104,7 @@ TEST(LayerNormTest, NormalizesRows) {
   Rng rng(6);
   LayerNorm ln(8);
   const Tensor x = Tensor::Randn({4, 8}, rng, 3.0f);
-  const Tensor y = ln.Forward(x, true);
+  const Tensor y = ln.Forward(x);
   for (int i = 0; i < 4; ++i) {
     double sum = 0, sq = 0;
     for (int j = 0; j < 8; ++j) {
@@ -129,7 +120,7 @@ TEST(LayerNormTest, WorksOnRank3) {
   Rng rng(7);
   LayerNorm ln(4);
   const Tensor x = Tensor::Randn({2, 3, 4}, rng);
-  EXPECT_EQ(ln.Forward(x, true).shape(), x.shape());
+  EXPECT_EQ(ln.Forward(x).shape(), x.shape());
 }
 
 TEST(LayerNormTest, GradientCheck) {
@@ -144,7 +135,7 @@ TEST(LayerNormTest, GradientCheck) {
 TEST(LayerNormTest, DimMismatchThrows) {
   LayerNorm ln(4);
   Tensor x({2, 5});
-  EXPECT_THROW(ln.Forward(x, true), Error);
+  EXPECT_THROW(ln.Forward(x), Error);
 }
 
 }  // namespace

@@ -44,12 +44,12 @@ TEST(TrainingTest, MlpLearnsBlobs) {
   double final_acc = 0;
   for (int epoch = 0; epoch < 60; ++epoch) {
     sgd.ZeroGrad();
-    const Tensor logits = net.Forward(x, true);
+    const Tensor logits = net.Forward(x);
     Tensor grad;
     SoftmaxCrossEntropy(logits, y, grad);
     net.Backward(grad);
     sgd.Step();
-    final_acc = Accuracy(net.Forward(x, false), y);
+    final_acc = Accuracy(net.Infer(x, NormStats::kRunning), y);
   }
   EXPECT_GT(final_acc, 0.95);
 }
@@ -71,7 +71,7 @@ TEST(TrainingTest, LossDecreasesMonotonicallyEarly) {
   double prev = 1e9;
   for (int i = 0; i < 10; ++i) {
     sgd.ZeroGrad();
-    const double loss = SoftmaxCrossEntropy(net.Forward(x, true), y, grad);
+    const double loss = SoftmaxCrossEntropy(net.Forward(x), y, grad);
     net.Backward(grad);
     sgd.Step();
     EXPECT_LT(loss, prev + 1e-6);
@@ -108,11 +108,11 @@ TEST(TrainingTest, SmallCnnLearnsPatterns) {
   for (int epoch = 0; epoch < 40; ++epoch) {
     sgd.ZeroGrad();
     Tensor grad;
-    SoftmaxCrossEntropy(net.Forward(x, true), y, grad);
+    SoftmaxCrossEntropy(net.Forward(x), y, grad);
     net.Backward(grad);
     sgd.Step();
   }
-  EXPECT_GT(Accuracy(net.Forward(x, false), y), 0.9);
+  EXPECT_GT(Accuracy(net.Infer(x, NormStats::kRunning), y), 0.9);
 }
 
 }  // namespace

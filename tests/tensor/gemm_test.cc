@@ -284,7 +284,7 @@ TEST(GemmTest, ThreadedBelowThresholdAndNestedStaysSerial) {
   bool ran_in_worker = false;
   std::promise<void> done;
   pool.Submit([&] {
-    ran_in_worker = core::ThreadPool::InWorker();
+    ran_in_worker = core::InParallelRegion();
     Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, nested.data(),
          n);
     done.set_value();
@@ -368,7 +368,7 @@ TEST(ScratchArenaTest, ConvForwardSteadyStateAllocatesNothing) {
   nn::Conv2d conv(3, 8, 3, 1, 1, rng);
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
   for (int warmup = 0; warmup < 2; ++warmup) {
-    Tensor y = conv.Forward(x, true);
+    Tensor y = conv.Forward(x);
     Tensor g(y.shape(), 1.0f);
     conv.Backward(g);
     kernels::ResetThreadScratch();
@@ -376,7 +376,7 @@ TEST(ScratchArenaTest, ConvForwardSteadyStateAllocatesNothing) {
   const auto heap_before = Tensor::ThreadAllocStats().heap_allocs;
   const auto chunks_before = kernels::ScratchChunkAllocs();
   for (int step = 0; step < 3; ++step) {
-    Tensor y = conv.Forward(x, true);
+    Tensor y = conv.Forward(x);
     Tensor g(y.shape(), 1.0f);
     conv.Backward(g);
     kernels::ResetThreadScratch();

@@ -102,7 +102,7 @@ TEST_P(ConvReference, ForwardMatchesDirectConvolution) {
   const Tensor x = Tensor::Randn({2, cin, 8, 8}, rng);
   const Tensor w = Tensor::Randn({cout, cin, k, k}, rng, 0.5f);
   nn::Conv2d conv(w, Tensor(), stride, pad);
-  const Tensor got = conv.Forward(x, false);
+  const Tensor got = conv.Infer(x, nn::NormStats::kRunning);
   const Tensor expect = NaiveConv2d(x, w, stride, pad);
   EXPECT_TRUE(got.AllClose(expect, 1e-3f));
 }

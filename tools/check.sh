@@ -9,7 +9,8 @@
 # client journals, and mhb_diffs exporter-on against exporter-off; and a
 # determinism-audit smoke that bisects 1-thread vs 2-thread det-audit
 # ledgers, exercises the injected-divergence seam, and asserts the auditor
-# itself leaves manifests and journals bit-identical), then again under
+# itself leaves manifests and journals bit-identical; and a liveness smoke
+# that fails if a nested-parallelism run hangs), then again under
 # ThreadSanitizer (MHBENCH_SANITIZE=thread) to race-check the parallel
 # round executor and the exporter.  Run from anywhere; builds live in
 # build*/ siblings.
@@ -499,6 +500,27 @@ smoke_e2ebench() {
   echo "check.sh: e2ebench fidelity test passed"
 }
 
+# Liveness smoke for nested parallelism: Fed-ET at two threads with the
+# threaded GEMM on (serial phases fan GEMMs out to the pool while the
+# stability eval fans clients out) and FedProto at four threads (parallel
+# global eval creating the committee states).  A deadlock hangs rather than
+# fails, so each run gets 60 s; a timeout fails the leg.
+smoke_liveness() {
+  local build_dir="$1"
+  local args
+  for args in \
+    "--algorithm fedet --threads 2 --threaded-gemm 1" \
+    "--algorithm fedproto --threads 4"; do
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    if ! timeout 60 "$build_dir/tools/mhbench" run --task cifar10 \
+        --rounds 3 --clients 8 $args >/dev/null; then
+      echo "check.sh: 'mhbench run $args' failed or hung (60 s)" >&2
+      return 1
+    fi
+  done
+  echo "check.sh: liveness smoke passed"
+}
+
 # Writes the observability artifacts of two small profiled runs into
 # $build_dir/obs-artifacts so CI can upload them alongside the bench
 # report: per-run manifests, rounds.csv + tiers.csv, client journals, and
@@ -529,8 +551,10 @@ case "$mode" in
     smoke_resume "$repo/build"
     smoke_live "$repo/build"
     smoke_det_audit "$repo/build"
+    smoke_liveness "$repo/build"
     run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
     smoke_live "$repo/build-tsan"
+    smoke_liveness "$repo/build-tsan"
     ;;
   --lint) run_lint ;;
   --plain)
@@ -539,10 +563,12 @@ case "$mode" in
     smoke_resume "$repo/build"
     smoke_live "$repo/build"
     smoke_det_audit "$repo/build"
+    smoke_liveness "$repo/build"
     ;;
   --tsan)
     run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
     smoke_live "$repo/build-tsan"
+    smoke_liveness "$repo/build-tsan"
     ;;
   --asan)  run_suite "$repo/build-asan" -DMHBENCH_SANITIZE=address ;;
   --ubsan)

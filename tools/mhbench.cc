@@ -20,8 +20,9 @@
 //               [--watchdog-sec SEC] [--watchdog-abort 0|1]
 //               [--det-audit path|1]
 //       Run one federated experiment and print the metric panel.
-//       --threads parallelizes client training and stability evaluation;
-//       results are bit-identical for any thread count.
+//       --threads parallelizes client training, global and stability
+//       evaluation and Fed-ET's distillation teachers; results are
+//       bit-identical for any thread count.
 //       --threaded-gemm 1 additionally routes kernel macro-tile
 //       parallelism to the same pool during serial phases (bit-identical
 //       either way; no-op with --threads 1).  The kernel ISA follows
