@@ -74,4 +74,12 @@ void WriteFileAtomic(const std::string& path,
                                    bytes.size()));
 }
 
+void AppendFile(const std::string& path, std::string_view content) {
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  if (!f.good()) throw Error("cannot open " + path);
+  f.write(content.data(), static_cast<std::streamsize>(content.size()));
+  f.flush();
+  if (!f.good()) throw Error("failed appending to " + path);
+}
+
 }  // namespace mhbench

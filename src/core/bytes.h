@@ -126,4 +126,9 @@ void WriteFileAtomic(const std::string& path, std::string_view content);
 void WriteFileAtomic(const std::string& path,
                      const std::vector<std::uint8_t>& bytes);
 
+// Appends `content` to `path` (created if missing) with one write, then
+// flushes.  Not atomic: a concurrent reader may see a partial tail until
+// the call returns.  Throws `Error` on any I/O failure.
+void AppendFile(const std::string& path, std::string_view content);
+
 }  // namespace mhbench

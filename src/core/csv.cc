@@ -25,6 +25,16 @@ std::string Quote(const std::string& cell) {
 
 }  // namespace
 
+std::string CsvRow(const std::vector<std::string>& cells) {
+  std::string out;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i) out += ',';
+    out += Quote(cells[i]);
+  }
+  out += '\n';
+  return out;
+}
+
 CsvWriter::CsvWriter(std::vector<std::string> header)
     : header_(std::move(header)) {
   MHB_CHECK(!header_.empty());
@@ -48,17 +58,9 @@ void CsvWriter::AddRow(const std::vector<double>& row) {
 }
 
 std::string CsvWriter::ToString() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ",";
-      out << Quote(row[i]);
-    }
-    out << "\n";
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out.str();
+  std::string out = CsvRow(header_);
+  for (const auto& r : rows_) out += CsvRow(r);
+  return out;
 }
 
 void CsvWriter::WriteFile(const std::string& path) const {

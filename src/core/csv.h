@@ -7,6 +7,10 @@
 
 namespace mhbench {
 
+// One CSV line: `cells` joined by commas (RFC-4180 quoting for cells
+// containing commas, quotes or newlines), terminated by "\n".
+std::string CsvRow(const std::vector<std::string>& cells);
+
 class CsvWriter {
  public:
   explicit CsvWriter(std::vector<std::string> header);

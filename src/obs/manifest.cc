@@ -4,13 +4,14 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
+#include <functional>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "core/bytes.h"
 #include "core/csv.h"
 #include "core/error.h"
+#include "core/mutex.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -79,24 +80,70 @@ std::string FormatDouble(double v) {
   return out.str();
 }
 
-// Header and row cells of histogram columns: `<h>_count`, `_p50`, `_p95`,
-// `_p99`.  A histogram absent from `hists` renders a zero count and blank
-// quantiles.
-void AppendHistHeader(std::vector<std::string>& header,
-                      const std::set<std::string>& hist_cols) {
-  for (const auto& h : hist_cols) {
-    for (const char* suffix : {"_count", "_p50", "_p95", "_p99"}) {
-      header.push_back(h + suffix);
-    }
+// One CSV line's source: its leading cells and the metrics it spreads over
+// the file's column union.
+struct CsvLine {
+  std::vector<std::string> lead;
+  const std::map<std::string, double>& gauges;
+  const std::map<std::string, std::int64_t>& counters;
+  const std::map<std::string, Registry::HistogramData>& hists;
+};
+
+using LineFn = std::function<void(const CsvLine&)>;
+// Calls `emit` for every line one round row contributes to a file.
+using RowLines = void (*)(const Registry::RoundRow& row, const LineFn& emit);
+
+// rounds.csv: one line per round row.
+void RoundLines(const Registry::RoundRow& row, const LineFn& emit) {
+  emit({{row.run, std::to_string(row.round)},
+        row.gauges,
+        row.counters,
+        row.hists});
+}
+
+// tiers.csv: one line per tier with twins in the row; tiers carry no
+// gauges.
+void TierLines(const Registry::RoundRow& row, const LineFn& emit) {
+  static const std::map<std::string, double> kNoGauges;
+  for (const auto& [tier, m] : GroupByTier(row.counters, row.hists)) {
+    emit({{row.run, std::to_string(row.round), tier},
+          kNoGauges,
+          m.counters,
+          m.hists});
   }
 }
 
-void AppendHistCells(
-    std::vector<std::string>& cells, const std::set<std::string>& hist_cols,
-    const std::map<std::string, Registry::HistogramData>& hists) {
-  for (const auto& h : hist_cols) {
-    auto it = hists.find(h);
-    if (it == hists.end()) {
+// `lead`, then the union's gauge, counter and histogram columns (each
+// histogram as `<h>_count`, `_p50`, `_p95`, `_p99`).
+std::string RenderHeader(std::vector<std::string> lead,
+                         const Registry::CsvPublishState& st) {
+  lead.insert(lead.end(), st.gauges.begin(), st.gauges.end());
+  lead.insert(lead.end(), st.counters.begin(), st.counters.end());
+  for (const auto& h : st.hists) {
+    for (const char* suffix : {"_count", "_p50", "_p95", "_p99"}) {
+      lead.push_back(h + suffix);
+    }
+  }
+  return CsvRow(lead);
+}
+
+// One line over the union: a gauge the line lacks renders blank, a counter
+// "0", a histogram a zero count and blank quantiles.
+std::string RenderLine(const CsvLine& line,
+                       const Registry::CsvPublishState& st) {
+  std::vector<std::string> cells = line.lead;
+  for (const auto& g : st.gauges) {
+    auto it = line.gauges.find(g);
+    cells.push_back(it == line.gauges.end() ? "" : FormatDouble(it->second));
+  }
+  for (const auto& c : st.counters) {
+    auto it = line.counters.find(c);
+    cells.push_back(
+        it == line.counters.end() ? "0" : std::to_string(it->second));
+  }
+  for (const auto& h : st.hists) {
+    auto it = line.hists.find(h);
+    if (it == line.hists.end()) {
       cells.insert(cells.end(), {"0", "", "", ""});
       continue;
     }
@@ -105,82 +152,75 @@ void AppendHistCells(
       cells.push_back(FormatDouble(it->second.Quantile(q)));
     }
   }
+  return CsvRow(cells);
+}
+
+// The one publish path behind WriteRoundsCsv and WriteTiersCsv; the rule is
+// documented in manifest.h.  `lead` names the leading cells `lines` fills.
+void PublishCsv(Registry::CsvPublishState& st, const std::string& path,
+                const std::vector<std::string>& lead,
+                const std::vector<Registry::RoundRow>& rows, RowLines lines) {
+  if (st.path != path) {  // another file: fold every row, then rewrite
+    st = Registry::CsvPublishState();
+    st.path = path;
+  }
+  const std::size_t first = st.rows;
+  bool grew = false;
+  std::size_t new_lines = 0;
+  for (std::size_t i = first; i < rows.size(); ++i) {
+    lines(rows[i], [&](const CsvLine& line) {
+      for (const auto& [k, v] : line.gauges) {
+        grew |= st.gauges.insert(k).second;
+      }
+      for (const auto& [k, v] : line.counters) {
+        grew |= st.counters.insert(k).second;
+      }
+      for (const auto& [k, v] : line.hists) {
+        grew |= st.hists.insert(k).second;
+      }
+      ++new_lines;
+    });
+  }
+  st.rows = rows.size();
+  if (st.bytes == 0 && new_lines == 0) return;  // no line to publish yet
+
+  std::error_code ec;
+  const std::uintmax_t on_disk = std::filesystem::file_size(path, ec);
+  const bool append = !grew && st.bytes != 0 && !ec && on_disk == st.bytes;
+  std::string text = append ? "" : RenderHeader(lead, st);
+  for (std::size_t i = append ? first : 0; i < rows.size(); ++i) {
+    lines(rows[i], [&](const CsvLine& line) { text += RenderLine(line, st); });
+  }
+  if (append && text.empty()) return;
+  st.path.clear();  // if the write throws, the next call starts over
+  if (append) {
+    AppendFile(path, text);
+    st.bytes += text.size();
+  } else {
+    WriteFileAtomic(path, text);
+    st.bytes = text.size();
+  }
+  st.path = path;
 }
 
 }  // namespace
 
-void WriteRoundsCsv(const std::string& run_dir, const Registry& registry) {
-  if (registry.rounds().empty()) return;
-  // Column set: the union of counter / gauge / histogram names over all
-  // rows, so every row renders the same schema.
-  std::set<std::string> counter_cols;
-  std::set<std::string> gauge_cols;
-  std::set<std::string> hist_cols;
-  for (const auto& row : registry.rounds()) {
-    for (const auto& [k, v] : row.counters) counter_cols.insert(k);
-    for (const auto& [k, v] : row.gauges) gauge_cols.insert(k);
-    for (const auto& [k, v] : row.hists) hist_cols.insert(k);
-  }
-  std::vector<std::string> header = {"run", "round"};
-  header.insert(header.end(), gauge_cols.begin(), gauge_cols.end());
-  header.insert(header.end(), counter_cols.begin(), counter_cols.end());
-  AppendHistHeader(header, hist_cols);
-  CsvWriter csv(header);
-  for (const auto& row : registry.rounds()) {
-    std::vector<std::string> cells = {row.run, std::to_string(row.round)};
-    for (const auto& g : gauge_cols) {
-      auto it = row.gauges.find(g);
-      std::ostringstream v;
-      if (it != row.gauges.end()) v << it->second;
-      cells.push_back(v.str());
-    }
-    for (const auto& c : counter_cols) {
-      auto it = row.counters.find(c);
-      cells.push_back(
-          it == row.counters.end() ? "0" : std::to_string(it->second));
-    }
-    AppendHistCells(cells, hist_cols, row.hists);
-    csv.AddRow(cells);
-  }
-  WriteFileAtomic((std::filesystem::path(run_dir) / "rounds.csv").string(),
-                  csv.ToString());
+void WriteRoundsCsv(const std::string& run_dir, Registry& registry) {
+  core::MutexLock lock(registry.csv_mu_);
+  PublishCsv(registry.rounds_csv_,
+             (std::filesystem::path(run_dir) / "rounds.csv").string(),
+             {"run", "round"}, registry.rounds(), RoundLines);
 }
 
-void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
-  // Column set: the union of tier-twin bases over all rows; a row is
-  // emitted per (run, round, tier) seen in that round's entries.
-  std::set<std::string> counter_cols;
-  std::set<std::string> hist_cols;
-  for (const auto& row : registry.rounds()) {
-    for (const auto& [tier, m] : GroupByTier(row.counters, row.hists)) {
-      for (const auto& [base, v] : m.counters) counter_cols.insert(base);
-      for (const auto& [base, h] : m.hists) hist_cols.insert(base);
-    }
-  }
-  if (counter_cols.empty() && hist_cols.empty()) return;
-  std::vector<std::string> header = {"run", "round", "tier"};
-  header.insert(header.end(), counter_cols.begin(), counter_cols.end());
-  AppendHistHeader(header, hist_cols);
-  CsvWriter csv(header);
-  for (const auto& row : registry.rounds()) {
-    for (const auto& [tier, m] : GroupByTier(row.counters, row.hists)) {
-      std::vector<std::string> cells = {row.run, std::to_string(row.round),
-                                        tier};
-      for (const auto& c : counter_cols) {
-        auto it = m.counters.find(c);
-        cells.push_back(
-            it == m.counters.end() ? "0" : std::to_string(it->second));
-      }
-      AppendHistCells(cells, hist_cols, m.hists);
-      csv.AddRow(cells);
-    }
-  }
-  WriteFileAtomic((std::filesystem::path(run_dir) / "tiers.csv").string(),
-                  csv.ToString());
+void WriteTiersCsv(const std::string& run_dir, Registry& registry) {
+  core::MutexLock lock(registry.csv_mu_);
+  PublishCsv(registry.tiers_csv_,
+             (std::filesystem::path(run_dir) / "tiers.csv").string(),
+             {"run", "round", "tier"}, registry.rounds(), TierLines);
 }
 
 std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
-                             const Registry* registry,
+                             Registry* registry,
                              const Profiler* profiler) {
   namespace fs = std::filesystem;
   const fs::path run_dir = fs::path(dir) / SanitizeRunId(m.run_id);

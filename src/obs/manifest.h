@@ -59,24 +59,35 @@ std::string SanitizeRunId(const std::string& id);
 // non-null and collected rows, + profile.json when `profiler` is non-null)
 // under `<dir>/<sanitized run_id>/`; creates directories as needed.
 // Returns the run directory.  Throws mhbench::Error on I/O errors.
-// Every file lands via a temp file + rename, so a killed run never leaves
-// a torn manifest.
+// manifest.json lands via a temp file + rename, so a killed run never
+// leaves a torn manifest.  The CSVs follow WriteRoundsCsv's publish rule:
+// after a run that streamed them into the same directory they are left
+// as they are.
 std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
-                             const Registry* registry,
+                             Registry* registry,
                              const Profiler* profiler = nullptr);
 
-// Writes `<run_dir>/rounds.csv` from the registry's round rows (atomic
-// rewrite: temp file + rename).  No-op while no rounds completed.  Called
-// by WriteRunManifest at end of run and, via Registry::SetRoundSink, after
-// every round barrier so killed runs keep partial per-round artifacts —
-// the column header is the union over all rows, so the file is rewritten
-// whole each time rather than appended.  Serial phases only.
-void WriteRoundsCsv(const std::string& run_dir, const Registry& registry);
+// Publishes `<run_dir>/rounds.csv` from the registry's round rows.  No-op
+// while no rounds completed.  Called by WriteRunManifest at end of run
+// and, via Registry::SetRoundSink, after every round barrier so killed
+// runs keep partial per-round artifacts.  The header is the union of the
+// metric names over all rows, and the registry remembers what its last
+// publish left on disk:
+//   - when the rows added since then bring no new column and the file
+//     still has the size that publish left, their lines are appended with
+//     one write (nothing at all when no row was added);
+//   - otherwise — a new column, a different path, a fresh registry (a
+//     resumed run), a truncated or deleted file — every row is rendered
+//     and the file replaced atomically (temp file + rename).
+// Either way the bytes equal a whole-history render of the same rows.  A
+// reader tailing the file may see an unterminated last line while a round
+// is being appended.  Serial phases only.
+void WriteRoundsCsv(const std::string& run_dir, Registry& registry);
 
-// Writes `<run_dir>/tiers.csv`: one row per (run, round, tier) built by
+// Publishes `<run_dir>/tiers.csv`: one row per (run, round, tier) built by
 // splitting the round rows' `<base>@<tier>` counter/histogram entries.
-// Same atomic-rewrite and serial-phase contract as WriteRoundsCsv; no-op
+// Same publish rule and serial-phase contract as WriteRoundsCsv; no-op
 // while no tier-keyed entries exist.
-void WriteTiersCsv(const std::string& run_dir, const Registry& registry);
+void WriteTiersCsv(const std::string& run_dir, Registry& registry);
 
 }  // namespace mhbench::obs

@@ -181,7 +181,6 @@ void Registry::Flush() {
 
 void Registry::EndRound(const std::string& run, int round) {
   std::function<void(const RoundRow&)> sink;
-  RoundRow published;
   std::function<void(std::vector<ClientRow>&&)> row_sink;
   std::vector<ClientRow> drained;
   {
@@ -211,11 +210,14 @@ void Registry::EndRound(const std::string& run, int round) {
     }
     row.gauges = std::move(gauges_);
     gauges_.clear();
+    auto acc = row.gauges.find("global_acc");
+    if (acc != row.gauges.end()) accuracy_.emplace_back(round, acc->second);
     sink = round_sink_;
-    if (sink) published = row;  // copy: the sink runs outside the lock
     rounds_.push_back(std::move(row));
   }
-  if (sink) sink(published);
+  // Outside the lock: only this serial barrier appends to rounds_, so the
+  // stored row stays put while the sink reads it.
+  if (sink) sink(rounds().back());
   if (row_sink && !drained.empty()) row_sink(std::move(drained));
 }
 
@@ -242,12 +244,7 @@ Registry::LiveSnapshot Registry::SnapshotTotals() const {
     }
   }
   snap.rounds_completed = rounds_.size();
-  for (const auto& row : rounds_) {
-    auto it = row.gauges.find("global_acc");
-    if (it != row.gauges.end()) {
-      snap.accuracy.emplace_back(row.round, it->second);
-    }
-  }
+  snap.accuracy = accuracy_;
   if (!rounds_.empty()) {
     const RoundRow& last = rounds_.back();
     snap.last_round = last.round;

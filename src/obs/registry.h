@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -153,10 +154,10 @@ class Registry {
   }
 
   // Installs a callback invoked after every EndRound with the row just
-  // published (outside the registry lock, on the barrier thread, so the
-  // sink may call back into registry accessors).  The CLI uses it to
-  // stream rounds.csv incrementally.  Serial phases only; pass an empty
-  // function to uninstall.
+  // published (the stored row, read outside the registry lock on the
+  // barrier thread, so the sink may call back into registry accessors).
+  // The CLI uses it to stream rounds.csv incrementally.  Serial phases
+  // only; pass an empty function to uninstall.
   void SetRoundSink(std::function<void(const RoundRow&)> sink)
       MHB_EXCLUDES(mu_);
 
@@ -181,6 +182,16 @@ class Registry {
     std::vector<std::pair<int, double>> accuracy;
   };
   LiveSnapshot SnapshotTotals() const MHB_EXCLUDES(mu_);
+
+  // What the round-CSV publisher (obs/manifest.cc) last left in one file:
+  // the column union over the rows folded so far and the file's size, so
+  // the next publish can append only the new rows.
+  struct CsvPublishState {
+    std::string path;  // the file described; "" until the first publish
+    std::size_t rows = 0;      // round rows folded into the union
+    std::uintmax_t bytes = 0;  // file size the last publish left
+    std::set<std::string> gauges, counters, hists;  // column union
+  };
 
   // One sampled client in one round: the cost model's simulated clock
   // joined with the measured wall time and the round's drop decision.
@@ -227,6 +238,9 @@ class Registry {
       MHB_EXCLUDES(mu_);
 
  private:
+  friend void WriteRoundsCsv(const std::string& run_dir, Registry& registry);
+  friend void WriteTiersCsv(const std::string& run_dir, Registry& registry);
+
   // One tier's (or the base's) client metric ids.
   struct ClientIds {
     CounterId selected{}, offline{}, dropped{}, trained{}, bytes_up{},
@@ -267,12 +281,22 @@ class Registry {
   // Current round's gauges.
   std::map<std::string, double> gauges_ MHB_GUARDED_BY(mu_);
   std::vector<RoundRow> rounds_ MHB_GUARDED_BY(mu_);
+  // (round, global_acc) of every row that carried one, appended by EndRound
+  // so SnapshotTotals never rescans rounds_.
+  std::vector<std::pair<int, double>> accuracy_ MHB_GUARDED_BY(mu_);
   // Staged rows for the round in flight; drained (or discarded) by every
   // EndRound, so this never grows past one round's cohort.
   std::vector<ClientRow> client_rows_ MHB_GUARDED_BY(mu_);
   std::function<void(const RoundRow&)> round_sink_ MHB_GUARDED_BY(mu_);
   std::function<void(std::vector<ClientRow>&&)> client_row_sink_
       MHB_GUARDED_BY(mu_);
+
+  // Serializes the round-CSV publishers and guards their state.  Separate
+  // from mu_, so their file I/O never blocks Add/Observe or a live
+  // snapshot.
+  core::Mutex csv_mu_;
+  CsvPublishState rounds_csv_ MHB_GUARDED_BY(csv_mu_);
+  CsvPublishState tiers_csv_ MHB_GUARDED_BY(csv_mu_);
 };
 
 // Splits a registry name into its (base, tier) pair:

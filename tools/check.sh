@@ -87,7 +87,7 @@ smoke_obs() {
     --threads 2 --trace "$out/trace.json" --trace-sim-clock 1 \
     --manifest-dir "$out/results" >/dev/null
   python3 - "$out" <<'PY'
-import json, pathlib, sys
+import csv, json, pathlib, sys
 out = pathlib.Path(sys.argv[1])
 
 events = json.loads((out / "trace.json").read_text())
@@ -118,6 +118,29 @@ rounds = (runs[0] / "rounds.csv").read_text().splitlines()
 assert rounds[0].startswith("run,round,"), "rounds.csv: bad header"
 assert len(rounds) == 1 + manifest["rounds"], "rounds.csv: row count"
 
+
+# The round CSVs are appended to between rewrites: a torn or mis-schema'd
+# append shows as a row whose cell count differs from the header's, or as
+# a (run, round) key that goes backwards — a round below the run's last
+# one, or a run label that returns after another run's rows.
+def check_streamed_csv(path):
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    last_round = {}
+    for i, row in enumerate(rows, start=2):
+        assert len(row) == len(header), \
+            f"{path.name}:{i}: {len(row)} cells, header has {len(header)}"
+        run, rnd = row[0], int(row[1])
+        if run in last_round:
+            assert run == list(last_round)[-1], \
+                f"{path.name}:{i}: run {run!r} resumes after another run"
+            assert rnd >= last_round[run], \
+                f"{path.name}:{i}: {run} round {rnd} after {last_round[run]}"
+        last_round[run] = rnd
+
+
+check_streamed_csv(runs[0] / "rounds.csv")
+
 hists = manifest["histograms"]
 for name in ("client_wall_us", "client_bytes_up", "client_train_mflops"):
     h = hists[name]
@@ -147,6 +170,7 @@ assert sum(t["counters"].get("clients_trained", 0)
 tiers_csv = (runs[0] / "tiers.csv").read_text().splitlines()
 assert tiers_csv[0].startswith("run,round,tier,"), "tiers.csv: bad header"
 assert len(tiers_csv) > 1, "tiers.csv: no rows"
+check_streamed_csv(runs[0] / "tiers.csv")
 
 # The bounded-memory client event journal replaced the clients.csv dump.
 assert (runs[0] / "clients.mhbj").is_file(), "clients.mhbj missing"

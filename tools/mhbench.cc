@@ -330,8 +330,8 @@ int CmdRun(Args& args) {
                << " live=" << (live_enabled ? "on" : "off");
 
   // The run directory is created up front (not only at exit) so the
-  // heartbeat stream and the incrementally-rewritten rounds.csv land in
-  // the same place WriteRunManifest finalizes at the end.
+  // heartbeat stream and the streamed rounds.csv land in the same place
+  // WriteRunManifest finalizes at the end.
   const std::string run_id = options.task + "-" + options.constraint + "-" +
                              algorithm + "-seed" +
                              std::to_string(options.preset.seed);
@@ -345,8 +345,10 @@ int CmdRun(Args& args) {
     MHB_CHECK(!ec) << "cannot create run dir" << run_dir;
     if (registry != nullptr) {
       // Stream rounds.csv + tiers.csv per completed round: killed runs keep
-      // partial per-round artifacts.  The end-of-run manifest rewrite
-      // produces byte-identical final files.
+      // partial per-round artifacts.  Each round's lines are appended, or
+      // the file rewritten whole when the round brings a new column (a
+      // tailing reader may see an unterminated last line mid-append); the
+      // end-of-run manifest finds the files current and leaves them.
       obs::Registry* reg = registry.get();
       registry->SetRoundSink(
           [reg, run_dir](const obs::Registry::RoundRow& /*row*/) {
