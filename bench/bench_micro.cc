@@ -3,10 +3,7 @@
 // masked aggregation, and the cost model.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "device/cost_model.h"
 #include "device/device_profile.h"
 #include "fl/aggregator.h"
@@ -56,30 +53,6 @@ void BM_MatmulNaive(benchmark::State& state) {
   MatmulBody(state, kernels::Backend::kNaive);
 }
 BENCHMARK(BM_MatmulNaive)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-// Threaded macro-tile GEMM at a given logical thread count T: a pool of
-// T-1 workers plus the caller, mirroring the engine's ThreadPool sizing.
-// T=1 installs no pool (serial fast path), so the /1 entry doubles as a
-// no-overhead check against BM_Matmul.  bench_report.py pairs each
-// /n/T entry against BM_Matmul/n and gates the speedup per thread count
-// (entries where T exceeds the machine's CPUs are annotated and exempt).
-void BM_MatmulThreaded(benchmark::State& state) {
-  BackendGuard guard(kernels::Backend::kFast);
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  std::unique_ptr<core::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads - 1);
-  core::ThreadPool* prev = kernels::SetGemmThreadPool(pool.get());
-  Rng rng(1);
-  const Tensor a = Tensor::Randn({n, n}, rng);
-  const Tensor b = Tensor::Randn({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::Matmul(a, b));
-  }
-  kernels::SetGemmThreadPool(prev);
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-BENCHMARK(BM_MatmulThreaded)->Args({256, 1})->Args({256, 2})->Args({256, 4});
 
 // Conv workload: N=8, Cin=8, Cout=16, 8x8 spatial, 3x3 stride-1 pad-1
 // (output spatial = input).  Forward MACs = N*Cout*H*W*Cin*3*3; FLOPs =

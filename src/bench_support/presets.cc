@@ -16,7 +16,6 @@ BenchPreset BenchPreset::FromEnv() {
   p.stability_max_samples = EnvInt("MHB_STABILITY_SAMPLES", 96);
   p.seed = static_cast<std::uint64_t>(EnvInt("MHB_SEED", 1));
   p.threads = EnvInt("MHB_THREADS", 1);
-  p.threaded_gemm = EnvInt("MHB_THREADED_GEMM", 0);
   return p;
 }
 

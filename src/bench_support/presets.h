@@ -21,16 +21,16 @@ struct BenchPreset {
   // Threads for client dispatch / stability evaluation (1 = serial; any
   // value yields bit-identical results — see fl::FlConfig::num_threads).
   int threads;
-  // Non-zero routes kernel macro-tile parallelism to the engine pool in
-  // serial phases (fl::FlConfig::threaded_gemm; bit-identical either way).
-  int threaded_gemm;
+  // Removed option: any non-zero value is rejected (see
+  // fl::FlConfig::threaded_gemm).
+  int threaded_gemm = 0;
   // Evaluation precision.  Only "f32" exists; RunWith rejects any other
   // value rather than silently running f32.
   std::string eval_precision = "f32";
 
   // Reads MHB_ROUNDS, MHB_CLIENTS, MHB_TRAIN, MHB_TEST,
-  // MHB_SAMPLE_FRACTION, MHB_EVAL_EVERY, MHB_SEED, MHB_THREADS,
-  // MHB_THREADED_GEMM over the fast defaults.
+  // MHB_SAMPLE_FRACTION, MHB_EVAL_EVERY, MHB_SEED, MHB_THREADS over the
+  // fast defaults.
   static BenchPreset FromEnv();
 };
 

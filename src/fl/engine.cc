@@ -96,6 +96,9 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
   ctx_.task = &task;
   ctx_.config = &config_;
   MHB_CHECK_GE(config_.eval_every, 1) << "eval_every must be >= 1";
+  MHB_CHECK(!config_.threaded_gemm)
+      << "threaded_gemm: the kernel-layer threaded GEMM was removed; every "
+         "GEMM runs on its calling thread";
   if (config_.num_threads > 1) {
     // The calling thread participates in every ParallelFor, so num_threads
     // total threads execute client work.
@@ -142,21 +145,6 @@ RunResult FlEngine::Run() {
   // dispatch and eval lambdas install their own guards because pool workers
   // have no profiler context of their own.
   obs::ProfilerThreadGuard main_profiler_guard(prof);
-
-  // Routes kernel-layer macro-tile parallelism to the engine pool for this
-  // run's serial phases (FlConfig::threaded_gemm).  Client dispatch is
-  // unaffected: GEMMs issued from pool workers always run serially
-  // (tensor/gemm.h), so per-client training keeps its one-thread contract.
-  struct GemmPoolScope {
-    bool active;
-    core::ThreadPool* prev;
-    explicit GemmPoolScope(core::ThreadPool* pool)
-        : active(pool != nullptr),
-          prev(active ? kernels::SetGemmThreadPool(pool) : nullptr) {}
-    ~GemmPoolScope() {
-      if (active) kernels::SetGemmThreadPool(prev);
-    }
-  } gemm_pool_scope(config_.threaded_gemm ? pool_.get() : nullptr);
 
   // Engine-scoped counters, registered serially up front.  Client-scoped
   // telemetry is counted by the registry itself from each round's

@@ -58,12 +58,8 @@ struct FlConfig {
   // bit-identical RunResults: all order-sensitive randomness is drawn
   // serially before dispatch and updates are merged in dispatch order.
   int num_threads = 1;
-  // Routes kernel-layer macro-tile parallelism (tensor/gemm.h) to the
-  // engine's worker pool for the run's serial phases — aggregation, global
-  // eval — where the single-threaded GEMM otherwise leaves workers idle.
-  // Bit-identical on or off and at any thread count: the threaded GEMM's
-  // tile ownership map never splits or reorders an accumulation.  No-op
-  // when num_threads <= 1 (no pool exists).
+  // Removed option, kept so existing configs still compile: the engine
+  // rejects true (every GEMM runs on its calling thread; tensor/gemm.h).
   bool threaded_gemm = false;
   // Observability hooks (tracer / counter registry); all-null by default,
   // in which case instrumentation reduces to untaken branches.  Collection

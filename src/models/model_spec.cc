@@ -1,6 +1,7 @@
 #include "models/model_spec.h"
 
 #include <cmath>
+#include <utility>
 
 namespace mhbench::models {
 
@@ -200,14 +201,16 @@ Tensor Tokenwise::Forward(const Tensor& x) {
   cached_l_ = x.dim(1);
   const Tensor x2 = x.Reshape({cached_n_ * cached_l_, x.dim(2)});
   Tensor y2 = inner_->Forward(x2);
-  return y2.Reshape({cached_n_, cached_l_, y2.dim(1)});
+  const int d = y2.dim(1);
+  return std::move(y2).Reshape({cached_n_, cached_l_, d});
 }
 
 Tensor Tokenwise::Infer(const Tensor& x, nn::NormStats stats) const {
   MHB_CHECK_EQ(x.ndim(), 3);
   const int n = x.dim(0), l = x.dim(1);
   Tensor y2 = inner_->Infer(x.Reshape({n * l, x.dim(2)}), stats);
-  return y2.Reshape({n, l, y2.dim(1)});
+  const int d = y2.dim(1);
+  return std::move(y2).Reshape({n, l, d});
 }
 
 Tensor Tokenwise::Backward(const Tensor& grad_out) {
@@ -215,7 +218,8 @@ Tensor Tokenwise::Backward(const Tensor& grad_out) {
   const Tensor g2 =
       grad_out.Reshape({cached_n_ * cached_l_, grad_out.dim(2)});
   Tensor gx2 = inner_->Backward(g2);
-  return gx2.Reshape({cached_n_, cached_l_, gx2.dim(1)});
+  const int d = gx2.dim(1);
+  return std::move(gx2).Reshape({cached_n_, cached_l_, d});
 }
 
 void Tokenwise::CollectParams(const std::string& prefix,

@@ -1,6 +1,7 @@
 #include "nn/attention.h"
 
 #include <cmath>
+#include <utility>
 
 #include "obs/profile.h"
 #include "tensor/gemm.h"
@@ -87,8 +88,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) {
                   cached_concat_.data().data());
     }
   }
-  Tensor y2 = wo_.Forward(cached_concat_);
-  return y2.Reshape({n, l, d});
+  return wo_.Forward(cached_concat_).Reshape({n, l, d});
 }
 
 Tensor MultiHeadSelfAttention::Infer(const Tensor& x, NormStats stats) const {
@@ -180,7 +180,7 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_out) {
   Tensor dx2 = wq_.Backward(dq);
   dx2.AddInPlace(wk_.Backward(dk));
   dx2.AddInPlace(wv_.Backward(dv));
-  return dx2.Reshape({n, l, d});
+  return std::move(dx2).Reshape({n, l, d});
 }
 
 void MultiHeadSelfAttention::CollectParams(const std::string& prefix,

@@ -1,6 +1,8 @@
 #include "nn/conv.h"
 
 #include <cstddef>
+#include <cstring>
+#include <utility>
 
 #include "nn/init.h"
 #include "obs/profile.h"
@@ -11,38 +13,63 @@
 namespace mhbench::nn {
 namespace {
 
-// [N*OH*OW, out_c] rows ordered (n, oy, ox) -> [N, out_c, OH, OW].
-void RowsToNCHWInto(const Scalar* rows, int n, int oc, int oh, int ow,
-                    Scalar* out) {
-  std::size_t row = 0;
+// Copies the (b, oc) output planes of the GEMM result rows[oc, n*plane]
+// into NCHW `out`, adding bias[oc] when given.  The value is the same
+// single rounding of (sum + bias) the fused GEMM epilogue performs.
+void PlanesToNCHWInto(const float* rows, int n, int oc, std::size_t plane,
+                      const float* bias, float* out) {
+  const std::size_t ld = static_cast<std::size_t>(n) * plane;
   for (int b = 0; b < n; ++b) {
-    for (int y = 0; y < oh; ++y) {
-      for (int x = 0; x < ow; ++x, ++row) {
-        const Scalar* irow = rows + row * static_cast<std::size_t>(oc);
-        for (int c = 0; c < oc; ++c) {
-          out[((static_cast<std::size_t>(b) * oc + c) * oh + y) * ow + x] =
-              irow[c];
-        }
+    for (int c = 0; c < oc; ++c, out += plane) {
+      const float* src = rows + static_cast<std::size_t>(c) * ld +
+                         static_cast<std::size_t>(b) * plane;
+      if (bias == nullptr) {
+        std::memcpy(out, src, plane * sizeof(float));
+      } else {
+        const float bc = bias[c];
+        for (std::size_t i = 0; i < plane; ++i) out[i] = src[i] + bc;
       }
     }
   }
 }
 
-// Inverse of RowsToNCHWInto.
-void NCHWToRowsInto(const Tensor& t, Scalar* rows) {
-  const int n = t.dim(0), c = t.dim(1), h = t.dim(2), w = t.dim(3);
-  const Scalar* in = t.data().data();
-  std::size_t row = 0;
+// Inverse of PlanesToNCHWInto (no bias): NCHW `t` -> rows[oc, n*plane].
+void NCHWToPlanesInto(const Tensor& t, float* rows) {
+  const int n = t.dim(0), oc = t.dim(1);
+  const std::size_t plane = static_cast<std::size_t>(t.dim(2)) * t.dim(3);
+  const std::size_t ld = static_cast<std::size_t>(n) * plane;
+  const float* in = t.data().data();
   for (int b = 0; b < n; ++b) {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x, ++row) {
-        Scalar* orow = rows + row * static_cast<std::size_t>(c);
-        for (int ch = 0; ch < c; ++ch) {
-          orow[ch] =
-              in[((static_cast<std::size_t>(b) * c + ch) * h + y) * w + x];
-        }
+    for (int c = 0; c < oc; ++c, in += plane) {
+      std::memcpy(rows + static_cast<std::size_t>(c) * ld +
+                      static_cast<std::size_t>(b) * plane,
+                  in, plane * sizeof(float));
+    }
+  }
+}
+
+// out[c] += the sum of row c of rows[nrows, ncols], added in column order
+// (the order a column sum over the transposed [ncols, nrows] rows uses).
+// Full groups of eight rows keep eight independent add chains in flight.
+void RowSumAcc(const float* rows, int nrows, int ncols, float* out) {
+  constexpr int kLanes = 8;
+  int c = 0;
+  for (; c + kLanes <= nrows; c += kLanes) {
+    const float* row = rows + static_cast<std::size_t>(c) * ncols;
+    float sum[kLanes] = {};
+    for (int j = 0; j < kLanes; ++j) sum[j] = out[c + j];
+    for (int r = 0; r < ncols; ++r) {
+      for (int j = 0; j < kLanes; ++j) {
+        sum[j] += row[static_cast<std::size_t>(j) * ncols + r];
       }
     }
+    for (int j = 0; j < kLanes; ++j) out[c + j] = sum[j];
+  }
+  for (; c < nrows; ++c) {
+    const float* row = rows + static_cast<std::size_t>(c) * ncols;
+    float sum = out[c];
+    for (int r = 0; r < ncols; ++r) sum += row[r];
+    out[c] = sum;
   }
 }
 
@@ -75,38 +102,40 @@ Conv2d::Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad_h,
   weight_ = Parameter(std::move(weight));
 }
 
-Conv2d::Geometry Conv2d::GeometryOf(const Tensor& x) const {
-  MHB_CHECK_EQ(x.ndim(), 4);
-  MHB_CHECK_EQ(x.dim(1), in_channels());
+Conv2d::Geometry Conv2d::GeometryOf(const Shape& x) const {
+  MHB_CHECK_EQ(static_cast<int>(x.size()), 4);
+  MHB_CHECK_EQ(x[1], in_channels());
   Geometry g;
-  g.n = x.dim(0);
-  g.oh = (x.dim(2) + 2 * pad_h_ - kernel_h()) / stride_ + 1;
-  g.ow = (x.dim(3) + 2 * pad_w_ - kernel_w()) / stride_ + 1;
+  g.n = x[0];
+  g.oh = (x[2] + 2 * pad_h_ - kernel_h()) / stride_ + 1;
+  g.ow = (x[3] + 2 * pad_w_ - kernel_w()) / stride_ + 1;
   g.ickk = in_channels() * kernel_h() * kernel_w();
   return g;
 }
 
 Tensor Conv2d::FromColumns(const Geometry& g, const float* cols) const {
   const int oc = out_channels();
-  // rows[N*OH*OW, out_c] = cols · W^T + bias, staged in the scratch arena;
-  // the weight tensor [oc, ic, kh, kw] is read as a flat [oc, ickk] matrix.
+  // rows[out_c, N*OH*OW] = W · cols, staged in the scratch arena; the
+  // weight tensor [oc, ic, kh, kw] is read as a flat [oc, ickk] matrix.
   kernels::ScratchScope scratch;
-  float* rows = scratch.Alloc(static_cast<std::size_t>(g.rows()) * oc);
-  kernels::Gemm(false, true, g.rows(), oc, g.ickk, cols, g.ickk,
-                weight_.value.data().data(), g.ickk, 0.0f, rows, oc,
-                has_bias() ? bias_.value.data().data() : nullptr);
+  float* rows = scratch.Alloc(static_cast<std::size_t>(oc) * g.rows());
+  kernels::Gemm(false, false, oc, g.rows(), g.ickk,
+                weight_.value.data().data(), g.ickk, cols, g.rows(), 0.0f,
+                rows, g.rows());
   Tensor out = Tensor::Uninitialized({g.n, oc, g.oh, g.ow});
-  RowsToNCHWInto(rows, g.n, oc, g.oh, g.ow, out.data().data());
+  PlanesToNCHWInto(rows, g.n, oc, static_cast<std::size_t>(g.oh) * g.ow,
+                   has_bias() ? bias_.value.data().data() : nullptr,
+                   out.data().data());
   return out;
 }
 
 Tensor Conv2d::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("conv2d_fwd");
-  const Geometry g = GeometryOf(x);
+  const Geometry g = GeometryOf(x.shape());
   cached_input_shape_ = x.shape();
   // The column matrix lives in a member tensor so repeated steps with the
   // same geometry reuse the buffer; Backward reads it back.
-  const int cols_shape[2] = {g.rows(), g.ickk};
+  const int cols_shape[2] = {g.ickk, g.rows()};
   cached_cols_.ResizeUninitialized(cols_shape);
   ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
                   cached_cols_.data().data());
@@ -115,9 +144,9 @@ Tensor Conv2d::Forward(const Tensor& x) {
 
 Tensor Conv2d::Infer(const Tensor& x, NormStats /*stats*/) const {
   obs::ProfileScope profile_scope("conv2d_fwd");
-  const Geometry g = GeometryOf(x);
+  const Geometry g = GeometryOf(x.shape());
   kernels::ScratchScope scratch;
-  float* cols = scratch.Alloc(static_cast<std::size_t>(g.rows()) * g.ickk);
+  float* cols = scratch.Alloc(static_cast<std::size_t>(g.ickk) * g.rows());
   ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_, cols);
   return FromColumns(g, cols);
 }
@@ -125,29 +154,28 @@ Tensor Conv2d::Infer(const Tensor& x, NormStats /*stats*/) const {
 Tensor Conv2d::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("conv2d_bwd");
   MHB_CHECK(!cached_cols_.empty()) << "Backward before Forward";
-  MHB_CHECK_EQ(grad_out.ndim(), 4);
-  MHB_CHECK_EQ(grad_out.dim(1), out_channels());
+  const Geometry g = GeometryOf(cached_input_shape_);
   const int oc = out_channels();
-  const int ickk = in_channels() * kernel_h() * kernel_w();
-  const int rows_n = cached_cols_.dim(0);
+  MHB_CHECK(grad_out.shape() == Shape({g.n, oc, g.oh, g.ow}))
+      << "conv grad" << ShapeToString(grad_out.shape()) << "for input"
+      << ShapeToString(cached_input_shape_);
+  const int rows_n = g.rows();
+  const float* cols = cached_cols_.data().data();
 
   kernels::ScratchScope scratch;
-  float* grows = scratch.Alloc(static_cast<std::size_t>(rows_n) * oc);
-  NCHWToRowsInto(grad_out, grows);  // [N*OH*OW, out_c]
+  float* grows = scratch.Alloc(static_cast<std::size_t>(oc) * rows_n);
+  NCHWToPlanesInto(grad_out, grows);  // [out_c, N*OH*OW]
 
-  // dW += G^T · cols, accumulated straight into the flat [oc, ickk] view of
+  // dW += G · cols^T, accumulated straight into the flat [oc, ickk] view of
   // the weight gradient (beta = 1).
-  kernels::Gemm(true, false, oc, ickk, rows_n, grows, oc,
-                cached_cols_.data().data(), ickk, 1.0f,
-                weight_.grad.data().data(), ickk);
-  if (has_bias()) {
-    kernels::ColSumAcc(grows, rows_n, oc, oc, bias_.grad.data().data());
-  }
+  kernels::Gemm(false, true, oc, g.ickk, rows_n, grows, rows_n, cols, rows_n,
+                1.0f, weight_.grad.data().data(), g.ickk);
+  if (has_bias()) RowSumAcc(grows, oc, rows_n, bias_.grad.data().data());
 
-  // dcols = G · W, then scatter back to the input shape.
-  float* dcols = scratch.Alloc(static_cast<std::size_t>(rows_n) * ickk);
-  kernels::Gemm(false, false, rows_n, ickk, oc, grows, oc,
-                weight_.value.data().data(), ickk, 0.0f, dcols, ickk);
+  // dcols = W^T · G, then scatter back to the input shape.
+  float* dcols = scratch.Alloc(static_cast<std::size_t>(g.ickk) * rows_n);
+  kernels::Gemm(true, false, g.ickk, rows_n, oc, weight_.value.data().data(),
+                g.ickk, grows, rows_n, 0.0f, dcols, rows_n);
   Tensor dx(cached_input_shape_);
   ops::Col2ImAcc(dcols, cached_input_shape_, kernel_h(), kernel_w(), stride_,
                  pad_h_, pad_w_, dx.data().data());
@@ -185,8 +213,9 @@ Tensor AddUnitHeight(const Tensor& x) {
   MHB_CHECK_EQ(x.ndim(), 3);  // [N, C, L]
   return x.Reshape({x.dim(0), x.dim(1), 1, x.dim(2)});
 }
-Tensor DropUnitHeight(const Tensor& y4) {
-  return y4.Reshape({y4.dim(0), y4.dim(1), y4.dim(3)});
+Tensor DropUnitHeight(Tensor y4) {
+  const Shape shape = {y4.dim(0), y4.dim(1), y4.dim(3)};
+  return std::move(y4).Reshape(shape);
 }
 }  // namespace
 
@@ -199,10 +228,7 @@ Tensor Conv1d::Infer(const Tensor& x, NormStats stats) const {
 }
 
 Tensor Conv1d::Backward(const Tensor& grad_out) {
-  MHB_CHECK_EQ(grad_out.ndim(), 3);
-  const int n = grad_out.dim(0), c = grad_out.dim(1), l = grad_out.dim(2);
-  Tensor gx4 = conv_.Backward(grad_out.Reshape({n, c, 1, l}));
-  return gx4.Reshape({gx4.dim(0), gx4.dim(1), gx4.dim(3)});
+  return DropUnitHeight(conv_.Backward(AddUnitHeight(grad_out)));
 }
 
 void Conv1d::CollectParams(const std::string& prefix,

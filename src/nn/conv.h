@@ -3,6 +3,23 @@
 // Conv2d operates on [N, C, H, W]; Conv1d on [N, C, L] (implemented as a
 // height-1 Conv2d).  Weight layout is [out_c, in_c, kh, kw] so sub-model
 // extraction can slice output/input channel dimensions directly.
+//
+// Layout.  The im2col matrix is channel-major, cols[ickk, R] with
+// ickk = in_c*kh*kw and R = N*OH*OW (tensor/ops.h): each kernel tap's row is
+// one contiguous run per (image, output row).  Forward is one GEMM,
+// rows[out_c, R] = W[out_c, ickk] · cols, followed by one copy per
+// (image, channel) plane into NCHW with the bias added.  Backward copies
+// each gradient plane to G[out_c, R], then dW += G · cols^T, db += the row
+// sums of G, and dcols = W^T · G scattered back by Col2ImAcc.
+//
+// Bits.  The results equal, bit for bit, those of the transposed row-major
+// formulation (cols[R, ickk] · W^T): every output element is the same
+// k-ascending sum of the same products over the same kKC blocks, and the
+// micro-kernel's c += a·b is symmetric in a and b.  The bias is added last,
+// as the fused GEMM epilogue does; dW contracts over r in (b, oy, ox) order;
+// db sums each channel in r order; and Col2ImAcc adds each input element's
+// contributions in (oy, ox) order.  tests/nn/conv_test.cc keeps the
+// row-major algorithm as the reference.
 #pragma once
 
 #include "core/rng.h"
@@ -38,13 +55,13 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
-  // Output extents for input `x` (checked).
+  // Output extents for an input of shape `x` (checked).
   struct Geometry {
     int n, oh, ow, ickk;
     int rows() const { return n * oh * ow; }
   };
-  Geometry GeometryOf(const Tensor& x) const;
-  // The output for the im2col matrix `cols` ([rows, ickk]) of an input.
+  Geometry GeometryOf(const Shape& x) const;
+  // The output for the im2col matrix `cols` ([ickk, rows]) of an input.
   Tensor FromColumns(const Geometry& g, const float* cols) const;
 
   Parameter weight_;  // [out_c, in_c, kh, kw]
@@ -52,7 +69,7 @@ class Conv2d : public Module {
   int stride_ = 1;
   int pad_h_ = 0;
   int pad_w_ = 0;
-  Tensor cached_cols_;      // im2col of last input
+  Tensor cached_cols_;      // im2col of last input, [ickk, rows]
   Shape cached_input_shape_;
 };
 

@@ -7,7 +7,6 @@
 
 #include "core/error.h"
 #include "core/logging.h"
-#include "core/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/scratch.h"
 
@@ -16,14 +15,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_flops{0};
 thread_local std::uint64_t tl_flops = 0;
-
-std::atomic<core::ThreadPool*> g_gemm_pool{nullptr};
-
-// Threaded macro-tile path engages only at or above this many flops
-// (2*m*n*k ≈ a 128^3 matmul): below it, ParallelFor dispatch overhead beats
-// the parallel win.  Engagement never changes results (gemm.h), only wall
-// time, so the threshold needs no cross-machine tuning.
-constexpr std::uint64_t kThreadedMinFlops = 4ull << 20;
 
 // __builtin_cpu_supports requires a literal argument, hence one wrapper
 // per feature rather than a CpuHas(const char*) helper.
@@ -145,10 +136,7 @@ inline float At(const float* a, int lda, bool trans, int i, int p) {
 
 // Packs the mc x kc block of op(A) at (ic, pc) into row panels of kMR:
 // panel r holds, for each p in [0, kc), kMR consecutive elements of column
-// p (zero-padded past mc) so the microkernel streams it linearly.  Because
-// kMC is a multiple of kMR, packing the whole m range at once (threaded
-// path) produces byte-identical panels to packing each MC block separately
-// (serial path).
+// p (zero-padded past mc) so the microkernel streams it linearly.
 void PackA(bool trans, const float* a, int lda, int ic, int pc, int mc,
            int kc, float* ap) {
   for (int i0 = 0; i0 < mc; i0 += kMR) {
@@ -168,13 +156,19 @@ void PackB(bool trans, const float* b, int ldb, int pc, int jc, int kc,
   for (int j0 = 0; j0 < nc; j0 += kNR) {
     const int nr = std::min(kNR, nc - j0);
     if (!trans) {
-      // op(B)(p, j) = b[p*ldb + j]: each panel row is a contiguous copy.
-      for (int p = 0; p < kc; ++p) {
-        const float* src =
-            b + static_cast<std::size_t>(pc + p) * ldb + jc + j0;
-        std::memcpy(bp, src, static_cast<std::size_t>(nr) * sizeof(float));
+      // op(B)(p, j) = b[p*ldb + j]: each panel row is a contiguous copy, of
+      // a constant kNR floats (a few vector moves, no libc call) for every
+      // full panel.
+      const float* src = b + static_cast<std::size_t>(pc) * ldb + jc + j0;
+      if (nr == kNR) {
+        for (int p = 0; p < kc; ++p, src += ldb, bp += kNR) {
+          std::memcpy(bp, src, sizeof(float) * kNR);
+        }
+        continue;
+      }
+      for (int p = 0; p < kc; ++p, src += ldb, bp += kNR) {
+        for (int q = 0; q < nr; ++q) bp[q] = src[q];
         for (int q = nr; q < kNR; ++q) bp[q] = 0.0f;
-        bp += kNR;
       }
     } else {
       // op(B)(p, j) = b[j*ldb + p]: strided gather.
@@ -215,18 +209,16 @@ inline void StoreTile(const float* acc, float* cd, int ldc, int mr, int nr,
   }
 }
 
-// Computes the output tiles of one packed row-block against the column
-// stripe [jr0, jr1) of the current macro-slab.  `ap` points at the kMR row
-// panels for rows [ic, ic+mc); `bp` at the kNR column panels for columns
-// [jc, jc+nc).  Shared verbatim by the serial path (jr0 = 0, jr1 = nc) and
-// each threaded task, so both produce byte-identical tiles.
+// Computes the output tiles of one packed row-block against one macro-slab.
+// `ap` points at the kMR row panels for rows [ic, ic+mc); `bp` at the kNR
+// column panels for columns [jc, jc+nc).
 void ComputeTiles(detail::MicroKernelFn tile, const float* ap,
-                  const float* bp, int kc, int ic, int mc, int jc, int jr0,
-                  int jr1, bool first, bool last, float beta,
-                  const float* bias, float* c, int ldc) {
+                  const float* bp, int kc, int ic, int mc, int jc, int nc,
+                  bool first, bool last, float beta, const float* bias,
+                  float* c, int ldc) {
   alignas(64) float acc[kMR * kNR];
-  for (int jr = jr0; jr < jr1; jr += kNR) {
-    const int nr = std::min(kNR, jr1 - jr);
+  for (int jr = 0; jr < nc; jr += kNR) {
+    const int nr = std::min(kNR, nc - jr);
     const float* bpanel = bp + static_cast<std::size_t>(jr / kNR) * kc * kNR;
     for (int ir = 0; ir < mc; ir += kMR) {
       const int mr = std::min(kMR, mc - ir);
@@ -240,9 +232,9 @@ void ComputeTiles(detail::MicroKernelFn tile, const float* ap,
   }
 }
 
-void FastGemmSerial(bool trans_a, bool trans_b, int m, int n, int k,
-                    const float* a, int lda, const float* b, int ldb,
-                    float beta, float* c, int ldc, const float* bias) {
+void FastGemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
+              int lda, const float* b, int ldb, float beta, float* c, int ldc,
+              const float* bias) {
   const detail::MicroKernelFn tile = TileFor(CurrentIsa());
   ScratchScope scratch;
   float* const ap = scratch.Alloc(static_cast<std::size_t>(kMC) * kKC);
@@ -258,75 +250,10 @@ void FastGemmSerial(bool trans_a, bool trans_b, int m, int n, int k,
       for (int ic = 0; ic < m; ic += kMC) {
         const int mc = std::min(kMC, m - ic);
         PackA(trans_a, a, lda, ic, pc, mc, kc, ap);
-        ComputeTiles(tile, ap, bp, kc, ic, mc, jc, 0, nc, first, last, beta,
+        ComputeTiles(tile, ap, bp, kc, ic, mc, jc, nc, first, last, beta,
                      bias, c, ldc);
       }
     }
-  }
-}
-
-// Fixed tile→task ownership map: within each (jc, pc) macro-slab the
-// calling thread packs A (all row panels) and B (the whole column slab)
-// once, then the ceil(m/kMC) x ceil(nc/kJRB) grid of output tiles is
-// distributed over the pool.  Each tile is computed whole by exactly one
-// task from the same packed panels with the same k-ascending contraction
-// the serial path uses, and no two tasks write the same output element —
-// so which worker runs which task (ParallelFor hands out indices
-// dynamically) cannot affect any value, only wall time.
-void FastGemmThreaded(core::ThreadPool* pool, bool trans_a, bool trans_b,
-                      int m, int n, int k, const float* a, int lda,
-                      const float* b, int ldb, float beta, float* c, int ldc,
-                      const float* bias) {
-  const detail::MicroKernelFn tile = TileFor(CurrentIsa());
-  ScratchScope scratch;
-  const std::size_t num_panels =
-      static_cast<std::size_t>((m + kMR - 1) / kMR);
-  float* const ap = scratch.Alloc(num_panels * kMR * kKC);
-  float* const bp = scratch.Alloc(static_cast<std::size_t>(kKC) * kNC);
-
-  for (int jc = 0; jc < n; jc += kNC) {
-    const int nc = std::min(kNC, n - jc);
-    for (int pc = 0; pc < k; pc += kKC) {
-      const int kc = std::min(kKC, k - pc);
-      const bool first = pc == 0;
-      const bool last = pc + kc == k;
-      PackB(trans_b, b, ldb, pc, jc, kc, nc, bp);
-      PackA(trans_a, a, lda, 0, pc, m, kc, ap);
-      const int n_ic = (m + kMC - 1) / kMC;
-      const int n_stripes = (nc + kJRB - 1) / kJRB;
-      core::ParallelFor(
-          pool, static_cast<std::size_t>(n_ic) * n_stripes,
-          [&](std::size_t t) {
-            const int ic = static_cast<int>(t / n_stripes) * kMC;
-            const int mc = std::min(kMC, m - ic);
-            const int jr0 = static_cast<int>(t % n_stripes) * kJRB;
-            const int jr1 = std::min(jr0 + kJRB, nc);
-            ComputeTiles(tile,
-                         ap + static_cast<std::size_t>(ic / kMR) * kc * kMR,
-                         bp, kc, ic, mc, jc, jr0, jr1, first, last, beta,
-                         bias, c, ldc);
-          });
-    }
-  }
-}
-
-void FastGemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-              int lda, const float* b, int ldb, float beta, float* c, int ldc,
-              const float* bias) {
-  core::ThreadPool* const pool = g_gemm_pool.load(std::memory_order_relaxed);
-  const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
-                              static_cast<std::uint64_t>(n) *
-                              static_cast<std::uint64_t>(k);
-  // More than one tile task must exist for threading to buy anything.
-  const bool multi_tile = m > kMC || std::min(n, kNC) > kJRB;
-  if (pool != nullptr && pool->num_workers() > 0 &&
-      !core::InParallelRegion() && flops >= kThreadedMinFlops &&
-      multi_tile) {
-    FastGemmThreaded(pool, trans_a, trans_b, m, n, k, a, lda, b, ldb, beta,
-                     c, ldc, bias);
-  } else {
-    FastGemmSerial(trans_a, trans_b, m, n, k, a, lda, b, ldb, beta, c, ldc,
-                   bias);
   }
 }
 
@@ -385,14 +312,6 @@ const char* IsaName(Isa isa) {
 
 const char* KernelBackendName() {
   return CurrentBackend() == Backend::kNaive ? "naive" : IsaName(CurrentIsa());
-}
-
-core::ThreadPool* SetGemmThreadPool(core::ThreadPool* pool) {
-  return g_gemm_pool.exchange(pool, std::memory_order_relaxed);
-}
-
-core::ThreadPool* GemmThreadPool() {
-  return g_gemm_pool.load(std::memory_order_relaxed);
 }
 
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,

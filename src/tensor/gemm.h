@@ -5,26 +5,21 @@
 // gradient, bias broadcast), over strided row-major operands so callers
 // never materialize transposes or reshapes.  The fast path is a classic
 // cache-blocked, panel-packed, register-tiled design (fixed MC/KC/NC
-// blocking with an MR x NR microkernel), with two orthogonal runtime axes:
+// blocking with an MR x NR microkernel).  The microkernel variant (avx512 /
+// avx2 / scalar) is picked once at startup from CPU features, overridable
+// via MHB_KERNELS or SetIsa().  Every variant the compiler could build is
+// present in the binary; dispatch never selects one the running CPU lacks.
 //
-//   ISA dispatch — the microkernel variant (avx512 / avx2 / scalar) is
-//   picked once at startup from CPU features, overridable via MHB_KERNELS
-//   or SetIsa().  Every variant the compiler could build is present in the
-//   binary; dispatch never selects one the running CPU lacks.
-//
-//   Threading — when a pool is installed via SetGemmThreadPool(), calls
-//   large enough to amortize dispatch fan the (jc, pc) macro-slab's output
-//   tiles across workers.  Ownership is by output tile: packing is done
-//   once by the calling thread, each (MC row-block x NR-column stripe) tile
-//   is computed whole by exactly one task with the same packed panels and
-//   the same k-ascending contraction the serial path uses, and no two tasks
-//   share an output element.  There is no cross-thread reduction, so the
-//   threaded result is bit-identical to the serial fast result at any
-//   worker count — including zero (pool absent).
+// A call runs on the calling thread.  The FL engine parallelizes across
+// clients, groups and eval batches instead, so each GEMM stays serial.
 //
 // Determinism: for a fixed build and chosen ISA variant, every code path
 // accumulates the k dimension in ascending order with no data-dependent
 // branching, so repeated calls are bit-identical regardless of --threads.
+// Each element's value depends only on its own (i, j) products taken in
+// ascending k within the same kKC blocks, and the micro-kernel's c += a·b is
+// symmetric in a and b: computing C^T = op(B)^T·op(A)^T gives the same bits
+// as C (nn/conv.h relies on this).
 // The fast kernel is NOT bit-equal to the naive reference: it blocks the k
 // dimension (partial sums associate as sum_block0 + sum_block1 instead of
 // one running sum) and its vector variants fuse multiply-adds, which rounds
@@ -37,10 +32,6 @@
 
 #include <cstdint>
 
-namespace mhbench::core {
-class ThreadPool;
-}  // namespace mhbench::core
-
 namespace mhbench::kernels {
 
 // Blocking constants, exposed for tests (shapes straddling these are the
@@ -48,11 +39,8 @@ namespace mhbench::kernels {
 inline constexpr int kMR = 6;
 inline constexpr int kNR = 16;
 inline constexpr int kMC = 96;    // multiple of kMR
-inline constexpr int kKC = 256;   // k slab; also the threaded packing depth
+inline constexpr int kKC = 256;   // k slab
 inline constexpr int kNC = 1024;  // multiple of kNR
-// Column stripe one threaded task owns (multiple of kNR); with the kMC
-// row-blocks this yields ceil(m/kMC) * ceil(nc/kJRB) tasks per macro-slab.
-inline constexpr int kJRB = 4 * kNR;
 
 // Runtime backend switch so benchmarks (and debugging) can route every
 // consumer — conv, linear, attention — through the retained naive kernels.
@@ -79,16 +67,6 @@ const char* IsaName(Isa isa);
 // what manifests and bench reports record so diffs refuse to compare
 // apples to oranges.
 const char* KernelBackendName();
-
-// Installs the pool used for macro-tile parallelism (null restores serial
-// execution); returns the previous pool.  Results are bit-identical with or
-// without a pool and at any worker count, so this only trades wall time.
-// Calls from inside a parallel region (a pool worker, or any thread inside
-// a ParallelFor; core::InParallelRegion) always run serially, keeping
-// per-client training single-threaded under the FL engine's client
-// dispatch and nested fan-out deadlock-free.
-core::ThreadPool* SetGemmThreadPool(core::ThreadPool* pool);
-core::ThreadPool* GemmThreadPool();
 
 // C[m,n] = op(A)·op(B) + beta·C + bias.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "tensor/gemm.h"
@@ -196,6 +197,28 @@ std::vector<int> ArgmaxRows(const Tensor& t) {
   return out;
 }
 
+namespace {
+
+// Along one axis: the output positions [lo, hi) at which kernel offset k
+// reads input position o*stride + k - pad inside [0, w); the others read
+// padding.
+struct InteriorSpan {
+  int lo, hi;
+};
+InteriorSpan InteriorOf(int k, int w, int ow, int stride, int pad) {
+  const int first = pad - k;      // o*stride >= first
+  const int limit = w + pad - k;  // o*stride < limit
+  const int lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  const int hi = limit <= 0 ? 0 : std::min(ow, (limit + stride - 1) / stride);
+  return {std::min(lo, hi), hi};
+}
+
+int OutExtent(int in, int pad, int k, int stride) {
+  return (in + 2 * pad - k) / stride + 1;
+}
+
+}  // namespace
+
 void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
                 int pad_w, float* out) {
   MHB_CHECK_EQ(input.ndim(), 4);
@@ -204,42 +227,72 @@ void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
   MHB_CHECK_GE(pad_w, 0);
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
+  const int oh = OutExtent(h, pad_h, kh, stride);
+  const int ow = OutExtent(w, pad_w, kw, stride);
   MHB_CHECK_GT(oh, 0);
   MHB_CHECK_GT(ow, 0);
   const Scalar* in = input.data().data();
   const std::size_t in_cs = static_cast<std::size_t>(h) * w;
-  const std::size_t in_ns = static_cast<std::size_t>(c) * in_cs;
-  std::size_t row = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox, ++row) {
-        Scalar* orow = out + row * static_cast<std::size_t>(c) * kh * kw;
-        std::size_t col = 0;
-        for (int ch = 0; ch < c; ++ch) {
-          const Scalar* plane = in + static_cast<std::size_t>(b) * in_ns +
-                                static_cast<std::size_t>(ch) * in_cs;
-          for (int ky = 0; ky < kh; ++ky) {
-            const int iy = oy * stride + ky - pad_h;
-            if (iy < 0 || iy >= h) {
-              for (int kx = 0; kx < kw; ++kx, ++col) orow[col] = 0.0f;
-              continue;
+  const std::size_t out_cs = static_cast<std::size_t>(oh) * ow;
+  const std::size_t ncols = static_cast<std::size_t>(n) * out_cs;
+  // At stride 1 with ow == w, output rows advance through the input at the
+  // input's own row pitch, so one tap's interior rows are a single
+  // contiguous copy; the edge columns it fills from neighbouring rows are
+  // then zeroed.
+  const bool same_pitch = stride == 1 && ow == w;
+  Scalar* orow = out;
+  for (int ch = 0; ch < c; ++ch) {
+    for (int ky = 0; ky < kh; ++ky) {
+      const InteriorSpan ys = InteriorOf(ky, h, oh, stride, pad_h);
+      for (int kx = 0; kx < kw; ++kx, orow += ncols) {
+        const InteriorSpan xs = InteriorOf(kx, w, ow, stride, pad_w);
+        // Input element (oy*stride + ky - pad_h, ox*stride + kx - pad_w)
+        // sits at plane[oy*stride*w + ox*stride + shift].
+        const std::ptrdiff_t shift =
+            static_cast<std::ptrdiff_t>(ky - pad_h) * w + (kx - pad_w);
+        for (int b = 0; b < n; ++b) {
+          const Scalar* plane =
+              in + (static_cast<std::size_t>(b) * c + ch) * in_cs;
+          Scalar* dst = orow + static_cast<std::size_t>(b) * out_cs;
+          std::fill(dst, dst + static_cast<std::size_t>(ys.lo) * ow, 0.0f);
+          std::fill(dst + static_cast<std::size_t>(ys.hi) * ow,
+                    dst + out_cs, 0.0f);
+          if (xs.lo == xs.hi) {
+            std::fill(dst + static_cast<std::size_t>(ys.lo) * ow,
+                      dst + static_cast<std::size_t>(ys.hi) * ow, 0.0f);
+            continue;
+          }
+          if (ys.lo == ys.hi) continue;
+          if (same_pitch) {
+            const std::ptrdiff_t first =
+                static_cast<std::ptrdiff_t>(ys.lo) * ow + xs.lo;
+            const std::ptrdiff_t last =
+                static_cast<std::ptrdiff_t>(ys.hi - 1) * ow + xs.hi;
+            const Scalar* src = plane + (first + shift);
+            for (std::ptrdiff_t i = 0; i < last - first; ++i) {
+              dst[first + i] = src[i];
             }
-            const Scalar* line = plane + static_cast<std::size_t>(iy) * w;
-            const int ix0 = ox * stride - pad_w;
-            if (ix0 >= 0 && ix0 + kw <= w) {
-              // Fully interior: one contiguous copy per kernel row.
-              std::memcpy(orow + col, line + ix0,
-                          static_cast<std::size_t>(kw) * sizeof(Scalar));
-              col += static_cast<std::size_t>(kw);
-              continue;
-            }
-            for (int kx = 0; kx < kw; ++kx, ++col) {
-              const int ix = ix0 + kx;
-              orow[col] = (ix >= 0 && ix < w) ? line[ix] : 0.0f;
+          } else {
+            for (int oy = ys.lo; oy < ys.hi; ++oy) {
+              Scalar* drow = dst + static_cast<std::size_t>(oy) * ow;
+              const std::ptrdiff_t base =
+                  static_cast<std::ptrdiff_t>(oy) * stride * w + shift;
+              for (int ox = xs.lo; ox < xs.hi; ++ox) {
+                drow[ox] =
+                    plane[base + static_cast<std::ptrdiff_t>(ox) * stride];
+              }
             }
           }
+          // Edge columns are zeroed one strided column at a time: a tap has
+          // at most pad_w of them, and a column loop stays inline where a
+          // short per-row fill would become a libc call per row.
+          const auto zero_column = [&](int ox) {
+            for (int oy = ys.lo; oy < ys.hi; ++oy) {
+              dst[static_cast<std::size_t>(oy) * ow + ox] = 0.0f;
+            }
+          };
+          for (int ox = 0; ox < xs.lo; ++ox) zero_column(ox);
+          for (int ox = xs.hi; ox < ow; ++ox) zero_column(ox);
         }
       }
     }
@@ -251,11 +304,11 @@ Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
   MHB_CHECK_EQ(input.ndim(), 4);
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
+  const int oh = OutExtent(h, pad_h, kh, stride);
+  const int ow = OutExtent(w, pad_w, kw, stride);
   MHB_CHECK_GT(oh, 0);
   MHB_CHECK_GT(ow, 0);
-  Tensor cols = Tensor::Uninitialized({n * oh * ow, c * kh * kw});
+  Tensor cols = Tensor::Uninitialized({c * kh * kw, n * oh * ow});
   Im2ColInto(input, kh, kw, stride, pad_h, pad_w, cols.data().data());
   return cols;
 }
@@ -265,30 +318,44 @@ void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
   MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
   const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
             w = input_shape[3];
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
+  const int oh = OutExtent(h, pad_h, kh, stride);
+  const int ow = OutExtent(w, pad_w, kw, stride);
   const std::size_t out_cs = static_cast<std::size_t>(h) * w;
-  const std::size_t out_ns = static_cast<std::size_t>(c) * out_cs;
-  std::size_t row = 0;
+  const std::size_t ncols = static_cast<std::size_t>(n) * oh * ow;
+  std::vector<InteriorSpan> spans;
+  spans.reserve(static_cast<std::size_t>(kw));
+  for (int kx = 0; kx < kw; ++kx) {
+    spans.push_back(InteriorOf(kx, w, ow, stride, pad_w));
+  }
   for (int b = 0; b < n; ++b) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox, ++row) {
-        const Scalar* irow = cols + row * static_cast<std::size_t>(c) * kh * kw;
-        std::size_t col = 0;
-        for (int ch = 0; ch < c; ++ch) {
-          Scalar* plane = out + static_cast<std::size_t>(b) * out_ns +
-                          static_cast<std::size_t>(ch) * out_cs;
-          for (int ky = 0; ky < kh; ++ky) {
-            const int iy = oy * stride + ky - pad_h;
-            if (iy < 0 || iy >= h) {
-              col += static_cast<std::size_t>(kw);
-              continue;
-            }
-            Scalar* line = plane + static_cast<std::size_t>(iy) * w;
-            const int ix0 = ox * stride - pad_w;
-            for (int kx = 0; kx < kw; ++kx, ++col) {
-              const int ix = ix0 + kx;
-              if (ix >= 0 && ix < w) line[ix] += irow[col];
+    for (int ch = 0; ch < c; ++ch) {
+      Scalar* plane = out + (static_cast<std::size_t>(b) * c + ch) * out_cs;
+      for (int oy = 0; oy < oh; ++oy) {
+        const std::size_t col0 =
+            (static_cast<std::size_t>(b) * oh + oy) * ow;
+        for (int ky = 0; ky < kh; ++ky) {
+          const int iy = oy * stride + ky - pad_h;
+          if (iy < 0 || iy >= h) continue;
+          Scalar* line = plane + static_cast<std::size_t>(iy) * w;
+          // Input column ix = ox*stride + kx - pad_w gets its (ox, kx)
+          // contributions in ascending ox exactly when kx descends, so
+          // this (kx descending, ox ascending) order equals the
+          // (ox, kx) one while each inner loop is a plain strided add.
+          for (int kx = kw - 1; kx >= 0; --kx) {
+            const Scalar* tap =
+                cols +
+                ((static_cast<std::size_t>(ch) * kh + ky) * kw + kx) * ncols +
+                col0;
+            const InteriorSpan span = spans[static_cast<std::size_t>(kx)];
+            const int shift = kx - pad_w;
+            if (stride == 1) {
+              for (int ox = span.lo; ox < span.hi; ++ox) {
+                line[ox + shift] += tap[ox];
+              }
+            } else {
+              for (int ox = span.lo; ox < span.hi; ++ox) {
+                line[ox * stride + shift] += tap[ox];
+              }
             }
           }
         }
@@ -303,10 +370,10 @@ Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh, int kw,
   MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
   const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
             w = input_shape[3];
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
-  MHB_CHECK_EQ(cols.dim(0), n * oh * ow);
-  MHB_CHECK_EQ(cols.dim(1), c * kh * kw);
+  const int oh = OutExtent(h, pad_h, kh, stride);
+  const int ow = OutExtent(w, pad_w, kw, stride);
+  MHB_CHECK_EQ(cols.dim(0), c * kh * kw);
+  MHB_CHECK_EQ(cols.dim(1), n * oh * ow);
   Tensor grad(input_shape);
   Col2ImAcc(cols.data().data(), input_shape, kh, kw, stride, pad_h, pad_w,
             grad.data().data());

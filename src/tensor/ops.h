@@ -36,8 +36,14 @@ Tensor LogSoftmaxRows(const Tensor& logits);
 // Index of the max element in each row of [n, c].
 std::vector<int> ArgmaxRows(const Tensor& t);
 
-// im2col for 2-D convolution.  Input [N, C, H, W]; returns
-// [N*OH*OW, C*KH*KW] with zero padding (pad_h, pad_w) and stride `stride`.
+// im2col for 2-D convolution, channel-major.  Input [N, C, H, W]; returns
+// the column matrix [C*KH*KW, N*OH*OW] with zero padding (pad_h, pad_w) and
+// stride `stride`.  Row p = (ch*KH + ky)*KW + kx is one kernel tap, in the
+// flat order of a [out_c, C, KH, KW] weight; column r = (b*OH + oy)*OW + ox
+// is one output pixel.  So W[out_c, C*KH*KW] · cols is the convolution as
+// [out_c, N*OH*OW], whose (b, oc) slices are the NCHW output planes, and
+// each (tap, b, oy) run of a row is a (strided) copy of one input line plus
+// zero edges.
 Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
               int pad_w);
 inline Tensor Im2Col(const Tensor& input, int kh, int kw, int stride,
@@ -45,13 +51,13 @@ inline Tensor Im2Col(const Tensor& input, int kh, int kw, int stride,
   return Im2Col(input, kh, kw, stride, pad, pad);
 }
 
-// Allocation-free im2col: writes the [N*OH*OW, C*KH*KW] column matrix into
+// Allocation-free im2col: writes the [C*KH*KW, N*OH*OW] column matrix into
 // `out` (fully overwritten, padding included).  `out` must hold
-// N*OH*OW * C*KH*KW floats.
+// C*KH*KW * N*OH*OW floats.
 void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
                 int pad_w, float* out);
 
-// Adjoint of Im2Col: scatters columns [N*OH*OW, C*KH*KW] back into an
+// Adjoint of Im2Col: scatters columns [C*KH*KW, N*OH*OW] back into an
 // input-shaped gradient [N, C, H, W].
 Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh, int kw,
               int stride, int pad_h, int pad_w);
@@ -61,8 +67,11 @@ inline Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh,
 }
 
 // Accumulating raw-pointer adjoint: `out` (an input-shaped gradient,
-// already initialized) receives `cols` scattered back; `cols` holds
-// N*OH*OW * C*KH*KW floats.
+// already initialized) receives `cols` ([C*KH*KW, N*OH*OW]) scattered back.
+// The loop order is (b, ch, oy, ky, kx descending, ox), so every input
+// element sums its contributions in ascending (oy, ox) order, the order a
+// row-major [N*OH*OW, C*KH*KW] col2im visits them in: within one output
+// row, a larger ox reaches a given input column through a smaller kx.
 void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
                int stride, int pad_h, int pad_w, float* out);
 

@@ -242,11 +242,19 @@ Scalar Tensor::at(std::initializer_list<int> idx) const {
   return ptr_[Offset(std::span<const int>(idx.begin(), idx.size()))];
 }
 
-Tensor Tensor::Reshape(Shape new_shape) const {
+Tensor Tensor::Reshape(Shape new_shape) const& {
   MHB_CHECK_EQ(ShapeNumel(new_shape), numel())
       << ShapeToString(shape_) << "->" << ShapeToString(new_shape);
   Tensor t = Uninitialized(std::move(new_shape));
   if (size_ > 0) std::memcpy(t.ptr_, ptr_, size_ * sizeof(Scalar));
+  return t;
+}
+
+Tensor Tensor::Reshape(Shape new_shape) && {
+  MHB_CHECK_EQ(ShapeNumel(new_shape), numel())
+      << ShapeToString(shape_) << "->" << ShapeToString(new_shape);
+  Tensor t(std::move(*this));
+  t.shape_ = std::move(new_shape);
   return t;
 }
 

@@ -83,8 +83,10 @@ class Tensor {
   std::size_t Offset(std::span<const int> idx) const;
 
   // Returns a tensor sharing no storage with this one, with a new shape of
-  // equal element count.
-  Tensor Reshape(Shape new_shape) const;
+  // equal element count.  On an expiring tensor (a temporary, or
+  // std::move(t)) the buffer moves into the result instead of being copied.
+  Tensor Reshape(Shape new_shape) const&;
+  Tensor Reshape(Shape new_shape) &&;
 
   // Reshapes in place without touching the data, reusing the existing
   // buffer whenever its capacity suffices.  Contents are unspecified when

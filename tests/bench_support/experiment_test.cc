@@ -96,6 +96,20 @@ TEST(ExperimentTest, NonF32PrecisionIsRejected) {
   }
 }
 
+TEST(ExperimentTest, ThreadedGemmIsRejected) {
+  SuiteOptions options;
+  options.task = "cifar10";
+  options.preset = TinyPreset();
+  options.preset.threaded_gemm = 1;
+  try {
+    RunOne("sheterofl", options);
+    FAIL() << "expected mhbench::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExperimentTest, DeterministicAcrossCalls) {
   SuiteOptions options;
   options.constraint = "computation";

@@ -135,6 +135,17 @@ TEST(FlEngineTest, NonPositiveEvalEveryIsRejected) {
   }
 }
 
+TEST(FlEngineTest, ThreadedGemmIsRejected) {
+  // The kernel-layer threaded GEMM is gone; the field survives only so
+  // existing configs compile, and asking for it must fail loudly.
+  const data::Task task = SmallTask();
+  const auto tm = models::MakeTaskModels("cifar10");
+  auto alg = algorithms::MakeAlgorithm("fedavg", tm);
+  FlConfig cfg = FastConfig(2);
+  cfg.threaded_gemm = true;
+  EXPECT_THROW(FlEngine(task, cfg, {}, *alg), Error);
+}
+
 // Tiers are declared from the whole assignment table at Run entry, so a
 // tier none of whose clients is ever sampled still exports its twins, at
 // zero.

@@ -24,12 +24,10 @@
 namespace mhbench::fl {
 namespace {
 
-enum class Option { kThreadedGemm, kCheckpointEvery, kDetAudit, kTelemetry };
+enum class Option { kCheckpointEvery, kDetAudit, kTelemetry };
 
 std::string OptionName(Option o) {
   switch (o) {
-    case Option::kThreadedGemm:
-      return "threaded_gemm";
     case Option::kCheckpointEvery:
       return "checkpoint_every";
     case Option::kDetAudit:
@@ -44,8 +42,8 @@ class OptionMatrixTest : public ::testing::TestWithParam<Option> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Options, OptionMatrixTest,
-    ::testing::Values(Option::kThreadedGemm, Option::kCheckpointEvery,
-                      Option::kDetAudit, Option::kTelemetry),
+    ::testing::Values(Option::kCheckpointEvery, Option::kDetAudit,
+                      Option::kTelemetry),
     [](const ::testing::TestParamInfo<Option>& info) {
       return OptionName(info.param);
     });
@@ -84,9 +82,6 @@ TEST_P(OptionMatrixTest, EveryAlgorithmFinishesAtTwoThreads) {
     obs::DetAuditor audit;
     std::unique_ptr<obs::ClientJournalWriter> journal;
     switch (option) {
-      case Option::kThreadedGemm:
-        cfg.threaded_gemm = true;
-        break;
       case Option::kCheckpointEvery:
         cfg.checkpoint_every = 1;
         cfg.checkpoint_dir = dir.path;

@@ -321,40 +321,6 @@ TEST(ParallelDeterminismTest, ProfilerAttributionDeterministicAcrossThreads) {
   }
 }
 
-// FlConfig::threaded_gemm routes kernel macro-tile parallelism to the
-// engine pool during serial phases (aggregation, global eval).  The tile
-// ownership map makes it a pure wall-time knob, so runs with it forced on
-// at any thread count must be bit-identical to the serial reference with
-// it off.
-TEST(ParallelDeterminismTest, ThreadedGemmStaysBitIdentical) {
-  data::TaskConfig tcfg;
-  tcfg.train_samples = 240;
-  tcfg.test_samples = 120;
-  tcfg.num_clients = 6;
-  const data::Task task = data::MakeTask("cifar10", tcfg);
-
-  const auto run = [&](int threads, bool threaded_gemm) {
-    const auto tm = models::MakeTaskModels("cifar10");
-    auto alg = algorithms::MakeAlgorithm("sheterofl", tm);
-    FlConfig cfg;
-    cfg.rounds = 2;
-    cfg.sample_fraction = 0.8;
-    cfg.eval_every = 1;
-    cfg.eval_max_samples = 96;
-    cfg.stability_max_samples = 48;
-    cfg.round_deadline_s = 25.0;
-    cfg.num_threads = threads;
-    cfg.threaded_gemm = threaded_gemm;
-    FlEngine engine(task, cfg, HeterogeneousAssignments(6), *alg);
-    return engine.Run();
-  };
-
-  const RunResult reference = run(1, false);
-  ExpectIdentical(reference, run(1, true), 1);
-  ExpectIdentical(reference, run(2, true), 2);
-  ExpectIdentical(reference, run(4, true), 4);
-}
-
 // Determinism auditor ledger (obs/det_audit.h, DESIGN.md §5k): on a conv
 // algorithm the per-round component hashes — RNG stream, algorithm
 // SaveState bytes, auditable counter/histogram totals — and the running

@@ -4,14 +4,11 @@
 // zero-allocation steady state of the conv hot path.
 #include "tensor/gemm.h"
 
-#include <future>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "nn/conv.h"
 #include "tensor/scratch.h"
 #include "tensor/tensor.h"
@@ -225,75 +222,41 @@ TEST(GemmTest, ZeroSizedDimsFollowTheDegenerateContract) {
 
 }
 
-// Runs one shape serially and through pools of several worker counts; the
-// threaded macro-tile path must be bit-identical to the serial fast path
-// (gemm.h's ownership-map contract), not merely close.
-void CheckThreadedBitExact(int m, int n, int k) {
-  Rng rng(static_cast<std::uint64_t>(m) * 31 + n * 7 + k);
+TEST(GemmTest, PartialBPanelsMatchFullPanelColumns) {
+  // The non-transposed B path packs full kNR-wide panels with a fixed-size
+  // copy and ragged last panels element by element.  For n straddling kNR
+  // (one full panel plus a partial one, and a partial one alone), every
+  // column must match the reference, and the columns a narrower call
+  // shares with a wider one must be bit-identical to it: a column's value
+  // depends only on its own products, not on which panel kind packed it.
+  Rng rng(27);
+  const int m = 7, k = kernels::kKC + 9;  // two k blocks
+  const int wide = 3 * kernels::kNR;
   const std::vector<float> a = RandVec(static_cast<std::size_t>(m) * k, rng);
-  const std::vector<float> b = RandVec(static_cast<std::size_t>(k) * n, rng);
-  const std::vector<float> bias = RandVec(static_cast<std::size_t>(n), rng);
-  std::vector<float> serial(static_cast<std::size_t>(m) * n, 0.25f);
-  Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.5f, serial.data(),
-       n, bias.data());
-  for (const int workers : {1, 2, 4, 8}) {
-    core::ThreadPool pool(workers);
-    core::ThreadPool* prev = kernels::SetGemmThreadPool(&pool);
-    std::vector<float> threaded(static_cast<std::size_t>(m) * n, 0.25f);
-    Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.5f,
-         threaded.data(), n, bias.data());
-    kernels::SetGemmThreadPool(prev);
-    ASSERT_EQ(serial, threaded)
-        << "m=" << m << " n=" << n << " k=" << k << " workers=" << workers;
+  const std::vector<float> b =
+      RandVec(static_cast<std::size_t>(k) * wide, rng);
+  std::vector<float> full(static_cast<std::size_t>(m) * wide);
+  Gemm(false, false, m, wide, k, a.data(), k, b.data(), wide, 0.0f,
+       full.data(), wide);
+  for (const int n : {kernels::kNR - 1, kernels::kNR + 1,
+                      2 * kernels::kNR - 3}) {
+    std::vector<float> got(static_cast<std::size_t>(m) * n, 7.0f);
+    std::vector<float> want(static_cast<std::size_t>(m) * n, 7.0f);
+    // Same B buffer, leading dimension `wide`: a column prefix of it.
+    Gemm(false, false, m, n, k, a.data(), k, b.data(), wide, 0.0f,
+         got.data(), n);
+    RefGemm(false, false, m, n, k, a.data(), k, b.data(), wide, 0.0f,
+            want.data(), n, nullptr);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const std::size_t at = static_cast<std::size_t>(i) * n + j;
+        ASSERT_NEAR(got[at], want[at], 1e-3f)
+            << "n=" << n << " at (" << i << ", " << j << ")";
+        ASSERT_EQ(got[at], full[static_cast<std::size_t>(i) * wide + j])
+            << "n=" << n << " at (" << i << ", " << j << ")";
+      }
+    }
   }
-}
-
-TEST(GemmTest, ThreadedMatchesSerialBitExactAtAnyWorkerCount) {
-  // All shapes exceed the engagement threshold; they straddle the threaded
-  // tiling in different ways (square multi-block, ragged tail panels in all
-  // three dimensions, single row-block with many column stripes).
-  CheckThreadedBitExact(256, 256, 256);
-  CheckThreadedBitExact(301, 97, 530);
-  CheckThreadedBitExact(6, 2048, 600);
-}
-
-TEST(GemmTest, ThreadedBelowThresholdAndNestedStaysSerial) {
-  // Small calls under a pool take the serial path (engagement is a pure
-  // wall-time decision), and a *large* Gemm issued from inside a pool
-  // worker never re-submits (nested guard — the FL engine's per-client
-  // training must stay single-threaded under client dispatch); either way
-  // the result must be the bit-exact serial one.
-  Rng rng(21);
-  const int m = 256, n = 256, k = 256;  // over the engagement threshold
-  const std::vector<float> a = RandVec(static_cast<std::size_t>(m) * k, rng);
-  const std::vector<float> b = RandVec(static_cast<std::size_t>(k) * n, rng);
-  std::vector<float> serial(static_cast<std::size_t>(m) * n);
-  Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, serial.data(),
-       n);
-  const int ms = 24, ns = 32, ks = 17;
-  std::vector<float> serial_small(static_cast<std::size_t>(ms) * ns);
-  Gemm(false, false, ms, ns, ks, a.data(), ks, b.data(), ns, 0.0f,
-       serial_small.data(), ns);
-
-  core::ThreadPool pool(3);
-  core::ThreadPool* prev = kernels::SetGemmThreadPool(&pool);
-  std::vector<float> small(static_cast<std::size_t>(ms) * ns);
-  Gemm(false, false, ms, ns, ks, a.data(), ks, b.data(), ns, 0.0f,
-       small.data(), ns);
-  std::vector<float> nested(static_cast<std::size_t>(m) * n);
-  bool ran_in_worker = false;
-  std::promise<void> done;
-  pool.Submit([&] {
-    ran_in_worker = core::InParallelRegion();
-    Gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, nested.data(),
-         n);
-    done.set_value();
-  });
-  done.get_future().wait();
-  kernels::SetGemmThreadPool(prev);
-  EXPECT_TRUE(ran_in_worker);
-  EXPECT_EQ(serial_small, small);
-  EXPECT_EQ(serial, nested);
 }
 
 TEST(GemmTest, EveryAvailableIsaMatchesReferenceAndRepeats) {

@@ -94,24 +94,25 @@ TEST(ArgmaxTest, PicksMaxPerRow) {
 }
 
 TEST(Im2ColTest, IdentityKernelNoPad) {
-  // 1x1 kernel, stride 1, no pad: columns are just the pixels.
+  // 1x1 kernel, stride 1, no pad: row ch is channel ch's pixels, columns
+  // ordered (b, oy, ox).
   Tensor x({1, 2, 2, 2}, std::vector<Scalar>{1, 2, 3, 4, 5, 6, 7, 8});
   const Tensor cols = ops::Im2Col(x, 1, 1, 1, 0);
-  EXPECT_EQ(cols.dim(0), 4);
-  EXPECT_EQ(cols.dim(1), 2);
-  // Row (oy=0, ox=0): channels (1, 5).
+  EXPECT_EQ(cols.dim(0), 2);
+  EXPECT_EQ(cols.dim(1), 4);
+  // Column (oy=0, ox=0): channels (1, 5).
   EXPECT_EQ(cols.at({0, 0}), 1.0f);
-  EXPECT_EQ(cols.at({0, 1}), 5.0f);
-  // Row (oy=1, ox=1): channels (4, 8).
-  EXPECT_EQ(cols.at({3, 0}), 4.0f);
-  EXPECT_EQ(cols.at({3, 1}), 8.0f);
+  EXPECT_EQ(cols.at({1, 0}), 5.0f);
+  // Column (oy=1, ox=1): channels (4, 8).
+  EXPECT_EQ(cols.at({0, 3}), 4.0f);
+  EXPECT_EQ(cols.at({1, 3}), 8.0f);
 }
 
 TEST(Im2ColTest, PaddingProducesZeros) {
   Tensor x({1, 1, 1, 1}, std::vector<Scalar>{5});
   const Tensor cols = ops::Im2Col(x, 3, 3, 1, 1);
-  EXPECT_EQ(cols.dim(0), 1);
-  EXPECT_EQ(cols.dim(1), 9);
+  EXPECT_EQ(cols.dim(0), 9);
+  EXPECT_EQ(cols.dim(1), 1);
   // Center element of the 3x3 window is the pixel, everything else zero.
   for (int i = 0; i < 9; ++i) {
     EXPECT_EQ(cols[static_cast<std::size_t>(i)], i == 4 ? 5.0f : 0.0f);
@@ -122,8 +123,50 @@ TEST(Im2ColTest, OutputSizeWithStride) {
   Tensor x({2, 3, 8, 8});
   const Tensor cols = ops::Im2Col(x, 3, 3, 2, 1);
   // OH = OW = (8 + 2 - 3)/2 + 1 = 4.
-  EXPECT_EQ(cols.dim(0), 2 * 4 * 4);
-  EXPECT_EQ(cols.dim(1), 3 * 9);
+  EXPECT_EQ(cols.dim(0), 3 * 9);
+  EXPECT_EQ(cols.dim(1), 2 * 4 * 4);
+}
+
+TEST(Im2ColTest, EveryEntryIsItsTapOrZero) {
+  // Element (tap p = (ch*kh + ky)*kw + kx, column r = (b*OH + oy)*OW + ox)
+  // is input (b, ch, oy*s + ky - pad_h, ox*s + kx - pad_w), or 0 outside,
+  // for strides and asymmetric pads that clip both edges, a valid (unpadded)
+  // window, and a single output pixel whose edge taps see only padding.
+  Rng rng(5);
+  const Tensor x = Tensor::Randn({2, 3, 5, 7}, rng);
+  struct Case {
+    int kh, kw, stride, pad_h, pad_w;
+  };
+  for (const Case c : {Case{3, 3, 1, 1, 1}, Case{3, 3, 2, 1, 1},
+                       Case{1, 5, 1, 0, 2}, Case{2, 4, 3, 1, 2},
+                       Case{3, 3, 1, 0, 0}, Case{5, 7, 3, 1, 1}}) {
+    const Tensor cols = ops::Im2Col(x, c.kh, c.kw, c.stride, c.pad_h,
+                                    c.pad_w);
+    const int oh = (5 + 2 * c.pad_h - c.kh) / c.stride + 1;
+    const int ow = (7 + 2 * c.pad_w - c.kw) / c.stride + 1;
+    ASSERT_EQ(cols.shape(), Shape({3 * c.kh * c.kw, 2 * oh * ow}));
+    for (int ch = 0; ch < 3; ++ch) {
+      for (int ky = 0; ky < c.kh; ++ky) {
+        for (int kx = 0; kx < c.kw; ++kx) {
+          const int p = (ch * c.kh + ky) * c.kw + kx;
+          for (int b = 0; b < 2; ++b) {
+            for (int oy = 0; oy < oh; ++oy) {
+              for (int ox = 0; ox < ow; ++ox) {
+                const int iy = oy * c.stride + ky - c.pad_h;
+                const int ix = ox * c.stride + kx - c.pad_w;
+                const bool inside = iy >= 0 && iy < 5 && ix >= 0 && ix < 7;
+                const int r = (b * oh + oy) * ow + ox;
+                ASSERT_EQ(cols.at({p, r}),
+                          inside ? x.at({b, ch, iy, ix}) : 0.0f)
+                    << "k=" << c.kh << "x" << c.kw << " s=" << c.stride
+                    << " tap " << p << " col " << r;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Col2ImTest, AdjointOfIm2Col) {

@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Tests for tools/bench_report.py and the bench mode of tools/mhb_diff.py.
 
-Covers the pairing rules (fast/naive, threaded/serial per thread count,
-reduced-precision/f32), real conv GFLOP/s, the threads-exceed-CPUs
-annotation, the debug-library refusal, and mhb_diff's per-entry speedup
-gating (including the exemption for unattainable thread counts).
+Covers the fast/naive pairing, real conv GFLOP/s, the debug-library
+refusal, and mhb_diff's per-entry speedup gating.
 """
 import json
 import os
@@ -38,15 +36,11 @@ def run_bench(b_name, ns, gflops=None, reps=3):
 def raw_json(num_cpus=2, build_type="release", backend="avx2",
              mhb_build_type=None):
     benchmarks = []
-    # f32 fast vs naive at two sizes; /256 also serves as the serial
-    # baseline of the threaded entries.
+    # f32 fast vs naive at two sizes.
     benchmarks += run_bench("BM_Matmul/128", 1000, gflops=4.0)
     benchmarks += run_bench("BM_MatmulNaive/128", 4000, gflops=1.0)
     benchmarks += run_bench("BM_Matmul/256", 8000, gflops=4.0)
     benchmarks += run_bench("BM_MatmulNaive/256", 32000, gflops=1.0)
-    benchmarks += run_bench("BM_MatmulThreaded/256/1", 8000, gflops=4.0)
-    benchmarks += run_bench("BM_MatmulThreaded/256/2", 4200, gflops=7.6)
-    benchmarks += run_bench("BM_MatmulThreaded/256/4", 7000, gflops=4.6)
     benchmarks += run_bench("BM_Conv2dForward", 50000, gflops=2.5)
     benchmarks += run_bench("BM_Conv2dForwardNaive", 150000, gflops=0.8)
     benchmarks += run_bench("BM_Conv2dBackward", 90000, gflops=2.6)
@@ -86,7 +80,7 @@ class BenchReportTest(unittest.TestCase):
             self.assertEqual(proc.returncode, 0, proc.stderr)
             kernels = report["kernels"]
 
-            # Naive pairing unchanged, with real conv GFLOP/s.
+            # Naive pairing, with real conv GFLOP/s.
             self.assertAlmostEqual(
                 kernels["Matmul/128"]["speedup"], 4.0, places=1)
             self.assertTrue(kernels["Matmul/128"]["meets_target"])
@@ -95,17 +89,14 @@ class BenchReportTest(unittest.TestCase):
             self.assertAlmostEqual(
                 kernels["Conv2dForward"]["speedup"], 3.0, places=1)
 
-            # Threaded entries pair against the serial BM_Matmul/256 and
-            # gate independently per thread count.
-            t2 = kernels["MatmulThreaded/256/2"]
-            self.assertEqual(t2["threads"], 2)
-            self.assertEqual(t2["serial"], kernels["Matmul/256"]["fast"])
-            self.assertAlmostEqual(t2["speedup"], 1.9, places=1)
-            self.assertNotIn("threads_exceed_cpus", t2)
-            t4 = kernels["MatmulThreaded/256/4"]
-            self.assertTrue(t4["threads_exceed_cpus"])
-            self.assertEqual(t4["target_speedup"], 2.5)
-            self.assertFalse(t4["meets_target"])
+            self.assertAlmostEqual(
+                kernels["Matmul/256"]["speedup"], 4.0, places=1)
+            self.assertNotIn("target_speedup", kernels["Matmul/256"])
+            # Every entry is a fast kernel; naive twins are folded in.
+            self.assertEqual(
+                sorted(kernels),
+                ["Conv2dBackward", "Conv2dForward", "Matmul/128",
+                 "Matmul/256"])
 
             # Backend comes from the benchmark's own context, not env.
             self.assertEqual(report["context"]["kernel_backend"], "avx2")
@@ -137,17 +128,17 @@ class BenchReportTest(unittest.TestCase):
                 tmp, raw_json(build_type="release", mhb_build_type="debug"))
             self.assertEqual(proc.returncode, 3)
 
-    def test_diff_gates_thread_counts_independently(self):
+    def test_diff_gates_each_kernel_speedup(self):
         with tempfile.TemporaryDirectory() as tmp:
             _, base = run_report(tmp, raw_json(num_cpus=4))
             base_path = os.path.join(tmp, "base.json")
             with open(base_path, "w") as f:
                 json.dump(base, f)
 
-            # Candidate 1: the 2-thread speedup collapses -> regression,
-            # even though every other entry (including 4-thread) holds.
+            # The conv speedup collapses -> regression named for that entry
+            # alone, even though every other entry holds.
             cand = json.loads(json.dumps(base))
-            cand["kernels"]["MatmulThreaded/256/2"]["speedup"] = 1.0
+            cand["kernels"]["Conv2dBackward"]["speedup"] = 1.0
             cand_path = os.path.join(tmp, "cand.json")
             with open(cand_path, "w") as f:
                 json.dump(cand, f)
@@ -155,15 +146,13 @@ class BenchReportTest(unittest.TestCase):
                 [sys.executable, str(MHB_DIFF), base_path, cand_path],
                 capture_output=True, text=True)
             self.assertEqual(proc.returncode, 1, proc.stdout)
-            self.assertIn("MatmulThreaded/256/2", proc.stdout)
-            self.assertNotIn("MatmulThreaded/256/4", proc.stdout)
+            self.assertIn("Conv2dBackward", proc.stdout)
+            self.assertNotIn("Conv2dForward", proc.stdout)
 
-            # Candidate 2: the same collapse on an entry flagged
-            # threads_exceed_cpus is exempt (noted, not gated).
+            # A shrink within the latency ratio (default 1.3) passes.
             cand2 = json.loads(json.dumps(base))
-            cand2["kernels"]["MatmulThreaded/256/2"]["speedup"] = 1.0
-            cand2["kernels"]["MatmulThreaded/256/2"][
-                "threads_exceed_cpus"] = True
+            cand2["kernels"]["Conv2dBackward"]["speedup"] = (
+                base["kernels"]["Conv2dBackward"]["speedup"] / 1.2)
             cand2_path = os.path.join(tmp, "cand2.json")
             with open(cand2_path, "w") as f:
                 json.dump(cand2, f)
@@ -172,7 +161,6 @@ class BenchReportTest(unittest.TestCase):
                 capture_output=True, text=True)
             self.assertEqual(proc.returncode, 0,
                              proc.stdout + proc.stderr)
-            self.assertIn("speedup gate skipped", proc.stderr)
 
     def test_diff_refuses_backend_mismatch(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -4,8 +4,7 @@
 Usage: bench_report.py [--allow-debug] <raw-benchmark.json> <out.json>
 
 Pairs each fast kernel benchmark (BM_Matmul/128, BM_Conv2dForward, ...) with
-its *Naive twin and each BM_MatmulThreaded/n/T entry with the serial
-BM_Matmul/n.
+its *Naive twin.
 Per-repetition samples (run with --benchmark_repetitions=N and WITHOUT
 --benchmark_report_aggregates_only) give real p50/p95 wall times rather than
 a median-of-3; speedup ratios come from the p50s.  The context block embeds
@@ -13,11 +12,8 @@ a median-of-3; speedup ratios come from the p50s.  The context block embeds
 records via AddCustomContext, falling back to MHB_KERNELS) so
 tools/mhb_diff.py can refuse to compare apples to oranges.  Acceptance
 targets from the kernel-layer issues (>= 3x on BM_Matmul/128, >= 2x on
-BM_Conv2dForward, >= 2.5x at 4 threads on BM_MatmulThreaded/256/4) are
-annotated so the committed file documents whether the reference machine met
-them.  Threaded entries whose thread count exceeds the machine's CPUs are
-flagged `threads_exceed_cpus` — the speedup is physically unattainable
-there, and mhb_diff.py exempts such entries from the speedup gate.
+BM_Conv2dForward) are annotated so the committed file documents whether the
+reference machine met them.
 
 A raw file produced by a *debug* bench_micro build is refused (exit 3)
 unless --allow-debug is given: unoptimized-kernel timings would poison a
@@ -30,17 +26,13 @@ report context) but does not deoptimize the kernels under test.
 """
 import json
 import os
-import re
 import subprocess
 import sys
 
 TARGETS = {
     "BM_Matmul/128": 3.0,
     "BM_Conv2dForward": 2.0,
-    "BM_MatmulThreaded/256/4": 2.5,
 }
-
-THREADED_RE = re.compile(r"^BM_MatmulThreaded/(\d+)/(\d+)$")
 
 
 def percentile(sorted_samples, q):
@@ -143,30 +135,13 @@ def main() -> int:
         if "Naive" in name:
             continue
         entry = {"fast": fast}
-        threaded = THREADED_RE.match(name)
-        if threaded:
-            threads = int(threaded.group(2))
-            entry["threads"] = threads
-            serial = stats.get("BM_Matmul/" + threaded.group(1))
-            if serial is not None:
-                entry["serial"] = serial
-                entry["speedup"] = round(
-                    serial["wall_ns"] / fast["wall_ns"], 2)
-            if num_cpus is not None and threads > num_cpus:
-                # T logical threads on fewer CPUs: the parallel speedup is
-                # physically unattainable, so the gate is informational.
-                entry["threads_exceed_cpus"] = True
-        else:
-            naive_name = (
-                name.replace("/", "Naive/", 1)
-                if "/" in name
-                else name + "Naive"
-            )
-            naive = stats.get(naive_name)
-            if naive is not None:
-                entry["naive"] = naive
-                entry["speedup"] = round(
-                    naive["wall_ns"] / fast["wall_ns"], 2)
+        naive_name = (
+            name.replace("/", "Naive/", 1) if "/" in name else name + "Naive"
+        )
+        naive = stats.get(naive_name)
+        if naive is not None:
+            entry["naive"] = naive
+            entry["speedup"] = round(naive["wall_ns"] / fast["wall_ns"], 2)
         if name in TARGETS:
             entry["target_speedup"] = TARGETS[name]
             if "speedup" in entry:
@@ -179,17 +154,14 @@ def main() -> int:
 
     for base, entry in report["kernels"].items():
         ratio = entry.get("speedup")
-        against = "serial" if "serial" in entry else "naive"
         mark = ""
         if "target_speedup" in entry:
             mark = " (target %.1fx: %s)" % (
                 entry["target_speedup"],
                 "met" if entry.get("meets_target") else "MISSED",
             )
-        if entry.get("threads_exceed_cpus"):
-            mark += " [threads exceed CPUs]"
         if ratio is not None:
-            print(f"bench_report: {base}: {ratio}x vs {against}{mark}")
+            print(f"bench_report: {base}: {ratio}x vs naive{mark}")
     print(f"bench_report: wrote {out_path}")
     return 0
 

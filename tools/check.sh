@@ -477,11 +477,9 @@ PY
 }
 
 # Kernel benchmark smoke: builds Release, runs the GEMM/conv micro-benchmarks
-# through every variant (fast vs naive, threaded at 1/2/4 workers), and
-# distills the raw google-benchmark output into
-# BENCH_kernels.json (p50/p95 wall time per shape plus machine-normalized
-# speedup ratios; threaded entries where the thread count exceeds the host's
-# CPUs are annotated rather than gated).  Per-repetition rows (no
+# through both backends (fast vs naive), and distills the raw
+# google-benchmark output into BENCH_kernels.json (p50/p95 wall time per
+# shape plus machine-normalized speedup ratios).  Per-repetition rows (no
 # aggregates-only) feed real quantiles.  The fresh report is gated against
 # the committed baseline with mhb_diff at a 1.3x threshold on the speedup
 # ratios — absolute times are too host-dependent to assert — and the diff
@@ -524,16 +522,16 @@ smoke_e2ebench() {
   echo "check.sh: e2ebench fidelity test passed"
 }
 
-# Liveness smoke for nested parallelism: Fed-ET at two threads with the
-# threaded GEMM on (serial phases fan GEMMs out to the pool while the
-# stability eval fans clients out) and FedProto at four threads (parallel
-# global eval creating the committee states).  A deadlock hangs rather than
-# fails, so each run gets 60 s; a timeout fails the leg.
+# Liveness smoke for nested parallelism: Fed-ET at two threads (parallel
+# distillation teachers while the stability eval fans clients out) and
+# FedProto at four threads (parallel global eval creating the committee
+# states).  A deadlock hangs rather than fails, so each run gets 60 s; a
+# timeout fails the leg.
 smoke_liveness() {
   local build_dir="$1"
   local args
   for args in \
-    "--algorithm fedet --threads 2 --threaded-gemm 1" \
+    "--algorithm fedet --threads 2" \
     "--algorithm fedproto --threads 4"; do
     # shellcheck disable=SC2086  # $args is a word list on purpose
     if ! timeout 60 "$build_dir/tools/mhbench" run --task cifar10 \

@@ -25,13 +25,10 @@ What is compared, and against which gate:
                         heap_allocs is skipped (pool-warmup dependent).
 
   bench mode
-    per-kernel speedup (fast/naive and threaded/serial per thread count —
-    each BENCH entry carries its own ratio): the
-    candidate's speedup may shrink by at most the latency ratio
-    (machine-normalized, so two different hosts can be compared).
-    Entries flagged threads_exceed_cpus on either side are exempt from
-    the speedup gate (the parallel speedup is physically unattainable on
-    that host); a notice is printed instead.  --absolute additionally
+    per-kernel fast/naive speedup (each BENCH entry carries its own
+    ratio): the candidate's speedup may shrink by at most the latency
+    ratio (machine-normalized, so two different hosts can be compared).
+    --absolute additionally
     gates raw fast wall_ns.  Reports refuse to compare across kernel
     backends (MHB_KERNELS / runtime dispatch).
 
@@ -208,11 +205,7 @@ def diff_bench(differ, base, cand, absolute):
         # Machine-normalized gate: the fast/naive speedup divides out the
         # host's absolute speed, so it transfers across machines.
         bspeed, cspeed = bentry.get("speedup"), centry.get("speedup")
-        if (bentry.get("threads_exceed_cpus")
-                or centry.get("threads_exceed_cpus")):
-            print(f"mhb_diff: note: kernel {kernel}: thread count exceeds "
-                  f"host CPUs; speedup gate skipped", file=sys.stderr)
-        elif bspeed and cspeed:
+        if bspeed and cspeed:
             differ.checked += 1
             ratio = differ.override(kernel).get("ratio",
                                                 differ.latency_ratio)

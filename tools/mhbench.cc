@@ -11,7 +11,7 @@
 //   mhbench run --task cifar10 --algorithm sheterofl
 //               [--constraint computation] [--rounds 20] [--clients 10]
 //               [--alpha 0.5] [--deadline 0] [--seed 1] [--threads 1]
-//               [--threaded-gemm 0|1] [--client-journal-sample R]
+//               [--client-journal-sample R]
 //               [--trace out.json] [--trace-sim-clock 1]
 //               [--manifest-dir results] [--profile 0|1]
 //               [--checkpoint-every N] [--checkpoint-dir checkpoints]
@@ -22,10 +22,7 @@
 //       Run one federated experiment and print the metric panel.
 //       --threads parallelizes client training, global and stability
 //       evaluation and Fed-ET's distillation teachers; results are
-//       bit-identical for any thread count.
-//       --threaded-gemm 1 additionally routes kernel macro-tile
-//       parallelism to the same pool during serial phases (bit-identical
-//       either way; no-op with --threads 1).  The kernel ISA follows
+//       bit-identical for any thread count.  The kernel ISA follows
 //       MHB_KERNELS (see README).
 //       --trace writes a Chrome-tracing JSON (open in chrome://tracing or
 //       https://ui.perfetto.dev) plus a .jsonl event log next to it;
@@ -275,8 +272,6 @@ int CmdRun(Args& args) {
   options.preset.seed =
       static_cast<std::uint64_t>(args.GetI("seed", 1));
   options.preset.threads = args.GetI("threads", options.preset.threads);
-  options.preset.threaded_gemm =
-      args.GetI("threaded-gemm", options.preset.threaded_gemm);
 
   options.checkpoint_every = args.GetI("checkpoint-every", 0);
   options.checkpoint_dir = args.Get("checkpoint-dir", "checkpoints");
@@ -488,8 +483,6 @@ int CmdRun(Args& args) {
         // Kernel provenance: which micro-kernel ISA dispatch picked at
         // startup (DESIGN.md §5i).
         {"kernel_backend", kernels::KernelBackendName()},
-        {"threaded_gemm",
-         std::to_string(options.preset.threaded_gemm != 0 ? 1 : 0)},
         {"client_journal_sample", std::to_string(journal_sample)},
     };
     for (const auto& b : bundles) {
