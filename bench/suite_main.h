@@ -38,8 +38,8 @@ inline int RunConstraintFigure(const std::string& figure_id,
       "MHB_REPEATS)\n\n");
 
   // MHB_OBS_DIR=<dir> makes every figure emit telemetry: a run manifest
-  // (manifest.json + per-round rounds.csv) and a Chrome trace per task,
-  // under <dir>/<figure_id>-<task>/.  MHB_TRACE_SIM=1 adds sim-clock lanes.
+  // (manifest.json + per-round rounds.csv) and a Chrome trace per task
+  // (wall-clock and simulated-clock lanes), under <dir>/<figure_id>-<task>/.
   const std::string obs_dir = EnvString("MHB_OBS_DIR", "");
 
   std::vector<metrics::MetricBundle> all;
@@ -54,7 +54,6 @@ inline int RunConstraintFigure(const std::string& figure_id,
       registry = std::make_unique<obs::Registry>();
       options.obs.tracer = tracer.get();
       options.obs.registry = registry.get();
-      options.obs.sim_spans = EnvInt("MHB_TRACE_SIM", 0) != 0;
     }
     const auto bundles =
         bench_support::RunSuite(MhflAlgorithms(), options);

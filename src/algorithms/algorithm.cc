@@ -58,10 +58,9 @@ std::size_t WeightSharingAlgorithm::SlotOf(int client_id) const {
 
 void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
-  obs::Tracer* const tracer = ctx_->config->obs.tracer;
   const models::BuildSpec spec = ClientSpec(client_id, round, rng);
   Rng build_rng = rng.Fork(0xB1D);
-  obs::Span build_span(tracer, "build_submodel", "client");
+  obs::Span build_span("build_submodel", "client");
   build_span.Arg("client", static_cast<std::int64_t>(client_id));
   models::BuiltModel built = family_->Build(spec, build_rng);
   global_->store().LoadInto(*built.net, built.mapping);
@@ -69,7 +68,7 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));
   {
-    obs::Span train_span(tracer, "local_train", "client");
+    obs::Span train_span("local_train", "client");
     train_span.Arg("client", static_cast<std::int64_t>(client_id));
     train_span.Arg("samples", static_cast<std::int64_t>(shard.size()));
     TrainClientModel(built, client_id, shard, rng);
@@ -79,20 +78,18 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
                             : 1.0;
   // Stage the upload; accumulation is deferred to FinishRound so concurrent
   // participants never touch the shared averager.
-  obs::Span extract_span(tracer, "extract_update", "client");
+  obs::Span extract_span("extract_update", "client");
   extract_span.Arg("client", static_cast<std::int64_t>(client_id));
   fl::ClientUpdate update =
       fl::ExtractUpdate(*built.net, built.mapping, weight);
-  if (tracer != nullptr) extract_span.Arg("params", NumParams(update));
+  if (extract_span) extract_span.Arg("params", NumParams(update));
   staged_[SlotOf(client_id)] = std::move(update);
 }
 
 // mhb-obs-phase: serial — FinishRound merges at the round barrier.
 void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
-  obs::Registry* const reg = ctx_ != nullptr ? ctx_->config->obs.registry
-                                             : nullptr;
-  obs::Span merge_span(ctx_ != nullptr ? ctx_->config->obs.tracer : nullptr,
-                       "aggregate", "server");
+  obs::Registry* const reg = obs::CurrentObs().registry;
+  obs::Span merge_span("aggregate", "server");
   std::int64_t merged = 0;
   std::int64_t params = 0;
   for (const auto& update : staged_) {

@@ -148,12 +148,10 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   sgd_opts.lr = options_.server_lr;
   sgd_opts.momentum = 0.9;
   nn::Sgd sgd(*server_model_.net, sgd_opts);
-  obs::Profiler* const prof = ctx_->config->obs.profiler;
   for (std::size_t step = 0; step <= xs.size(); ++step) {
     const std::size_t student = step > 0 ? 1 : 0;  // item 0, when present
     const std::size_t teachers = step < xs.size() ? g : 0;
     core::ParallelFor(ctx_->pool, student + teachers, [&](std::size_t i) {
-      obs::ProfilerThreadGuard profiler_guard(prof);
       if (i < student) {
         // Weighted consensus teacher, summed in group order.
         Tensor teacher = std::move(probs[(step - 1) * g]);

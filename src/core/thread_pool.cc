@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 #include "core/error.h"
 
@@ -12,6 +13,8 @@ namespace {
 // Workers set it for their lifetime; ParallelFor sets it on its caller for
 // the duration of the call.
 thread_local bool tl_in_parallel = false;
+// ParallelFor sets it on a helper for the duration of its task.
+thread_local const void* tl_context = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(int num_workers) {
@@ -41,6 +44,12 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 bool InParallelRegion() { return tl_in_parallel; }
+
+const void* ThreadContext() { return tl_context; }
+
+const void* ExchangeThreadContext(const void* context) {
+  return std::exchange(tl_context, context);
+}
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
@@ -126,9 +135,12 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
     std::lock_guard<std::mutex> lock(shared->mu);
     shared->helpers_live = helper_count;
   }
+  const void* const context = tl_context;
   for (std::size_t h = 0; h < helper_count; ++h) {
-    pool->Submit([shared, drain] {
+    pool->Submit([shared, drain, context] {
+      const void* const worker_context = std::exchange(tl_context, context);
       drain();
+      tl_context = worker_context;
       std::lock_guard<std::mutex> lock(shared->mu);
       if (--shared->helpers_live == 0) shared->done_cv.notify_all();
     });

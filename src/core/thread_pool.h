@@ -65,10 +65,20 @@ class ThreadPool {
 // calling item holds (nested-parallelism deadlock guard).
 bool InParallelRegion();
 
+// An opaque per-thread pointer that ParallelFor hands from its caller to
+// every helper task (set around the task, restored after it), so each
+// item sees its caller's context on whichever thread runs it.  Core never
+// reads through it; obs keeps the run's collectors there (obs/obs_config.h).
+// Null on a thread nothing has set it on.
+const void* ThreadContext();
+// Sets the calling thread's context and returns the one it replaces.
+const void* ExchangeThreadContext(const void* context);
+
 // Runs fn(i) for every i in [0, n).  Iterations execute on the pool's
-// workers *and* the calling thread; the call returns once all iterations
-// have finished.  Runs serially inline when `pool` is null, has no workers,
-// n <= 1, or InParallelRegion() holds (nested-parallelism guard).
+// workers *and* the calling thread, each under the caller's ThreadContext;
+// the call returns once all iterations have finished.  Runs serially
+// inline when `pool` is null, has no workers, n <= 1, or InParallelRegion()
+// holds (nested-parallelism guard).
 //
 // Exception safety: the first exception thrown by any iteration is captured,
 // remaining unstarted iterations are abandoned, and the exception is

@@ -79,12 +79,10 @@ std::vector<std::uint8_t> SnapshotWriter::Finish() const {
   return out.Release();
 }
 
-void SnapshotWriter::WriteFile(const std::string& path,
-                               const obs::ObsConfig* obs) const {
-  obs::Tracer* const tracer = obs != nullptr ? obs->tracer : nullptr;
-  obs::Registry* const reg = obs != nullptr ? obs->registry : nullptr;
+void SnapshotWriter::WriteFile(const std::string& path) const {
+  obs::Registry* const reg = obs::CurrentObs().registry;
   const auto t0 = std::chrono::steady_clock::now();
-  obs::Span span(tracer, "snapshot_write", "checkpoint");
+  obs::Span span("snapshot_write", "checkpoint");
   const auto bytes = Finish();
   WriteFileAtomic(path, bytes);
   span.Arg("bytes", static_cast<std::int64_t>(bytes.size()));
@@ -134,15 +132,13 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes) {
   in.ExpectEnd();
 }
 
-SnapshotReader SnapshotReader::FromFile(const std::string& path,
-                                        const obs::ObsConfig* obs) {
-  obs::Span span(obs != nullptr ? obs->tracer : nullptr, "snapshot_read",
-                 "checkpoint");
+SnapshotReader SnapshotReader::FromFile(const std::string& path) {
+  obs::Span span("snapshot_read", "checkpoint");
   std::vector<std::uint8_t> bytes = ReadFileBytes(path);
-  if (obs != nullptr && obs->registry != nullptr) {
+  if (obs::Registry* const reg = obs::CurrentObs().registry) {
     // Serial restore phase, before any client dispatch.
-    obs->registry->AddNamed("checkpoint_read_bytes",
-                            static_cast<std::int64_t>(bytes.size()));
+    reg->AddNamed("checkpoint_read_bytes",
+                  static_cast<std::int64_t>(bytes.size()));
   }
   span.Arg("bytes", static_cast<std::int64_t>(bytes.size()));
   return SnapshotReader(std::move(bytes));

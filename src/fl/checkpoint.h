@@ -33,10 +33,6 @@
 #include "core/bytes.h"
 #include "tensor/tensor.h"
 
-namespace mhbench::obs {
-struct ObsConfig;
-}
-
 namespace mhbench::fl {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'H', 'B', 'S',
@@ -70,15 +66,14 @@ class SnapshotWriter {
   // (Finish is const), so tests can snapshot intermediate states.
   std::vector<std::uint8_t> Finish() const;
   // Finish() to `path` via a temp file + rename, so an interrupted write
-  // never leaves a half-snapshot under the final name.  With a non-null
-  // `obs`, the write is wrapped in a "snapshot_write" tracer span and
-  // publishes `checkpoint_writes` / `checkpoint_bytes` /
-  // `checkpoint_write_us` counters to the registry (serial barrier phases
-  // only — the counters land in the calling thread's sink).  Bytes and
-  // write counts are thread-count independent (the resume determinism test
-  // asserts it); write_us is wall time and is only asserted non-zero.
-  void WriteFile(const std::string& path,
-                 const obs::ObsConfig* obs = nullptr) const;
+  // never leaves a half-snapshot under the final name.  The write is a
+  // "snapshot_write" span on the context's tracer and publishes
+  // `checkpoint_writes` / `checkpoint_bytes` / `checkpoint_write_us`
+  // counters to the context's registry (obs/obs_config.h; serial barrier
+  // phases only).  Bytes and write counts are thread-count independent
+  // (the resume determinism test asserts it); write_us is wall time and is
+  // only asserted non-zero.
+  void WriteFile(const std::string& path) const;
 
  private:
   ByteWriter& Payload();
@@ -96,11 +91,10 @@ class SnapshotReader {
   // Validates magic, version, section framing and every CRC; throws
   // `Error` on any inconsistency.
   explicit SnapshotReader(std::vector<std::uint8_t> bytes);
-  // With a non-null `obs`, the load is wrapped in a "snapshot_read" tracer
-  // span and publishes a `checkpoint_read_bytes` counter (serial restore
-  // phase only).
-  static SnapshotReader FromFile(const std::string& path,
-                                 const obs::ObsConfig* obs = nullptr);
+  // The load is a "snapshot_read" span on the context's tracer and
+  // publishes a `checkpoint_read_bytes` counter to the context's registry
+  // (serial restore phase only).
+  static SnapshotReader FromFile(const std::string& path);
 
   std::uint32_t version() const { return version_; }
   std::vector<std::string> SectionNames() const;  // write order

@@ -5,7 +5,10 @@
 
 #include <chrono>
 #include <filesystem>
+#include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -74,6 +77,77 @@ double RunResult::MeanClientAccuracy() const {
   return mean / static_cast<double>(client_accuracies.size());
 }
 
+namespace {
+
+using MetaValue =
+    std::variant<std::string, std::uint64_t, std::int32_t, std::uint8_t,
+                 double>;
+
+// One field of a snapshot's "meta" section: the config identity the
+// snapshot was written under.  The value's type is its wire type.
+struct MetaField {
+  const char* name;
+  // A hard field changes the data partition, the RNG stream or the local
+  // objective, so a mismatch makes the saved state meaningless and resume
+  // throws.  A soft one may change mid-campaign (warm starts,
+  // constraint-switch studies); the resumed run is then a new experiment,
+  // not a bit-identical continuation, and resume warns.
+  bool hard;
+  MetaValue value;
+};
+
+// The meta section in wire order, valued from the running config; it
+// drives both WriteCheckpoint and RestoreCheckpoint.
+std::vector<MetaField> MetaFields(const FlConfig& c, int num_clients,
+                                  const std::string& algorithm) {
+  const auto u8 = [](auto e) { return static_cast<std::uint8_t>(e); };
+  // Cosine multipliers depend on the horizon: a changed round count would
+  // silently re-shape every remaining round's learning rate.
+  const bool cosine = c.lr_schedule == LrScheduleKind::kCosine;
+  return {
+      {"algorithm", true, algorithm},
+      {"seed", true, c.seed},
+      {"num_clients", true, num_clients},
+      {"rounds", cosine, c.rounds},
+      {"sample_fraction", false, c.sample_fraction},
+      {"min_sampled", false, c.min_sampled},
+      {"local_epochs", true, c.local_epochs},
+      {"batch_size", true, c.batch_size},
+      {"lr", false, c.lr},
+      {"momentum", false, c.momentum},
+      {"weight_decay", false, c.weight_decay},
+      {"grad_clip", false, c.grad_clip},
+      {"optimizer", true, u8(c.optimizer)},
+      {"lr_schedule", false, u8(c.lr_schedule)},
+      {"lr_step", false, c.lr_step},
+      {"lr_gamma", false, c.lr_gamma},
+      {"lr_cosine_floor", false, c.lr_cosine_floor},
+      {"round_deadline_s", false, c.round_deadline_s},
+      {"eval_every", false, c.eval_every},
+      {"eval_max_samples", false, c.eval_max_samples},
+      {"stability_max_samples", false, c.stability_max_samples},
+      {"partition", true, u8(c.partition)},
+      {"dirichlet_alpha", true, c.dirichlet_alpha},
+  };
+}
+
+std::string MetaText(const MetaValue& value) {
+  std::ostringstream out;
+  std::visit(
+      [&out](const auto& v) {
+        // Unary + prints a u8 field as a number, not a character.
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+          out << +v;
+        } else {
+          out << v;
+        }
+      },
+      value);
+  return out.str();
+}
+
+}  // namespace
+
 void MhflAlgorithm::BeginRound(int /*round*/,
                                const std::vector<int>& /*participants*/) {}
 
@@ -137,14 +211,12 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
 }
 
 RunResult FlEngine::Run() {
+  // The run's one collector install: every span, profile scope and
+  // snapshot counter below reads it, on this thread and, through
+  // core::ParallelFor, on every pool task.
+  const obs::ObsScope obs_scope(&config_.obs);
   obs::Tracer* const tracer = config_.obs.tracer;
   obs::Registry* const reg = config_.obs.registry;
-  obs::Profiler* const prof = config_.obs.profiler;
-  const bool sim_spans = config_.obs.sim_spans && tracer != nullptr;
-  // Serial phases (setup, merge, aggregation) profile on this thread; the
-  // dispatch and eval lambdas install their own guards because pool workers
-  // have no profiler context of their own.
-  obs::ProfilerThreadGuard main_profiler_guard(prof);
 
   // Engine-scoped counters, registered serially up front.  Client-scoped
   // telemetry is counted by the registry itself from each round's
@@ -176,7 +248,7 @@ RunResult FlEngine::Run() {
 
   Rng setup_rng = rng_.Fork(1);
   {
-    obs::Span span(tracer, "setup", "fl");
+    obs::Span span("setup", "fl");
     algorithm_.Setup(ctx_, setup_rng);
   }
 
@@ -184,7 +256,7 @@ RunResult FlEngine::Run() {
   double sim_time = 0.0;
   int start_round = 0;
   if (!config_.resume_path.empty()) {
-    obs::Span span(tracer, "restore", "fl");
+    obs::Span span("restore", "fl");
     start_round = RestoreCheckpoint(result, sim_time);
   }
   // Kernel-layer observability: the GEMM flop count is an exact integer
@@ -204,7 +276,7 @@ RunResult FlEngine::Run() {
   // per batch so every batch's work lands under it, whichever thread runs
   // it.
   auto evaluate_global = [&]() {
-    obs::Span span(tracer, "eval_global", "eval");
+    obs::Span span("eval_global", "eval");
     return EvaluateAccuracy(
         [&](const Tensor& x) {
           obs::ProfileScope profile_scope("eval_global");
@@ -217,7 +289,7 @@ RunResult FlEngine::Run() {
   for (int round = start_round; round < config_.rounds; ++round) {
     const auto round_wall_start = std::chrono::steady_clock::now();
     const double round_sim_start = sim_time;
-    obs::Span round_span(tracer, "round", "fl");
+    obs::Span round_span("round", "fl");
     round_span.Arg("round", static_cast<std::int64_t>(round));
 
     Rng round_rng = rng_.Fork(static_cast<std::uint64_t>(round) + 100);
@@ -228,7 +300,7 @@ RunResult FlEngine::Run() {
     // draws, straggler drops, per-client Rng forks — is made here, in the
     // sampled order, consuming round_rng exactly as the serial engine does.
     // Only after the full stream is fixed may clients run concurrently.
-    obs::Span select_span(tracer, "select", "fl");
+    obs::Span select_span("select", "fl");
     std::vector<Participant> participants;
     participants.reserve(sampled.size());
     // Per-client timeline rows, built serially for every sampled client
@@ -299,7 +371,7 @@ RunResult FlEngine::Run() {
     // algorithms stage uploads per client and merge them in participant
     // order inside FinishRound.  Each client writes only its own row's
     // wall time; every registry call waits for the serial barrier.
-    obs::Span dispatch_span(tracer, "dispatch", "fl");
+    obs::Span dispatch_span("dispatch", "fl");
     dispatch_span.Arg("participants",
                       static_cast<std::int64_t>(participants.size()));
     // mhb-obs-phase: parallel — no registry calls inside the dispatch.
@@ -307,16 +379,13 @@ RunResult FlEngine::Run() {
       const int client_id = participants[i].client_id;
       const auto& sys =
           ctx_.assignments[static_cast<std::size_t>(client_id)].system;
-      obs::Span client_span(tracer, "client", "client");
+      obs::Span client_span("client", "client");
       client_span.Arg("client", static_cast<std::int64_t>(client_id));
       client_span.Arg("bytes_up", sys.comm_mb * 5e5);
       client_span.Arg("bytes_down", sys.comm_mb * 5e5);
       client_span.Arg("train_gflops", sys.train_gflops);
       const auto client_wall_start = std::chrono::steady_clock::now();
       {
-        // Pool workers have no profiler installed; the guard scopes it to
-        // this task so each client's op tree lands in the worker's sink.
-        obs::ProfilerThreadGuard profiler_guard(prof);
         obs::ProfileScope profile_scope("client");
         algorithm_.RunClient(client_id, round, participants[i].rng);
       }
@@ -331,12 +400,12 @@ RunResult FlEngine::Run() {
     // mhb-obs-phase: serial — dispatch joined; barrier merge and gauges.
 
     {
-      obs::Span merge_span(tracer, "merge", "fl");
+      obs::Span merge_span("merge", "fl");
       algorithm_.FinishRound(round, round_rng);
     }
     sim_time += round_time;
 
-    if (sim_spans) {
+    if (tracer != nullptr) {
       // Simulated-clock track: one lane per client, timestamps in simulated
       // seconds.  Lane -1 carries the round envelope.
       tracer->RecordSim("round " + std::to_string(round), "sim",
@@ -419,7 +488,7 @@ RunResult FlEngine::Run() {
         (round + 1) % config_.checkpoint_every == 0) {
       // After the round barrier: all counts published (EndRound above when
       // a registry is attached), no client work in flight.
-      obs::Span ckpt_span(tracer, "checkpoint", "fl");
+      obs::Span ckpt_span("checkpoint", "fl");
       WriteCheckpoint(round + 1, sim_time, result);
     }
   }
@@ -431,14 +500,13 @@ RunResult FlEngine::Run() {
   // Stability: every client's personalized model on the shared test set.
   // Clients are independent given the final global state, so the loop
   // parallelizes; each client writes only its own slot.
-  obs::Span stability_span(tracer, "stability_eval", "eval");
+  obs::Span stability_span("stability_eval", "eval");
   algorithm_.PrepareEvaluation();
   result.client_accuracies.assign(static_cast<std::size_t>(num_clients), 0.0);
   core::ParallelFor(
       pool_.get(), static_cast<std::size_t>(num_clients), [&](std::size_t c) {
-        obs::Span span(tracer, "client_eval", "eval");
+        obs::Span span("client_eval", "eval");
         span.Arg("client", static_cast<std::int64_t>(c));
-        obs::ProfilerThreadGuard profiler_guard(prof);
         obs::ProfileScope profile_scope("client_eval");
         result.client_accuracies[c] = EvaluateAccuracy(
             [&](const Tensor& x) {
@@ -455,33 +523,20 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
                                const RunResult& partial) const {
   SnapshotWriter w;
 
-  // "meta": the config identity the snapshot was produced under.  Restore
-  // hard-checks the fields that change the partition / RNG stream / local
-  // objective and warns on the rest (see RestoreCheckpoint).
   w.BeginSection("meta");
-  w.WriteString(algorithm_.name());
-  w.WriteU64(config_.seed);
-  w.WriteI32(ctx_.num_clients());
-  w.WriteI32(config_.rounds);
-  w.WriteF64(config_.sample_fraction);
-  w.WriteI32(config_.min_sampled);
-  w.WriteI32(config_.local_epochs);
-  w.WriteI32(config_.batch_size);
-  w.WriteF64(config_.lr);
-  w.WriteF64(config_.momentum);
-  w.WriteF64(config_.weight_decay);
-  w.WriteF64(config_.grad_clip);
-  w.WriteU8(static_cast<std::uint8_t>(config_.optimizer));
-  w.WriteU8(static_cast<std::uint8_t>(config_.lr_schedule));
-  w.WriteI32(config_.lr_step);
-  w.WriteF64(config_.lr_gamma);
-  w.WriteF64(config_.lr_cosine_floor);
-  w.WriteF64(config_.round_deadline_s);
-  w.WriteI32(config_.eval_every);
-  w.WriteI32(config_.eval_max_samples);
-  w.WriteI32(config_.stability_max_samples);
-  w.WriteU8(static_cast<std::uint8_t>(config_.partition));
-  w.WriteF64(config_.dirichlet_alpha);
+  for (const MetaField& f :
+       MetaFields(config_, ctx_.num_clients(), algorithm_.name())) {
+    std::visit(
+        [&w](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>) w.WriteString(v);
+          if constexpr (std::is_same_v<T, std::uint64_t>) w.WriteU64(v);
+          if constexpr (std::is_same_v<T, std::int32_t>) w.WriteI32(v);
+          if constexpr (std::is_same_v<T, std::uint8_t>) w.WriteU8(v);
+          if constexpr (std::is_same_v<T, double>) w.WriteF64(v);
+        },
+        f.value);
+  }
   w.EndSection();
 
   // "engine": round position, simulated clock, the partial result, and the
@@ -562,7 +617,7 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
   if (num.size() < 6) num.insert(0, 6 - num.size(), '0');
   const std::string path =
       config_.checkpoint_dir + "/round_" + num + ".mhbsnap";
-  w.WriteFile(path, &config_.obs);
+  w.WriteFile(path);
   if (config_.obs.live != nullptr) {
     config_.obs.live->NotifyCheckpoint(next_round, path);
   }
@@ -625,87 +680,30 @@ void FlEngine::AuditRound(int round) const {
 }
 
 int FlEngine::RestoreCheckpoint(RunResult& result, double& sim_time) {
-  SnapshotReader r =
-      SnapshotReader::FromFile(config_.resume_path, &config_.obs);
+  SnapshotReader r = SnapshotReader::FromFile(config_.resume_path);
 
   r.EnterSection("meta");
-  // Hard identity checks: anything that changes the data partition, the
-  // RNG stream consumption pattern, or the local objective makes the saved
-  // state meaningless to resume from.
-  const std::string saved_algorithm = r.ReadString();
-  MHB_CHECK_EQ(saved_algorithm, algorithm_.name())
-      << "snapshot was written by a different algorithm";
-  const std::uint64_t saved_seed = r.ReadU64();
-  MHB_CHECK_EQ(saved_seed, config_.seed) << "snapshot seed mismatch";
-  const int saved_clients = r.ReadI32();
-  MHB_CHECK_EQ(saved_clients, ctx_.num_clients())
-      << "snapshot client-count mismatch";
-  const int saved_rounds = r.ReadI32();
-  const double saved_sample_fraction = r.ReadF64();
-  const int saved_min_sampled = r.ReadI32();
-  const int saved_local_epochs = r.ReadI32();
-  MHB_CHECK_EQ(saved_local_epochs, config_.local_epochs)
-      << "snapshot local_epochs mismatch";
-  const int saved_batch = r.ReadI32();
-  MHB_CHECK_EQ(saved_batch, config_.batch_size)
-      << "snapshot batch_size mismatch";
-  const double saved_lr = r.ReadF64();
-  const double saved_momentum = r.ReadF64();
-  const double saved_weight_decay = r.ReadF64();
-  const double saved_grad_clip = r.ReadF64();
-  const auto saved_optimizer = static_cast<nn::OptimizerKind>(r.ReadU8());
-  MHB_CHECK(saved_optimizer == config_.optimizer)
-      << "snapshot optimizer mismatch";
-  const auto saved_schedule = static_cast<LrScheduleKind>(r.ReadU8());
-  const int saved_lr_step = r.ReadI32();
-  const double saved_lr_gamma = r.ReadF64();
-  const double saved_lr_floor = r.ReadF64();
-  const double saved_deadline = r.ReadF64();
-  const int saved_eval_every = r.ReadI32();
-  const int saved_eval_max = r.ReadI32();
-  const int saved_stability_max = r.ReadI32();
-  const auto saved_partition = static_cast<PartitionKind>(r.ReadU8());
-  MHB_CHECK(saved_partition == config_.partition)
-      << "snapshot partition kind mismatch";
-  const double saved_alpha = r.ReadF64();
-  MHB_CHECK_EQ(saved_alpha, config_.dirichlet_alpha)
-      << "snapshot dirichlet_alpha mismatch";
+  for (const MetaField& f :
+       MetaFields(config_, ctx_.num_clients(), algorithm_.name())) {
+    MetaValue saved = f.value;  // the configured type selects the read
+    std::visit(
+        [&r](auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>) v = r.ReadString();
+          if constexpr (std::is_same_v<T, std::uint64_t>) v = r.ReadU64();
+          if constexpr (std::is_same_v<T, std::int32_t>) v = r.ReadI32();
+          if constexpr (std::is_same_v<T, std::uint8_t>) v = r.ReadU8();
+          if constexpr (std::is_same_v<T, double>) v = r.ReadF64();
+        },
+        saved);
+    if (saved == f.value) continue;
+    MHB_CHECK(!f.hard) << "snapshot" << f.name << "mismatch: saved"
+                       << MetaText(saved) << "vs configured"
+                       << MetaText(f.value);
+    MHB_LOG_WARN << "resume: " << f.name << " changed (" << MetaText(saved)
+                 << " -> " << MetaText(f.value) << ")";
+  }
   r.ExpectSectionEnd();
-  // Soft checks: these may legitimately change mid-campaign (warm starts,
-  // constraint-switch studies) — the resumed run is then a new experiment,
-  // not a bit-identical continuation, so say so loudly.
-  if (saved_rounds != config_.rounds) {
-    MHB_LOG_WARN << "resume: rounds changed (" << saved_rounds << " -> "
-                 << config_.rounds << ")";
-  }
-  if (config_.lr_schedule == LrScheduleKind::kCosine) {
-    // Cosine multipliers depend on the horizon; a changed horizon silently
-    // re-shapes every remaining round's learning rate.
-    MHB_CHECK_EQ(saved_rounds, config_.rounds)
-        << "cosine schedule: cannot resume with a changed round count";
-  }
-  if (saved_sample_fraction != config_.sample_fraction ||
-      saved_min_sampled != config_.min_sampled) {
-    MHB_LOG_WARN << "resume: sampling config changed";
-  }
-  if (saved_lr != config_.lr || saved_momentum != config_.momentum ||
-      saved_weight_decay != config_.weight_decay ||
-      saved_grad_clip != config_.grad_clip ||
-      saved_schedule != config_.lr_schedule ||
-      saved_lr_step != config_.lr_step ||
-      saved_lr_gamma != config_.lr_gamma ||
-      saved_lr_floor != config_.lr_cosine_floor) {
-    MHB_LOG_WARN << "resume: optimizer/schedule hyperparameters changed";
-  }
-  if (saved_deadline != config_.round_deadline_s) {
-    MHB_LOG_WARN << "resume: round deadline changed (" << saved_deadline
-                 << " -> " << config_.round_deadline_s << ")";
-  }
-  if (saved_eval_every != config_.eval_every ||
-      saved_eval_max != config_.eval_max_samples ||
-      saved_stability_max != config_.stability_max_samples) {
-    MHB_LOG_WARN << "resume: evaluation config changed";
-  }
 
   r.EnterSection("engine");
   const int next_round = r.ReadI32();

@@ -1,6 +1,11 @@
 // The federated execution engine: client sampling, local-training dispatch,
 // simulated wall clock, and metric collection.  Algorithm behaviour is
 // injected through the MhflAlgorithm interface.
+//
+// Run installs FlConfig::obs as the calling thread's collector context
+// (obs/obs_config.h) for the whole run; core::ParallelFor hands it to
+// every pool task, so algorithms and the layers below reach the run's
+// tracer, registry and profiler through obs::CurrentObs(), on any thread.
 #pragma once
 
 #include <limits>
@@ -61,9 +66,10 @@ struct FlConfig {
   // Removed option, kept so existing configs still compile: the engine
   // rejects true (every GEMM runs on its calling thread; tensor/gemm.h).
   bool threaded_gemm = false;
-  // Observability hooks (tracer / counter registry); all-null by default,
-  // in which case instrumentation reduces to untaken branches.  Collection
-  // never feeds back into execution, so enabling it cannot change results.
+  // The run's collectors, installed by Run as the per-thread context;
+  // all-null by default, in which case instrumentation reduces to untaken
+  // branches.  Collection never feeds back into execution, so enabling it
+  // cannot change results.
   obs::ObsConfig obs;
   // Checkpoint/resume (fl/checkpoint.h, DESIGN.md §5g).  checkpoint_every
   // > 0 writes <checkpoint_dir>/round_NNNNNN.mhbsnap after every N-th
@@ -86,8 +92,9 @@ struct FlContext {
   std::vector<ClientAssignment> assignments;   // per client
   // The engine's worker pool (null at one thread).  Serial phases may fan
   // independent work out to it with core::ParallelFor, writing per-index
-  // slots only; RunClient and ClientLogits already run inside a parallel
-  // region, where a nested ParallelFor runs inline.
+  // slots only (the tasks see the run's collectors without an install);
+  // RunClient and ClientLogits already run inside a parallel region, where
+  // a nested ParallelFor runs inline.
   core::ThreadPool* pool = nullptr;
   int num_clients() const { return static_cast<int>(shards.size()); }
   // Local training options; the learning rate carries the round's schedule

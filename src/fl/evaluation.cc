@@ -4,7 +4,6 @@
 
 #include "core/error.h"
 #include "nn/loss.h"
-#include "obs/profile.h"
 
 namespace mhbench::fl {
 
@@ -19,9 +18,7 @@ double EvaluateAccuracy(const LogitsFn& logits_fn,
                     : static_cast<int>(dataset.size());
   const int batches = (n + batch_size - 1) / batch_size;
   std::vector<int> correct(static_cast<std::size_t>(batches), 0);
-  obs::Profiler* const prof = obs::Profiler::Current();
   core::ParallelFor(pool, correct.size(), [&](std::size_t b) {
-    obs::ProfilerThreadGuard profiler_guard(prof);
     const int start = static_cast<int>(b) * batch_size;
     const int end = std::min(n, start + batch_size);
     std::vector<int> idx(static_cast<std::size_t>(end - start));

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "obs/profile.h"
+
 namespace mhbench::models {
 
 std::vector<int> BuildSpec::ChannelIndices(int full) const {
@@ -48,25 +50,13 @@ TrunkModel::TrunkModel(nn::ModulePtr stem, std::vector<nn::ModulePtr> blocks,
   }
   MHB_CHECK_EQ(exit_blocks_.back(), num_blocks() - 1)
       << "deepest exit must be after the last block";
-}
-
-obs::Profiler* TrunkModel::ProfilerScopeNames() {
-  obs::Profiler* const prof = obs::Profiler::Current();
-  if (prof != nullptr && interned_for_ != prof) {
-    // Per-round sub-models die before the profiler does, so scope names
-    // must not point into this model's strings — intern them instead.
-    block_scope_names_.clear();
-    block_scope_names_.reserve(block_names_.size());
-    for (const auto& name : block_names_) {
-      block_scope_names_.push_back(prof->Intern(name));
-    }
-    interned_for_ = prof;
+  block_scope_names_.reserve(block_names_.size());
+  for (const auto& name : block_names_) {
+    block_scope_names_.push_back(obs::InternName(name));
   }
-  return prof;
 }
 
 std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x) {
-  obs::Profiler* const prof = ProfilerScopeNames();
   std::vector<Tensor> logits;
   logits.reserve(heads_.size());
   Tensor h;
@@ -78,8 +68,7 @@ std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x) {
   for (int b = 0; b < num_blocks(); ++b) {
     {
       obs::ProfileScope block_scope(
-          prof != nullptr ? block_scope_names_[static_cast<std::size_t>(b)]
-                          : "block");
+          block_scope_names_[static_cast<std::size_t>(b)]);
       h = blocks_[static_cast<std::size_t>(b)]->Forward(h);
     }
     if (next_exit < exit_blocks_.size() && exit_blocks_[next_exit] == b) {
@@ -98,9 +87,6 @@ std::vector<Tensor> TrunkModel::ForwardHeads(const Tensor& x) {
 TrunkModel::HeadsOutput TrunkModel::InferHeads(const Tensor& x,
                                                nn::NormStats stats,
                                                bool embedding) const {
-  // Const, so no shared name cache: block names are interned per call (a
-  // handful of lookups per batch).
-  obs::Profiler* const prof = obs::Profiler::Current();
   HeadsOutput out;
   out.logits.reserve(heads_.size());
   Tensor h;
@@ -112,8 +98,7 @@ TrunkModel::HeadsOutput TrunkModel::InferHeads(const Tensor& x,
   for (int b = 0; b < num_blocks(); ++b) {
     const auto bu = static_cast<std::size_t>(b);
     {
-      obs::ProfileScope block_scope(
-          prof != nullptr ? prof->Intern(block_names_[bu]) : "block");
+      obs::ProfileScope block_scope(block_scope_names_[bu]);
       h = blocks_[bu]->Infer(h, stats);
     }
     if (next_exit < exit_blocks_.size() && exit_blocks_[next_exit] == b) {
@@ -140,7 +125,6 @@ Tensor TrunkModel::BackwardHeads(const std::vector<Tensor>& head_grads,
       g.AddInPlace(extra);
     }
   };
-  obs::Profiler* const prof = ProfilerScopeNames();
   int next_exit = static_cast<int>(exit_blocks_.size()) - 1;
   for (int b = num_blocks() - 1; b >= 0; --b) {
     if (next_exit >= 0 && exit_blocks_[static_cast<std::size_t>(next_exit)] == b) {
@@ -157,8 +141,7 @@ Tensor TrunkModel::BackwardHeads(const std::vector<Tensor>& head_grads,
     }
     if (!g.empty()) {
       obs::ProfileScope block_scope(
-          prof != nullptr ? block_scope_names_[static_cast<std::size_t>(b)]
-                          : "block");
+          block_scope_names_[static_cast<std::size_t>(b)]);
       g = blocks_[static_cast<std::size_t>(b)]->Backward(g);
     }
   }

@@ -15,7 +15,6 @@
 #include "models/index_map.h"
 #include "nn/composite.h"
 #include "nn/module.h"
-#include "obs/profile.h"
 
 namespace mhbench::models {
 
@@ -105,18 +104,14 @@ class TrunkModel : public nn::Module {
   EmbeddingLayout embedding_layout() const { return embedding_layout_; }
 
  private:
-  // Block names interned into the active profiler so the per-op scopes can
-  // outlive this (per-round) model; re-interned when the profiler changes.
-  // Returns null when profiling is off this thread.
-  obs::Profiler* ProfilerScopeNames();
-
   nn::ModulePtr stem_;
   std::vector<nn::ModulePtr> blocks_;
   std::vector<int> exit_blocks_;  // ascending; one per head
   std::vector<nn::ModulePtr> heads_;
   std::vector<std::string> block_names_;
   std::vector<std::string> head_names_;
-  const obs::Profiler* interned_for_ = nullptr;
+  // block_names_ interned at construction (obs::InternName), so the per-op
+  // scopes can outlive this (per-round) model.
   std::vector<const char*> block_scope_names_;
   bool capture_embedding_ = false;
   Tensor last_embedding_;

@@ -1,10 +1,10 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "obs/trace.h"  // JsonEscape
@@ -16,20 +16,6 @@ namespace mhbench::obs {
 
 namespace {
 
-thread_local Profiler* tl_profiler = nullptr;
-
-struct TlEntry {
-  const void* profiler = nullptr;
-  std::uint64_t generation = 0;
-  Profiler::Sink* sink = nullptr;
-};
-thread_local std::vector<TlEntry> tl_sinks;
-
-std::uint64_t NextGeneration() {
-  static std::atomic<std::uint64_t> g{1};
-  return g.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -38,33 +24,17 @@ std::int64_t NowNs() {
 
 }  // namespace
 
-Profiler::Profiler() : generation_(NextGeneration()) {}
-Profiler::~Profiler() = default;
-
-Profiler* Profiler::Current() { return tl_profiler; }
-
-const char* Profiler::Intern(const std::string& name) {
-  core::MutexLock lock(mu_);
-  auto it = interned_.find(name);
-  if (it != interned_.end()) return it->second;
-  interned_storage_.push_back(name);
-  const char* p = interned_storage_.back().c_str();
-  interned_.emplace(name, p);
-  return p;
-}
-
-Profiler::Sink* Profiler::ThreadSink() {
-  for (auto& e : tl_sinks) {
-    if (e.profiler == this && e.generation == generation_) return e.sink;
-  }
-  auto sink = std::make_unique<Sink>();
-  Sink* raw = sink.get();
-  {
-    core::MutexLock lock(mu_);
-    sinks_.push_back(std::move(sink));
-  }
-  tl_sinks.push_back({this, generation_, raw});
-  return raw;
+const char* InternName(const std::string& name) {
+  struct Names {
+    core::Mutex mu;
+    // Set nodes never move, so each c_str() stays valid.
+    std::set<std::string> names MHB_GUARDED_BY(mu);
+  };
+  // Never destroyed: scope names must outlive every profiler, statics
+  // included.
+  static Names* const table = new Names;
+  core::MutexLock lock(table->mu);
+  return table->names.insert(name).first->c_str();
 }
 
 void ProfileScope::Enter(Profiler* p, const char* name) {
@@ -127,13 +97,6 @@ void ProfileScope::Leave() {
   sink_->nodes[prev_].child_wall_ns += dt;
   sink_->current = prev_;
 }
-
-ProfilerThreadGuard::ProfilerThreadGuard(Profiler* profiler)
-    : prev_(tl_profiler) {
-  tl_profiler = profiler;
-}
-
-ProfilerThreadGuard::~ProfilerThreadGuard() { tl_profiler = prev_; }
 
 namespace {
 
@@ -209,11 +172,10 @@ void EmitTreeRows(const Profiler::TreeNode& node, const std::string& path,
 }  // namespace
 
 Profiler::TreeNode Profiler::MergedTree() const {
-  core::MutexLock lock(mu_);
   BuildNode root;
-  for (const auto& sink : sinks_) {
-    MergeInto(*sink, 0, &root);
-  }
+  sinks_.ForEach([&root](std::size_t, const Sink& sink) {
+    MergeInto(sink, 0, &root);
+  });
   // The root aggregates sink roots; its own stats stay zero except the
   // child_wall_ns the sinks accumulated, which is meaningless across
   // threads — clear it.

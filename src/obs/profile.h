@@ -3,11 +3,12 @@
 // (layer forward/backward, model blocks, train/aggregate phases).
 //
 // Design mirrors the Tracer/Registry contract:
-//   - Strictly no-op when disabled.  A ProfileScope first reads a
-//     thread-local Profiler pointer; when it is null (no ProfilerThreadGuard
-//     on this thread) the scope is a branch — no clock read, no allocation.
-//     The conv fwd+bwd zero-allocation test runs with the profiler off and
-//     must keep passing unmodified.
+//   - Strictly no-op when disabled.  A ProfileScope reads the profiler of
+//     the calling thread's context (obs/obs_config.h: FlEngine::Run
+//     installs it, core::ParallelFor hands it to every task); when that is
+//     null the scope is a branch — no clock read, no allocation.  The conv
+//     fwd+bwd zero-allocation test runs with the profiler off and must
+//     keep passing unmodified.
 //   - Per-thread sinks, merged serially.  Each thread grows a private node
 //     tree (find-or-create child by name-pointer compare — O(children),
 //     no hashing, no locks after the thread's first scope).  Export merges
@@ -17,43 +18,29 @@
 //     commute, so per-op counts and gemm_flops totals are bit-identical
 //     across --threads 1/2/4.  Wall time is the only field that isn't.
 //
-// Scope names must either be string literals (stable for the program's
-// lifetime) or come from Profiler::Intern — the hot path compares name
+// Scope names must either be string literals or come from InternName
+// (both live as long as the process) — the hot path compares name
 // POINTERS, not contents.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/mutex.h"
-#include "core/thread_annotations.h"
+#include "obs/obs_config.h"
 
 namespace mhbench::obs {
 
+// Returns a pointer that lives as long as the process for a dynamic scope
+// name (e.g. a model's block name).  The same string always returns the
+// same pointer, so interned names merge with literal names by content at
+// export and compare by pointer on the hot path.  Takes a lock; intern
+// once when the named thing is built, not per step.
+const char* InternName(const std::string& name);
+
 class Profiler {
  public:
-  Profiler();
-  ~Profiler();
-
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-
-  // The calling thread's active profiler (null when profiling is off).
-  // Installed by ProfilerThreadGuard, read by every ProfileScope.
-  static Profiler* Current();
-
-  // Returns a pointer with the profiler's lifetime for a dynamic name
-  // (e.g. a model's block name).  The same string always returns the same
-  // pointer, so interned names merge with literal names by content at
-  // export and compare by pointer on the hot path.  Takes a lock; intern
-  // once at setup, not per step.
-  const char* Intern(const std::string& name);
-
   // ---- Merged views (serial phases only; merges all thread sinks) ----
 
   struct TreeNode {
@@ -103,42 +90,19 @@ class Profiler {
     Sink() : nodes(1) {}
   };
 
-  Sink* ThreadSink() MHB_EXCLUDES(mu_);
+  Sink* ThreadSink() { return &sinks_.Local(); }
 
  private:
-  const std::uint64_t generation_;
-  // Guards sink registration and interning.  Sink *contents* are owner-
-  // thread-only on the hot path and merged at serial points, so they are
-  // deliberately outside the capability (same contract as obs::Registry).
-  mutable core::Mutex mu_;
-  std::vector<std::unique_ptr<Sink>> sinks_ MHB_GUARDED_BY(mu_);
-  std::deque<std::string> interned_storage_ MHB_GUARDED_BY(mu_);
-  std::unordered_map<std::string, const char*> interned_ MHB_GUARDED_BY(mu_);
+  ThreadSinks<Sink> sinks_;
 };
 
-// Installs `profiler` as the calling thread's active profiler for the
-// guard's lifetime (restores the previous one on destruction).  The engine
-// places one on the main thread for the whole run and one inside every
-// pooled task, so client work profiles no matter which thread runs it.
-// Null is allowed and keeps profiling off.
-class ProfilerThreadGuard {
- public:
-  explicit ProfilerThreadGuard(Profiler* profiler);
-  ~ProfilerThreadGuard();
-
-  ProfilerThreadGuard(const ProfilerThreadGuard&) = delete;
-  ProfilerThreadGuard& operator=(const ProfilerThreadGuard&) = delete;
-
- private:
-  Profiler* prev_;
-};
-
-// RAII scope.  `name` must outlive the profiler (string literal) or be
-// interned.  Nesting must be strict (LIFO), which C++ scoping guarantees.
+// RAII scope on the context's profiler.  `name` must be a string literal
+// or interned.  Nesting must be strict (LIFO), which C++ scoping
+// guarantees.
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (Profiler* p = Profiler::Current()) Enter(p, name);
+    if (Profiler* p = CurrentObs().profiler) Enter(p, name);
   }
   ~ProfileScope() {
     if (profiler_ != nullptr) Leave();

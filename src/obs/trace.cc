@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,27 +8,6 @@
 #include "core/error.h"
 
 namespace mhbench::obs {
-
-namespace {
-
-// Thread-local cache of (tracer -> buffer) resolutions.  A thread touches
-// at most a handful of tracers over its lifetime, so a flat vector beats a
-// map; entries for destroyed tracers are purged by the tracer's destructor
-// generation check (we key on the pointer and a generation counter to stay
-// safe against address reuse).
-struct TlEntry {
-  const void* tracer = nullptr;
-  std::uint64_t generation = 0;
-  void* buffer = nullptr;
-};
-thread_local std::vector<TlEntry> tl_buffers;
-
-std::uint64_t NextGeneration() {
-  static std::atomic<std::uint64_t> g{1};
-  return g.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -64,9 +42,7 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-Tracer::Tracer()
-    : epoch_(std::chrono::steady_clock::now()),
-      generation_(NextGeneration()) {}
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer::~Tracer() = default;
 
@@ -76,28 +52,7 @@ std::int64_t Tracer::NowUs() const {
       .count();
 }
 
-Tracer::Buffer* Tracer::ThreadBuffer() {
-  for (auto& e : tl_buffers) {
-    if (e.tracer == this && e.generation == generation_) {
-      return static_cast<Buffer*>(e.buffer);
-    }
-  }
-  auto buf = std::make_unique<Buffer>();
-  Buffer* raw = buf.get();
-  {
-    core::MutexLock lock(mu_);
-    raw->tid = static_cast<int>(buffers_.size());
-    buffers_.push_back(std::move(buf));
-  }
-  tl_buffers.push_back({this, generation_, raw});
-  return raw;
-}
-
-void Tracer::Record(TraceEvent e) {
-  Buffer* buf = ThreadBuffer();
-  if (e.pid == kWallPid) e.tid = buf->tid;
-  buf->events.push_back(std::move(e));
-}
+void Tracer::Record(TraceEvent e) { buffers_.Local().push_back(std::move(e)); }
 
 void Tracer::RecordSim(
     std::string name, std::string cat, double sim_start_s, double sim_dur_s,
@@ -115,12 +70,13 @@ void Tracer::RecordSim(
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> all;
-  {
-    core::MutexLock lock(mu_);
-    for (const auto& buf : buffers_) {
-      all.insert(all.end(), buf->events.begin(), buf->events.end());
+  buffers_.ForEach([&all](std::size_t lane,
+                          const std::vector<TraceEvent>& events) {
+    for (const TraceEvent& e : events) {
+      all.push_back(e);
+      if (e.pid == kWallPid) all.back().tid = static_cast<int>(lane);
     }
-  }
+  });
   std::stable_sort(all.begin(), all.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.pid != b.pid) return a.pid < b.pid;
@@ -202,22 +158,12 @@ void Tracer::WriteJsonl(const std::string& path) const {
   WriteFileOrThrow(path, ToJsonl());
 }
 
-Span::Span(Tracer* tracer, const char* name, const char* cat)
-    : tracer_(tracer) {
+Span::Span(const char* name, const char* cat)
+    : tracer_(CurrentObs().tracer) {
   if (tracer_ == nullptr) return;
   event_.name = name;
   event_.cat = cat;
   event_.ts_us = tracer_->NowUs();
-}
-
-Span& Span::operator=(Span&& other) noexcept {
-  if (this != &other) {
-    End();
-    tracer_ = other.tracer_;
-    event_ = std::move(other.event_);
-    other.tracer_ = nullptr;
-  }
-  return *this;
 }
 
 void Span::Arg(const char* key, std::int64_t value) {

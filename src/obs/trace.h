@@ -4,12 +4,14 @@
 // shared lock on the hot path after a thread's first span) and exports them
 // as Chrome-tracing JSON (loadable in chrome://tracing or Perfetto) and as
 // a JSONL event log.  Spans live on two tracks: the wall clock (pid 1,
-// one lane per OS thread) and, when the engine is asked to, the simulated
-// clock (pid 2, one lane per client).
+// one lane per OS thread) and the simulated clock (pid 2, one lane per
+// client), which the engine records whenever a tracer is attached.
 //
-// A null Tracer* is the disabled state: Span construction, Arg() and End()
-// are then branch-only no-ops that allocate nothing, so instrumented code
-// needs no #ifdefs.
+// A Span records into the tracer of the calling thread's context
+// (obs/obs_config.h: FlEngine::Run installs it, core::ParallelFor hands it
+// to every task).  With no tracer there, Span construction, Arg() and End()
+// are branch-only no-ops that allocate nothing, so instrumented code needs
+// no #ifdefs.
 #pragma once
 
 #include <chrono>
@@ -19,8 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/mutex.h"
-#include "core/thread_annotations.h"
+#include "obs/obs_config.h"
 
 namespace mhbench::obs {
 
@@ -79,33 +80,18 @@ class Tracer {
   void WriteJsonl(const std::string& path) const;
 
  private:
-  struct Buffer {
-    int tid = 0;
-    std::vector<TraceEvent> events;
-  };
-
-  // Registers the calling thread on first use.
-  Buffer* ThreadBuffer() MHB_EXCLUDES(mu_);
-
   std::chrono::steady_clock::time_point epoch_;
-  // Distinguishes this tracer from an earlier one at the same address, so
-  // threads' cached buffer resolutions can never alias across tracers.
-  const std::uint64_t generation_;
-  // Guards buffers_ (registration + snapshot).  Buffer *contents* are
-  // owner-thread-only between barriers, as in obs::Registry.
-  mutable core::Mutex mu_;
-  std::vector<std::unique_ptr<Buffer>> buffers_ MHB_GUARDED_BY(mu_);
+  // One event buffer per recording thread; a buffer's index is its wall
+  // lane, filled into wall-track events by Snapshot.
+  ThreadSinks<std::vector<TraceEvent>> buffers_;
 };
 
-// RAII wall-clock span.  Records a complete event on destruction (or End()).
-// Constructed against a null tracer it is inert: no clock reads, no
-// allocation, no buffer touch.
+// RAII wall-clock span on the context's tracer.  Records a complete event
+// on destruction (or End()).  With no tracer in the context it is inert: no
+// clock read, no allocation, no buffer touch.
 class Span {
  public:
-  Span() = default;
-  Span(Tracer* tracer, const char* name, const char* cat);
-  Span(Span&& other) noexcept { *this = std::move(other); }
-  Span& operator=(Span&& other) noexcept;
+  Span(const char* name, const char* cat);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() { End(); }

@@ -132,6 +132,23 @@ TEST(ThreadPoolTest, NestedParallelForOnCallerHoldingLockRunsInline) {
   EXPECT_FALSE(InParallelRegion());
 }
 
+TEST(ThreadPoolTest, ItemsRunUnderTheCallersContext) {
+  ThreadPool pool(3);
+  int context = 0;
+  EXPECT_EQ(ExchangeThreadContext(&context), nullptr);
+  std::atomic<int> matched{0};
+  ParallelFor(&pool, 64, [&](std::size_t) {
+    if (ThreadContext() == &context) matched.fetch_add(1);
+  });
+  EXPECT_EQ(matched.load(), 64);
+  EXPECT_EQ(ExchangeThreadContext(nullptr), &context);
+  // Workers restore their own (null) context after each task.
+  ParallelFor(&pool, 64, [&](std::size_t) {
+    if (ThreadContext() != nullptr) matched.fetch_add(1);
+  });
+  EXPECT_EQ(matched.load(), 64);
+}
+
 TEST(ThreadPoolTest, ZeroWorkerPoolDegradesToCaller) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0);

@@ -160,11 +160,12 @@ TEST_P(ParallelDeterminismTest, BitIdenticalAcrossThreadCounts) {
   ExpectIdentical(serial, RunWithThreads(c, task, 4), 4);
 }
 
-// Observability must be pure observation: with a tracer + counter registry
-// attached (including sim-clock spans), every thread count still produces a
-// RunResult bit-identical to the uninstrumented serial reference, and the
-// counter totals themselves are identical across thread counts (per-thread
-// sinks merge commutative int64 additions at the round barrier).
+// Observability must be pure observation: with a tracer (wall and
+// sim-clock tracks) + counter registry attached, every thread count still
+// produces a RunResult bit-identical to the uninstrumented serial
+// reference, and the counter totals themselves are identical across thread
+// counts (per-thread sinks merge commutative int64 additions at the round
+// barrier).
 TEST(ParallelDeterminismTest, InstrumentedRunsStayBitIdentical) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
@@ -182,7 +183,6 @@ TEST(ParallelDeterminismTest, InstrumentedRunsStayBitIdentical) {
     obs::ObsConfig obs;
     obs.tracer = &tracer;
     obs.registry = &registry;
-    obs.sim_spans = true;
     const RunResult traced = RunWithThreads(c, task, threads, obs);
     ExpectIdentical(bare, traced, threads);
 

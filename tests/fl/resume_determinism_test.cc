@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
@@ -348,8 +349,10 @@ struct RejectFixture {
     EXPECT_TRUE(std::filesystem::exists(snap_path));
   }
 
+  // `tweak` edits the config after the defaults and the arguments.
   RunResult Run(const std::string& algorithm, const std::string& resume_path,
-                bool checkpoint, int rounds = 2, std::uint64_t seed = 1) {
+                bool checkpoint, int rounds = 2, std::uint64_t seed = 1,
+                const std::function<void(FlConfig&)>& tweak = nullptr) {
     const auto tm = models::MakeTaskModels("cifar10");
     auto alg = algorithms::MakeAlgorithm(algorithm, tm);
     FlConfig cfg;
@@ -362,6 +365,7 @@ struct RejectFixture {
     cfg.checkpoint_every = checkpoint ? 1 : 0;
     cfg.checkpoint_dir = dir.path + "/ckpt";
     cfg.resume_path = resume_path;
+    if (tweak) tweak(cfg);
     FlEngine engine(task, cfg, UniformCapacityAssignments(4, {1.0}), *alg);
     return engine.Run();
   }
@@ -391,6 +395,43 @@ TEST(ResumeRejectTest, WrongAlgorithmRejected) {
 TEST(ResumeRejectTest, WrongSeedRejected) {
   RejectFixture f;
   EXPECT_THROW(f.Run("sheterofl", f.snap_path, false, 2, /*seed=*/7), Error);
+}
+
+TEST(ResumeRejectTest, ChangedPartitionRejected) {
+  RejectFixture f;
+  // The task is not naturally partitioned, so both fields shape the
+  // client shards the saved state was trained on.
+  EXPECT_THROW(f.Run("sheterofl", f.snap_path, false, 2, 1,
+                     [](FlConfig& c) {
+                       c.partition = PartitionKind::kDirichlet;
+                     }),
+               Error);
+  EXPECT_THROW(f.Run("sheterofl", f.snap_path, false, 2, 1,
+                     [](FlConfig& c) { c.dirichlet_alpha = 0.1; }),
+               Error);
+}
+
+TEST(ResumeRejectTest, CosineScheduleRejectsChangedRoundCount) {
+  RejectFixture f;
+  const auto cosine = [](FlConfig& c) {
+    c.lr_schedule = LrScheduleKind::kCosine;
+  };
+  // Re-snapshot under the cosine schedule.
+  f.Run("sheterofl", "", /*checkpoint=*/true, 2, 1, cosine);
+  EXPECT_THROW(f.Run("sheterofl", f.snap_path, false, /*rounds=*/3, 1, cosine),
+               Error);
+  // The same horizon resumes.
+  EXPECT_NO_THROW(f.Run("sheterofl", f.snap_path, false, 2, 1, cosine));
+}
+
+TEST(ResumeRejectTest, ChangedSoftFieldResumes) {
+  RejectFixture f;
+  // A changed eval cadence makes a new experiment, not a broken one: the
+  // resume warns and continues.
+  const RunResult r = f.Run("sheterofl", f.snap_path, false, 2, 1,
+                            [](FlConfig& c) { c.eval_every = 1; });
+  ASSERT_FALSE(r.curve.empty());
+  EXPECT_EQ(r.curve.back().round, 1);
 }
 
 TEST(ResumeRejectTest, FewerRoundsThanSnapshotRejected) {

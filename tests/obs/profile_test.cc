@@ -12,15 +12,22 @@
 namespace mhbench::obs {
 namespace {
 
-TEST(ProfileScopeTest, InertWithoutThreadGuard) {
-  // No ProfilerThreadGuard installed: scopes must not record anywhere,
-  // even while a profiler object exists.
+// The context that routes this thread's scopes into `profiler`.
+ObsConfig ProfilingTo(Profiler& profiler) {
+  ObsConfig obs;
+  obs.profiler = &profiler;
+  return obs;
+}
+
+TEST(ProfileScopeTest, InertWithoutAProfilerInTheContext) {
+  // Nothing installed: scopes must not record anywhere, even while a
+  // profiler object exists.
   Profiler profiler;
   {
     ProfileScope outer("outer");
     ProfileScope inner("inner");
   }
-  EXPECT_EQ(Profiler::Current(), nullptr);
+  EXPECT_EQ(CurrentObs().profiler, nullptr);
   EXPECT_TRUE(profiler.TotalsByName().empty());
   EXPECT_TRUE(profiler.MergedTree().children.empty());
 }
@@ -28,7 +35,8 @@ TEST(ProfileScopeTest, InertWithoutThreadGuard) {
 TEST(ProfilerTest, NestedScopesBuildATree) {
   Profiler profiler;
   {
-    ProfilerThreadGuard guard(&profiler);
+    const ObsConfig obs = ProfilingTo(profiler);
+    ObsScope obs_scope(&obs);
     for (int i = 0; i < 3; ++i) {
       ProfileScope train("train");
       {
@@ -60,7 +68,8 @@ TEST(ProfilerTest, NestedScopesBuildATree) {
 TEST(ProfilerTest, TotalsByNameFoldTreePositions) {
   Profiler profiler;
   {
-    ProfilerThreadGuard guard(&profiler);
+    const ObsConfig obs = ProfilingTo(profiler);
+    ObsScope obs_scope(&obs);
     {
       ProfileScope a("phase_a");
       ProfileScope shared("shared");
@@ -83,7 +92,8 @@ TEST(ProfilerTest, AttributesGemmFlopsToTheEnclosingScope) {
   const Tensor a(Shape{8, 8}, 1.0f);
   const Tensor b(Shape{8, 8}, 2.0f);
   {
-    ProfilerThreadGuard guard(&profiler);
+    const ObsConfig obs = ProfilingTo(profiler);
+    ObsScope obs_scope(&obs);
     ProfileScope scope("matmul");
     (void)ops::Matmul(a, b);
   }
@@ -94,9 +104,10 @@ TEST(ProfilerTest, AttributesGemmFlopsToTheEnclosingScope) {
 
 TEST(ProfilerTest, MergesPerThreadSinksByName) {
   Profiler profiler;
+  const ObsConfig obs = ProfilingTo(profiler);
+  ObsScope obs_scope(&obs);
   core::ThreadPool pool(4);
-  core::ParallelFor(&pool, 16, [&profiler](std::size_t) {
-    ProfilerThreadGuard guard(&profiler);
+  core::ParallelFor(&pool, 16, [](std::size_t) {
     ProfileScope work("work");
     ProfileScope step("step");
   });
@@ -114,10 +125,12 @@ TEST(ProfilerTest, MergesPerThreadSinksByName) {
 TEST(ProfilerTest, InternedNamesMergeWithLiterals) {
   Profiler profiler;
   const std::string dynamic = std::string("blo") + "ck0";
-  const char* interned = profiler.Intern(dynamic);
-  EXPECT_EQ(interned, profiler.Intern("block0"));  // stable pointer
+  const char* interned = InternName(dynamic);
+  EXPECT_EQ(interned, InternName("block0"));  // stable pointer
+  EXPECT_STREQ(interned, "block0");
   {
-    ProfilerThreadGuard guard(&profiler);
+    const ObsConfig obs = ProfilingTo(profiler);
+    ObsScope obs_scope(&obs);
     {
       ProfileScope s(interned);
     }
@@ -133,7 +146,8 @@ TEST(ProfilerTest, InternedNamesMergeWithLiterals) {
 TEST(ProfilerTest, JsonHasOpTotalsAndTreeRows) {
   Profiler profiler;
   {
-    ProfilerThreadGuard guard(&profiler);
+    const ObsConfig obs = ProfilingTo(profiler);
+    ObsScope obs_scope(&obs);
     ProfileScope outer("outer");
     ProfileScope inner("inner");
   }

@@ -1,5 +1,5 @@
 // Observability layer: span collection/nesting, JSON escaping and export,
-// the disabled (null-tracer) zero-cost path, the counter registry's
+// the disabled (no tracer in the context) zero-cost path, the counter registry's
 // barrier-published totals, client-row accounting and round snapshots, and
 // the run-manifest writer.
 #include <gtest/gtest.h>
@@ -18,12 +18,21 @@
 namespace mhbench::obs {
 namespace {
 
+// The context that routes this thread's spans into `tracer`.
+ObsConfig TracingTo(Tracer& tracer) {
+  ObsConfig obs;
+  obs.tracer = &tracer;
+  return obs;
+}
+
 TEST(TracerTest, RecordsNestedSpansWithinParentBounds) {
   Tracer tracer;
+  const ObsConfig obs = TracingTo(tracer);
   {
-    Span parent(&tracer, "parent", "test");
+    ObsScope scope(&obs);
+    Span parent("parent", "test");
     {
-      Span child(&tracer, "child", "test");
+      Span child("child", "test");
       child.Arg("k", static_cast<std::int64_t>(7));
     }
   }
@@ -54,8 +63,10 @@ TEST(TracerTest, JsonEscaping) {
 
 TEST(TracerTest, ChromeJsonContainsEscapedNamesAndBothTracks) {
   Tracer tracer;
+  const ObsConfig obs = TracingTo(tracer);
   {
-    Span s(&tracer, "quoted \"name\"", "cat");
+    ObsScope scope(&obs);
+    Span s("quoted \"name\"", "cat");
     s.Arg("note", std::string("with\nnewline"));
   }
   tracer.RecordSim("sim span", "sim", 1.5, 2.0, 3);
@@ -73,8 +84,12 @@ TEST(TracerTest, ChromeJsonContainsEscapedNamesAndBothTracks) {
 
 TEST(TracerTest, JsonlHasOneObjectPerLine) {
   Tracer tracer;
-  { Span a(&tracer, "a", "t"); }
-  { Span b(&tracer, "b", "t"); }
+  const ObsConfig obs = TracingTo(tracer);
+  {
+    ObsScope scope(&obs);
+    { Span a("a", "t"); }
+    { Span b("b", "t"); }
+  }
   std::istringstream lines(tracer.ToJsonl());
   std::string line;
   int count = 0;
@@ -87,9 +102,9 @@ TEST(TracerTest, JsonlHasOneObjectPerLine) {
 }
 
 TEST(TracerTest, DisabledSpanIsInert) {
-  // The disabled state is a null tracer: construction must not allocate,
-  // record, or crash, and all member calls are no-ops.
-  Span span(nullptr, "never", "never");
+  // The disabled state is a context without a tracer: construction must
+  // not allocate, record, or crash, and all member calls are no-ops.
+  Span span("never", "never");
   EXPECT_FALSE(static_cast<bool>(span));
   span.Arg("k", static_cast<std::int64_t>(1));
   span.Arg("d", 2.0);
@@ -97,22 +112,23 @@ TEST(TracerTest, DisabledSpanIsInert) {
   span.End();
   span.End();  // idempotent
 
-  // A default-constructed span is the same disabled state.
-  Span def;
-  EXPECT_FALSE(static_cast<bool>(def));
-
+  // A context whose other collectors are set is the same disabled state.
+  const ObsConfig no_tracer;
+  ObsScope scope(&no_tracer);
   // A tight loop of disabled spans must complete trivially (zero events
   // anywhere to record them, no tracer to observe them).
   for (int i = 0; i < 100000; ++i) {
-    Span s(nullptr, "hot", "loop");
+    Span s("hot", "loop");
+    EXPECT_FALSE(static_cast<bool>(s));
     s.Arg("i", static_cast<std::int64_t>(i));
   }
-  SUCCEED();
 }
 
 TEST(TracerTest, SpanEndBeforeDestructionRecordsOnce) {
   Tracer tracer;
-  Span s(&tracer, "once", "t");
+  const ObsConfig obs = TracingTo(tracer);
+  ObsScope scope(&obs);
+  Span s("once", "t");
   s.End();
   s.End();
   EXPECT_EQ(tracer.Snapshot().size(), 1u);
@@ -120,9 +136,11 @@ TEST(TracerTest, SpanEndBeforeDestructionRecordsOnce) {
 
 TEST(TracerTest, ConcurrentSpansLandInDistinctLanes) {
   Tracer tracer;
+  const ObsConfig obs = TracingTo(tracer);
+  ObsScope scope(&obs);
   core::ThreadPool pool(3);
   core::ParallelFor(&pool, 64, [&](std::size_t i) {
-    Span s(&tracer, "work", "mt");
+    Span s("work", "mt");
     s.Arg("i", static_cast<std::int64_t>(i));
   });
   const auto events = tracer.Snapshot();

@@ -84,7 +84,7 @@ smoke_obs() {
   trap 'rm -rf "$out"' RETURN
   MHB_TRAIN=160 MHB_TEST=80 "$build_dir/tools/mhbench" run \
     --task cifar10 --algorithm sheterofl --rounds 2 --clients 4 \
-    --threads 2 --trace "$out/trace.json" --trace-sim-clock 1 \
+    --threads 2 --trace "$out/trace.json" \
     --manifest-dir "$out/results" >/dev/null
   python3 - "$out" <<'PY'
 import csv, json, pathlib, sys

@@ -12,7 +12,7 @@
 //               [--constraint computation] [--rounds 20] [--clients 10]
 //               [--alpha 0.5] [--deadline 0] [--seed 1] [--threads 1]
 //               [--client-journal-sample R]
-//               [--trace out.json] [--trace-sim-clock 1]
+//               [--trace out.json]
 //               [--manifest-dir results] [--profile 0|1]
 //               [--checkpoint-every N] [--checkpoint-dir checkpoints]
 //               [--resume checkpoints/round_000002.mhbsnap]
@@ -25,8 +25,8 @@
 //       bit-identical for any thread count.  The kernel ISA follows
 //       MHB_KERNELS (see README).
 //       --trace writes a Chrome-tracing JSON (open in chrome://tracing or
-//       https://ui.perfetto.dev) plus a .jsonl event log next to it;
-//       --trace-sim-clock 1 adds simulated-clock lanes per client.
+//       https://ui.perfetto.dev) plus a .jsonl event log next to it, with
+//       a wall-clock lane per thread and a simulated-clock lane per client.
 //       --manifest-dir writes results/<run-id>/manifest.json + rounds.csv
 //       + tiers.csv (per-device-tier rollups) + clients.mhbj (the bounded
 //       client event journal; `tools/mhb_journal.py csv` converts it to
@@ -287,7 +287,6 @@ int CmdRun(Args& args) {
   double heartbeat_every = args.GetD("heartbeat-every", 0.0);
   const double watchdog_sec = args.GetD("watchdog-sec", 0.0);
   const bool watchdog_abort = args.GetI("watchdog-abort", 0) != 0;
-  const bool sim_spans = args.GetI("trace-sim-clock", 0) != 0;
   const double journal_sample = args.GetD("client-journal-sample", 1.0);
   std::string det_audit_path = args.Get("det-audit", "");
   args.RejectUnused();
@@ -315,13 +314,11 @@ int CmdRun(Args& args) {
   options.obs.tracer = tracer.get();
   options.obs.registry = registry.get();
   options.obs.profiler = profiler.get();
-  options.obs.sim_spans = sim_spans;
   MHB_LOG_INFO << "obs config: trace="
                << (tracer != nullptr ? trace_path : "off")
                << " manifest_dir="
                << (manifest_dir.empty() ? "off" : manifest_dir)
                << " profiler=" << (profile ? "on" : "off")
-               << " sim_spans=" << (options.obs.sim_spans ? "on" : "off")
                << " live=" << (live_enabled ? "on" : "off");
 
   // The run directory is created up front (not only at exit) so the
