@@ -161,7 +161,7 @@ void BM_MaskedAggregationRound(benchmark::State& state) {
   for (auto _ : state) {
     fl::MaskedAverager avg;
     for (auto& c : clients) {
-      avg.Accumulate(*c.net, c.mapping, 10.0, store);
+      avg.Accumulate(fl::ExtractUpdate(*c.net, c.mapping, 10.0), store);
     }
     avg.ApplyTo(store);
   }

@@ -28,14 +28,14 @@ struct SuiteOptions {
   double target_fraction = 0.7;
   std::uint64_t fleet_seed = 11;
   // Observability hooks threaded into every engine run of the suite
-  // (tracer / registry / profiler / live-exporter pointers; all-null
-  // disables collection).  The live exporter (obs/live.h) rides along
-  // here: every engine run of the suite — baseline included — notifies it
-  // at round barriers, so the watchdog and /status.json cover the whole
-  // suite, not just the requested algorithm.  Exception: obs.det_audit
-  // (obs/det_audit.h) reaches only the requested algorithm's run — its
-  // ledger header names one run, so the FedAvg reference run is excluded —
-  // and requires MHB_REPEATS=1.
+  // (tracer / registry / profiler pointers; all-null disables
+  // collection).  Every engine run of the suite — baseline included —
+  // crosses its round barriers on the shared registry, so a round sink
+  // installed on it (the CLI's rounds.csv and live files, obs/live.h)
+  // covers the whole suite, not just the requested algorithm.  Exception:
+  // obs.det_audit (obs/det_audit.h) reaches only the requested algorithm's
+  // run — its ledger header names one run, so the FedAvg reference run is
+  // excluded — and requires MHB_REPEATS=1.
   obs::ObsConfig obs;
   // Checkpoint/resume, forwarded into the engine config of the *requested*
   // algorithm's run only — never the fedavg-small effectiveness baseline.

@@ -25,12 +25,6 @@ ClientUpdate ExtractUpdate(nn::Module& model,
   return update;
 }
 
-void MaskedAverager::Accumulate(nn::Module& model,
-                                const models::ParamMapping& mapping,
-                                double weight, const ParamStore& reference) {
-  Accumulate(ExtractUpdate(model, mapping, weight), reference);
-}
-
 void MaskedAverager::Accumulate(const ClientUpdate& update,
                                 const ParamStore& reference) {
   MHB_CHECK_GT(update.weight, 0.0);

@@ -33,18 +33,12 @@ class MaskedAverager {
  public:
   MaskedAverager() = default;
 
-  // Adds one client's trained parameters.  `weight` is typically the
-  // client's sample count.  Tensor shapes come from the reference store at
-  // ApplyTo time; accumulation buffers are sized lazily from it.
+  // Adds one client's staged update.  `update.weight` is typically the
+  // client's sample count.  Tensor shapes come from the reference store;
+  // accumulation buffers are sized lazily from it.
   // NOT thread-safe: the accumulator is shared across clients.  Concurrent
-  // callers must stage with ExtractUpdate and accumulate serially.
-  void Accumulate(nn::Module& model, const models::ParamMapping& mapping,
-                  double weight, const ParamStore& reference);
-
-  // Same accumulation from a staged update.  Performs the identical
-  // floating-point operations in the identical order as the Module
-  // overload, so deferring accumulation to a serial merge phase leaves
-  // results bit-identical.
+  // callers stage with ExtractUpdate and accumulate serially, in a fixed
+  // order, so results are bit-identical at any thread count.
   void Accumulate(const ClientUpdate& update, const ParamStore& reference);
 
   // Writes averaged coordinates into `store`; coordinates no client touched

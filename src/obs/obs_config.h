@@ -24,7 +24,6 @@ namespace mhbench::obs {
 class Tracer;
 class Registry;
 class Profiler;
-class LiveExporter;
 class DetAuditor;
 
 struct ObsConfig {
@@ -36,11 +35,6 @@ struct ObsConfig {
   Registry* registry = nullptr;
   // Per-op profiling (layer fwd/bwd wall time, FLOPs, scratch, allocs).
   Profiler* profiler = nullptr;
-  // Live telemetry (obs/live.h): the engine notifies it at every round
-  // barrier (NotifyProgress) and after every checkpoint write
-  // (NotifyCheckpoint).  The exporter itself only *reads* registry state,
-  // so attaching it cannot change results (DESIGN.md §5h).
-  LiveExporter* live = nullptr;
   // Determinism divergence auditor (obs/det_audit.h): the engine records a
   // per-component barrier hash chain at every round barrier.  Read-only
   // over engine state, so attaching it cannot change results

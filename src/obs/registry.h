@@ -161,15 +161,13 @@ class Registry {
   void SetRoundSink(std::function<void(const RoundRow&)> sink)
       MHB_EXCLUDES(mu_);
 
-  // Lock-bounded cross-thread view of the *published* state: flushed
-  // counter/histogram totals plus the last completed round's label, gauges
-  // and the accuracy-curve points gathered from the round rows.  Reads only
-  // published state — never the pending buffer — so it is safe to call
-  // from a background exporter thread while client work is running; it
-  // simply cannot observe anything that has not crossed a round barrier
-  // yet.  Strictly read-only: the live exporter's determinism contract
-  // (DESIGN.md §5h) depends on this being the only registry surface it
-  // touches.
+  // Lock-bounded view of the *published* state: flushed counter/histogram
+  // totals plus the last completed round's label, gauges and the
+  // accuracy-curve points gathered from the round rows.  Reads only
+  // published state — never the pending buffer — so it cannot observe
+  // anything that has not crossed a round barrier yet.  Strictly
+  // read-only: the live-file renderers (obs/live.h, DESIGN.md §5h) read
+  // the registry only through it.
   struct LiveSnapshot {
     std::map<std::string, std::int64_t> counters;    // flushed totals
     std::map<std::string, HistogramData> hists;      // flushed, non-empty

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/error.h"
 #include "core/rng.h"
+#include "models/zoo.h"
 #include "nn/linear.h"
 
 namespace mhbench::fl {
@@ -29,7 +38,7 @@ TEST(MaskedAveragerTest, SingleClientOverwritesItsSlice) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0, 1}, 3.0f);
-  avg.Accumulate(*m, map, 10.0, f.store);
+  avg.Accumulate(ExtractUpdate(*m, map, 10.0), f.store);
   avg.ApplyTo(f.store);
   const Tensor& w = f.store.Get("weight");
   for (int j = 0; j < 4; ++j) {
@@ -45,8 +54,8 @@ TEST(MaskedAveragerTest, OverlapAveragedNonOverlapKept) {
   MaskedAverager avg;
   auto [m1, map1] = Fixture::ClientModel({0, 1}, 2.0f);
   auto [m2, map2] = Fixture::ClientModel({1, 2}, 6.0f);
-  avg.Accumulate(*m1, map1, 1.0, f.store);
-  avg.Accumulate(*m2, map2, 1.0, f.store);
+  avg.Accumulate(ExtractUpdate(*m1, map1, 1.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m2, map2, 1.0), f.store);
   avg.ApplyTo(f.store);
   const Tensor& w = f.store.Get("weight");
   EXPECT_EQ(w.at({0, 0}), 2.0f);  // only client 1
@@ -60,8 +69,8 @@ TEST(MaskedAveragerTest, WeightedAverage) {
   MaskedAverager avg;
   auto [m1, map1] = Fixture::ClientModel({0}, 1.0f);
   auto [m2, map2] = Fixture::ClientModel({0}, 4.0f);
-  avg.Accumulate(*m1, map1, 3.0, f.store);
-  avg.Accumulate(*m2, map2, 1.0, f.store);
+  avg.Accumulate(ExtractUpdate(*m1, map1, 3.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m2, map2, 1.0), f.store);
   avg.ApplyTo(f.store);
   // (3*1 + 1*4) / 4 = 1.75
   EXPECT_NEAR(f.store.Get("weight").at({0, 0}), 1.75f, 1e-6);
@@ -71,7 +80,7 @@ TEST(MaskedAveragerTest, ApplyClearsAccumulator) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0}, 1.0f);
-  avg.Accumulate(*m, map, 1.0, f.store);
+  avg.Accumulate(ExtractUpdate(*m, map, 1.0), f.store);
   avg.ApplyTo(f.store);
   EXPECT_TRUE(avg.empty());
   EXPECT_THROW(avg.ApplyTo(f.store), Error);
@@ -81,7 +90,10 @@ TEST(MaskedAveragerTest, RejectsNonPositiveWeight) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0}, 1.0f);
-  EXPECT_THROW(avg.Accumulate(*m, map, 0.0, f.store), Error);
+  EXPECT_THROW(ExtractUpdate(*m, map, 0.0), Error);
+  ClientUpdate update = ExtractUpdate(*m, map, 1.0);
+  update.weight = 0.0;
+  EXPECT_THROW(avg.Accumulate(update, f.store), Error);
 }
 
 TEST(MaskedAveragerTest, IdempotentOnIdenticalClients) {
@@ -90,11 +102,185 @@ TEST(MaskedAveragerTest, IdempotentOnIdenticalClients) {
   MaskedAverager avg;
   for (int k = 0; k < 5; ++k) {
     auto [m, map] = Fixture::ClientModel({0, 1, 2, 3}, 7.0f);
-    avg.Accumulate(*m, map, 2.0, f.store);
+    avg.Accumulate(ExtractUpdate(*m, map, 2.0), f.store);
   }
   avg.ApplyTo(f.store);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(f.store.Get("weight")[i], 7.0f, 1e-5);
+  }
+}
+
+// Naive dense reference for masked averaging: walks every coordinate of
+// every client tensor, maps its local multi-index to the global flat offset
+// through the slice's DimIndices, and accumulates sum += w * v and
+// weight += w in float, in client order.  Coordinates nobody covered keep
+// their value from `before`; `covered` marks the others.
+struct DenseResult {
+  ParamStore store;
+  std::map<std::string, std::vector<bool>> covered;
+};
+
+DenseResult DenseReference(const ParamStore& before,
+                           const std::vector<ClientUpdate>& updates) {
+  std::map<std::string, std::vector<float>> sum, wsum;
+  for (const ClientUpdate& u : updates) {
+    const auto w = static_cast<float>(u.weight);
+    for (std::size_t i = 0; i < u.values.size(); ++i) {
+      const models::ParamSlice& slice = u.mapping[i];
+      const Tensor& v = u.values[i];
+      const Shape& full = before.Get(slice.name).shape();
+      const std::size_t n = ShapeNumel(full);
+      std::vector<float>& s = sum[slice.name];
+      std::vector<float>& ws = wsum[slice.name];
+      s.resize(n, 0.0f);
+      ws.resize(n, 0.0f);
+      const std::size_t nd = full.size();
+      MHB_CHECK_EQ(slice.index.size(), nd) << slice.name;
+      std::vector<int> local(nd, 0);
+      for (std::size_t k = 0; k < v.numel(); ++k) {
+        std::size_t g = 0;
+        for (std::size_t d = 0; d < nd; ++d) {
+          const int gi = slice.index[d].has_value()
+                             ? (*slice.index[d])[static_cast<std::size_t>(
+                                   local[d])]
+                             : local[d];
+          g = g * static_cast<std::size_t>(full[d]) +
+              static_cast<std::size_t>(gi);
+        }
+        s[g] += w * v[k];
+        ws[g] += w;
+        for (std::size_t d = nd; d-- > 0;) {
+          if (++local[d] < v.shape()[d]) break;
+          local[d] = 0;
+        }
+      }
+    }
+  }
+  DenseResult out{before, {}};
+  for (const std::string& name : before.Names()) {
+    std::vector<bool>& covered = out.covered[name];
+    covered.assign(before.Get(name).numel(), false);
+    auto it = sum.find(name);
+    if (it == sum.end()) continue;
+    Tensor& t = out.store.GetMutable(name);
+    const std::vector<float>& ws = wsum.at(name);
+    for (std::size_t g = 0; g < ws.size(); ++g) {
+      if (ws[g] > 0) {
+        t[g] = it->second[g] / ws[g];
+        covered[g] = true;
+      }
+    }
+  }
+  return out;
+}
+
+// One slicing rule: the BuildSpec an algorithm hands a client of capacity
+// `ratio`, with `rng` supplying any per-client randomness.
+struct SlicingRule {
+  std::string name;
+  std::string task;
+  std::function<models::BuildSpec(double ratio, Rng& rng)> spec;
+};
+
+std::vector<SlicingRule> SlicingRules() {
+  auto width = [](double r, Rng&) {  // SHeteroFL, Fjord
+    models::BuildSpec s;
+    s.width_ratio = r;
+    return s;
+  };
+  auto rolling = [](double r, Rng& rng) {  // FedRolex
+    models::BuildSpec s;
+    s.width_ratio = r;
+    s.rolling = true;
+    s.width_offset = static_cast<int>(rng.UniformInt(1000));
+    return s;
+  };
+  auto depth = [](double r, Rng&) {  // InclusiveFL, FeDepth
+    models::BuildSpec s;
+    s.depth_ratio = r;
+    return s;
+  };
+  auto depth_multi_head = [](double r, Rng&) {  // DepthFL
+    models::BuildSpec s;
+    s.depth_ratio = r;
+    s.multi_head = true;
+    return s;
+  };
+  return {
+      {"width_prefix", "cifar10", width},
+      {"rolling", "cifar10", rolling},
+      {"depth_prefix", "cifar10", depth},
+      {"depth_multi_head", "cifar10", depth_multi_head},
+      {"depth_multi_head_transformer", "ucihar", depth_multi_head},
+  };
+}
+
+void FillRandom(Tensor& t, Rng& rng) {
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.Gaussian());
+  }
+}
+
+// MaskedAverager against the dense reference for every slicing rule the
+// weight-sharing algorithms use: random sub-model values and weights, a
+// random global store, bit-equal results, and untouched coordinates left
+// at their old values.
+TEST(MaskedAveragerDenseReferenceTest, MatchesNaiveReferenceBitForBit) {
+  const std::vector<double> ratios = {0.25, 0.5, 0.75};
+  for (const SlicingRule& rule : SlicingRules()) {
+    SCOPED_TRACE(rule.name);
+    Rng rng(1234);
+    const auto tm = models::MakeTaskModels(rule.task);
+    models::BuildSpec full;
+    full.multi_head = true;  // every head any client may carry
+    auto global = tm.primary->Build(full, rng);
+    ParamStore before = ParamStore::FromModule(*global.net);
+    for (const std::string& name : before.Names()) {
+      FillRandom(before.GetMutable(name), rng);
+    }
+
+    std::vector<ClientUpdate> updates;
+    for (int c = 0; c < 5; ++c) {
+      const double ratio = ratios[rng.UniformInt(ratios.size())];
+      auto built = tm.primary->Build(rule.spec(ratio, rng), rng);
+      std::vector<nn::NamedParam> params;
+      built.net->CollectParams("", params);
+      for (auto& p : params) FillRandom(p.param->value, rng);
+      updates.push_back(
+          ExtractUpdate(*built.net, built.mapping, rng.Uniform(0.5, 64.0)));
+    }
+
+    const DenseResult want = DenseReference(before, updates);
+    ParamStore got = before;
+    MaskedAverager avg;
+    for (const ClientUpdate& u : updates) avg.Accumulate(u, got);
+    avg.ApplyTo(got);
+
+    std::size_t covered = 0, untouched = 0;
+    for (const std::string& name : before.Names()) {
+      const Tensor& w = want.store.Get(name);
+      const Tensor& g = got.Get(name);
+      const Tensor& b = before.Get(name);
+      const std::vector<bool>& mask = want.covered.at(name);
+      ASSERT_EQ(w.shape(), g.shape()) << name;
+      for (std::size_t i = 0; i < w.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(w[i]),
+                  std::bit_cast<std::uint32_t>(g[i]))
+            << name << "[" << i << "]: reference " << w[i] << " got " << g[i];
+        if (mask[i]) {
+          ++covered;
+        } else {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(g[i]),
+                    std::bit_cast<std::uint32_t>(b[i]))
+              << name << "[" << i << "] was covered by no client";
+          ++untouched;
+        }
+      }
+    }
+    // Every rule leaves some coordinates to nobody (capacities < 1) and
+    // averages the rest.
+    EXPECT_GT(covered, 0u);
+    EXPECT_GT(untouched, 0u);
   }
 }
 

@@ -14,11 +14,10 @@
 #include "fl/engine.h"
 #include "models/zoo.h"
 #include "obs/det_audit.h"
-#include "obs/live.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "support/temp_dir.h"
+#include "support/live_files.h"
 
 namespace mhbench::fl {
 namespace {
@@ -92,26 +91,20 @@ RunResult RunWithThreads(const Case& c, const data::Task& task,
   cfg.round_deadline_s = 25.0;  // compute 26 + comm 2 exceeds it
   cfg.num_threads = num_threads;
 
-  // Every run in this suite — the serial reference included — carries the
-  // live exporter with HTTP server, heartbeat and watchdog all enabled, so
-  // the bit-identity assertions below double as proof that live telemetry
-  // cannot perturb any algorithm at any thread count (obs/live.h).
-  const auto live_dir = testsupport::MakeTempDir();
-  obs::LiveConfig lcfg;
-  lcfg.http_port = 0;  // ephemeral
-  lcfg.heartbeat_every_s = 0.05;
-  lcfg.heartbeat_path = live_dir.File("heartbeat.jsonl");
-  lcfg.watchdog_stall_s = 120.0;  // armed; must never fire on a live run
-  lcfg.run_id = c.algorithm + "-parallel-determinism";
-  lcfg.rounds_total = cfg.rounds;
-  obs::LiveExporter live(lcfg, obs.registry);
-  obs.live = &live;
+  // Every instrumented run in this suite publishes metrics.prom and
+  // status.json from its round sink, as the CLI does, so the bit-identity
+  // assertions below double as proof that live telemetry cannot perturb
+  // any algorithm at any thread count (obs/live.h).
+  testsupport::LiveFilesSink live(obs.registry,
+                                  c.algorithm + "-parallel-determinism",
+                                  cfg.rounds);
   cfg.obs = obs;
 
   FlEngine engine(task, cfg, HeterogeneousAssignments(6), *alg);
   RunResult result = engine.Run();
-  live.Stop();
-  EXPECT_EQ(live.stall_count(), 0) << "watchdog fired on a healthy run";
+  if (obs.registry != nullptr) {
+    EXPECT_EQ(live.publishes(), cfg.rounds);
+  }
   return result;
 }
 

@@ -24,8 +24,8 @@
 #include "fl/engine.h"
 #include "models/zoo.h"
 #include "obs/det_audit.h"
-#include "obs/live.h"
 #include "obs/registry.h"
+#include "support/live_files.h"
 #include "support/temp_dir.h"
 
 namespace mhbench::fl {
@@ -103,26 +103,16 @@ RunResult RunCase(const Case& c, const data::Task& task, const RunSpec& spec) {
   cfg.obs.registry = spec.registry;
   cfg.obs.det_audit = spec.det_audit;
 
-  // Live telemetry rides along on every run (HTTP + heartbeat + armed
-  // watchdog): the bit-identity and totals assertions below then also
-  // prove the exporter cannot perturb checkpoint/resume at any thread
-  // count (obs/live.h).
-  const auto live_dir = testsupport::MakeTempDir();
-  obs::LiveConfig lcfg;
-  lcfg.http_port = 0;  // ephemeral
-  lcfg.heartbeat_every_s = 0.05;
-  lcfg.heartbeat_path = live_dir.File("heartbeat.jsonl");
-  lcfg.watchdog_stall_s = 120.0;  // armed; must never fire on a live run
-  lcfg.run_id = c.algorithm + "-resume-determinism";
-  lcfg.rounds_total = cfg.rounds;
-  obs::LiveExporter live(lcfg, spec.registry);
-  cfg.obs.live = &live;
+  // Every instrumented run publishes metrics.prom and status.json from
+  // its round sink, as the CLI does: the bit-identity and totals
+  // assertions below then also prove that live telemetry cannot perturb
+  // checkpoint/resume at any thread count (obs/live.h).
+  testsupport::LiveFilesSink live(spec.registry,
+                                  c.algorithm + "-resume-determinism",
+                                  cfg.rounds);
 
   FlEngine engine(task, cfg, HeterogeneousAssignments(6), *alg);
-  RunResult result = engine.Run();
-  live.Stop();
-  EXPECT_EQ(live.stall_count(), 0) << "watchdog fired on a healthy run";
-  return result;
+  return engine.Run();
 }
 
 // Bit-identical comparison: exact double equality, field by field.

@@ -1,8 +1,8 @@
 // mhb-lint: path(src/obs/fixture_live.cc)
-// Fixture: src/obs is no longer blanket-exempt from the wall-clock rules —
-// only the manifest timestamp helper is.  Telemetry code under src/obs
-// (exporter, HTTP server) must either avoid wall time or carry a justified
-// allow, exactly like src/obs/live.cc does in the real tree.
+// Fixture: src/obs is not blanket-exempt from the wall-clock rules — only
+// the manifest timestamp helper is.  Telemetry code under src/obs (the
+// live-file publisher, say) must either avoid wall time, as
+// src/obs/live.cc does in the real tree, or carry a justified allow.
 #include <chrono>
 #include <ctime>
 
@@ -14,7 +14,7 @@ long BareStamp() {
 }
 
 long WaivedStamp() {
-  // mhb-lint: allow(no-time-call) -- fixture mirroring live.cc: heartbeat timestamp is operator telemetry only
+  // mhb-lint: allow(no-time-call) -- fixture: a telemetry timestamp is operator output only
   return static_cast<long>(std::time(nullptr));
 }
 

@@ -1,22 +1,13 @@
-// Live telemetry exporter (obs/live.h, DESIGN.md §5h): rendering goldens,
-// HTTP endpoint behavior, heartbeat JSONL, the stall watchdog, and — the
-// part that matters most — proof that polling the exporter from a
-// background thread during a real engine run perturbs neither results nor
-// counter totals at any thread count.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <chrono>
+// Live telemetry files (obs/live.h, DESIGN.md §5h): rendering goldens,
+// the status.json schema, and — the part that matters most — proof that
+// publishing metrics.prom + status.json from the round sink perturbs
+// neither results nor counter totals at any thread count, and that each
+// published status.json describes the round just completed.
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,63 +19,17 @@
 #include "obs/live.h"
 #include "obs/manifest.h"
 #include "obs/registry.h"
+#include "support/live_files.h"
 #include "support/temp_dir.h"
 
 namespace mhbench::obs {
 namespace {
 
-// Polls `pred` until true or the deadline passes.  Telemetry timing tests
-// use generous deadlines with tiny configured intervals, so they pass fast
-// on a healthy machine and stay robust on a loaded CI box.
-bool WaitFor(const std::function<bool()>& pred, double timeout_s = 10.0) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return pred();
-}
-
-// Minimal blocking HTTP client for the loopback server under test: sends
-// the raw request bytes, reads to EOF (the server always closes).
-std::string RawRequest(int port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    ADD_FAILURE() << "connect to 127.0.0.1:" << port << " failed";
-    return "";
-  }
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string HttpGet(int port, const std::string& path) {
-  return RawRequest(port, "GET " + path +
-                              " HTTP/1.1\r\nHost: t\r\nConnection: "
-                              "close\r\n\r\n");
+std::string ReadAll(const std::string& path) {
+  std::ifstream f(path);
+  std::stringstream s;
+  s << f.rdbuf();
+  return s.str();
 }
 
 // A registry carrying one flushed round with known counters, a histogram
@@ -187,12 +132,9 @@ TEST(RegistrySnapshotTest, StreamedRoundsCsvMatchesFinalRewrite) {
   EXPECT_EQ(streamed.str(), final_s.str());
 }
 
-TEST(LiveExporterTest, MetricsTextGolden) {
+TEST(LiveFilesTest, MetricsTextGolden) {
   Registry reg;
   FillRegistry(&reg);
-  LiveConfig cfg;  // no HTTP, no heartbeat, no watchdog: render only
-  LiveExporter live(cfg, &reg);
-  live.NotifyProgress(0, 12.5);
 
   const std::string want =
       "# mhbench live telemetry (Prometheus text exposition 0.0.4)\n"
@@ -201,10 +143,6 @@ TEST(LiveExporterTest, MetricsTextGolden) {
       "# TYPE mhb_last_round gauge\nmhb_last_round 0\n"
       "# TYPE mhb_sim_time_seconds gauge\nmhb_sim_time_seconds 12.5\n"
       "# TYPE mhb_global_accuracy gauge\nmhb_global_accuracy 0.5\n"
-      "# TYPE mhb_heartbeats counter\nmhb_heartbeats 0\n"
-      "# TYPE mhb_watchdog_stalls counter\nmhb_watchdog_stalls 0\n"
-      "# TYPE mhb_stalled gauge\nmhb_stalled 0\n"
-      "# TYPE mhb_checkpoints_written counter\nmhb_checkpoints_written 0\n"
       "# TYPE mhb_counter_bytes_up counter\nmhb_counter_bytes_up 1500\n"
       "# TYPE mhb_counter_clients_trained counter\n"
       "mhb_counter_clients_trained 3\n"
@@ -214,20 +152,17 @@ TEST(LiveExporterTest, MetricsTextGolden) {
       "mhb_hist_lat_us{quantile=\"0.99\"} 100\n"
       "mhb_hist_lat_us_sum 300\n"
       "mhb_hist_lat_us_count 3\n";
-  EXPECT_EQ(live.MetricsText(), want);
+  EXPECT_EQ(MetricsText(reg.SnapshotTotals()), want);
 }
 
-TEST(LiveExporterTest, StatusJsonCarriesTheSchema) {
+TEST(LiveFilesTest, StatusJsonCarriesTheSchema) {
   Registry reg;
   FillRegistry(&reg);
-  LiveConfig cfg;
-  cfg.run_id = "cifar100-none-fedavg-seed7";
-  cfg.rounds_total = 8;
-  LiveExporter live(cfg, &reg);
-  live.NotifyProgress(0, 12.5);
-  live.NotifyCheckpoint(1, "checkpoints/round1.mhbsnap");
+  reg.AddNamed("checkpoint_writes", 1);
+  reg.Flush();
 
-  const std::string json = live.StatusJson();
+  const std::string json =
+      StatusJson(reg.SnapshotTotals(), "cifar100-none-fedavg-seed7", 8);
   EXPECT_NE(json.find("\"run_id\": \"cifar100-none-fedavg-seed7\""),
             std::string::npos)
       << json;
@@ -236,213 +171,32 @@ TEST(LiveExporterTest, StatusJsonCarriesTheSchema) {
   EXPECT_NE(json.find("\"last_round\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"rounds_total\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"sim_time_s\": 12.5"), std::string::npos);
-  EXPECT_NE(json.find("\"stalled\": false"), std::string::npos);
-  EXPECT_NE(json.find("\"watchdog_stalls\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"accuracy\": [[0, 0.5]]"), std::string::npos);
   EXPECT_NE(json.find("\"bytes_up\": 1500"), std::string::npos);
+  EXPECT_NE(json.find("\"checkpoint_writes\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"lat_us\": {\"count\":3,\"sum\":300"),
             std::string::npos);
   EXPECT_NE(json.find("\"global_acc\": 0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"checkpoint\": {\"written\": 1, \"next_round\": 1, "
-                      "\"path\": \"checkpoints/round1.mhbsnap\"}"),
-            std::string::npos);
-}
-
-TEST(LiveExporterTest, NullRegistryServesExporterLocalState) {
-  LiveConfig cfg;
-  cfg.run_id = "bare";
-  LiveExporter live(cfg, nullptr);
-  live.NotifyProgress(2, 7.0);
-  EXPECT_NE(live.MetricsText().find("mhb_last_round 2"), std::string::npos);
-  EXPECT_NE(live.StatusJson().find("\"run_id\": \"bare\""),
-            std::string::npos);
-}
-
-TEST(LiveExporterTest, HttpEndpointsServeTelemetry) {
-  Registry reg;
-  FillRegistry(&reg);
-  LiveConfig cfg;
-  cfg.http_port = 0;  // ephemeral
-  LiveExporter live(cfg, &reg);
-  ASSERT_GT(live.http_port(), 0);
-  const int port = live.http_port();
-
-  const std::string metrics = HttpGet(port, "/metrics");
-  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("mhb_counter_bytes_up 1500"), std::string::npos);
-
-  const std::string status = HttpGet(port, "/status.json");
-  EXPECT_NE(status.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(status.find("application/json"), std::string::npos);
-  EXPECT_NE(status.find("\"rounds_completed\": 1"), std::string::npos);
-
-  const std::string health = HttpGet(port, "/healthz");
-  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok"), std::string::npos);
-
-  EXPECT_NE(HttpGet(port, "/nope").find("HTTP/1.1 404"), std::string::npos);
-  EXPECT_NE(RawRequest(port, "POST /metrics HTTP/1.1\r\n\r\n")
-                .find("HTTP/1.1 405"),
-            std::string::npos);
-  EXPECT_NE(RawRequest(port, "complete garbage\r\n\r\n")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-
-  // HEAD: headers only, no body payload after the blank line.
-  const std::string head =
-      RawRequest(port, "HEAD /healthz HTTP/1.1\r\n\r\n");
-  EXPECT_NE(head.find("HTTP/1.1 200 OK"), std::string::npos);
-  const std::size_t blank = head.find("\r\n\r\n");
-  ASSERT_NE(blank, std::string::npos);
-  EXPECT_EQ(head.substr(blank + 4), "");
-
-  live.Stop();
-  live.Stop();  // idempotent
-}
-
-TEST(LiveExporterTest, HeartbeatAppendsParseableJsonl) {
-  const testsupport::TempDir dir = testsupport::MakeTempDir();
-  Registry reg;
-  FillRegistry(&reg);
-  LiveConfig cfg;
-  cfg.heartbeat_every_s = 0.02;
-  cfg.heartbeat_path = dir.File("heartbeat.jsonl");
-  cfg.run_id = "hb-run";
-  cfg.rounds_total = 4;
-  LiveExporter live(cfg, &reg);
-  live.NotifyProgress(0, 12.5);
-  ASSERT_TRUE(WaitFor([&] { return live.heartbeat_count() >= 2; }))
-      << "no heartbeats after 10 s";
-  live.Stop();
-  const std::int64_t written = live.heartbeat_count();
-
-  std::ifstream f(cfg.heartbeat_path);
-  ASSERT_TRUE(f.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(f, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(written));
-  ASSERT_GE(lines.size(), 3u);  // >= 2 periodic + the final line at Stop
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    // Shape: one JSON object per line, monotone seq, the agreed keys.
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    EXPECT_NE(line.find("\"seq\":" + std::to_string(i)), std::string::npos)
-        << line;
-    for (const char* key :
-         {"\"utc\":", "\"unix_s\":", "\"uptime_s\":", "\"run_id\":\"hb-run\"",
-          "\"round\":", "\"rounds_completed\":", "\"rounds_total\":4",
-          "\"sim_time_s\":", "\"clients_trained\":", "\"bytes_up\":",
-          "\"checkpoints_written\":", "\"stalled\":false",
-          "\"watchdog_stalls\":0"}) {
-      EXPECT_NE(line.find(key), std::string::npos)
-          << "missing " << key << " in: " << line;
-    }
-  }
-}
-
-TEST(LiveWatchdogTest, FiresOnStallAndRecoversOnProgress) {
-  LiveConfig cfg;
-  cfg.watchdog_stall_s = 0.05;
-  LiveExporter live(cfg, nullptr);
-  ASSERT_TRUE(WaitFor([&] { return live.stalled(); }))
-      << "watchdog never fired on an artificial stall";
-  EXPECT_EQ(live.stall_count(), 1);
-  EXPECT_NE(live.MetricsText().find("mhb_stalled 1"), std::string::npos);
-  EXPECT_NE(live.StatusJson().find("\"stalled\": true"), std::string::npos);
-
-  live.NotifyProgress(0, 1.0);
-  EXPECT_FALSE(live.stalled());
-  // A second stall after recovery counts again.
-  ASSERT_TRUE(WaitFor([&] { return live.stall_count() >= 2; }));
-  live.Stop();
-}
-
-TEST(LiveWatchdogTest, HealthzReports503WhileStalled) {
-  LiveConfig cfg;
-  cfg.watchdog_stall_s = 0.05;
-  cfg.http_port = 0;
-  LiveExporter live(cfg, nullptr);
-  ASSERT_GT(live.http_port(), 0);
-  ASSERT_TRUE(WaitFor([&] { return live.stalled(); }));
-  const std::string health = HttpGet(live.http_port(), "/healthz");
-  EXPECT_NE(health.find("HTTP/1.1 503"), std::string::npos) << health;
-  EXPECT_NE(health.find("stalled"), std::string::npos);
-}
-
-TEST(LiveWatchdogTest, SilentOnHealthyRun) {
-  LiveConfig cfg;
-  cfg.watchdog_stall_s = 0.2;
-  LiveExporter live(cfg, nullptr);
-  for (int i = 0; i < 10; ++i) {
-    live.NotifyProgress(i, i * 1.0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_FALSE(live.stalled());
-  EXPECT_EQ(live.stall_count(), 0);
-}
-
-TEST(LiveWatchdogTest, AbortSeamRunsInsteadOfProcessExit) {
-  std::atomic<int> aborts{0};
-  LiveConfig cfg;
-  cfg.watchdog_stall_s = 0.05;
-  cfg.watchdog_abort = true;
-  cfg.on_watchdog_abort = [&aborts] { ++aborts; };
-  LiveExporter live(cfg, nullptr);
-  ASSERT_TRUE(WaitFor([&] { return aborts.load() >= 1; }))
-      << "abort hook never invoked";
-  live.Stop();
-  EXPECT_GE(live.stall_count(), 1);
-}
-
-TEST(LiveWatchdogTest, AbortFlushesATerminalHeartbeatLine) {
-  const testsupport::TempDir dir = testsupport::MakeTempDir();
-  std::atomic<int> aborts{0};
-  LiveConfig cfg;
-  cfg.watchdog_stall_s = 0.05;
-  cfg.watchdog_abort = true;
-  cfg.on_watchdog_abort = [&aborts] { ++aborts; };
-  cfg.heartbeat_every_s = 1000.0;  // periodic beat never fires in-test
-  cfg.heartbeat_path = dir.File("heartbeat.jsonl");
-  cfg.run_id = "abort-run";
-  LiveExporter live(cfg, nullptr);
-  ASSERT_TRUE(WaitFor([&] { return aborts.load() >= 1; }))
-      << "abort hook never invoked";
-
-  // The dying breath: before the abort path hands over to the hook (in
-  // production: process exit), the watchdog flushes one heartbeat line
-  // already marked stalled, so a killed campaign's last on-disk record
-  // says why it died rather than just going silent.
-  std::ifstream f(cfg.heartbeat_path);
-  ASSERT_TRUE(f.good()) << "no heartbeat file after watchdog abort";
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(f, line);) lines.push_back(line);
-  ASSERT_GE(lines.size(), 1u);
-  EXPECT_NE(lines.front().find("\"stalled\":true"), std::string::npos)
-      << lines.front();
-  EXPECT_NE(lines.front().find("\"run_id\":\"abort-run\""), std::string::npos)
-      << lines.front();
-  live.Stop();
+  EXPECT_EQ(json.back(), '\n');
+  EXPECT_EQ(json.find("\"checkpoint\""), std::string::npos);
 }
 
 // Tier-keyed registry entries (`<base>@<tier>`, DESIGN.md §5j) and how the
-// two HTTP surfaces present them: /metrics folds the tier into a Prometheus
-// label on the base family (one TYPE header per family, untiered lines
-// byte-identical to the tier-free world — MetricsTextGolden above still
-// pins that); /status.json keeps its flat counters/histograms maps
-// tier-free and regroups the rollups under a "tiers" object.
-TEST(LiveExporterTest, TierKeyedEntriesRenderAsLabelsAndStatusTiers) {
+// two documents present them: metrics.prom folds the tier into a
+// Prometheus label on the base family (one TYPE header per family,
+// untiered lines byte-identical to the tier-free world — MetricsTextGolden
+// above still pins that); status.json keeps its flat counters/histograms
+// maps tier-free and regroups the rollups under a "tiers" object.
+TEST(LiveFilesTest, TierKeyedEntriesRenderAsLabelsAndStatusTiers) {
   Registry reg;
   reg.AddNamed("bytes_up", 1500);
   reg.AddNamed("bytes_up@cpu", 500);
   reg.AddNamed("bytes_up@mem4g", 1000);
   reg.ObserveNamed("lat_us@cpu", 100);
   reg.EndRound("fedavg", 0);
-  LiveConfig cfg;
-  LiveExporter live(cfg, &reg);
+  const Registry::LiveSnapshot snap = reg.SnapshotTotals();
 
-  const std::string metrics = live.MetricsText();
+  const std::string metrics = MetricsText(snap);
   EXPECT_NE(metrics.find("# TYPE mhb_counter_bytes_up counter\n"
                          "mhb_counter_bytes_up 1500\n"
                          "mhb_counter_bytes_up{tier=\"cpu\"} 500\n"
@@ -460,10 +214,10 @@ TEST(LiveExporterTest, TierKeyedEntriesRenderAsLabelsAndStatusTiers) {
   EXPECT_EQ(metrics.find('@'), std::string::npos)
       << "raw @-names leaked into the Prometheus exposition";
 
-  const std::string status = live.StatusJson();
+  const std::string status = StatusJson(snap, "", 0);
   EXPECT_NE(status.find("\"bytes_up\": 1500"), std::string::npos) << status;
   EXPECT_EQ(status.find('@'), std::string::npos)
-      << "flat /status.json maps must stay tier-free";
+      << "flat status.json maps must stay tier-free";
   EXPECT_NE(status.find("\"tiers\": {"), std::string::npos);
   EXPECT_NE(status.find("\"cpu\": {\"counters\": {\"bytes_up\": 500}, "
                         "\"histograms\": {\"lat_us\": {\"count\":1"),
@@ -474,76 +228,53 @@ TEST(LiveExporterTest, TierKeyedEntriesRenderAsLabelsAndStatusTiers) {
       << status;
 }
 
-// The contract the whole subsystem exists to honor: a real engine run with
-// the exporter attached — HTTP server up, heartbeats on, watchdog armed,
-// and a poller thread hammering every surface concurrently with training —
-// produces results and counter totals bit-identical to the bare run, at
-// every thread count.  Under TSan this also proves the snapshot path is
-// race-free against the engine's barrier flushes.
-TEST(LiveDeterminismTest, PollingExporterDoesNotPerturbEngineRuns) {
+fl::RunResult RunFedAvg(const data::Task& task, int threads,
+                        Registry* registry) {
+  const auto tm = models::MakeTaskModels("cifar10");
+  auto alg = algorithms::MakeAlgorithm("fedavg", tm);
+  fl::FlConfig cfg;
+  cfg.rounds = 2;
+  cfg.sample_fraction = 1.0;
+  cfg.eval_every = 1;
+  cfg.eval_max_samples = 48;
+  cfg.stability_max_samples = 24;
+  cfg.num_threads = threads;
+  cfg.obs.registry = registry;
+  fl::FlEngine engine(task, cfg,
+                      fl::UniformCapacityAssignments(4, {0.5, 1.0}), *alg);
+  return engine.Run();
+}
+
+data::Task SmallTask() {
   data::TaskConfig tcfg;
   tcfg.train_samples = 120;
   tcfg.test_samples = 60;
   tcfg.num_clients = 4;
-  const data::Task task = data::MakeTask("cifar10", tcfg);
+  return data::MakeTask("cifar10", tcfg);
+}
 
-  auto run = [&task](int threads, const obs::ObsConfig& obs) {
-    const auto tm = models::MakeTaskModels("cifar10");
-    auto alg = algorithms::MakeAlgorithm("fedavg", tm);
-    fl::FlConfig cfg;
-    cfg.rounds = 2;
-    cfg.sample_fraction = 1.0;
-    cfg.eval_every = 1;
-    cfg.eval_max_samples = 48;
-    cfg.stability_max_samples = 24;
-    cfg.num_threads = threads;
-    cfg.obs = obs;
-    fl::FlEngine engine(task, cfg,
-                        fl::UniformCapacityAssignments(4, {0.5, 1.0}), *alg);
-    return engine.Run();
+// The contract the publisher must honor: a real engine run whose round
+// sink publishes metrics.prom + status.json produces results and counter
+// totals bit-identical to a run without it, at every thread count.
+TEST(LiveDeterminismTest, PublishingSinkDoesNotPerturbEngineRuns) {
+  const data::Task task = SmallTask();
+  // pool_tasks tracks the pool size, so it is left out of the comparison.
+  auto comparable_totals = [](const Registry& reg) {
+    auto totals = reg.Totals();
+    totals.erase("pool_tasks");
+    return totals;
   };
+  Registry bare_registry;
+  const fl::RunResult bare = RunFedAvg(task, 1, &bare_registry);
+  const auto bare_totals = comparable_totals(bare_registry);
+  EXPECT_GT(bare_totals.at("clients_trained"), 0);
 
-  const fl::RunResult bare = run(1, {});
-
-  std::map<std::string, std::int64_t> reference_totals;
   for (const int threads : {1, 2, 4}) {
-    const testsupport::TempDir dir = testsupport::MakeTempDir();
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
     Registry registry;
-    LiveConfig lcfg;
-    lcfg.http_port = 0;
-    lcfg.heartbeat_every_s = 0.01;
-    lcfg.heartbeat_path = dir.File("heartbeat.jsonl");
-    lcfg.watchdog_stall_s = 60.0;  // armed but must stay silent
-    lcfg.run_id = "live-determinism";
-    lcfg.rounds_total = 2;
-    LiveExporter live(lcfg, &registry);
-    ASSERT_GT(live.http_port(), 0);
-
-    obs::ObsConfig obs;
-    obs.registry = &registry;
-    obs.live = &live;
-
-    std::atomic<bool> done{false};
-    std::atomic<int> polls{0};
-    std::thread poller([&] {
-      while (!done.load()) {
-        live.MetricsText();
-        live.StatusJson();
-        HttpGet(live.http_port(), "/metrics");
-        HttpGet(live.http_port(), "/status.json");
-        registry.SnapshotTotals();
-        ++polls;
-      }
-    });
-
-    const fl::RunResult result = run(threads, obs);
-    done.store(true);
-    poller.join();
-    live.Stop();
-
-    EXPECT_GT(polls.load(), 0);
-    EXPECT_EQ(live.stall_count(), 0);
-    EXPECT_GE(live.heartbeat_count(), 1);  // final heartbeat at minimum
+    testsupport::LiveFilesSink live(&registry, "live-determinism", 2);
+    const fl::RunResult result = RunFedAvg(task, threads, &registry);
+    EXPECT_EQ(live.publishes(), 2);
 
     // Bit-identical results...
     EXPECT_EQ(bare.final_accuracy, result.final_accuracy);
@@ -554,17 +285,44 @@ TEST(LiveDeterminismTest, PollingExporterDoesNotPerturbEngineRuns) {
       EXPECT_EQ(bare.curve[i].global_acc, result.curve[i].global_acc);
       EXPECT_EQ(bare.curve[i].sim_time_s, result.curve[i].sim_time_s);
     }
-    // ...and thread-count-independent totals with the exporter attached.
-    auto totals = registry.Totals();
-    totals.erase("pool_tasks");  // helper-task count tracks the pool size
-    EXPECT_GT(totals.at("clients_trained"), 0);
-    if (threads == 1) {
-      reference_totals = totals;
-    } else {
-      EXPECT_EQ(totals, reference_totals)
-          << "exporter perturbed totals at num_threads=" << threads;
-    }
+    // ...and totals.
+    EXPECT_EQ(comparable_totals(registry), bare_totals)
+        << "publishing perturbed totals at num_threads=" << threads;
   }
+}
+
+// Each round's files describe that round: read back inside the sink,
+// right after EndRound, they hold the renderers' bytes, status.json names
+// the round just completed and metrics.prom agrees.
+TEST(LiveDeterminismTest, StatusJsonDescribesEachRoundAtItsBarrier) {
+  const data::Task task = SmallTask();
+  const testsupport::TempDir dir = testsupport::MakeTempDir();
+  Registry registry;
+  std::vector<int> seen_rounds;
+  registry.SetRoundSink([&](const Registry::RoundRow& row) {
+    WriteLiveFiles(dir.path, registry, "per-round", 2);
+    const std::string status = ReadAll(dir.File("status.json"));
+    const std::string metrics = ReadAll(dir.File("metrics.prom"));
+    const Registry::LiveSnapshot snap = registry.SnapshotTotals();
+    EXPECT_EQ(status, StatusJson(snap, "per-round", 2));
+    EXPECT_EQ(metrics, MetricsText(snap));
+    EXPECT_NE(status.find("\"last_round\": " + std::to_string(row.round) +
+                          ",\n"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("\"rounds_completed\": " +
+                          std::to_string(row.round + 1) + ",\n"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(metrics.find("\nmhb_last_round " + std::to_string(row.round) +
+                           "\n"),
+              std::string::npos)
+        << metrics;
+    seen_rounds.push_back(row.round);
+  });
+  RunFedAvg(task, 2, &registry);
+  registry.SetRoundSink(nullptr);
+  EXPECT_EQ(seen_rounds, (std::vector<int>{0, 1}));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Per-device-tier cohort rollups (DESIGN.md §5j): tier-keyed counters and
 // histograms (`<base>@<tier>` registry names) and the client event journal
-// must be bit-identical across thread counts and exporter on/off — the
+// must be bit-identical across thread counts and live files on/off — the
 // registry counts both the base and the tier twin from each client row at
 // the serial round barrier — and the per-tier totals must exactly
 // partition the untiered ones.  Also covers the journal's engine-side contract: one
@@ -21,9 +21,9 @@
 #include "fl/engine.h"
 #include "models/zoo.h"
 #include "obs/journal.h"
-#include "obs/live.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
+#include "support/live_files.h"
 #include "support/temp_dir.h"
 
 namespace mhbench::obs {
@@ -67,6 +67,13 @@ struct TieredRun {
   std::string status_json;
 };
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
   const auto tm = models::MakeTaskModels("cifar10");
   auto alg = algorithms::MakeAlgorithm("fedrolex", tm);
@@ -90,30 +97,22 @@ TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
     journal.Append(rows);
   });
 
-  ObsConfig obs;
-  obs.registry = &registry;
-  std::unique_ptr<LiveExporter> live;
+  // The CLI's publishing round sink, when requested: metrics.prom and
+  // status.json rewritten at every barrier must not change a byte.
+  std::unique_ptr<testsupport::LiveFilesSink> live;
   if (with_live) {
-    LiveConfig lcfg;
-    lcfg.http_port = 0;  // ephemeral loopback server, polled by nobody —
-                         // attaching it alone must not change a byte
-    lcfg.heartbeat_every_s = 0.02;
-    lcfg.heartbeat_path = dir.File("heartbeat.jsonl");
-    lcfg.watchdog_stall_s = 120.0;
-    lcfg.run_id = "tier-rollup";
-    lcfg.rounds_total = cfg.rounds;
-    live = std::make_unique<LiveExporter>(lcfg, &registry);
-    obs.live = live.get();
+    live = std::make_unique<testsupport::LiveFilesSink>(
+        &registry, "tier-rollup", cfg.rounds);
   }
-  cfg.obs = obs;
+  cfg.obs.registry = &registry;
 
   fl::FlEngine engine(task, cfg, TieredAssignments(), *alg);
   out.result = engine.Run();
   if (live != nullptr) {
-    out.metrics_text = live->MetricsText();
-    out.status_json = live->StatusJson();
-    live->Stop();
-    EXPECT_EQ(live->stall_count(), 0);
+    EXPECT_EQ(live->publishes(), kRounds);
+    out.metrics_text = ReadText(live->dir().File("metrics.prom"));
+    out.status_json = ReadText(live->dir().File("status.json"));
+    live.reset();
   }
   registry.SetClientRowSink(nullptr);
   journal.Close();
@@ -131,7 +130,7 @@ TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
 
 const char* const kTierNames[] = {"cpu", "mem4g", "mem16g", "untiered"};
 
-TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndExporter) {
+TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndLiveFiles) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
   tcfg.test_samples = 120;
@@ -174,10 +173,10 @@ TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndExporter) {
         << "journal bytes diverged at num_threads=" << threads;
   }
 
-  const TieredRun no_exporter = RunTiered(task, 1, false);
-  EXPECT_EQ(comparable_totals(no_exporter), comparable_totals(ref));
-  EXPECT_EQ(no_exporter.journal_bytes, ref.journal_bytes)
-      << "attaching the live exporter changed the journal bytes";
+  const TieredRun no_live = RunTiered(task, 1, false);
+  EXPECT_EQ(comparable_totals(no_live), comparable_totals(ref));
+  EXPECT_EQ(no_live.journal_bytes, ref.journal_bytes)
+      << "publishing the live files changed the journal bytes";
 }
 
 TEST(TierRollupTest, TierRollupsExactlyPartitionTheUntieredTotals) {
@@ -218,7 +217,7 @@ TEST(TierRollupTest, TierRollupsExactlyPartitionTheUntieredTotals) {
   }
 }
 
-TEST(TierRollupTest, ExporterSurfacesCarryTierRollups) {
+TEST(TierRollupTest, LiveFilesCarryTierRollups) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
   tcfg.test_samples = 120;
@@ -226,7 +225,7 @@ TEST(TierRollupTest, ExporterSurfacesCarryTierRollups) {
   const data::Task task = data::MakeTask("cifar10", tcfg);
   const TieredRun run = RunTiered(task, 2, true);
 
-  // /metrics: tier-keyed entries render as a Prometheus `tier` label on
+  // metrics.prom: tier-keyed entries render as a Prometheus `tier` label on
   // the base family, untiered entries keep their label-free form, and each
   // family gets exactly one TYPE header.
   EXPECT_NE(run.metrics_text.find("mhb_counter_clients_trained{tier=\"cpu\"}"),
@@ -248,7 +247,7 @@ TEST(TierRollupTest, ExporterSurfacesCarryTierRollups) {
   EXPECT_EQ(run.metrics_text.find('@'), std::string::npos)
       << "raw @-names leaked into the Prometheus exposition";
 
-  // /status.json: flat counters/histograms stay tier-free (schema
+  // status.json: flat counters/histograms stay tier-free (schema
   // stability for existing pollers); the rollups live under "tiers".
   EXPECT_NE(run.status_json.find("\"tiers\": {"), std::string::npos)
       << run.status_json;
@@ -256,7 +255,7 @@ TEST(TierRollupTest, ExporterSurfacesCarryTierRollups) {
             std::string::npos);
   EXPECT_NE(run.status_json.find("\"mem16g\""), std::string::npos);
   EXPECT_EQ(run.status_json.find('@'), std::string::npos)
-      << "raw @-names leaked into /status.json";
+      << "raw @-names leaked into status.json";
 }
 
 TEST(TierRollupTest, JournalCarriesTheTaxonomyAndDrainsEveryBarrier) {

@@ -4,16 +4,15 @@
 # that emits and schema-checks a trace + manifest + tiers.csv, validates
 # and CSV-converts the client event journal, and indexes two runs with
 # mhb_report.py; a checkpoint/resume smoke that mhb_diffs a resumed run
-# against an uninterrupted one; and a live telemetry smoke that polls
-# /metrics + /status.json + /healthz while a run trains, byte-compares the
-# client journals, and mhb_diffs exporter-on against exporter-off; and a
-# determinism-audit smoke that bisects 1-thread vs 2-thread det-audit
-# ledgers, exercises the injected-divergence seam, and asserts the auditor
-# itself leaves manifests and journals bit-identical; and a liveness smoke
-# that fails if a nested-parallelism run hangs), then again under
-# ThreadSanitizer (MHBENCH_SANITIZE=thread) to race-check the parallel
-# round executor and the exporter.  Run from anywhere; builds live in
-# build*/ siblings.
+# against an uninterrupted one; and a live telemetry smoke that parses the
+# metrics.prom + status.json a finished run left and checks them against
+# its manifest totals; and a determinism-audit smoke that bisects 1-thread
+# vs 2-thread det-audit ledgers, exercises the injected-divergence seam,
+# and asserts the auditor itself leaves manifests and journals
+# bit-identical; and a liveness smoke that fails if a nested-parallelism
+# run hangs), then again under ThreadSanitizer (MHBENCH_SANITIZE=thread) to
+# race-check the parallel round executor.  Run from anywhere; builds live
+# in build*/ siblings.
 #
 #   tools/check.sh           # lint + plain + tsan
 #   tools/check.sh --lint    # mhb_lint fixtures + clean tree scan (no build)
@@ -275,15 +274,14 @@ JSON
   echo "check.sh: resume smoke passed"
 }
 
-# Live telemetry smoke: the CLI surface of the exporter (obs/live.h).  Two
-# identical runs — exporter off, then exporter on (--live-port 0 with
-# heartbeat + watchdog) — where a poller fetches /metrics, /healthz and
-# /status.json WHILE the second run trains, schema-checks the captured
-# documents plus the heartbeat.jsonl stream afterwards, and finally
-# mhb_diffs the two manifests expecting zero metric differences: serving
-# telemetry mid-run must not change a single counter, histogram bucket or
-# metric.  Only the client_wall_us quantiles are relaxed (real-clock noise,
-# same carve-out as the resume smoke).
+# Live telemetry smoke: the CLI surface of the round-barrier publisher
+# (obs/live.h, DESIGN.md §5h).  One --manifest-dir run with checkpoints,
+# then checks after it exits: every non-comment metrics.prom line parses
+# as `name[{labels}] value`, status.json carries exactly the documented
+# keys and describes the last round, and the final counters in both files
+# equal manifest.json's totals (the after-run publish is what makes the
+# last checkpoint write count).  Nothing polls mid-run, so there is no
+# timing window to miss.
 smoke_live() {
   local build_dir="$1"
   if ! command -v python3 >/dev/null 2>&1; then
@@ -293,117 +291,58 @@ smoke_live() {
   local out
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' RETURN
-  local cli=("$build_dir/tools/mhbench")
-  local common=(run --task cifar10 --algorithm sheterofl --rounds 4 \
-    --clients 4 --threads 2 --profile 0)
-  MHB_TRAIN=160 MHB_TEST=80 "${cli[@]}" "${common[@]}" \
-    --manifest-dir "$out/off" >/dev/null
-  MHB_TRAIN=160 MHB_TEST=80 "${cli[@]}" "${common[@]}" \
-    --manifest-dir "$out/on" --live-port 0 --heartbeat-every 0.05 \
-    --watchdog-sec 60 > "$out/on.log" &
-  local run_pid=$!
-  # Poll the announced ephemeral port for as long as the run is alive; every
-  # endpoint must answer at least once mid-run.
-  if ! python3 - "$out" "$run_pid" <<'PY'
-import json, os, re, sys, time, urllib.request
+  MHB_TRAIN=160 MHB_TEST=80 "$build_dir/tools/mhbench" run --task cifar10 \
+    --algorithm sheterofl --rounds 4 --clients 4 --threads 2 --profile 0 \
+    --checkpoint-every 2 --checkpoint-dir "$out/ckpt" \
+    --manifest-dir "$out/runs" >/dev/null
+  python3 - "$out/runs" <<'PY'
+import glob, json, os, re, sys
 
-out, pid = sys.argv[1], int(sys.argv[2])
-log = os.path.join(out, "on.log")
+manifests = glob.glob(os.path.join(sys.argv[1], "*", "manifest.json"))
+assert len(manifests) == 1, f"expected one run directory, got {manifests}"
+run_dir = os.path.dirname(manifests[0])
+manifest = json.load(open(manifests[0]))
 
+# metrics.prom: every sample line is `name[{labels}] value`.
+label = r'[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
+sample = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
+                    rf"(\{{{label}(?:,{label})*\}})? (\S+)$")
+samples = {}
+for line in open(os.path.join(run_dir, "metrics.prom")).read().splitlines():
+    if not line or line.startswith("#"):
+        continue
+    m = sample.match(line)
+    assert m, f"metrics.prom: unparseable line {line!r}"
+    samples[m.group(1) + (m.group(2) or "")] = float(m.group(3))
+assert samples["mhb_up"] == 1
 
-def alive():
-    try:
-        os.kill(pid, 0)
-        return True
-    except OSError:
-        return False
+status = json.load(open(os.path.join(run_dir, "status.json")))
+keys = {"run_id", "run", "rounds_completed", "last_round", "rounds_total",
+        "sim_time_s", "accuracy", "counters", "histograms", "tiers",
+        "gauges"}
+assert set(status) == keys, f"status.json keys: {sorted(status)}"
+# The CLI's suite runs the fedavg-small effectiveness baseline before the
+# requested algorithm: two engine runs of 4 rounds, 8 barriers in all.
+assert status["run"] == "sheterofl", status["run"]
+assert status["rounds_total"] == 4
+assert status["last_round"] == 3
+assert status["rounds_completed"] == 8, status["rounds_completed"]
+assert samples["mhb_rounds_completed"] == 8
+assert samples["mhb_last_round"] == 3
 
-
-port = None
-deadline = time.time() + 30
-while time.time() < deadline:
-    m = re.search(r"live telemetry on http://127\.0\.0\.1:(\d+)",
-                  open(log).read())
-    if m:
-        port = int(m.group(1))
-        break
-    if not alive():
-        sys.exit("mhbench exited before announcing the live port")
-    time.sleep(0.02)
-assert port is not None, "no live port announced within 30 s"
-
-hits = {"/metrics": 0, "/healthz": 0, "/status.json": 0}
-status_body = metrics_body = health_body = None
-while alive():
-    for path in hits:
-        try:
-            body = urllib.request.urlopen(
-                f"http://127.0.0.1:{port}{path}", timeout=2).read().decode()
-        except Exception:
-            continue
-        hits[path] += 1
-        if path == "/status.json":
-            status_body = body
-        elif path == "/metrics":
-            metrics_body = body
-        else:
-            health_body = body
-    time.sleep(0.02)
-
-for path, n in hits.items():
-    assert n > 0, f"never reached {path} mid-run"
-assert health_body.strip() == "ok", f"healthz said {health_body!r}"
-status = json.loads(status_body)  # must be valid JSON mid-run
-for key in ("run_id", "rounds_completed", "last_round", "sim_time_s",
-            "stalled", "watchdog_stalls", "accuracy", "counters",
-            "histograms", "checkpoint"):
-    assert key in status, f"status.json: missing {key!r}"
-assert status["watchdog_stalls"] == 0
-assert "mhb_up 1" in metrics_body
-assert "# TYPE mhb_rounds_completed counter" in metrics_body
-print("check.sh: live endpoints served mid-run (metrics="
-      f"{hits['/metrics']}, status={hits['/status.json']}, "
-      f"healthz={hits['/healthz']})")
+# Final totals: both files agree with the manifest, tier twins included.
+untiered = {k: v for k, v in manifest["counters"].items() if "@" not in k}
+assert status["counters"] == untiered, "status.json counters != manifest"
+assert untiered["checkpoint_writes"] == 2
+for tier, m in manifest["tiers"].items():
+    assert status["tiers"][tier]["counters"] == m["counters"], tier
+for name, value in manifest["counters"].items():
+    base, _, tier = name.partition("@")
+    key = f"mhb_counter_{base}" + (f'{{tier="{tier}"}}' if tier else "")
+    assert samples[key] == value, f"metrics.prom {key} != manifest {value}"
+print(f"check.sh: live files valid ({len(samples)} samples, "
+      f"{len(status['counters'])} counters)")
 PY
-  then
-    kill "$run_pid" 2>/dev/null || true
-    wait "$run_pid" 2>/dev/null || true
-    return 1
-  fi
-  wait "$run_pid"
-  # The heartbeat stream next to the manifest: one JSON object per line,
-  # monotone seq, silent watchdog.
-  python3 - "$out/on" <<'PY'
-import glob, json, sys
-
-paths = glob.glob(sys.argv[1] + "/*/heartbeat.jsonl")
-assert len(paths) == 1, f"expected one heartbeat.jsonl, got {paths}"
-lines = open(paths[0]).read().splitlines()
-assert lines, "heartbeat.jsonl is empty"
-for i, line in enumerate(lines):
-    rec = json.loads(line)
-    assert rec["seq"] == i, f"line {i}: seq {rec['seq']}"
-    for key in ("utc", "unix_s", "uptime_s", "run_id", "round",
-                "rounds_completed", "rounds_total", "sim_time_s",
-                "clients_trained", "bytes_up", "checkpoints_written",
-                "stalled", "watchdog_stalls"):
-        assert key in rec, f"line {i}: missing {key!r}"
-final = json.loads(lines[-1])
-assert final["watchdog_stalls"] == 0, "watchdog fired on a healthy run"
-assert final["stalled"] is False
-print(f"check.sh: heartbeat stream valid ({len(lines)} lines)")
-PY
-  # The client event journal is a pure function of the cost model and the
-  # serial draws: serving telemetry mid-run must not change a single byte.
-  cmp "$out"/off/*/clients.mhbj "$out"/on/*/clients.mhbj
-  echo "check.sh: client journal bit-identical with exporter attached"
-  cat > "$out/thresholds.json" <<'JSON'
-{
-  "client_wall_us*": {"ratio": 1000}
-}
-JSON
-  python3 "$repo/tools/mhb_diff.py" --thresholds "$out/thresholds.json" \
-    "$out/off" "$out/on" >/dev/null
   echo "check.sh: live telemetry smoke passed"
 }
 
@@ -526,7 +465,10 @@ smoke_e2ebench() {
 # distillation teachers while the stability eval fans clients out) and
 # FedProto at four threads (parallel global eval creating the committee
 # states).  A deadlock hangs rather than fails, so each run gets 60 s; a
-# timeout fails the leg.
+# timeout fails the leg.  One round with the other smokes' small data
+# sizes reaches every nested path (teachers, global and stability eval) and
+# fits that budget under ThreadSanitizer too: ~36 s for Fed-ET on 4 vCPUs,
+# where two rounds took 53-61 s.
 smoke_liveness() {
   local build_dir="$1"
   local args
@@ -534,8 +476,8 @@ smoke_liveness() {
     "--algorithm fedet --threads 2" \
     "--algorithm fedproto --threads 4"; do
     # shellcheck disable=SC2086  # $args is a word list on purpose
-    if ! timeout 60 "$build_dir/tools/mhbench" run --task cifar10 \
-        --rounds 3 --clients 8 $args >/dev/null; then
+    if ! MHB_TRAIN=160 MHB_TEST=80 timeout 60 "$build_dir/tools/mhbench" \
+        run --task cifar10 --rounds 1 --clients 8 $args >/dev/null; then
       echo "check.sh: 'mhbench run $args' failed or hung (60 s)" >&2
       return 1
     fi
@@ -575,7 +517,6 @@ case "$mode" in
     smoke_det_audit "$repo/build"
     smoke_liveness "$repo/build"
     run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
-    smoke_live "$repo/build-tsan"
     smoke_liveness "$repo/build-tsan"
     ;;
   --lint) run_lint ;;
@@ -589,7 +530,6 @@ case "$mode" in
     ;;
   --tsan)
     run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
-    smoke_live "$repo/build-tsan"
     smoke_liveness "$repo/build-tsan"
     ;;
   --asan)  run_suite "$repo/build-asan" -DMHBENCH_SANITIZE=address ;;

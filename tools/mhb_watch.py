@@ -1,40 +1,47 @@
 #!/usr/bin/env python3
-"""Terminal progress view for a live mhbench run.
+"""Terminal progress view for a running (or finished) mhbench run.
 
-Usage: mhb_watch.py [--port P | --url URL] [--interval SEC] [--once]
+Usage: mhb_watch.py --dir results/<run-id> [--interval SEC] [--once]
 
-Polls the run's /status.json (served by `mhbench run --live-port P`,
-obs/live.h) and renders a one-screen progress report: round progress bar,
-simulated clock, the accuracy-curve tail, stall state, and the headline
-counters.  Strictly an observer — it only issues GETs against the
-exporter's read-only endpoints, so watching a run can never perturb it.
+Reads the status.json that `mhbench run --manifest-dir results` rewrites
+in the run directory after every round (obs/live.h, DESIGN.md §5h) and
+renders a one-screen progress report: the current engine run's round
+progress bar, simulated clock, the accuracy-curve tail, the headline
+counters, per-device-tier rollups and checkpoint writes.  The progress age
+is the file's modification time: how long ago the last round barrier
+published.  Strictly an observer — it only reads files the run replaces
+atomically, so watching a run can never perturb it.
 
-  mhb_watch.py --port 8787                # watch http://127.0.0.1:8787
-  mhb_watch.py --url http://host:8787     # watch a remote run
-  mhb_watch.py --port 8787 --once         # print one snapshot and exit
+  mhb_watch.py --dir results/cifar10-computation-sheterofl-seed1
+  mhb_watch.py --dir results/cifar10-computation-sheterofl-seed1 --once
 
-Connection refused is treated as "run not up yet / already finished": the
-watcher keeps retrying until interrupted (or exits 1 under --once).
+A missing file is treated as "run not up yet": the watcher keeps polling
+until interrupted (or exits 1 under --once).
 
-Exit status: 0 on a clean snapshot (or Ctrl-C), 1 when --once cannot reach
-the exporter or the payload is malformed.
+Exit status: 0 on a clean snapshot (or Ctrl-C), 1 when --once finds the
+file missing or malformed.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
-import urllib.error
-import urllib.request
 
 
-def fetch_status(url, timeout=2.0):
-    """Returns the parsed /status.json object, or None when unreachable."""
+def read_status(run_dir):
+    """Returns (status, age_s) for the run's status.json, or None when the
+    file is missing or malformed."""
+    path = os.path.join(run_dir, "status.json")
     try:
-        with urllib.request.urlopen(url + "/status.json", timeout=timeout) as r:
-            return json.loads(r.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, ValueError):
+        with open(path, encoding="utf-8") as f:
+            status = json.load(f)
+        age = max(0.0, time.time() - os.stat(path).st_mtime)
+    except (OSError, ValueError):
         return None
+    if not isinstance(status, dict):
+        return None
+    return status, age
 
 
 def progress_bar(done, total, width=30):
@@ -44,29 +51,26 @@ def progress_bar(done, total, width=30):
     return "[" + "#" * filled + "-" * (width - filled) + "]"
 
 
-def render(status):
+def render(status, age_s):
     lines = []
-    done = status.get("rounds_completed", 0)
+    # One CLI run is a suite of engine runs (the fedavg-small baseline,
+    # then the requested algorithm), each counting rounds from 0; the bar
+    # follows the current one.
+    done = status.get("last_round", -1) + 1
     total = status.get("rounds_total", 0)
-    run_id = status.get("run_id") or status.get("run") or "?"
+    run_id = status.get("run_id") or "?"
+    run = status.get("run") or "?"
     pct = f" {100.0 * done / total:5.1f}%" if total > 0 else ""
-    lines.append(f"run      {run_id}")
+    lines.append(f"run      {run_id} ({run})")
     lines.append(
         f"rounds   {progress_bar(done, total)} {done}"
         + (f"/{total}{pct}" if total > 0 else " completed")
+        + f"   {status.get('rounds_completed', 0)} barriers in all"
     )
     lines.append(
         f"clock    sim {status.get('sim_time_s', 0):.1f} s"
-        f"   up {status.get('uptime_s', 0):.1f} s"
-        f"   last progress {status.get('progress_age_s', 0):.1f} s ago"
+        f"   last progress {age_s:.1f} s ago"
     )
-    if status.get("stalled"):
-        lines.append("state    STALLED (watchdog fired "
-                     f"{status.get('watchdog_stalls', 0)}x)")
-    else:
-        lines.append("state    healthy"
-                     + (f", {status['watchdog_stalls']} past stall(s)"
-                        if status.get("watchdog_stalls") else ""))
 
     acc = status.get("accuracy") or []
     if acc:
@@ -84,7 +88,7 @@ def render(status):
         lines.append("counters " +
                      "  ".join(f"{n}={v:,}" for n, v in headline))
 
-    # Per-device-tier breakdown from the exporter's "tiers" rollups.
+    # Per-device-tier breakdown from the "tiers" rollups.
     tiers = status.get("tiers") or {}
     for tier in sorted(tiers):
         tc = tiers[tier].get("counters") or {}
@@ -96,47 +100,40 @@ def render(status):
             f"  selected={selected:,}  drop_rate={drop_rate:.3f}"
             f"  bytes_up={tc.get('bytes_up', 0):,}")
 
-    ckpt = status.get("checkpoint") or {}
-    if ckpt.get("written"):
-        lines.append(f"ckpt     {ckpt['written']} written, resume round "
-                     f"{ckpt.get('next_round')} -> {ckpt.get('path')}")
+    written = counters.get("checkpoint_writes", 0)
+    if written:
+        lines.append(f"ckpt     {written} written")
     return "\n".join(lines)
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="watch a live mhbench run via its /status.json")
-    group = ap.add_mutually_exclusive_group()
-    group.add_argument("--port", type=int,
-                       help="poll http://127.0.0.1:PORT (the --live-port "
-                            "of the run)")
-    group.add_argument("--url", help="full base URL of the exporter")
+        description="watch an mhbench run via its run directory's "
+                    "status.json")
+    ap.add_argument("--dir", required=True,
+                    help="the run directory, results/<run-id>")
     ap.add_argument("--interval", type=float, default=1.0,
                     help="poll interval in seconds (default 1)")
     ap.add_argument("--once", action="store_true",
                     help="print a single snapshot and exit")
     args = ap.parse_args()
 
-    if args.url:
-        url = args.url.rstrip("/")
-    else:
-        url = f"http://127.0.0.1:{args.port if args.port else 8787}"
-
     try:
         while True:
-            status = fetch_status(url)
+            snapshot = read_status(args.dir)
             if args.once:
-                if status is None:
-                    print(f"mhb_watch: no exporter at {url}", file=sys.stderr)
+                if snapshot is None:
+                    print(f"mhb_watch: no readable status.json in {args.dir}",
+                          file=sys.stderr)
                     return 1
-                print(render(status))
+                print(render(*snapshot))
                 return 0
             # Clear-screen redraw keeps the view stable without curses.
             sys.stdout.write("\x1b[2J\x1b[H")
-            if status is None:
-                print(f"mhb_watch: waiting for {url} ...")
+            if snapshot is None:
+                print(f"mhb_watch: waiting for {args.dir}/status.json ...")
             else:
-                print(render(status))
+                print(render(*snapshot))
             sys.stdout.flush()
             time.sleep(max(0.05, args.interval))
     except KeyboardInterrupt:

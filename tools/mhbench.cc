@@ -16,8 +16,6 @@
 //               [--manifest-dir results] [--profile 0|1]
 //               [--checkpoint-every N] [--checkpoint-dir checkpoints]
 //               [--resume checkpoints/round_000002.mhbsnap]
-//               [--live-port P] [--heartbeat-every SEC]
-//               [--watchdog-sec SEC] [--watchdog-abort 0|1]
 //               [--det-audit path|1]
 //       Run one federated experiment and print the metric panel.
 //       --threads parallelizes client training, global and stability
@@ -42,16 +40,12 @@
 //       restores one snapshot and continues — with the same config the
 //       resumed run is bit-identical to the uninterrupted one (see
 //       DESIGN.md §5g).
-//       --live-port P serves live telemetry on http://127.0.0.1:P
-//       (/metrics in Prometheus text format, /status.json, /healthz;
-//       P=0 picks an ephemeral port, printed before the run starts).
-//       --heartbeat-every S appends a heartbeat.jsonl line to the run's
-//       manifest dir every S wall seconds (requires --manifest-dir);
-//       --watchdog-sec S logs a stall when no round completes for S wall
-//       seconds, and --watchdog-abort 1 turns that into a hard exit.
-//       None of these can perturb results: the exporter only reads
-//       round-barrier totals (DESIGN.md §5h); `tools/mhb_watch.py` polls
-//       /status.json into a terminal progress view.
+//       Every --manifest-dir run also publishes metrics.prom (Prometheus
+//       text exposition, the node_exporter textfile-collector format) and
+//       status.json into its run directory after each round, written
+//       atomically on the round barrier; `tools/mhb_watch.py --dir` renders
+//       them as a terminal progress view.  Publishing cannot perturb
+//       results (DESIGN.md §5h).
 //       --det-audit <path|1> writes a per-round determinism ledger
 //       (det_audit.jsonl): one 64-bit hash per component (RNG stream,
 //       model/algorithm state bytes, counter and histogram totals) plus a
@@ -281,33 +275,19 @@ int CmdRun(Args& args) {
   const std::string trace_path = args.Get("trace", "");
   const std::string manifest_dir = args.Get("manifest-dir", "");
   const bool profile = args.GetI("profile", manifest_dir.empty() ? 0 : 1) != 0;
-
-  // Live telemetry (obs/live.h, DESIGN.md §5h).
-  const int live_port = args.GetI("live-port", -1);
-  double heartbeat_every = args.GetD("heartbeat-every", 0.0);
-  const double watchdog_sec = args.GetD("watchdog-sec", 0.0);
-  const bool watchdog_abort = args.GetI("watchdog-abort", 0) != 0;
   const double journal_sample = args.GetD("client-journal-sample", 1.0);
   std::string det_audit_path = args.Get("det-audit", "");
   args.RejectUnused();
-  const bool live_enabled =
-      live_port >= 0 || heartbeat_every > 0 || watchdog_sec > 0;
-  if (heartbeat_every > 0 && manifest_dir.empty()) {
-    MHB_LOG_WARN << "--heartbeat-every needs --manifest-dir for the "
-                    "heartbeat.jsonl destination; disabling heartbeat";
-    heartbeat_every = 0.0;
-  }
 
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::Registry> registry;
   std::unique_ptr<obs::Profiler> profiler;
   if (!trace_path.empty()) tracer = std::make_unique<obs::Tracer>();
   if (!trace_path.empty() || !manifest_dir.empty() ||
-      options.checkpoint_every > 0 || live_enabled) {
+      options.checkpoint_every > 0) {
     // Checkpointing keeps a registry even without --manifest-dir so
     // snapshots carry the obs section (resumed manifests then report
-    // whole-campaign totals); live telemetry needs one as the snapshot
-    // source for /metrics and /status.json.
+    // whole-campaign totals).
     registry = std::make_unique<obs::Registry>();
   }
   if (profile) profiler = std::make_unique<obs::Profiler>();
@@ -318,12 +298,11 @@ int CmdRun(Args& args) {
                << (tracer != nullptr ? trace_path : "off")
                << " manifest_dir="
                << (manifest_dir.empty() ? "off" : manifest_dir)
-               << " profiler=" << (profile ? "on" : "off")
-               << " live=" << (live_enabled ? "on" : "off");
+               << " profiler=" << (profile ? "on" : "off");
 
   // The run directory is created up front (not only at exit) so the
-  // heartbeat stream and the streamed rounds.csv land in the same place
-  // WriteRunManifest finalizes at the end.
+  // per-round files land in the same place WriteRunManifest finalizes at
+  // the end.
   const std::string run_id = options.task + "-" + options.constraint + "-" +
                              algorithm + "-seed" +
                              std::to_string(options.preset.seed);
@@ -341,12 +320,16 @@ int CmdRun(Args& args) {
       // the file rewritten whole when the round brings a new column (a
       // tailing reader may see an unterminated last line mid-append); the
       // end-of-run manifest finds the files current and leaves them.
+      // metrics.prom + status.json are replaced whole each round (live
+      // telemetry, DESIGN.md §5h).
       obs::Registry* reg = registry.get();
-      registry->SetRoundSink(
-          [reg, run_dir](const obs::Registry::RoundRow& /*row*/) {
-            obs::WriteRoundsCsv(run_dir, *reg);
-            obs::WriteTiersCsv(run_dir, *reg);
-          });
+      const int rounds_total = options.preset.rounds;
+      registry->SetRoundSink([reg, run_dir, run_id, rounds_total](
+                                 const obs::Registry::RoundRow& /*row*/) {
+        obs::WriteRoundsCsv(run_dir, *reg);
+        obs::WriteTiersCsv(run_dir, *reg);
+        obs::WriteLiveFiles(run_dir, *reg, run_id, rounds_total);
+      });
     }
   }
 
@@ -390,29 +373,6 @@ int CmdRun(Args& args) {
     MHB_LOG_INFO << "det-audit ledger: " << det_audit_path;
   }
 
-  std::unique_ptr<obs::LiveExporter> live;
-  if (live_enabled) {
-    obs::LiveConfig lcfg;
-    lcfg.http_port = live_port;
-    lcfg.heartbeat_every_s = heartbeat_every;
-    if (heartbeat_every > 0) {
-      lcfg.heartbeat_path = run_dir + "/heartbeat.jsonl";
-    }
-    lcfg.watchdog_stall_s = watchdog_sec;
-    lcfg.watchdog_abort = watchdog_abort;
-    lcfg.run_id = run_id;
-    lcfg.rounds_total = options.preset.rounds;
-    live = std::make_unique<obs::LiveExporter>(lcfg, registry.get());
-    options.obs.live = live.get();
-    if (live->http_port() >= 0) {
-      // Printed (and flushed) before the run starts so pollers reading a
-      // redirected log can discover an ephemeral port.
-      std::printf("[live telemetry on http://127.0.0.1:%d]\n",
-                  live->http_port());
-      std::fflush(stdout);
-    }
-  }
-
   std::printf("running %s on %s under %s-limited MHFL (%d rounds, %d "
               "clients)...\n",
               algorithm.c_str(), options.task.c_str(),
@@ -421,11 +381,10 @@ int CmdRun(Args& args) {
   std::fflush(stdout);
 
   const auto bundles = bench_support::RunSuite({algorithm}, options);
-  if (live != nullptr) {
-    // Stop watchdog/heartbeat/HTTP before finalizing artifacts: the final
-    // heartbeat line is written here, and nothing may poll half-written
-    // files while the manifest lands.
-    live->Stop();
+  if (!run_dir.empty()) {
+    // Once more after the run: the last round's checkpoint write counts
+    // only at the engine's closing flush, after the last round sink.
+    obs::WriteLiveFiles(run_dir, *registry, run_id, options.preset.rounds);
   }
   if (registry != nullptr) {
     registry->SetRoundSink(nullptr);
