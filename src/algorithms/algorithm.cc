@@ -42,22 +42,12 @@ void WeightSharingAlgorithm::BeginRound(int round,
                                         const std::vector<int>& participants) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
   if (!participants.empty()) last_round_ = round;
-  round_participants_ = participants;
-  staged_.assign(participants.size(), fl::ClientUpdate{});
-  slot_of_client_.assign(static_cast<std::size_t>(ctx_->num_clients()), 0);
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    slot_of_client_[static_cast<std::size_t>(participants[i])] = i;
-  }
-}
-
-std::size_t WeightSharingAlgorithm::SlotOf(int client_id) const {
-  MHB_CHECK_LT(static_cast<std::size_t>(client_id), slot_of_client_.size())
-      << "RunClient outside BeginRound participants";
-  return slot_of_client_[static_cast<std::size_t>(client_id)];
+  staged_.Begin(participants);
 }
 
 void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
+  fl::ClientUpdate& slot = staged_.For(client_id);
   const models::BuildSpec spec = ClientSpec(client_id, round, rng);
   Rng build_rng = rng.Fork(0xB1D);
   obs::Span build_span("build_submodel", "client");
@@ -80,10 +70,8 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   // participants never touch the shared averager.
   obs::Span extract_span("extract_update", "client");
   extract_span.Arg("client", static_cast<std::int64_t>(client_id));
-  fl::ClientUpdate update =
-      fl::ExtractUpdate(*built.net, built.mapping, weight);
-  if (extract_span) extract_span.Arg("params", NumParams(update));
-  staged_[SlotOf(client_id)] = std::move(update);
+  slot = fl::ExtractUpdate(*built.net, built.mapping, weight);
+  if (extract_span) extract_span.Arg("params", NumParams(slot));
 }
 
 // mhb-obs-phase: serial — FinishRound merges at the round barrier.
@@ -92,14 +80,14 @@ void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
   obs::Span merge_span("aggregate", "server");
   std::int64_t merged = 0;
   std::int64_t params = 0;
-  for (const auto& update : staged_) {
+  for (const auto& update : staged_.uploads()) {
     if (!update.empty()) {
       averager_.Accumulate(update, global_->store());
       ++merged;
       params += NumParams(update);
     }
   }
-  staged_.clear();
+  staged_.Clear();
   {
     core::MutexLock lock(eval_model_mu_);
     eval_model_.reset();

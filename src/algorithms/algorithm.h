@@ -2,9 +2,11 @@
 // FedRolex, DepthFL, InclusiveFL, FeDepth).
 //
 // These algorithms differ only in (a) which sub-model a client receives
-// each round (ClientSpec), (b) how the client trains it (TrainClientModel),
-// and (c) small server-side post-processing hooks.  Everything else —
-// dispatch, masked aggregation, evaluation — lives here.
+// each round (ClientSpec), (b) the per-batch objective the client trains it
+// with (TrainClientModel hands one to fl::TrainLocal, the loop every
+// algorithm trains through), and (c) small server-side post-processing
+// hooks.  Everything else — dispatch, masked aggregation, evaluation —
+// lives here.
 #pragma once
 
 #include "core/mutex.h"
@@ -57,8 +59,9 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // The sub-model used when evaluating the client's personalized accuracy;
   // defaults to ClientSpec at the last completed round with a fixed stream.
   virtual models::BuildSpec EvalSpec(int client_id);
-  // Local training; default is plain supervised SGD on the deepest head.
-  // Returns the final training loss.
+  // Local training: fl::TrainLocal with this algorithm's per-batch
+  // objective; the default is cross-entropy on the deepest head.  Returns
+  // the last epoch's mean training loss.
   virtual double TrainClientModel(models::BuiltModel& built, int client_id,
                                   const data::Dataset& shard, Rng& rng);
   // Evaluate the global model with the ensemble of heads (DepthFL).
@@ -81,9 +84,6 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   void set_aggregation_weighting(AggregationWeighting w) { weighting_ = w; }
 
  protected:
-  // Staging slot for `client_id` in the current round, fixed by BeginRound.
-  std::size_t SlotOf(int client_id) const;
-
   // Normalization GlobalLogits and ClientLogits evaluate with.
   nn::NormStats EvalNormStats() const {
     return sbn_eval_ ? nn::NormStats::kBatch : nn::NormStats::kRunning;
@@ -100,11 +100,8 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   int last_round_ = 0;
   bool sbn_eval_ = true;
   AggregationWeighting weighting_ = AggregationWeighting::kDataSize;
-  // Current round's participants (dispatch order) and their staged uploads;
-  // RunClient writes only its own slot.
-  std::vector<int> round_participants_;
-  std::vector<fl::ClientUpdate> staged_;
-  std::vector<std::size_t> slot_of_client_;  // client id -> staging slot
+  // Current round's staged uploads; RunClient writes only its own slot.
+  fl::StagedUploads<fl::ClientUpdate> staged_;
 
  private:
   // Reset wherever the store changes (FinishRound, LoadState).

@@ -1,8 +1,7 @@
 #include "algorithms/depthfl.h"
 
-#include "data/loader.h"
+#include "fl/client.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 
 namespace mhbench::algorithms {
 
@@ -32,63 +31,44 @@ models::BuildSpec DepthFl::GlobalEvalSpec() {
 double DepthFl::TrainClientModel(models::BuiltModel& built, int /*client_id*/,
                                  const data::Dataset& shard, Rng& rng) {
   auto& trunk = built.trunk();
-  const auto opts = ctx_->local_options(last_round_);
-  nn::OptimizerOptions opt_opts;
-  opt_opts.kind = opts.optimizer;
-  opt_opts.lr = opts.lr;
-  opt_opts.momentum = opts.momentum;
-  opt_opts.weight_decay = opts.weight_decay;
-  const auto sgd_ptr = nn::MakeOptimizer(trunk, opt_opts);
-  nn::Optimizer& sgd = *sgd_ptr;
-
   const int num_heads = trunk.num_heads();
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    data::BatchIterator batches(shard, opts.batch_size, rng);
-    Tensor x;
-    std::vector<int> y;
-    double loss_sum = 0.0;
-    int batch_count = 0;
-    while (batches.Next(x, y)) {
-      sgd.ZeroGrad();
-      auto logits = trunk.ForwardHeads(x);
-      std::vector<Tensor> grads(logits.size());
+  const bool distill = num_heads > 1 && distill_weight_ > 0;
+  // Every head's loss gradient, from forward to backward.
+  std::vector<Tensor> grads;
+  fl::BatchObjective objective;
+  objective.forward = [&](const Tensor& x, const std::vector<int>& y) {
+    auto logits = trunk.ForwardHeads(x);
+    grads.assign(logits.size(), Tensor());
 
-      // Consensus soft target: mean of all heads' tempered probabilities.
-      Tensor consensus;
-      if (num_heads > 1 && distill_weight_ > 0) {
-        consensus = nn::SoftmaxWithTemperature(logits[0], temperature_);
-        for (int h = 1; h < num_heads; ++h) {
-          consensus.AddInPlace(nn::SoftmaxWithTemperature(
-              logits[static_cast<std::size_t>(h)], temperature_));
-        }
-        consensus.Scale(1.0f / static_cast<Scalar>(num_heads));
+    // Consensus soft target: mean of all heads' tempered probabilities.
+    Tensor consensus;
+    if (distill) {
+      consensus = nn::SoftmaxWithTemperature(logits[0], temperature_);
+      for (int h = 1; h < num_heads; ++h) {
+        consensus.AddInPlace(nn::SoftmaxWithTemperature(
+            logits[static_cast<std::size_t>(h)], temperature_));
       }
-
-      double batch_loss = 0.0;
-      for (int h = 0; h < num_heads; ++h) {
-        const auto hu = static_cast<std::size_t>(h);
-        Tensor ce_grad;
-        batch_loss += nn::SoftmaxCrossEntropy(logits[hu], y, ce_grad);
-        grads[hu] = std::move(ce_grad);
-        if (num_heads > 1 && distill_weight_ > 0) {
-          Tensor kd_grad;
-          batch_loss += distill_weight_ *
-                        nn::DistillationKL(logits[hu], consensus,
-                                           temperature_, kd_grad);
-          kd_grad.Scale(static_cast<Scalar>(distill_weight_));
-          grads[hu].AddInPlace(kd_grad);
-        }
-      }
-      trunk.BackwardHeads(grads);
-      if (opts.grad_clip > 0) sgd.ClipGradNorm(opts.grad_clip);
-      sgd.Step();
-      loss_sum += batch_loss;
-      ++batch_count;
+      consensus.Scale(1.0f / static_cast<Scalar>(num_heads));
     }
-    last_loss = loss_sum / std::max(1, batch_count);
-  }
-  return last_loss;
+
+    double batch_loss = 0.0;
+    for (int h = 0; h < num_heads; ++h) {
+      const auto hu = static_cast<std::size_t>(h);
+      batch_loss += nn::SoftmaxCrossEntropy(logits[hu], y, grads[hu]);
+      if (distill) {
+        Tensor kd_grad;
+        batch_loss += distill_weight_ *
+                      nn::DistillationKL(logits[hu], consensus, temperature_,
+                                         kd_grad);
+        kd_grad.Scale(static_cast<Scalar>(distill_weight_));
+        grads[hu].AddInPlace(kd_grad);
+      }
+    }
+    return batch_loss;
+  };
+  objective.backward = [&] { trunk.BackwardHeads(grads); };
+  return fl::TrainLocal(trunk, shard, ctx_->local_options(last_round_), rng,
+                        objective);
 }
 
 }  // namespace mhbench::algorithms

@@ -51,16 +51,12 @@ int FedEt::ArchOf(int client_id) const {
 
 void FedEt::BeginRound(int /*round*/, const std::vector<int>& participants) {
   MHB_CHECK(ctx_ != nullptr);
-  round_participants_ = participants;
-  staged_.assign(participants.size(), fl::ClientUpdate{});
-  slot_of_client_.assign(static_cast<std::size_t>(ctx_->num_clients()), 0);
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    slot_of_client_[static_cast<std::size_t>(participants[i])] = i;
-  }
+  staged_.Begin(participants);
 }
 
 void FedEt::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr);
+  fl::ClientUpdate& slot = staged_.For(client_id);
   const int arch = ArchOf(client_id);
   const auto au = static_cast<std::size_t>(arch);
   Rng build_rng = rng.Fork(0xB1D);
@@ -72,21 +68,22 @@ void FedEt::RunClient(int client_id, int round, Rng& rng) {
   fl::TrainLocal(*built.net, shard, ctx_->local_options(round), rng);
   // Stage the upload; the per-group averagers and counters are shared, so
   // they are only touched in the serial merge below.
-  staged_[slot_of_client_[static_cast<std::size_t>(client_id)]] =
-      fl::ExtractUpdate(*built.net, built.mapping,
-                        static_cast<double>(shard.size()));
+  slot = fl::ExtractUpdate(*built.net, built.mapping,
+                           static_cast<double>(shard.size()));
 }
 
 void FedEt::FinishRound(int /*round*/, Rng& rng) {
   // Merge staged uploads into the per-group averagers in participant order
   // (the order eager serial accumulation used).
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    if (staged_[i].empty()) continue;
-    const auto au = static_cast<std::size_t>(ArchOf(round_participants_[i]));
-    group_averagers_[au].Accumulate(staged_[i], group_models_[au]->store());
+  const std::vector<fl::ClientUpdate>& uploads = staged_.uploads();
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    if (uploads[i].empty()) continue;
+    const auto au =
+        static_cast<std::size_t>(ArchOf(staged_.participants()[i]));
+    group_averagers_[au].Accumulate(uploads[i], group_models_[au]->store());
     group_round_clients_[au] += 1;
   }
-  staged_.clear();
+  staged_.Clear();
 
   // Within-group FedAvg; the synced models stay fixed until the next one.
   for (std::size_t a = 0; a < families_.size(); ++a) {

@@ -66,11 +66,9 @@ class FedEt : public fl::MhflAlgorithm {
   std::vector<fl::MaskedAverager> group_averagers_;
   std::vector<int> group_round_clients_;  // sampled clients per group
 
-  // Current round's participants (dispatch order) and their staged uploads;
-  // RunClient fills only its own slot, FinishRound merges in order.
-  std::vector<int> round_participants_;
-  std::vector<fl::ClientUpdate> staged_;
-  std::vector<std::size_t> slot_of_client_;
+  // Current round's staged uploads; RunClient fills only its own slot,
+  // FinishRound merges in order.
+  fl::StagedUploads<fl::ClientUpdate> staged_;
 
   // Server (large) model, trained by distillation.
   models::BuiltModel server_model_;

@@ -2,6 +2,7 @@
 
 #include "data/loader.h"
 #include "fl/checkpoint.h"
+#include "fl/client.h"
 #include "fl/param_store.h"
 #include "nn/init.h"
 #include "nn/loss.h"
@@ -171,15 +172,10 @@ Tensor FedProto::DistanceLogits(const Tensor& proto_emb) const {
 
 void FedProto::BeginRound(int /*round*/, const std::vector<int>& participants) {
   MHB_CHECK(ctx_ != nullptr);
-  round_participants_ = participants;
-  staged_.assign(participants.size(), ProtoStage{});
-  slot_of_client_.assign(static_cast<std::size_t>(ctx_->num_clients()), 0);
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    slot_of_client_[static_cast<std::size_t>(participants[i])] = i;
-    // Create states serially; client state construction is seeded purely by
-    // the client id, so early creation leaves contents unchanged.
-    GetOrCreateState(participants[i]);
-  }
+  staged_.Begin(participants);
+  // Create states serially; client state construction is seeded purely by
+  // the client id, so early creation leaves contents unchanged.
+  for (const int client : participants) GetOrCreateState(client);
 }
 
 void FedProto::PrepareEvaluation() {
@@ -189,68 +185,60 @@ void FedProto::PrepareEvaluation() {
 
 void FedProto::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr);
+  ProtoStage& stage = staged_.For(client_id);
   ClientState& state = GetOrCreateState(client_id);
   auto& trunk = state.model.trunk();
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));
   const auto opts = ctx_->local_options(round);
 
-  nn::OptimizerOptions opt_opts;
-  opt_opts.kind = opts.optimizer;
-  opt_opts.lr = opts.lr;
-  opt_opts.momentum = opts.momentum;
-  opt_opts.weight_decay = opts.weight_decay;
-  const auto model_opt = nn::MakeOptimizer(trunk, opt_opts);
-  const auto proj_opt = nn::MakeOptimizer(*state.proj, opt_opts);
-  nn::Optimizer& sgd_model = *model_opt;
-  nn::Optimizer& sgd_proj = *proj_opt;
-
-  for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    data::BatchIterator batches(shard, opts.batch_size, rng);
-    Tensor x;
-    std::vector<int> y;
-    while (batches.Next(x, y)) {
-      sgd_model.ZeroGrad();
-      sgd_proj.ZeroGrad();
-      auto logits = trunk.ForwardHeads(x);
-      std::vector<Tensor> grads(logits.size());
-      Tensor ce_grad;
-      nn::SoftmaxCrossEntropy(logits.back(), y, ce_grad);
-      grads.back() = std::move(ce_grad);
-
-      Tensor emb_grad;
-      if (!global_protos_.empty() && lambda_ > 0) {
-        const Tensor& emb = trunk.last_embedding();
-        const Tensor pooled = PoolEmbedding(emb, trunk.embedding_layout());
-        const Tensor proto_emb = state.proj->Forward(pooled);
-        // Targets: each sample's class prototype.
-        Tensor target({proto_emb.dim(0), proto_dim_});
-        for (int i = 0; i < proto_emb.dim(0); ++i) {
-          const int cls = y[static_cast<std::size_t>(i)];
-          for (int j = 0; j < proto_dim_; ++j) {
-            target[static_cast<std::size_t>(i) * proto_dim_ + j] =
-                global_protos_[static_cast<std::size_t>(cls) * proto_dim_ + j];
-          }
+  // Cross-entropy on the deepest head plus the prototype MSE through the
+  // projection head.  The objective zeroes and steps the projection head's
+  // optimizer itself, so TrainLocal's gradient clip covers the model only.
+  const auto proj_opt =
+      nn::MakeOptimizer(*state.proj, fl::OptimizerOptionsOf(opts));
+  std::vector<Tensor> grads;  // per head; only the deepest has a loss
+  Tensor mse_grad;             // prototype loss w.r.t. the projection
+  fl::BatchObjective objective;
+  objective.forward = [&](const Tensor& x, const std::vector<int>& y) {
+    proj_opt->ZeroGrad();
+    auto logits = trunk.ForwardHeads(x);
+    grads.assign(logits.size(), Tensor());
+    double loss = nn::SoftmaxCrossEntropy(logits.back(), y, grads.back());
+    mse_grad = Tensor();
+    if (!global_protos_.empty() && lambda_ > 0) {
+      const Tensor pooled =
+          PoolEmbedding(trunk.last_embedding(), trunk.embedding_layout());
+      const Tensor proto_emb = state.proj->Forward(pooled);
+      // Targets: each sample's class prototype.
+      Tensor target({proto_emb.dim(0), proto_dim_});
+      for (int i = 0; i < proto_emb.dim(0); ++i) {
+        const int cls = y[static_cast<std::size_t>(i)];
+        for (int j = 0; j < proto_dim_; ++j) {
+          target[static_cast<std::size_t>(i) * proto_dim_ + j] =
+              global_protos_[static_cast<std::size_t>(cls) * proto_dim_ + j];
         }
-        Tensor mse_grad;
-        nn::MeanSquaredError(proto_emb, target, mse_grad);
-        mse_grad.Scale(static_cast<Scalar>(lambda_));
-        const Tensor pooled_grad = state.proj->Backward(mse_grad);
-        emb_grad =
-            UnpoolGrad(pooled_grad, emb.shape(), trunk.embedding_layout());
       }
-      trunk.BackwardHeads(grads, emb_grad);
-      if (opts.grad_clip > 0) sgd_model.ClipGradNorm(opts.grad_clip);
-      sgd_model.Step();
-      sgd_proj.Step();
+      loss += lambda_ * nn::MeanSquaredError(proto_emb, target, mse_grad);
+      mse_grad.Scale(static_cast<Scalar>(lambda_));
     }
-  }
+    return loss;
+  };
+  objective.backward = [&] {
+    Tensor emb_grad;
+    if (!mse_grad.empty()) {
+      const Tensor pooled_grad = state.proj->Backward(mse_grad);
+      emb_grad = UnpoolGrad(pooled_grad, trunk.last_embedding().shape(),
+                            trunk.embedding_layout());
+    }
+    trunk.BackwardHeads(grads, emb_grad);
+    proj_opt->Step();
+  };
+  fl::TrainLocal(trunk, shard, opts, rng, objective);
 
   // Stage prototype uploads into this client's private buffer: the class
   // and projected embedding of every sample, in observation order.  The
   // shared accumulators are only touched in FinishRound (serial).
-  ProtoStage& stage = staged_[slot_of_client_[static_cast<std::size_t>(
-      client_id)]];
   data::BatchIterator batches(shard, opts.batch_size, rng, /*shuffle=*/false);
   Tensor x;
   std::vector<int> y;
@@ -270,7 +258,7 @@ void FedProto::RunClient(int client_id, int round, Rng& rng) {
 void FedProto::FinishRound(int /*round*/, Rng& /*rng*/) {
   // Replay staged uploads in participant order, sample order — the same
   // float additions, in the same order, as eager serial accumulation.
-  for (const ProtoStage& stage : staged_) {
+  for (const ProtoStage& stage : staged_.uploads()) {
     for (std::size_t s = 0; s < stage.classes.size(); ++s) {
       const int cls = stage.classes[s];
       for (int j = 0; j < proto_dim_; ++j) {
@@ -281,7 +269,7 @@ void FedProto::FinishRound(int /*round*/, Rng& /*rng*/) {
       proto_count_[static_cast<std::size_t>(cls)] += 1.0;
     }
   }
-  staged_.clear();
+  staged_.Clear();
 
   bool any = false;
   for (double c : proto_count_) {

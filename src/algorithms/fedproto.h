@@ -92,10 +92,8 @@ class FedProto : public fl::MhflAlgorithm {
   // Per-round accumulators, filled serially in FinishRound from staged_.
   Tensor proto_sum_;
   std::vector<double> proto_count_;
-  // Current round's participants (dispatch order) and their staged uploads.
-  std::vector<int> round_participants_;
-  std::vector<ProtoStage> staged_;
-  std::vector<std::size_t> slot_of_client_;
+  // Current round's staged prototype uploads, one slot per participant.
+  fl::StagedUploads<ProtoStage> staged_;
 };
 
 }  // namespace mhbench::algorithms

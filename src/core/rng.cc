@@ -110,22 +110,6 @@ std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   return perm;
 }
 
-int Rng::WeightedChoice(const std::vector<double>& weights) {
-  MHB_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    MHB_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  MHB_CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
-}
-
 Rng Rng::Fork(std::uint64_t stream) {
   // Mix the stream id into a fresh state derived from this generator.
   const std::uint64_t base = NextU64();

@@ -4,7 +4,7 @@
 // explicitly, so that experiments are reproducible bit-for-bit.  The core
 // generator is SplitMix64 (fast, decent quality, trivially seedable); the
 // class layers the distributions the platform needs on top: uniform,
-// gaussian, dirichlet, permutations and weighted choice.
+// gaussian, dirichlet and permutations.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,6 @@ class Rng {
 
   // Samples `k` distinct values from [0, n) (k <= n), in random order.
   std::vector<int> SampleWithoutReplacement(int n, int k);
-
-  // Index sampled proportionally to `weights` (all >= 0, sum > 0).
-  int WeightedChoice(const std::vector<double>& weights);
 
   // Derives an independent child generator; `stream` distinguishes children
   // of the same parent state.  Note Fork advances the parent (it consumes

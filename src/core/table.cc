@@ -70,8 +70,6 @@ void AsciiChart::AddSeries(std::string name, std::vector<double> ys) {
   series_.emplace_back(std::move(name), std::move(ys));
 }
 
-void AsciiChart::SetX(std::vector<double> xs) { xs_ = std::move(xs); }
-
 std::string AsciiChart::Render(int width, int height) const {
   std::ostringstream out;
   out << "# " << title_ << "  (y: " << y_label_ << ", x: " << x_label_

@@ -33,13 +33,11 @@ class AsciiChart {
   AsciiChart(std::string title, std::string x_label, std::string y_label);
 
   void AddSeries(std::string name, std::vector<double> ys);
-  void SetX(std::vector<double> xs);
 
   std::string Render(int width = 72, int height = 16) const;
 
  private:
   std::string title_, x_label_, y_label_;
-  std::vector<double> xs_;
   std::vector<std::pair<std::string, std::vector<double>>> series_;
 };
 

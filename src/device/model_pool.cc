@@ -39,14 +39,6 @@ ModelPool ModelPool::ForAlgorithm(const std::string& algorithm,
   return pool;
 }
 
-std::optional<PoolEntry> ModelPool::LargestWhere(
-    const std::function<bool(const RoundCost&)>& fits) const {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (fits(it->cost)) return *it;
-  }
-  return std::nullopt;
-}
-
 const PoolEntry& ModelPool::Smallest() const {
   MHB_CHECK(!entries_.empty());
   return entries_.front();

@@ -8,8 +8,6 @@
 // methods" selection principle.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,11 +32,6 @@ class ModelPool {
                                 const DeviceProfile& reference);
 
   const std::vector<PoolEntry>& entries() const { return entries_; }
-
-  // Largest entry (by parameter count) whose cost satisfies `fits`;
-  // nullopt when nothing fits.
-  std::optional<PoolEntry> LargestWhere(
-      const std::function<bool(const RoundCost&)>& fits) const;
 
   // Smallest entry by parameter count (the fallback when nothing fits).
   const PoolEntry& Smallest() const;

@@ -21,19 +21,27 @@ std::vector<ClientAssignment> UniformCapacityAssignments(
   return out;
 }
 
-double TrainLocal(nn::Module& model, const data::Dataset& shard,
-                  const LocalTrainOptions& options, Rng& rng) {
-  MHB_CHECK(!shard.empty());
-  obs::ProfileScope train_scope("local_train");
+nn::OptimizerOptions OptimizerOptionsOf(const LocalTrainOptions& options) {
   nn::OptimizerOptions opt_opts;
   opt_opts.kind = options.optimizer;
   opt_opts.lr = options.lr;
   opt_opts.momentum = options.momentum;
   opt_opts.weight_decay = options.weight_decay;
-  const std::unique_ptr<nn::Optimizer> opt = nn::MakeOptimizer(model, opt_opts);
+  return opt_opts;
+}
+
+double TrainLocal(nn::Module& model, const data::Dataset& shard,
+                  const LocalTrainOptions& options, Rng& rng,
+                  const BatchObjective& objective) {
+  MHB_CHECK(!shard.empty());
+  MHB_CHECK(objective.forward && objective.backward);
+  obs::ProfileScope train_scope("local_train");
+  const std::unique_ptr<nn::Optimizer> opt =
+      nn::MakeOptimizer(model, OptimizerOptionsOf(options));
 
   double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    if (objective.before_epoch) objective.before_epoch(rng);
     data::BatchIterator batches(shard, options.batch_size, rng);
     Tensor x;
     std::vector<int> y;
@@ -44,15 +52,13 @@ double TrainLocal(nn::Module& model, const data::Dataset& shard,
       // previous step is dead here, so the step reuses the same storage.
       kernels::ResetThreadScratch();
       opt->ZeroGrad();
-      Tensor grad;
       {
         obs::ProfileScope fwd_scope("forward");
-        const Tensor logits = model.Forward(x);
-        loss_sum += nn::SoftmaxCrossEntropy(logits, y, grad);
+        loss_sum += objective.forward(x, y);
       }
       {
         obs::ProfileScope bwd_scope("backward");
-        model.Backward(grad);
+        objective.backward();
       }
       {
         obs::ProfileScope opt_scope("opt_step");
@@ -64,6 +70,17 @@ double TrainLocal(nn::Module& model, const data::Dataset& shard,
     last_epoch_loss = loss_sum / std::max(1, batch_count);
   }
   return last_epoch_loss;
+}
+
+double TrainLocal(nn::Module& model, const data::Dataset& shard,
+                  const LocalTrainOptions& options, Rng& rng) {
+  Tensor grad;
+  BatchObjective cross_entropy;
+  cross_entropy.forward = [&](const Tensor& x, const std::vector<int>& y) {
+    return nn::SoftmaxCrossEntropy(model.Forward(x), y, grad);
+  };
+  cross_entropy.backward = [&] { model.Backward(grad); };
+  return TrainLocal(model, shard, options, rng, cross_entropy);
 }
 
 }  // namespace mhbench::fl

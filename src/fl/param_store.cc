@@ -114,8 +114,4 @@ ParamStore ParamStore::Deserialize(const std::vector<std::uint8_t>& bytes) {
   return store;
 }
 
-std::size_t ModuleParamBytes(nn::Module& module) {
-  return module.NumParams() * sizeof(Scalar);
-}
-
 }  // namespace mhbench::fl

@@ -51,8 +51,4 @@ class ParamStore {
   std::map<std::string, Tensor> params_;
 };
 
-// Total float32 bytes of a module's parameters (communication payload of
-// shipping this model).
-std::size_t ModuleParamBytes(nn::Module& module);
-
 }  // namespace mhbench::fl

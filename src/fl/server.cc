@@ -17,14 +17,4 @@ Tensor GlobalModel::Logits(const Tensor& x) const {
   return built_.net->Infer(x, nn::NormStats::kRunning);
 }
 
-Tensor GlobalModel::EnsembleLogits(const Tensor& x) const {
-  auto logits = trunk().InferHeads(x, nn::NormStats::kRunning).logits;
-  Tensor mean = logits.front();
-  for (std::size_t h = 1; h < logits.size(); ++h) {
-    mean.AddInPlace(logits[h]);
-  }
-  mean.Scale(1.0f / static_cast<Scalar>(logits.size()));
-  return mean;
-}
-
 }  // namespace mhbench::fl

@@ -28,9 +28,6 @@ class GlobalModel {
   // of the last Sync().  Const: any number of threads may evaluate at once.
   Tensor Logits(const Tensor& x) const;
 
-  // Mean of all heads' logits (DepthFL's ensemble inference), as Logits.
-  Tensor EnsembleLogits(const Tensor& x) const;
-
   // The full model's structure (block names etc.), as of the last Sync().
   const models::TrunkModel& trunk() const { return built_.trunk(); }
 

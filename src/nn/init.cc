@@ -10,14 +10,4 @@ Tensor KaimingNormal(Shape shape, int fan_in, Rng& rng) {
   return Tensor::Randn(std::move(shape), rng, stddev);
 }
 
-Tensor XavierUniform(Shape shape, int fan_in, int fan_out, Rng& rng) {
-  MHB_CHECK_GT(fan_in + fan_out, 0);
-  const double a = std::sqrt(6.0 / (fan_in + fan_out));
-  Tensor t(std::move(shape));
-  for (auto& v : t.data()) {
-    v = static_cast<Scalar>(rng.Uniform(-a, a));
-  }
-  return t;
-}
-
 }  // namespace mhbench::nn

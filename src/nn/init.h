@@ -9,7 +9,4 @@ namespace mhbench::nn {
 // Kaiming/He normal initialization: N(0, sqrt(2 / fan_in)).
 Tensor KaimingNormal(Shape shape, int fan_in, Rng& rng);
 
-// Xavier/Glorot uniform initialization: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-Tensor XavierUniform(Shape shape, int fan_in, int fan_out, Rng& rng);
-
 }  // namespace mhbench::nn

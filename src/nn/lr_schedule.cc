@@ -7,10 +7,6 @@
 
 namespace mhbench::nn {
 
-double ConstantLr::Multiplier(int /*round*/, int /*total_rounds*/) const {
-  return 1.0;
-}
-
 StepDecayLr::StepDecayLr(int step, double gamma) : step_(step), gamma_(gamma) {
   MHB_CHECK_GT(step, 0);
   MHB_CHECK_GT(gamma, 0.0);
@@ -31,16 +27,6 @@ double CosineLr::Multiplier(int round, int total_rounds) const {
   MHB_CHECK_GT(total_rounds, 0);
   const double t = std::min(1.0, static_cast<double>(round) / total_rounds);
   return floor_ + (1.0 - floor_) * 0.5 * (1.0 + std::cos(M_PI * t));
-}
-
-std::unique_ptr<LrSchedule> MakeConstantLr() {
-  return std::make_unique<ConstantLr>();
-}
-std::unique_ptr<LrSchedule> MakeStepDecayLr(int step, double gamma) {
-  return std::make_unique<StepDecayLr>(step, gamma);
-}
-std::unique_ptr<LrSchedule> MakeCosineLr(double floor) {
-  return std::make_unique<CosineLr>(floor);
 }
 
 }  // namespace mhbench::nn

@@ -14,11 +14,6 @@ class LrSchedule {
   virtual double Multiplier(int round, int total_rounds) const = 0;
 };
 
-class ConstantLr : public LrSchedule {
- public:
-  double Multiplier(int round, int total_rounds) const override;
-};
-
 // Multiplies by `gamma` every `step` rounds.
 class StepDecayLr : public LrSchedule {
  public:
@@ -39,9 +34,5 @@ class CosineLr : public LrSchedule {
  private:
   double floor_;
 };
-
-std::unique_ptr<LrSchedule> MakeConstantLr();
-std::unique_ptr<LrSchedule> MakeStepDecayLr(int step, double gamma);
-std::unique_ptr<LrSchedule> MakeCosineLr(double floor = 0.01);
 
 }  // namespace mhbench::nn

@@ -5,22 +5,6 @@
 
 namespace mhbench::nn {
 
-// Average pooling over non-overlapping k x k windows of [N, C, H, W]
-// (H and W must be divisible by k).
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(int kernel);
-
-  Tensor Forward(const Tensor& x) override;
-  Tensor Infer(const Tensor& x, NormStats stats) const override;
-  Tensor Backward(const Tensor& grad_out) override;
-  void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
-
- private:
-  int kernel_;
-  Shape cached_input_shape_;
-};
-
 // Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool2d : public Module {
  public:

@@ -11,6 +11,7 @@
 #include "algorithms/inclusivefl.h"
 #include "algorithms/registry.h"
 #include "algorithms/sheterofl.h"
+#include "core/error.h"
 #include "data/tasks.h"
 #include "fl/engine.h"
 #include "models/zoo.h"
@@ -45,6 +46,33 @@ struct Harness {
 fl::RunResult RunAlgo(Harness& h, fl::MhflAlgorithm& alg) {
   fl::FlEngine engine(h.task, h.cfg, h.assignments, alg);
   return engine.Run();
+}
+
+// RunClient for a client outside BeginRound's participants must throw
+// rather than overwrite another participant's staged upload (or write past
+// the end of an empty round's slots).
+void ExpectRunClientRejectsNonParticipants(const std::string& name) {
+  Harness h;
+  const auto alg = MakeAlgorithm(name, h.tm);
+  fl::FlEngine engine(h.task, h.cfg, h.assignments, *alg);
+  Rng rng(1);
+  alg->Setup(engine.context(), rng);
+  alg->BeginRound(1, {2});
+  ASSERT_THROW(alg->RunClient(0, 1, rng), Error);
+  alg->BeginRound(2, {});
+  EXPECT_THROW(alg->RunClient(2, 2, rng), Error);
+}
+
+TEST(ParticipantSlotTest, WeightSharingRejectsNonParticipants) {
+  ExpectRunClientRejectsNonParticipants("sheterofl");
+}
+
+TEST(ParticipantSlotTest, FedEtRejectsNonParticipants) {
+  ExpectRunClientRejectsNonParticipants("fedet");
+}
+
+TEST(ParticipantSlotTest, FedProtoRejectsNonParticipants) {
+  ExpectRunClientRejectsNonParticipants("fedproto");
 }
 
 TEST(FedAvgMechanicsTest, SmallRatioIgnoresCapacities) {

@@ -159,25 +159,6 @@ TEST(RngTest, SampleAllIsPermutation) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(RngTest, WeightedChoiceRespectsZeros) {
-  Rng rng(29);
-  const std::vector<double> w = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(rng.WeightedChoice(w), 1);
-  }
-}
-
-TEST(RngTest, WeightedChoiceProportional) {
-  Rng rng(31);
-  const std::vector<double> w = {1.0, 3.0};
-  int count1 = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.WeightedChoice(w) == 1) ++count1;
-  }
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.02);
-}
-
 TEST(RngTest, ForkIndependentStreams) {
   Rng parent(1);
   Rng a = parent.Fork(0);
@@ -254,8 +235,6 @@ TEST(RngTest, ChecksInvalidArguments) {
   EXPECT_THROW(rng.UniformInt(0), Error);
   EXPECT_THROW(rng.Dirichlet(0.0, 5), Error);
   EXPECT_THROW(rng.Gamma(-1.0), Error);
-  EXPECT_THROW(rng.WeightedChoice({}), Error);
-  EXPECT_THROW(rng.WeightedChoice({0.0, 0.0}), Error);
   EXPECT_THROW(rng.SampleWithoutReplacement(3, 4), Error);
 }
 

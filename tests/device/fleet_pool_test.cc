@@ -108,18 +108,10 @@ TEST(ModelPoolTest, TopologyPoolHasFamilyEntries) {
   EXPECT_EQ(pool.entries().back().model, "resnet101");
 }
 
-TEST(ModelPoolTest, LargestWhereRespectsPredicate) {
+TEST(ModelPoolTest, SmallestIsTheLowestRatio) {
   const auto descs = PaperDescsForTask("cifar100");
   const ModelPool pool = ModelPool::ForAlgorithm(
       "sheterofl", descs, algorithms::RatioLadder(), JetsonOrinNx());
-  const double cutoff = pool.entries()[2].cost.memory_mb + 1.0;
-  const auto pick = pool.LargestWhere(
-      [&](const RoundCost& c) { return c.memory_mb <= cutoff; });
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_DOUBLE_EQ(pick->ratio, pool.entries()[2].ratio);
-  // Impossible predicate -> nullopt; Smallest() as fallback.
-  EXPECT_FALSE(
-      pool.LargestWhere([](const RoundCost&) { return false; }).has_value());
   EXPECT_DOUBLE_EQ(pool.Smallest().ratio, 0.25);
 }
 

@@ -263,53 +263,62 @@ TEST(ParallelDeterminismTest, ProfilerAttributionDeterministicAcrossThreads) {
   tcfg.test_samples = 120;
   tcfg.num_clients = 6;
   const data::Task task = data::MakeTask("cifar10", tcfg);
-  const Case c{"sheterofl", "cifar10"};
+  // The default objective plus every algorithm that supplies its own to
+  // fl::TrainLocal: all of them attribute training to the same scopes.
+  for (const char* algorithm :
+       {"sheterofl", "depthfl", "fedepth", "fedproto"}) {
+    SCOPED_TRACE(algorithm);
+    const Case c{algorithm, "cifar10"};
+    const RunResult bare = RunWithThreads(c, task, 1);
 
-  const RunResult bare = RunWithThreads(c, task, 1);
+    std::map<std::string, std::int64_t> ref_counts;
+    std::map<std::string, std::int64_t> ref_flops;
+    obs::Registry::HistogramData ref_bytes_hist;
+    for (const int threads : {1, 2, 4}) {
+      obs::Registry registry;
+      obs::Profiler profiler;
+      obs::ObsConfig obs;
+      obs.registry = &registry;
+      obs.profiler = &profiler;
+      const RunResult profiled = RunWithThreads(c, task, threads, obs);
+      ExpectIdentical(bare, profiled, threads);
 
-  std::map<std::string, std::int64_t> ref_counts;
-  std::map<std::string, std::int64_t> ref_flops;
-  obs::Registry::HistogramData ref_bytes_hist;
-  for (const int threads : {1, 2, 4}) {
-    obs::Registry registry;
-    obs::Profiler profiler;
-    obs::ObsConfig obs;
-    obs.registry = &registry;
-    obs.profiler = &profiler;
-    const RunResult profiled = RunWithThreads(c, task, threads, obs);
-    ExpectIdentical(bare, profiled, threads);
+      std::map<std::string, std::int64_t> counts;
+      std::map<std::string, std::int64_t> flops;
+      for (const auto& [name, stats] : profiler.TotalsByName()) {
+        counts[name] = stats.count;
+        flops[name] = stats.gemm_flops;
+      }
+      ASSERT_GT(counts.size(), 0u);
+      for (const char* scope :
+           {"local_train", "forward", "backward", "opt_step"}) {
+        EXPECT_GT(counts[scope], 0) << scope;
+      }
+      EXPECT_GT(counts["conv2d_fwd"], 0);
+      EXPECT_GT(flops["conv2d_fwd"], 0);
+      // Layer scopes nest inside forward/backward which nest inside the
+      // per-client scope: the forward count can't exceed its parent-level
+      // op.
+      EXPECT_GE(counts["forward"], counts["local_train"]);
 
-    std::map<std::string, std::int64_t> counts;
-    std::map<std::string, std::int64_t> flops;
-    for (const auto& [name, stats] : profiler.TotalsByName()) {
-      counts[name] = stats.count;
-      flops[name] = stats.gemm_flops;
-    }
-    ASSERT_GT(counts.size(), 0u);
-    EXPECT_GT(counts.at("local_train"), 0);
-    EXPECT_GT(counts.at("conv2d_fwd"), 0);
-    EXPECT_GT(flops.at("conv2d_fwd"), 0);
-    // Layer scopes nest inside forward/backward which nest inside the
-    // per-client scope: the forward count can't exceed its parent-level op.
-    EXPECT_GE(counts.at("forward"), counts.at("local_train"));
-
-    const obs::Registry::HistogramData bytes_hist =
-        registry.HistogramTotals("client_bytes_up");
-    EXPECT_GT(bytes_hist.count(), 0);
-    if (threads == 1) {
-      ref_counts = counts;
-      ref_flops = flops;
-      ref_bytes_hist = bytes_hist;
-    } else {
-      EXPECT_EQ(counts, ref_counts)
-          << "per-op counts diverged at num_threads=" << threads;
-      EXPECT_EQ(flops, ref_flops)
-          << "per-op FLOP attribution diverged at num_threads=" << threads;
-      EXPECT_EQ(bytes_hist.buckets, ref_bytes_hist.buckets)
-          << "histogram buckets diverged at num_threads=" << threads;
-      EXPECT_EQ(bytes_hist.sum, ref_bytes_hist.sum);
-      EXPECT_EQ(bytes_hist.min, ref_bytes_hist.min);
-      EXPECT_EQ(bytes_hist.max, ref_bytes_hist.max);
+      const obs::Registry::HistogramData bytes_hist =
+          registry.HistogramTotals("client_bytes_up");
+      EXPECT_GT(bytes_hist.count(), 0);
+      if (threads == 1) {
+        ref_counts = counts;
+        ref_flops = flops;
+        ref_bytes_hist = bytes_hist;
+      } else {
+        EXPECT_EQ(counts, ref_counts)
+            << "per-op counts diverged at num_threads=" << threads;
+        EXPECT_EQ(flops, ref_flops)
+            << "per-op FLOP attribution diverged at num_threads=" << threads;
+        EXPECT_EQ(bytes_hist.buckets, ref_bytes_hist.buckets)
+            << "histogram buckets diverged at num_threads=" << threads;
+        EXPECT_EQ(bytes_hist.sum, ref_bytes_hist.sum);
+        EXPECT_EQ(bytes_hist.min, ref_bytes_hist.min);
+        EXPECT_EQ(bytes_hist.max, ref_bytes_hist.max);
+      }
     }
   }
 }

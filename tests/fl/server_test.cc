@@ -52,22 +52,5 @@ TEST(GlobalModelTest, StoreEditsReachLogitsAfterSync) {
   EXPECT_NEAR(after.MaxAbs(), 0.0f, 1e-6);
 }
 
-TEST(GlobalModelTest, EnsembleAveragesHeads) {
-  Rng rng(6);
-  const auto tm = models::MakeTaskModels("cifar10");
-  GlobalModel gm(tm.primary, rng);
-  Rng xr(7);
-  const Tensor x = Tensor::Randn({2, 3, 8, 8}, xr);
-  const Tensor ens = gm.EnsembleLogits(x);
-  EXPECT_EQ(ens.shape(), Shape({2, 10}));
-  // Manually average head outputs through the synced trunk.
-  const auto& trunk = gm.trunk();
-  auto logits = trunk.InferHeads(x, nn::NormStats::kRunning).logits;
-  Tensor mean = logits.front();
-  for (std::size_t h = 1; h < logits.size(); ++h) mean.AddInPlace(logits[h]);
-  mean.Scale(1.0f / static_cast<Scalar>(logits.size()));
-  EXPECT_TRUE(ens.AllClose(mean, 1e-4f));
-}
-
 }  // namespace
 }  // namespace mhbench::fl

@@ -7,12 +7,6 @@
 namespace mhbench::nn {
 namespace {
 
-TEST(LrScheduleTest, ConstantIsOne) {
-  ConstantLr lr;
-  EXPECT_DOUBLE_EQ(lr.Multiplier(0, 100), 1.0);
-  EXPECT_DOUBLE_EQ(lr.Multiplier(99, 100), 1.0);
-}
-
 TEST(LrScheduleTest, StepDecay) {
   StepDecayLr lr(10, 0.5);
   EXPECT_DOUBLE_EQ(lr.Multiplier(0, 100), 1.0);
@@ -51,12 +45,6 @@ TEST(LrScheduleTest, CosineValidation) {
   EXPECT_THROW(CosineLr(1.1), Error);
   CosineLr lr(0.1);
   EXPECT_THROW(lr.Multiplier(0, 0), Error);
-}
-
-TEST(LrScheduleTest, Factories) {
-  EXPECT_DOUBLE_EQ(MakeConstantLr()->Multiplier(3, 10), 1.0);
-  EXPECT_DOUBLE_EQ(MakeStepDecayLr(2, 0.1)->Multiplier(2, 10), 0.1);
-  EXPECT_NEAR(MakeCosineLr(0.0)->Multiplier(10, 10), 0.0, 1e-9);
 }
 
 }  // namespace
