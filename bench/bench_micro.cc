@@ -1,14 +1,20 @@
 // Google-benchmark micro-benchmarks of the primitives the platform's
-// hot loops are built on: GEMM, convolution, sub-model gather/scatter,
-// masked aggregation, and the cost model.
+// hot loops are built on: GEMM, convolution, one local-training step of
+// each task's primary model, sub-model gather/scatter, masked aggregation,
+// and the cost model.
 #include <benchmark/benchmark.h>
 
 #include "core/rng.h"
+#include "data/loader.h"
+#include "data/tasks.h"
 #include "device/cost_model.h"
 #include "device/device_profile.h"
 #include "fl/aggregator.h"
+#include "fl/client.h"
 #include "models/zoo.h"
 #include "nn/conv.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/scratch.h"
@@ -107,6 +113,45 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
   Conv2dBackwardBody(state, kernels::Backend::kNaive);
 }
 BENCHMARK(BM_Conv2dBackwardNaive);
+
+// One local-training step of `task`'s full-width primary model on a
+// 16-sample batch, as fl::TrainLocal runs it: scratch rewind, ZeroGrad,
+// forward + cross-entropy, backward, gradient clipping and the SGD step.
+// The model and batch are built once and one step warms the buffer pools,
+// so the loop times the steady state of client training, elementwise
+// layers included.
+void BM_TrainStep(benchmark::State& state, const char* task) {
+  data::TaskConfig cfg;
+  cfg.train_samples = 16;
+  cfg.test_samples = 16;
+  cfg.num_clients = 1;
+  const data::Task t = data::MakeTask(task, cfg);
+  Rng rng(8);
+  const auto tm = models::MakeTaskModels(task);
+  models::BuiltModel built = tm.primary->Build(models::BuildSpec{}, rng);
+  nn::Module& model = *built.net;
+  Tensor x;
+  std::vector<int> y;
+  data::BatchIterator batches(t.train, 16, rng);
+  batches.Next(x, y);
+  const fl::LocalTrainOptions options;
+  const auto opt = nn::MakeOptimizer(model, fl::OptimizerOptionsOf(options));
+  Tensor grad;
+  auto step = [&] {
+    kernels::ResetThreadScratch();
+    opt->ZeroGrad();
+    const double loss = nn::SoftmaxCrossEntropy(model.Forward(x), y, grad);
+    model.Backward(grad);
+    opt->ClipGradNorm(options.grad_clip);
+    opt->Step();
+    return loss;
+  };
+  step();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+}
+BENCHMARK_CAPTURE(BM_TrainStep, cifar10, "cifar10");
+BENCHMARK_CAPTURE(BM_TrainStep, agnews, "agnews");
+BENCHMARK_CAPTURE(BM_TrainStep, harbox, "harbox");
 
 void BM_GatherSubmodel(benchmark::State& state) {
   Rng rng(4);

@@ -61,7 +61,7 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
     obs::Span train_span("local_train", "client");
     train_span.Arg("client", static_cast<std::int64_t>(client_id));
     train_span.Arg("samples", static_cast<std::int64_t>(shard.size()));
-    TrainClientModel(built, client_id, shard, rng);
+    TrainClientModel(built, shard, rng);
   }
   const double weight = weighting_ == AggregationWeighting::kDataSize
                             ? static_cast<double>(shard.size())
@@ -185,7 +185,6 @@ Tensor WeightSharingAlgorithm::ClientLogits(int client_id, const Tensor& x) {
 }
 
 double WeightSharingAlgorithm::TrainClientModel(models::BuiltModel& built,
-                                                int /*client_id*/,
                                                 const data::Dataset& shard,
                                                 Rng& rng) {
   return fl::TrainLocal(*built.net, shard, ctx_->local_options(last_round_), rng);

@@ -62,7 +62,7 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Local training: fl::TrainLocal with this algorithm's per-batch
   // objective; the default is cross-entropy on the deepest head.  Returns
   // the last epoch's mean training loss.
-  virtual double TrainClientModel(models::BuiltModel& built, int client_id,
+  virtual double TrainClientModel(models::BuiltModel& built,
                                   const data::Dataset& shard, Rng& rng);
   // Evaluate the global model with the ensemble of heads (DepthFL).
   virtual bool UseEnsembleEval() const { return false; }

@@ -28,7 +28,7 @@ models::BuildSpec DepthFl::GlobalEvalSpec() {
   return spec;
 }
 
-double DepthFl::TrainClientModel(models::BuiltModel& built, int /*client_id*/,
+double DepthFl::TrainClientModel(models::BuiltModel& built,
                                  const data::Dataset& shard, Rng& rng) {
   auto& trunk = built.trunk();
   const int num_heads = trunk.num_heads();

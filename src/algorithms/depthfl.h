@@ -23,7 +23,7 @@ class DepthFl : public WeightSharingAlgorithm {
   models::BuildSpec ClientSpec(int client_id, int /*round*/,
                                Rng& /*rng*/) override;
   models::BuildSpec GlobalEvalSpec() override;
-  double TrainClientModel(models::BuiltModel& built, int client_id,
+  double TrainClientModel(models::BuiltModel& built,
                           const data::Dataset& shard, Rng& rng) override;
   bool UseEnsembleEval() const override { return true; }
 

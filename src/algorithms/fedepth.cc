@@ -5,7 +5,7 @@
 
 namespace mhbench::algorithms {
 
-double FeDepth::TrainClientModel(models::BuiltModel& built, int /*client_id*/,
+double FeDepth::TrainClientModel(models::BuiltModel& built,
                                  const data::Dataset& shard, Rng& rng) {
   auto& trunk = built.trunk();
   const int total = trunk.num_blocks();

@@ -34,7 +34,7 @@ class FeDepth : public WeightSharingAlgorithm {
     return spec;
   }
 
-  double TrainClientModel(models::BuiltModel& built, int client_id,
+  double TrainClientModel(models::BuiltModel& built,
                           const data::Dataset& shard, Rng& rng) override;
 };
 

@@ -39,9 +39,4 @@ ModelPool ModelPool::ForAlgorithm(const std::string& algorithm,
   return pool;
 }
 
-const PoolEntry& ModelPool::Smallest() const {
-  MHB_CHECK(!entries_.empty());
-  return entries_.front();
-}
-
 }  // namespace mhbench::device

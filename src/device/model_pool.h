@@ -33,9 +33,6 @@ class ModelPool {
 
   const std::vector<PoolEntry>& entries() const { return entries_; }
 
-  // Smallest entry by parameter count (the fallback when nothing fits).
-  const PoolEntry& Smallest() const;
-
  private:
   std::vector<PoolEntry> entries_;  // ascending by params
 };

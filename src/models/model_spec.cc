@@ -225,13 +225,15 @@ Tensor PositionalEmbedding::Infer(const Tensor& x,
   MHB_CHECK_EQ(x.ndim(), 3);
   MHB_CHECK_EQ(x.dim(1), table_.value.dim(0));
   MHB_CHECK_EQ(x.dim(2), table_.value.dim(1));
-  Tensor y = x;
+  Tensor y = Tensor::Uninitialized(x.shape());
   const int n = x.dim(0);
   const std::size_t ld = table_.value.numel();
+  const Scalar* pos = table_.value.data().data();
   for (int b = 0; b < n; ++b) {
-    Scalar* row = y.data().data() + static_cast<std::size_t>(b) * ld;
-    const Scalar* pos = table_.value.data().data();
-    for (std::size_t i = 0; i < ld; ++i) row[i] += pos[i];
+    const std::size_t o = static_cast<std::size_t>(b) * ld;
+    const Scalar* xr = x.data().data() + o;
+    Scalar* yr = y.data().data() + o;
+    for (std::size_t i = 0; i < ld; ++i) yr[i] = xr[i] + pos[i];
   }
   return y;
 }

@@ -25,6 +25,8 @@ class Gelu : public Module {
 
  private:
   Tensor cached_input_;
+  // tanh(u) per element from the last Forward; Backward reuses it.
+  std::vector<double> cached_tanh_;
 };
 
 class Tanh : public Module {

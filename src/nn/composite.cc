@@ -13,23 +13,31 @@ Module& Sequential::Add(ModulePtr m) {
   return *modules_.back();
 }
 
+// The input goes straight to the first module; only an empty Sequential
+// copies it.
 Tensor Sequential::Forward(const Tensor& x) {
-  Tensor cur = x;
-  for (auto& m : modules_) cur = m->Forward(cur);
+  if (modules_.empty()) return x;
+  Tensor cur = modules_.front()->Forward(x);
+  for (std::size_t i = 1; i < modules_.size(); ++i) {
+    cur = modules_[i]->Forward(cur);
+  }
   return cur;
 }
 
 Tensor Sequential::Infer(const Tensor& x, NormStats stats) const {
-  Tensor cur = x;
-  for (const auto& m : modules_) cur = m->Infer(cur, stats);
+  if (modules_.empty()) return x;
+  Tensor cur = modules_.front()->Infer(x, stats);
+  for (std::size_t i = 1; i < modules_.size(); ++i) {
+    cur = modules_[i]->Infer(cur, stats);
+  }
   return cur;
 }
 
 Tensor Sequential::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
+  if (modules_.empty()) return grad_out;
+  auto it = modules_.rbegin();
+  Tensor g = (*it)->Backward(grad_out);
+  for (++it; it != modules_.rend(); ++it) g = (*it)->Backward(g);
   return g;
 }
 
@@ -204,23 +212,6 @@ void ConcatBranches::CollectParams(const std::string& prefix,
     branches_[k]->CollectParams(
         JoinName(prefix, "branch" + std::to_string(k)), out);
   }
-}
-
-Tensor Flatten::Forward(const Tensor& x) {
-  cached_input_shape_ = x.shape();
-  return Infer(x, NormStats::kBatch);
-}
-
-Tensor Flatten::Infer(const Tensor& x, NormStats /*stats*/) const {
-  MHB_CHECK_GE(x.ndim(), 2);
-  const int n = x.dim(0);
-  const int rest = static_cast<int>(x.numel() / static_cast<std::size_t>(n));
-  return x.Reshape({n, rest});
-}
-
-Tensor Flatten::Backward(const Tensor& grad_out) {
-  MHB_CHECK(!cached_input_shape_.empty());
-  return grad_out.Reshape(cached_input_shape_);
 }
 
 }  // namespace mhbench::nn

@@ -1,4 +1,5 @@
-// Composite modules: Sequential, Residual (skip connection), Flatten.
+// Composite modules: Sequential, Residual (skip connection) and
+// ConcatBranches.
 #pragma once
 
 #include <memory>
@@ -64,18 +65,6 @@ class ConcatBranches : public Module {
  private:
   std::vector<ModulePtr> branches_;
   std::vector<int> cached_channels_;  // per-branch channel extents
-};
-
-// Collapses all dims after the batch dim: [N, ...] -> [N, prod(...)].
-class Flatten : public Module {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Infer(const Tensor& x, NormStats stats) const override;
-  Tensor Backward(const Tensor& grad_out) override;
-  void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
-
- private:
-  Shape cached_input_shape_;
 };
 
 }  // namespace mhbench::nn

@@ -1,5 +1,6 @@
 #include "nn/norm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/profile.h"
@@ -7,41 +8,114 @@
 namespace mhbench::nn {
 namespace {
 
-// Decomposes [N, C, ...] into (batch, channels, spatial) extents.
-void SplitNCS(const Shape& shape, int& n, int& c, int& s) {
-  MHB_CHECK_GE(static_cast<int>(shape.size()), 2);
-  n = shape[0];
-  c = shape[1];
-  s = 1;
-  for (std::size_t d = 2; d < shape.size(); ++d) s *= shape[d];
-}
+// A batch-norm input [N, C, ...] seen as [N, C, S]: channel ch of sample b
+// is the run of S contiguous elements at At(b, ch).
+struct NcsLayout {
+  int n = 0, c = 0, s = 1;
 
-// Flat offset of (batch b, channel ch, spatial sp) in [N, C, S].
-std::size_t Offset(int c, int s, int b, int ch, int sp) {
-  return (static_cast<std::size_t>(b) * c + static_cast<std::size_t>(ch)) *
-             static_cast<std::size_t>(s) +
-         static_cast<std::size_t>(sp);
-}
-
-// Biased batch mean and variance of channel `ch`.
-void BatchMoments(const Tensor& x, int ch, Scalar& mean, Scalar& var) {
-  int n = 0, c = 0, s = 0;
-  SplitNCS(x.shape(), n, c, s);
-  const Scalar* px = x.data().data();
-  const double m = static_cast<double>(n) * static_cast<double>(s);
-  double sum = 0.0;
-  for (int b = 0; b < n; ++b) {
-    for (int sp = 0; sp < s; ++sp) sum += px[Offset(c, s, b, ch, sp)];
+  explicit NcsLayout(const Shape& shape) {
+    MHB_CHECK_GE(static_cast<int>(shape.size()), 2);
+    n = shape[0];
+    c = shape[1];
+    for (std::size_t d = 2; d < shape.size(); ++d) s *= shape[d];
   }
-  mean = static_cast<Scalar>(sum / m);
-  double vsum = 0.0;
-  for (int b = 0; b < n; ++b) {
-    for (int sp = 0; sp < s; ++sp) {
-      const double d = px[Offset(c, s, b, ch, sp)] - mean;
-      vsum += d * d;
+  std::size_t At(int b, int ch) const {
+    return (static_cast<std::size_t>(b) * static_cast<std::size_t>(c) +
+            static_cast<std::size_t>(ch)) *
+           static_cast<std::size_t>(s);
+  }
+  double Count() const {
+    return static_cast<double>(n) * static_cast<double>(s);
+  }
+};
+
+// The per-channel reductions run over kChannelBlock adjacent channels at
+// once.  Each channel's double sum is still one chain in (b, sp) order, so
+// every result equals a channel-at-a-time walk; the block only keeps
+// several independent chains in flight where a single one waits on the
+// latency of each add.
+constexpr int kChannelBlock = 2;
+
+// Biased batch means and variances of channels [ch0, ch0 + K).
+template <int K>
+void MomentsOf(const Scalar* px, const NcsLayout& l, int ch0, Scalar* mean,
+               Scalar* var) {
+  const auto su = static_cast<std::size_t>(l.s);
+  double sum[K] = {};
+  for (int b = 0; b < l.n; ++b) {
+    const Scalar* xr = px + l.At(b, ch0);
+    for (std::size_t sp = 0; sp < su; ++sp) {
+      for (int k = 0; k < K; ++k) sum[k] += xr[k * su + sp];
     }
   }
-  var = static_cast<Scalar>(vsum / m);
+  for (int k = 0; k < K; ++k) mean[k] = static_cast<Scalar>(sum[k] / l.Count());
+  double vsum[K] = {};
+  for (int b = 0; b < l.n; ++b) {
+    const Scalar* xr = px + l.At(b, ch0);
+    for (std::size_t sp = 0; sp < su; ++sp) {
+      for (int k = 0; k < K; ++k) {
+        const double d = xr[k * su + sp] - mean[k];
+        vsum[k] += d * d;
+      }
+    }
+  }
+  for (int k = 0; k < K; ++k) var[k] = static_cast<Scalar>(vsum[k] / l.Count());
+}
+
+// MomentsOf for the `count` (<= kChannelBlock) channels from ch0.
+void BatchMoments(const Scalar* px, const NcsLayout& l, int ch0, int count,
+                  Scalar* mean, Scalar* var) {
+  if (count == kChannelBlock) {
+    MomentsOf<kChannelBlock>(px, l, ch0, mean, var);
+    return;
+  }
+  for (int k = 0; k < count; ++k) {
+    MomentsOf<1>(px, l, ch0 + k, mean + k, var + k);
+  }
+}
+
+// Backward's sums of g and g * x-hat over channels [ch0, ch0 + K).
+template <int K>
+void GradSumsOf(const Scalar* pg, const Scalar* pxh, const NcsLayout& l,
+                int ch0, double* sum_g, double* sum_gxh) {
+  const auto su = static_cast<std::size_t>(l.s);
+  for (int k = 0; k < K; ++k) sum_g[k] = sum_gxh[k] = 0.0;
+  for (int b = 0; b < l.n; ++b) {
+    const std::size_t o = l.At(b, ch0);
+    for (std::size_t sp = 0; sp < su; ++sp) {
+      for (int k = 0; k < K; ++k) {
+        const std::size_t e = o + k * su + sp;
+        sum_g[k] += pg[e];
+        sum_gxh[k] += static_cast<double>(pg[e]) * pxh[e];
+      }
+    }
+  }
+}
+
+void GradSums(const Scalar* pg, const Scalar* pxh, const NcsLayout& l,
+              int ch0, int count, double* sum_g, double* sum_gxh) {
+  if (count == kChannelBlock) {
+    GradSumsOf<kChannelBlock>(pg, pxh, l, ch0, sum_g, sum_gxh);
+    return;
+  }
+  for (int k = 0; k < count; ++k) {
+    GradSumsOf<1>(pg, pxh, l, ch0 + k, sum_g + k, sum_gxh + k);
+  }
+}
+
+// Writes channel ch of y = gamma (x - mean) / std + beta, and of x-hat
+// when `pxh` is non-null.
+void NormalizeChannel(const Scalar* px, const NcsLayout& l, int ch,
+                      Scalar mean, Scalar stdv, Scalar g, Scalar bta,
+                      Scalar* py, Scalar* pxh) {
+  for (int b = 0; b < l.n; ++b) {
+    const std::size_t o = l.At(b, ch);
+    for (std::size_t sp = 0; sp < static_cast<std::size_t>(l.s); ++sp) {
+      const Scalar xh = (px[o + sp] - mean) / stdv;
+      if (pxh != nullptr) pxh[o + sp] = xh;
+      py[o + sp] = g * xh + bta;
+    }
+  }
 }
 
 }  // namespace
@@ -72,98 +146,90 @@ BatchNorm::BatchNorm(Tensor gamma, Tensor beta, Tensor running_mean,
 
 Tensor BatchNorm::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("batchnorm_fwd");
-  int n = 0, c = 0, s = 0;
-  SplitNCS(x.shape(), n, c, s);
-  MHB_CHECK_EQ(c, channels());
+  const NcsLayout l(x.shape());
+  MHB_CHECK_EQ(l.c, channels());
   cached_shape_ = x.shape();
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  cached_std_.assign(static_cast<std::size_t>(c), 1.0f);
-  for (int ch = 0; ch < c; ++ch) {
-    const auto chu = static_cast<std::size_t>(ch);
-    Scalar mean, var;
-    BatchMoments(x, ch, mean, var);
-    running_mean_.value[chu] =
-        (1 - momentum_) * running_mean_.value[chu] + momentum_ * mean;
-    running_var_.value[chu] =
-        (1 - momentum_) * running_var_.value[chu] + momentum_ * var;
-    cached_std_[chu] = NormalizeChannel(x, ch, mean, var, y, &cached_xhat_);
+  Tensor y = Tensor::Uninitialized(x.shape());
+  cached_xhat_.ResizeUninitialized(x.shape());
+  cached_std_.resize(static_cast<std::size_t>(l.c));
+  const Scalar* px = x.data().data();
+  for (int ch0 = 0; ch0 < l.c; ch0 += kChannelBlock) {
+    const int count = std::min(kChannelBlock, l.c - ch0);
+    Scalar mean[kChannelBlock], var[kChannelBlock];
+    BatchMoments(px, l, ch0, count, mean, var);
+    for (int k = 0; k < count; ++k) {
+      const auto chu = static_cast<std::size_t>(ch0 + k);
+      running_mean_.value[chu] =
+          (1 - momentum_) * running_mean_.value[chu] + momentum_ * mean[k];
+      running_var_.value[chu] =
+          (1 - momentum_) * running_var_.value[chu] + momentum_ * var[k];
+      const Scalar stdv = std::sqrt(var[k] + eps_);
+      cached_std_[chu] = stdv;
+      NormalizeChannel(px, l, ch0 + k, mean[k], stdv, gamma_.value[chu],
+                             beta_.value[chu], y.data().data(),
+                             cached_xhat_.data().data());
+    }
   }
   return y;
 }
 
 Tensor BatchNorm::Infer(const Tensor& x, NormStats stats) const {
   obs::ProfileScope profile_scope("batchnorm_fwd");
-  int n = 0, c = 0, s = 0;
-  SplitNCS(x.shape(), n, c, s);
-  MHB_CHECK_EQ(c, channels());
-  Tensor y(x.shape());
-  for (int ch = 0; ch < c; ++ch) {
-    const auto chu = static_cast<std::size_t>(ch);
-    Scalar mean = running_mean_.value[chu];
-    Scalar var = running_var_.value[chu];
-    if (stats == NormStats::kBatch) BatchMoments(x, ch, mean, var);
-    NormalizeChannel(x, ch, mean, var, y, nullptr);
-  }
-  return y;
-}
-
-Scalar BatchNorm::NormalizeChannel(const Tensor& x, int ch, Scalar mean,
-                                   Scalar var, Tensor& y,
-                                   Tensor* xhat) const {
-  int n = 0, c = 0, s = 0;
-  SplitNCS(x.shape(), n, c, s);
-  const auto chu = static_cast<std::size_t>(ch);
-  const Scalar stdv = std::sqrt(var + eps_);
-  const Scalar g = gamma_.value[chu];
-  const Scalar bta = beta_.value[chu];
+  const NcsLayout l(x.shape());
+  MHB_CHECK_EQ(l.c, channels());
+  Tensor y = Tensor::Uninitialized(x.shape());
   const Scalar* px = x.data().data();
-  Scalar* py = y.data().data();
-  Scalar* pxh = xhat != nullptr ? xhat->data().data() : nullptr;
-  for (int b = 0; b < n; ++b) {
-    for (int sp = 0; sp < s; ++sp) {
-      const std::size_t o = Offset(c, s, b, ch, sp);
-      const Scalar xh = (px[o] - mean) / stdv;
-      if (pxh != nullptr) pxh[o] = xh;
-      py[o] = g * xh + bta;
+  for (int ch0 = 0; ch0 < l.c; ch0 += kChannelBlock) {
+    const int count = std::min(kChannelBlock, l.c - ch0);
+    Scalar mean[kChannelBlock], var[kChannelBlock];
+    if (stats == NormStats::kBatch) {
+      BatchMoments(px, l, ch0, count, mean, var);
+    } else {
+      for (int k = 0; k < count; ++k) {
+        mean[k] = running_mean_.value[static_cast<std::size_t>(ch0 + k)];
+        var[k] = running_var_.value[static_cast<std::size_t>(ch0 + k)];
+      }
+    }
+    for (int k = 0; k < count; ++k) {
+      const auto chu = static_cast<std::size_t>(ch0 + k);
+      NormalizeChannel(px, l, ch0 + k, mean[k],
+                              std::sqrt(var[k] + eps_), gamma_.value[chu],
+                              beta_.value[chu], y.data().data(), nullptr);
     }
   }
-  return stdv;
+  return y;
 }
 
 Tensor BatchNorm::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("batchnorm_bwd");
   MHB_CHECK(grad_out.shape() == cached_shape_);
-  int n = 0, c = 0, s = 0;
-  SplitNCS(cached_shape_, n, c, s);
-  const double m = static_cast<double>(n) * s;
+  const NcsLayout l(cached_shape_);
+  const double m = l.Count();
 
-  Tensor gx(cached_shape_);
+  Tensor gx = Tensor::Uninitialized(cached_shape_);
   const Scalar* pg = grad_out.data().data();
   const Scalar* pxh = cached_xhat_.data().data();
   Scalar* pgx = gx.data().data();
 
-  for (int ch = 0; ch < c; ++ch) {
-    const auto chu = static_cast<std::size_t>(ch);
-    double sum_g = 0.0, sum_gxh = 0.0;
-    for (int b = 0; b < n; ++b) {
-      for (int sp = 0; sp < s; ++sp) {
-        const std::size_t o = Offset(c, s, b, ch, sp);
-        sum_g += pg[o];
-        sum_gxh += static_cast<double>(pg[o]) * pxh[o];
-      }
-    }
-    gamma_.grad[chu] += static_cast<Scalar>(sum_gxh);
-    beta_.grad[chu] += static_cast<Scalar>(sum_g);
+  for (int ch0 = 0; ch0 < l.c; ch0 += kChannelBlock) {
+    const int count = std::min(kChannelBlock, l.c - ch0);
+    double sum_g[kChannelBlock], sum_gxh[kChannelBlock];
+    GradSums(pg, pxh, l, ch0, count, sum_g, sum_gxh);
+    for (int k = 0; k < count; ++k) {
+      const auto chu = static_cast<std::size_t>(ch0 + k);
+      gamma_.grad[chu] += static_cast<Scalar>(sum_gxh[k]);
+      beta_.grad[chu] += static_cast<Scalar>(sum_g[k]);
 
-    const Scalar g = gamma_.value[chu];
-    const Scalar inv_std = 1.0f / cached_std_[chu];
-    // Standard batch-norm backward with batch statistics.
-    for (int b = 0; b < n; ++b) {
-      for (int sp = 0; sp < s; ++sp) {
-        const std::size_t o = Offset(c, s, b, ch, sp);
-        const double term = m * pg[o] - sum_g - pxh[o] * sum_gxh;
-        pgx[o] = static_cast<Scalar>(g * inv_std * term / m);
+      const Scalar g = gamma_.value[chu];
+      const Scalar inv_std = 1.0f / cached_std_[chu];
+      // Standard batch-norm backward with batch statistics.
+      for (int b = 0; b < l.n; ++b) {
+        const std::size_t o = l.At(b, ch0 + k);
+        for (std::size_t sp = 0; sp < static_cast<std::size_t>(l.s); ++sp) {
+          const std::size_t e = o + sp;
+          const double term = m * pg[e] - sum_g[k] - pxh[e] * sum_gxh[k];
+          pgx[e] = static_cast<Scalar>(g * inv_std * term / m);
+        }
       }
     }
   }
@@ -185,8 +251,8 @@ LayerNorm::LayerNorm(int dim, Scalar eps)
 
 Tensor LayerNorm::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("layernorm_fwd");
-  cached_xhat_ = Tensor(x.shape());
-  cached_inv_std_.assign(x.numel() / static_cast<std::size_t>(dim()), 1.0f);
+  cached_xhat_.ResizeUninitialized(x.shape());
+  cached_inv_std_.resize(x.numel() / static_cast<std::size_t>(dim()));
   return Normalize(x, &cached_xhat_, cached_inv_std_.data());
 }
 
@@ -201,12 +267,13 @@ Tensor LayerNorm::Normalize(const Tensor& x, Tensor* xhat,
   const int d = x.dim(x.ndim() - 1);
   MHB_CHECK_EQ(d, dim());
   const std::size_t rows = x.numel() / static_cast<std::size_t>(d);
-  Tensor y(x.shape());
+  const auto du = static_cast<std::size_t>(d);
+  Tensor y = Tensor::Uninitialized(x.shape());
   const Scalar* px = x.data().data();
-  Scalar* py = y.data().data();
-  Scalar* pxh = xhat != nullptr ? xhat->data().data() : nullptr;
+  const Scalar* pgamma = gamma_.value.data().data();
+  const Scalar* pbeta = beta_.value.data().data();
   for (std::size_t r = 0; r < rows; ++r) {
-    const Scalar* xr = px + r * static_cast<std::size_t>(d);
+    const Scalar* xr = px + r * du;
     double sum = 0.0;
     for (int j = 0; j < d; ++j) sum += xr[j];
     const double mean = sum / d;
@@ -217,12 +284,12 @@ Tensor LayerNorm::Normalize(const Tensor& x, Tensor* xhat,
     }
     const double inv_std = 1.0 / std::sqrt(vsum / d + eps_);
     if (inv_stds != nullptr) inv_stds[r] = static_cast<Scalar>(inv_std);
-    Scalar* yr = py + r * static_cast<std::size_t>(d);
-    for (int j = 0; j < d; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
+    Scalar* yr = y.data().data() + r * du;
+    Scalar* xhr = xhat != nullptr ? xhat->data().data() + r * du : nullptr;
+    for (std::size_t j = 0; j < du; ++j) {
       const Scalar xh = static_cast<Scalar>((xr[j] - mean) * inv_std);
-      if (pxh != nullptr) pxh[r * static_cast<std::size_t>(d) + ju] = xh;
-      yr[j] = gamma_.value[ju] * xh + beta_.value[ju];
+      if (xhr != nullptr) xhr[j] = xh;
+      yr[j] = pgamma[j] * xh + pbeta[j];
     }
   }
   return y;
@@ -232,28 +299,33 @@ Tensor LayerNorm::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("layernorm_bwd");
   MHB_CHECK(grad_out.shape() == cached_xhat_.shape());
   const int d = dim();
-  const std::size_t rows = grad_out.numel() / static_cast<std::size_t>(d);
-  Tensor gx(grad_out.shape());
+  const auto du = static_cast<std::size_t>(d);
+  const std::size_t rows = grad_out.numel() / du;
+  Tensor gx = Tensor::Uninitialized(grad_out.shape());
   const Scalar* pg = grad_out.data().data();
   const Scalar* pxh = cached_xhat_.data().data();
-  Scalar* pgx = gx.data().data();
+  const Scalar* pgamma = gamma_.value.data().data();
+  Scalar* pdgamma = gamma_.grad.data().data();
+  Scalar* pdbeta = beta_.grad.data().data();
   for (std::size_t r = 0; r < rows; ++r) {
-    const Scalar* gr = pg + r * static_cast<std::size_t>(d);
-    const Scalar* xhr = pxh + r * static_cast<std::size_t>(d);
-    Scalar* gxr = pgx + r * static_cast<std::size_t>(d);
+    const Scalar* gr = pg + r * du;
+    const Scalar* xhr = pxh + r * du;
+    Scalar* gxr = gx.data().data() + r * du;
     double sum_g = 0.0, sum_gxh = 0.0;
-    for (int j = 0; j < d; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      const double gh = static_cast<double>(gr[j]) * gamma_.value[ju];
+    for (std::size_t j = 0; j < du; ++j) {
+      const double gh = static_cast<double>(gr[j]) * pgamma[j];
       sum_g += gh;
       sum_gxh += gh * xhr[j];
-      gamma_.grad[ju] += gr[j] * xhr[j];
-      beta_.grad[ju] += gr[j];
+    }
+    // The parameter gradients are independent of the row sums, so they
+    // take their own (vectorizable) pass; each still adds rows in order.
+    for (std::size_t j = 0; j < du; ++j) {
+      pdgamma[j] += gr[j] * xhr[j];
+      pdbeta[j] += gr[j];
     }
     const double inv_std = cached_inv_std_[r];
-    for (int j = 0; j < d; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      const double gh = static_cast<double>(gr[j]) * gamma_.value[ju];
+    for (std::size_t j = 0; j < du; ++j) {
+      const double gh = static_cast<double>(gr[j]) * pgamma[j];
       gxr[j] = static_cast<Scalar>(
           inv_std * (gh - sum_g / d - xhr[j] * sum_gxh / d));
     }

@@ -38,11 +38,6 @@ class BatchNorm : public Module {
   Parameter& running_var() { return running_var_; }
 
  private:
-  // Writes channel `ch` of y = gamma (x - mean) / std + beta (and of
-  // `xhat`, when non-null); returns std = sqrt(var + eps).
-  Scalar NormalizeChannel(const Tensor& x, int ch, Scalar mean, Scalar var,
-                          Tensor& y, Tensor* xhat) const;
-
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;
   Scalar momentum_, eps_;

@@ -322,6 +322,21 @@ void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
   const int ow = OutExtent(w, pad_w, kw, stride);
   const std::size_t out_cs = static_cast<std::size_t>(h) * w;
   const std::size_t ncols = static_cast<std::size_t>(n) * oh * ow;
+  if (kh == 1 && kw == 1 && stride == 1 && pad_h == 0 && pad_w == 0) {
+    // Each column feeds exactly one input element, and a (b, ch) plane is
+    // one contiguous run of its channel's row: a single add per element,
+    // as the general loop makes, without its per-row bookkeeping.
+    for (int b = 0; b < n; ++b) {
+      for (int ch = 0; ch < c; ++ch) {
+        Scalar* plane =
+            out + (static_cast<std::size_t>(b) * c + ch) * out_cs;
+        const Scalar* tap = cols + static_cast<std::size_t>(ch) * ncols +
+                            static_cast<std::size_t>(b) * out_cs;
+        for (std::size_t i = 0; i < out_cs; ++i) plane[i] += tap[i];
+      }
+    }
+    return;
+  }
   std::vector<InteriorSpan> spans;
   spans.reserve(static_cast<std::size_t>(kw));
   for (int kx = 0; kx < kw; ++kx) {

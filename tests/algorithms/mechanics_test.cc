@@ -1,5 +1,7 @@
 // Mechanism-level tests of the individual MHFL algorithms (beyond the
 // end-to-end learning checks in algorithms_test.cc).
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -88,18 +90,97 @@ TEST(FedAvgMechanicsTest, SmallRatioIgnoresCapacities) {
   }
 }
 
+// SHeteroFL that keeps a copy of its global store as Setup initialized it.
+class StoreProbeSHeteroFl : public SHeteroFl {
+ public:
+  using SHeteroFl::SHeteroFl;
+  void Setup(const fl::FlContext& ctx, Rng& rng) override {
+    SHeteroFl::Setup(ctx, rng);
+    initial = global_->store();
+  }
+  const fl::ParamStore& store() const { return global_->store(); }
+
+  fl::ParamStore initial;
+};
+
+// Coordinates of each store tensor that moved from `initial` to `final`,
+// split by whether `mapping` (a sub-model's slices) covers them.  A store
+// tensor the mapping does not name is outer in full.
+struct MovedCoordinates {
+  std::size_t inner = 0, outer = 0;
+};
+MovedCoordinates CountMoved(const fl::ParamStore& initial,
+                            const fl::ParamStore& final,
+                            const models::ParamMapping& mapping) {
+  MovedCoordinates moved;
+  for (const std::string& name : final.Names()) {
+    const Tensor& before = initial.Get(name);
+    const Tensor& after = final.Get(name);
+    // keep[d][i]: index i of dim d is inside the sub-model.
+    std::vector<std::vector<bool>> keep;
+    for (int d = 0; d < after.ndim(); ++d) {
+      keep.emplace_back(static_cast<std::size_t>(after.dim(d)), false);
+    }
+    for (const auto& slice : mapping) {
+      if (slice.name != name) continue;
+      for (std::size_t d = 0; d < keep.size(); ++d) {
+        if (!slice.index[d].has_value()) {
+          keep[d].assign(keep[d].size(), true);
+          continue;
+        }
+        for (int i : *slice.index[d]) {
+          keep[d][static_cast<std::size_t>(i)] = true;
+        }
+      }
+    }
+    for (std::size_t e = 0; e < after.numel(); ++e) {
+      bool inner = !keep.empty();
+      std::size_t rest = e;
+      for (std::size_t d = keep.size(); d-- > 0;) {
+        inner = inner && keep[d][rest % keep[d].size()];
+        rest /= keep[d].size();
+      }
+      if (std::bit_cast<std::uint32_t>(before[e]) !=
+          std::bit_cast<std::uint32_t>(after[e])) {
+        ++(inner ? moved.inner : moved.outer);
+      }
+    }
+  }
+  return moved;
+}
+
 TEST(SHeteroFlMechanicsTest, UntrainedOuterCoordinatesStayAtInit) {
-  // With all capacities at 0.5, coordinates outside the x0.5 prefix are
-  // never touched by aggregation.
+  // With every capacity at x0.5, aggregation averages only the coordinates
+  // of the x0.5 prefix sub-model: every other store coordinate keeps its
+  // initial bits, while the prefix trains.
   Harness h("cifar10", {0.5});
-  SHeteroFl alg(h.tm.primary, 7);
-  // Snapshot initial store by reconstructing the same seeded global model.
-  fl::FlEngine engine(h.task, h.cfg, h.assignments, alg);
-  engine.Run();
-  // Rebuild an identical initial store.
-  Rng init_probe(0);  // engine used its own fork; instead compare across
-                      // two runs below.
-  SUCCEED();
+  StoreProbeSHeteroFl alg(h.tm.primary, 7);
+  RunAlgo(h, alg);
+  models::BuildSpec half;
+  half.width_ratio = 0.5;
+  Rng build_rng(1);
+  const models::BuiltModel prefix = h.tm.primary->Build(half, build_rng);
+  ASSERT_EQ(alg.initial.Names(), alg.store().Names());
+
+  const MovedCoordinates moved =
+      CountMoved(alg.initial, alg.store(), prefix.mapping);
+  EXPECT_EQ(moved.outer, 0u);
+  EXPECT_GT(moved.inner, 0u);
+
+  // The check sees a single aggregated outer coordinate: plant one in the
+  // last channel of the first tensor the prefix slices.
+  fl::ParamStore planted = alg.store();
+  const models::ParamSlice* sliced = nullptr;
+  for (const auto& slice : prefix.mapping) {
+    if (!slice.index.empty() && slice.index[0].has_value()) {
+      sliced = &slice;
+      break;
+    }
+  }
+  ASSERT_NE(sliced, nullptr);
+  Tensor& t = planted.GetMutable(sliced->name);
+  t[t.numel() - 1] += 1.0f;
+  EXPECT_EQ(CountMoved(alg.initial, planted, prefix.mapping).outer, 1u);
 }
 
 TEST(SHeteroFlMechanicsTest, CappedLadderCapsGlobalEval) {

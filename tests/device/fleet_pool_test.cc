@@ -108,12 +108,5 @@ TEST(ModelPoolTest, TopologyPoolHasFamilyEntries) {
   EXPECT_EQ(pool.entries().back().model, "resnet101");
 }
 
-TEST(ModelPoolTest, SmallestIsTheLowestRatio) {
-  const auto descs = PaperDescsForTask("cifar100");
-  const ModelPool pool = ModelPool::ForAlgorithm(
-      "sheterofl", descs, algorithms::RatioLadder(), JetsonOrinNx());
-  EXPECT_DOUBLE_EQ(pool.Smallest().ratio, 0.25);
-}
-
 }  // namespace
 }  // namespace mhbench::device

@@ -116,15 +116,5 @@ TEST(CompositeGradTest, SequentialCollectsNestedNames) {
   EXPECT_EQ(params[2].name, "net/2/weight");
 }
 
-TEST(CompositeGradTest, FlattenRoundTrip) {
-  Rng rng(10);
-  Flatten flat;
-  const Tensor x = Tensor::Randn({2, 3, 4}, rng);
-  const Tensor y = flat.Forward(x);
-  EXPECT_EQ(y.shape(), Shape({2, 12}));
-  const Tensor gx = flat.Backward(y);
-  EXPECT_EQ(gx.shape(), x.shape());
-}
-
 }  // namespace
 }  // namespace mhbench::nn

@@ -9,7 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "data/loader.h"
+#include "data/tasks.h"
+#include "fl/client.h"
+#include "models/zoo.h"
 #include "nn/conv.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "tensor/scratch.h"
 #include "tensor/tensor.h"
 
@@ -346,6 +352,47 @@ TEST(ScratchArenaTest, ConvForwardSteadyStateAllocatesNothing) {
   }
   EXPECT_EQ(Tensor::ThreadAllocStats().heap_allocs, heap_before);
   EXPECT_EQ(kernels::ScratchChunkAllocs(), chunks_before);
+}
+
+TEST(ScratchArenaTest, TrainStepSteadyStateAllocatesNothing) {
+  // The same property for a whole local-training step, as fl::TrainLocal
+  // runs it (forward, cross-entropy, backward, clipping, SGD), of each
+  // primary model the ws-grid benchmark trains: mobilenetv2-like
+  // (cifar10), transformer-lite (agnews) and har-cnn (harbox).  Every
+  // layer's outputs, caches and gradients come from the buffer pool.
+  for (const char* task : {"cifar10", "agnews", "harbox"}) {
+    SCOPED_TRACE(task);
+    data::TaskConfig cfg;
+    cfg.train_samples = 16;
+    cfg.test_samples = 16;
+    cfg.num_clients = 1;
+    const data::Task t = data::MakeTask(task, cfg);
+    Rng rng(17);
+    const auto tm = models::MakeTaskModels(task);
+    models::BuiltModel built = tm.primary->Build(models::BuildSpec{}, rng);
+    Tensor x;
+    std::vector<int> y;
+    data::BatchIterator batches(t.train, 16, rng);
+    ASSERT_TRUE(batches.Next(x, y));
+    const fl::LocalTrainOptions options;
+    const auto opt =
+        nn::MakeOptimizer(*built.net, fl::OptimizerOptionsOf(options));
+    Tensor grad;
+    auto step = [&] {
+      kernels::ResetThreadScratch();
+      opt->ZeroGrad();
+      nn::SoftmaxCrossEntropy(built.net->Forward(x), y, grad);
+      built.net->Backward(grad);
+      opt->ClipGradNorm(options.grad_clip);
+      opt->Step();
+    };
+    for (int warmup = 0; warmup < 2; ++warmup) step();
+    const auto heap_before = Tensor::ThreadAllocStats().heap_allocs;
+    const auto chunks_before = kernels::ScratchChunkAllocs();
+    for (int s = 0; s < 3; ++s) step();
+    EXPECT_EQ(Tensor::ThreadAllocStats().heap_allocs, heap_before);
+    EXPECT_EQ(kernels::ScratchChunkAllocs(), chunks_before);
+  }
 }
 
 TEST(ScratchArenaTest, PeakGaugeSeesThisThreadsArena) {

@@ -162,6 +162,43 @@ class BenchReportTest(unittest.TestCase):
             self.assertEqual(proc.returncode, 0,
                              proc.stdout + proc.stderr)
 
+    def test_diff_accepts_unpaired_entries(self):
+        # BM_TrainStep/* has no naive twin: the report keeps it without a
+        # speedup, and the diff neither gates its wall time (host speed
+        # does not cancel without a ratio) nor trips over a baseline that
+        # predates it; only a candidate that drops it fails.
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = raw_json()
+            raw["benchmarks"] += run_bench("BM_TrainStep/cifar10", 5000000)
+            proc, with_step = run_report(tmp, raw)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            step = with_step["kernels"]["TrainStep/cifar10"]
+            self.assertNotIn("speedup", step)
+            self.assertEqual(step["fast"]["wall_ns"], 5000001)
+            _, without_step = run_report(tmp, raw_json())
+
+            def diff(base, cand):
+                paths = []
+                for name, report in (("base", base), ("cand", cand)):
+                    path = os.path.join(tmp, name + ".json")
+                    with open(path, "w") as f:
+                        json.dump(report, f)
+                    paths.append(path)
+                return subprocess.run(
+                    [sys.executable, str(MHB_DIFF), *paths],
+                    capture_output=True, text=True)
+
+            slower = json.loads(json.dumps(with_step))
+            slower["kernels"]["TrainStep/cifar10"]["fast"]["wall_ns"] *= 3
+            proc = diff(with_step, slower)
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            proc = diff(without_step, with_step)
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            proc = diff(with_step, without_step)
+            self.assertEqual(proc.returncode, 1, proc.stdout)
+            self.assertIn("TrainStep/cifar10: missing in candidate",
+                          proc.stdout)
+
     def test_diff_refuses_backend_mismatch(self):
         with tempfile.TemporaryDirectory() as tmp:
             _, base = run_report(tmp, raw_json(backend="avx2"))

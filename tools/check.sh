@@ -29,6 +29,9 @@
 #                            #   mhb_diff, then refreshes it) + obs artifacts
 #                            #   + end-to-end benchmark harness build and
 #                            #   fidelity test
+#   tools/check.sh --bitcheck REF  # Release mhbench of REF and of this
+#                            #   checkout, compared by mhb_bitcheck.py's
+#                            #   full run matrix (bits unchanged vs REF)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -416,9 +419,11 @@ PY
 }
 
 # Kernel benchmark smoke: builds Release, runs the GEMM/conv micro-benchmarks
-# through both backends (fast vs naive), and distills the raw
-# google-benchmark output into BENCH_kernels.json (p50/p95 wall time per
-# shape plus machine-normalized speedup ratios).  Per-repetition rows (no
+# through both backends (fast vs naive) and one training step of each
+# ws-grid task's primary model (BM_TrainStep/*: recorded but not gated, as
+# it has no naive twin), and distills the raw google-benchmark output into
+# BENCH_kernels.json (p50/p95 wall time per shape plus machine-normalized
+# speedup ratios).  Per-repetition rows (no
 # aggregates-only) feed real quantiles.  The fresh report is gated against
 # the committed baseline with mhb_diff at a 1.3x threshold on the speedup
 # ratios — absolute times are too host-dependent to assert — and the diff
@@ -438,7 +443,7 @@ smoke_bench() {
   raw="$(mktemp)"
   trap 'rm -f "$raw"' RETURN
   "$build_dir/bench/bench_micro" \
-    --benchmark_filter='BM_Matmul|BM_Conv2d' \
+    --benchmark_filter='BM_Matmul|BM_Conv2d|BM_TrainStep' \
     --benchmark_min_time=0.3 --benchmark_repetitions=5 \
     --benchmark_out="$raw" --benchmark_out_format=json >/dev/null
   python3 "$repo/tools/bench_report.py" "$raw" "$build_dir/BENCH_kernels.json"
@@ -507,6 +512,29 @@ emit_obs_artifacts() {
   echo "check.sh: obs artifacts in $build_dir/obs-artifacts"
 }
 
+# Bit-identity against another revision: exports REF (any commit-ish) with
+# git archive into a temporary directory, builds its mhbench and this
+# checkout's (HEAD plus any uncommitted edits, in build-release/), both in
+# Release, and runs mhb_bitcheck.py's full matrix on the two binaries.  A
+# change that must keep every result bit (a refactor, a speed-up) runs
+# `tools/check.sh --bitcheck <parent>`.  The export is a plain directory,
+# so an interrupted run leaves nothing registered in the repository.
+run_bitcheck() {
+  local ref="$1"
+  local out
+  out="$(mktemp -d)"
+  trap 'rm -rf "$out"' RETURN
+  git -C "$repo" archive --format=tar "$ref" | tar -x -C "$out"
+  cmake -B "$out/build" -S "$out" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$out/build" -j --target mhbench_cli
+  cmake -B "$repo/build-release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+    >/dev/null
+  cmake --build "$repo/build-release" -j --target mhbench_cli
+  python3 "$repo/tools/mhb_bitcheck.py" "$out/build/tools/mhbench" \
+    "$repo/build-release/tools/mhbench"
+  echo "check.sh: bits unchanged against $ref"
+}
+
 case "$mode" in
   all|--all)
     run_lint
@@ -549,9 +577,17 @@ case "$mode" in
     emit_obs_artifacts "$repo/build-release"
     smoke_e2ebench "$repo/build-release"
     ;;
+  --bitcheck)
+    if [ $# -ne 2 ]; then
+      echo "usage: tools/check.sh --bitcheck <ref>" >&2
+      exit 2
+    fi
+    run_bitcheck "$2"
+    ;;
   *)
     echo "usage: tools/check.sh [--lint|--plain|--tsan|--asan|--ubsan|" \
-         "--asan-ubsan|--wthread-safety|--release|--bench]" >&2
+         "--asan-ubsan|--wthread-safety|--release|--bench|" \
+         "--bitcheck <ref>]" >&2
     exit 2
     ;;
 esac
