@@ -559,20 +559,23 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
   // against the totals captured at Run() entry (the registry may be shared
   // with earlier runs).  Histogram bucket counts and sums subtract exactly;
   // min/max are taken from the merged totals, which is exact for the
-  // resume contract because min/max are idempotent over set unions.
+  // resume contract because min/max are idempotent over set unions.  Only
+  // the metrics the det-audit ledger hashes are written: wall-clock and
+  // scheduling totals (pool_tasks, checkpoint_*, *_us, *_ms) stay with the
+  // process that measured them, so equal runs write equal bytes at any
+  // --threads.
   obs::Registry* const reg = config_.obs.registry;
   if (reg != nullptr) {
     w.BeginSection("obs");
     const auto counters = reg->Totals();
     std::map<std::string, std::int64_t> counter_deltas;
     for (const auto& [name, total] : counters) {
+      if (!obs::DetAuditor::AuditableMetric(name)) continue;
       auto it = obs_base_counters_.find(name);
       const std::int64_t base = it == obs_base_counters_.end() ? 0 : it->second;
       // Zero deltas are written too: the registered-name set is fixed
-      // serially, so including them keeps the section size — and therefore
-      // the checkpoint_bytes counter — independent of --threads (a serial
-      // run's pool_tasks delta is 0, a pooled run's is not).  Importing a
-      // zero delta is a no-op.
+      // serially, so the section lists the same names at any --threads.
+      // Importing a zero delta is a no-op.
       counter_deltas[name] = total - base;
     }
     w.WriteU32(static_cast<std::uint32_t>(counter_deltas.size()));
@@ -583,6 +586,7 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
     const auto hists = reg->Histograms();
     std::map<std::string, obs::Registry::HistogramData> hist_deltas;
     for (const auto& [name, data] : hists) {
+      if (!obs::DetAuditor::AuditableMetric(name)) continue;
       obs::Registry::HistogramData delta = data;
       auto it = obs_base_hists_.find(name);
       if (it != obs_base_hists_.end()) {

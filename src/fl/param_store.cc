@@ -46,16 +46,6 @@ std::vector<std::string> ParamStore::Names() const {
   return names;
 }
 
-std::size_t ParamStore::TotalParams() const {
-  std::size_t n = 0;
-  for (const auto& [name, t] : params_) n += t.numel();
-  return n;
-}
-
-std::size_t ParamStore::TotalBytes() const {
-  return TotalParams() * sizeof(Scalar);
-}
-
 void ParamStore::LoadInto(nn::Module& module,
                           const models::ParamMapping& mapping) const {
   std::vector<nn::NamedParam> params;
@@ -68,14 +58,6 @@ void ParamStore::LoadInto(nn::Module& module,
     MHB_CHECK(gathered.shape() == params[i].param->value.shape())
         << "gathered shape mismatch for" << slice.name;
     params[i].param->value = gathered;
-  }
-}
-
-void ParamStore::StoreFrom(nn::Module& module) {
-  std::vector<nn::NamedParam> params;
-  module.CollectParams("", params);
-  for (auto& p : params) {
-    params_[p.name] = p.param->value;
   }
 }
 

@@ -25,16 +25,10 @@ class ParamStore {
 
   std::vector<std::string> Names() const;  // sorted
   std::size_t size() const { return params_.size(); }
-  std::size_t TotalParams() const;
-  std::size_t TotalBytes() const;  // float32 payload bytes
 
   // Writes gathered global values into the module's parameters according to
   // the mapping (model dispatch direction).
   void LoadInto(nn::Module& module, const models::ParamMapping& mapping) const;
-
-  // Copies every same-named parameter from `module` into the store
-  // (full-model writeback; mapping-free).
-  void StoreFrom(nn::Module& module);
 
   // Writes every parameter of `module` from the same-named store entry
   // (full-tensor, mapping-free restore — the checkpoint direction; shapes

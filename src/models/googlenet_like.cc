@@ -1,21 +1,9 @@
 #include "models/googlenet_like.h"
 
-#include "nn/activation.h"
-#include "nn/conv.h"
-#include "nn/init.h"
-#include "nn/linear.h"
-#include "nn/norm.h"
-#include "nn/pool.h"
+#include "models/trunk_builder.h"
 
 namespace mhbench::models {
 namespace {
-
-nn::ModulePtr MakeConv(int in_c, int out_c, int k, int stride, int pad,
-                       Rng& rng) {
-  return std::make_unique<nn::Conv2d>(
-      nn::KaimingNormal({out_c, in_c, k, k}, in_c * k * k, rng), Tensor(),
-      stride, pad);
-}
 
 // Concatenates per-branch kept indices into the stage's global channel
 // layout [branch1 | branch2 | branch3].
@@ -42,10 +30,8 @@ void GoogleNetLike::SplitBranches(int stage_channels, int& b1, int& b2,
 
 GoogleNetLike::GoogleNetLike(GoogleNetLikeConfig config)
     : config_(std::move(config)) {
-  MHB_CHECK_GT(config_.in_channels, 0);
-  MHB_CHECK_GT(config_.num_classes, 0);
-  MHB_CHECK_EQ(config_.stage_channels.size(), config_.stage_blocks.size());
-  MHB_CHECK(!config_.stage_channels.empty());
+  CheckStages(config_.in_channels, config_.num_classes,
+              config_.stage_channels, config_.stage_blocks);
   for (int c : config_.stage_channels) MHB_CHECK_GE(c, 4);
 }
 
@@ -53,157 +39,46 @@ Shape GoogleNetLike::sample_shape() const {
   return {config_.in_channels, config_.image_size, config_.image_size};
 }
 
-int GoogleNetLike::total_blocks() const {
-  int n = 0;
-  for (int b : config_.stage_blocks) n += b;
-  return n;
-}
-
 BuiltModel GoogleNetLike::Build(const BuildSpec& spec, Rng& init_rng) const {
-  const int num_stages = static_cast<int>(config_.stage_channels.size());
-
-  // Per stage: branch full widths, per-branch kept lists, and the
-  // concatenated consumer-side kept set.
-  struct StagePlan {
-    std::vector<int> fulls;               // {b1, b2, b3}
-    std::vector<std::vector<int>> kept;   // per branch
-    std::vector<int> concat_kept;         // consumer channel set
-  };
-  std::vector<StagePlan> plan(static_cast<std::size_t>(num_stages));
-  for (int s = 0; s < num_stages; ++s) {
-    auto& p = plan[static_cast<std::size_t>(s)];
+  // Per stage: the kept channels of each branch, and their concatenation
+  // (the consumer-side channel set).
+  std::vector<std::vector<std::vector<int>>> kept;
+  std::vector<std::vector<int>> concat_kept;
+  for (int c : config_.stage_channels) {
     int b1 = 0, b2 = 0, b3 = 0;
-    SplitBranches(config_.stage_channels[static_cast<std::size_t>(s)], b1,
-                  b2, b3);
-    p.fulls = {b1, b2, b3};
-    for (int full : p.fulls) {
-      p.kept.push_back(spec.ChannelIndices(full));
-    }
-    p.concat_kept = ConcatKept(p.kept, p.fulls);
-  }
-  const int kept_blocks = spec.KeptBlocks(total_blocks());
-
-  MappingBuilder mb;
-
-  // Stem: conv to stage-0's concat layout.
-  auto stem = std::make_unique<nn::Sequential>();
-  {
-    const auto& p0 = plan[0];
-    const int c0 = static_cast<int>(p0.concat_kept.size());
-    stem->Add(MakeConv(config_.in_channels, c0, 3, 1, 1, init_rng));
-    mb.AddConv2d(&p0.concat_kept, nullptr, false);
-    stem->Add(std::make_unique<nn::BatchNorm>(c0));
-    mb.AddBatchNorm(&p0.concat_kept);
-    stem->Add(std::make_unique<nn::ReLU>());
+    SplitBranches(c, b1, b2, b3);
+    const std::vector<int> fulls = {b1, b2, b3};
+    auto& k = kept.emplace_back();
+    for (int full : fulls) k.push_back(spec.ChannelIndices(full));
+    concat_kept.push_back(ConcatKept(k, fulls));
   }
 
-  std::vector<nn::ModulePtr> blocks;
-  std::vector<std::string> block_names;
-  std::vector<int> block_stage;
-
-  int flat = 0;
-  for (int s = 0; s < num_stages && flat < kept_blocks; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const auto& p = plan[su];
-    for (int b = 0; b < config_.stage_blocks[su] && flat < kept_blocks;
-         ++b, ++flat) {
-      const bool reduce = (b == 0 && s > 0);
-      auto block = std::make_unique<nn::Sequential>();
-      std::vector<int> in_set = reduce ? plan[su - 1].concat_kept
-                                       : p.concat_kept;
-      if (reduce) {
-        // Stride-2 reduction conv from the previous stage's layout into
-        // this stage's layout.
-        const int in_c = static_cast<int>(in_set.size());
-        const int out_c = static_cast<int>(p.concat_kept.size());
-        block->Add(MakeConv(in_c, out_c, 3, 2, 1, init_rng));
-        mb.AddConv2d(&p.concat_kept, &in_set, false);
-        block->Add(std::make_unique<nn::BatchNorm>(out_c));
-        mb.AddBatchNorm(&p.concat_kept);
-        block->Add(std::make_unique<nn::ReLU>());
-        in_set = p.concat_kept;
-      }
-
-      // Inception module: three branches on `in_set`.
-      const int in_c = static_cast<int>(in_set.size());
-      std::vector<nn::ModulePtr> branches;
-      // Branch 0: 1x1.
-      {
-        const auto& kept = p.kept[0];
-        auto br = std::make_unique<nn::Sequential>();
-        br->Add(MakeConv(in_c, static_cast<int>(kept.size()), 1, 1, 0,
-                         init_rng));
-        mb.AddConv2d(&kept, &in_set, false);
-        br->Add(std::make_unique<nn::BatchNorm>(static_cast<int>(kept.size())));
-        mb.AddBatchNorm(&kept);
-        br->Add(std::make_unique<nn::ReLU>());
-        branches.push_back(std::move(br));
-      }
-      // Branch 1: 1x1 -> 3x3.
-      {
-        const auto& kept = p.kept[1];
-        const int c = static_cast<int>(kept.size());
-        auto br = std::make_unique<nn::Sequential>();
-        br->Add(MakeConv(in_c, c, 1, 1, 0, init_rng));
-        mb.AddConv2d(&kept, &in_set, false);
-        br->Add(std::make_unique<nn::BatchNorm>(c));
-        mb.AddBatchNorm(&kept);
-        br->Add(std::make_unique<nn::ReLU>());
-        br->Add(MakeConv(c, c, 3, 1, 1, init_rng));
-        mb.AddConv2d(&kept, &kept, false);
-        br->Add(std::make_unique<nn::BatchNorm>(c));
-        mb.AddBatchNorm(&kept);
-        br->Add(std::make_unique<nn::ReLU>());
-        branches.push_back(std::move(br));
-      }
-      // Branch 2: 1x1 (pool-branch stand-in).
-      {
-        const auto& kept = p.kept[2];
-        auto br = std::make_unique<nn::Sequential>();
-        br->Add(MakeConv(in_c, static_cast<int>(kept.size()), 1, 1, 0,
-                         init_rng));
-        mb.AddConv2d(&kept, &in_set, false);
-        br->Add(std::make_unique<nn::BatchNorm>(static_cast<int>(kept.size())));
-        mb.AddBatchNorm(&kept);
-        br->Add(std::make_unique<nn::ReLU>());
-        branches.push_back(std::move(br));
-      }
-      block->Add(std::make_unique<nn::ConcatBranches>(std::move(branches)));
-      blocks.push_back(std::move(block));
-      block_names.push_back("s" + std::to_string(s) + "b" + std::to_string(b));
-      block_stage.push_back(s);
-    }
-  }
-
-  std::vector<int> exits;
-  if (spec.multi_head) {
-    for (int b = 0; b < kept_blocks; ++b) exits.push_back(b);
-  } else {
-    exits.push_back(kept_blocks - 1);
-  }
-  std::vector<nn::ModulePtr> heads;
-  std::vector<std::string> head_names;
-  for (int e : exits) {
-    const auto stage =
-        static_cast<std::size_t>(block_stage[static_cast<std::size_t>(e)]);
-    const auto& kept = plan[stage].concat_kept;
-    auto head = std::make_unique<nn::Sequential>();
-    head->Add(std::make_unique<nn::GlobalAvgPool2d>());
-    head->Add(std::make_unique<nn::Linear>(
-        nn::KaimingNormal({config_.num_classes, static_cast<int>(kept.size())},
-                          static_cast<int>(kept.size()), init_rng),
-        Tensor({config_.num_classes})));
-    mb.AddLinear(nullptr, &kept, true);
-    heads.push_back(std::move(head));
-    head_names.push_back("head" + std::to_string(e));
-  }
-
-  BuiltModel built;
-  built.net = std::make_unique<TrunkModel>(
-      std::move(stem), std::move(blocks), std::move(exits), std::move(heads),
-      std::move(block_names), std::move(head_names));
-  built.mapping = mb.Finalize(*built.net);
-  return built;
+  TrunkBuilder tb(spec, total_blocks(), init_rng);
+  tb.ConvStem(config_.in_channels, concat_kept[0], 3);
+  tb.AddStages(
+      config_.stage_blocks, concat_kept, [&](int s, int b) -> nn::ModulePtr {
+        const auto su = static_cast<std::size_t>(s);
+        const std::vector<int>& out = concat_kept[su];
+        auto block = std::make_unique<nn::Sequential>();
+        if (b == 0 && s > 0) {
+          // Stride-2 reduction conv from the previous stage's layout into
+          // this stage's layout.
+          tb.ConvBn(*block, concat_kept[su - 1], out, 3, 2, /*relu=*/true);
+        }
+        // Inception module: 1x1; 1x1 -> 3x3; and a second 1x1 (the pool
+        // branch's stand-in), each on this stage's layout.
+        std::vector<nn::ModulePtr> branches;
+        for (std::size_t br = 0; br < 3; ++br) {
+          const std::vector<int>& k = kept[su][br];
+          auto seq = std::make_unique<nn::Sequential>();
+          tb.ConvBn(*seq, out, k, 1, 1, /*relu=*/true);
+          if (br == 1) tb.ConvBn(*seq, k, k, 3, 1, /*relu=*/true);
+          branches.push_back(std::move(seq));
+        }
+        block->Add(std::make_unique<nn::ConcatBranches>(std::move(branches)));
+        return block;
+      });
+  return tb.Finish(config_.num_classes);
 }
 
 }  // namespace mhbench::models

@@ -29,10 +29,10 @@ class GoogleNetLike : public ModelFamily {
   std::string name() const override { return config_.name; }
   int num_classes() const override { return config_.num_classes; }
   Shape sample_shape() const override;
-  int total_blocks() const override;
+  int total_blocks() const override {
+    return TotalBlocks(config_.stage_blocks);
+  }
   BuiltModel Build(const BuildSpec& spec, Rng& init_rng) const override;
-
-  const GoogleNetLikeConfig& config() const { return config_; }
 
   // Branch split of a stage's concat width (b1 + b2 + b3 == stage width).
   static void SplitBranches(int stage_channels, int& b1, int& b2, int& b3);

@@ -1,8 +1,8 @@
 // 1-D CNN family for human-activity-recognition tasks (stands in for the
 // customized CNNs of Ek et al. used by the paper's HAR experiments).
 //
-// Structure: conv1d-bn-relu stem over [channels, window] sensor input, then
-// residual conv1d blocks per stage, GAP head(s).
+// The residual CNN of ResNetLike (BuildResidualCnn) over unit-height input:
+// [channels, window] sensor windows, 1 x k kernels, a 5-wide stem.
 #pragma once
 
 #include "models/model_spec.h"
@@ -25,10 +25,10 @@ class HarCnn : public ModelFamily {
   std::string name() const override { return config_.name; }
   int num_classes() const override { return config_.num_classes; }
   Shape sample_shape() const override;
-  int total_blocks() const override;
+  int total_blocks() const override {
+    return TotalBlocks(config_.stage_blocks);
+  }
   BuiltModel Build(const BuildSpec& spec, Rng& init_rng) const override;
-
-  const HarCnnConfig& config() const { return config_; }
 
  private:
   HarCnnConfig config_;

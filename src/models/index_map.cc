@@ -47,12 +47,6 @@ void MappingBuilder::AddConv2d(const std::vector<int>* out_idx,
   if (bias) Add({MaybeIdx(out_idx)});
 }
 
-void MappingBuilder::AddConv1d(const std::vector<int>* out_idx,
-                               const std::vector<int>* in_idx, bool bias) {
-  // Conv1d stores its weight as [out, in, 1, k].
-  AddConv2d(out_idx, in_idx, bias);
-}
-
 void MappingBuilder::AddBatchNorm(const std::vector<int>* ch_idx) {
   for (int i = 0; i < 4; ++i) Add({MaybeIdx(ch_idx)});
 }

@@ -50,8 +50,6 @@ class MappingBuilder {
                  const std::vector<int>* in_idx, bool bias);
   void AddConv2d(const std::vector<int>* out_idx,
                  const std::vector<int>* in_idx, bool bias);
-  void AddConv1d(const std::vector<int>* out_idx,
-                 const std::vector<int>* in_idx, bool bias);
   void AddBatchNorm(const std::vector<int>* ch_idx);  // 4 tensors
   void AddLayerNorm(const std::vector<int>* ch_idx);  // gamma/beta
   void AddEmbedding();                                // full table

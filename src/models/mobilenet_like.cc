@@ -1,149 +1,39 @@
 #include "models/mobilenet_like.h"
 
-#include "nn/activation.h"
-#include "nn/conv.h"
-#include "nn/init.h"
-#include "nn/linear.h"
-#include "nn/norm.h"
-#include "nn/pool.h"
+#include "models/trunk_builder.h"
 
 namespace mhbench::models {
-namespace {
-
-nn::ModulePtr MakeConv(int in_c, int out_c, int k, int stride, int pad,
-                       Rng& rng) {
-  return std::make_unique<nn::Conv2d>(
-      nn::KaimingNormal({out_c, in_c, k, k}, in_c * k * k, rng), Tensor(),
-      stride, pad);
-}
-
-}  // namespace
 
 MobileNetLike::MobileNetLike(MobileNetLikeConfig config)
     : config_(std::move(config)) {
-  MHB_CHECK_GT(config_.in_channels, 0);
-  MHB_CHECK_GT(config_.num_classes, 0);
+  CheckStages(config_.in_channels, config_.num_classes,
+              config_.stage_channels, config_.stage_blocks);
   MHB_CHECK_GT(config_.expansion, 0);
-  MHB_CHECK_EQ(config_.stage_channels.size(), config_.stage_blocks.size());
-  MHB_CHECK(!config_.stage_channels.empty());
 }
 
 Shape MobileNetLike::sample_shape() const {
   return {config_.in_channels, config_.image_size, config_.image_size};
 }
 
-int MobileNetLike::total_blocks() const {
-  int n = 0;
-  for (int b : config_.stage_blocks) n += b;
-  return n;
-}
-
 BuiltModel MobileNetLike::Build(const BuildSpec& spec, Rng& init_rng) const {
-  const int num_stages = static_cast<int>(config_.stage_channels.size());
-  std::vector<std::vector<int>> ch(static_cast<std::size_t>(num_stages));
-  std::vector<std::vector<int>> exp_ch(static_cast<std::size_t>(num_stages));
-  for (int s = 0; s < num_stages; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    ch[su] = spec.ChannelIndices(config_.stage_channels[su]);
-    exp_ch[su] =
-        spec.ChannelIndices(config_.stage_channels[su] * config_.expansion);
+  std::vector<std::vector<int>> ch;      // kept channels per stage
+  std::vector<std::vector<int>> exp_ch;  // kept expanded channels per stage
+  for (int c : config_.stage_channels) {
+    ch.push_back(spec.ChannelIndices(c));
+    exp_ch.push_back(spec.ChannelIndices(c * config_.expansion));
   }
-  const int kept_blocks = spec.KeptBlocks(total_blocks());
-
-  MappingBuilder mb;
-
-  auto stem = std::make_unique<nn::Sequential>();
-  {
-    const int c0 = static_cast<int>(ch[0].size());
-    stem->Add(MakeConv(config_.in_channels, c0, 3, 1, 1, init_rng));
-    mb.AddConv2d(&ch[0], nullptr, false);
-    stem->Add(std::make_unique<nn::BatchNorm>(c0));
-    mb.AddBatchNorm(&ch[0]);
-    stem->Add(std::make_unique<nn::ReLU>());
-  }
-
-  std::vector<nn::ModulePtr> blocks;
-  std::vector<std::string> block_names;
-  std::vector<int> block_stage;
-
-  int flat = 0;
-  for (int s = 0; s < num_stages && flat < kept_blocks; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    for (int b = 0; b < config_.stage_blocks[su] && flat < kept_blocks;
-         ++b, ++flat) {
-      const bool first_of_stage = (b == 0);
-      const bool downsample = first_of_stage && s > 0;
-      const std::vector<int>& in_idx = downsample ? ch[su - 1] : ch[su];
-      const std::vector<int>& out_idx = ch[su];
-      const std::vector<int>& mid_idx = exp_ch[su];
-      const int in_c = static_cast<int>(in_idx.size());
-      const int out_c = static_cast<int>(out_idx.size());
-      const int mid_c = static_cast<int>(mid_idx.size());
-      const int stride = downsample ? 2 : 1;
-
-      auto body = std::make_unique<nn::Sequential>();
-      body->Add(MakeConv(in_c, mid_c, 1, 1, 0, init_rng));  // expand
-      mb.AddConv2d(&mid_idx, &in_idx, false);
-      body->Add(std::make_unique<nn::BatchNorm>(mid_c));
-      mb.AddBatchNorm(&mid_idx);
-      body->Add(std::make_unique<nn::ReLU>());
-      body->Add(MakeConv(mid_c, mid_c, 3, stride, 1, init_rng));  // spatial
-      mb.AddConv2d(&mid_idx, &mid_idx, false);
-      body->Add(std::make_unique<nn::BatchNorm>(mid_c));
-      mb.AddBatchNorm(&mid_idx);
-      body->Add(std::make_unique<nn::ReLU>());
-      body->Add(MakeConv(mid_c, out_c, 1, 1, 0, init_rng));  // project
-      mb.AddConv2d(&out_idx, &mid_idx, false);
-      body->Add(std::make_unique<nn::BatchNorm>(out_c));
-      mb.AddBatchNorm(&out_idx);
-
-      nn::ModulePtr shortcut;
-      const bool need_projection = downsample;
-      if (need_projection) {
-        auto proj = std::make_unique<nn::Sequential>();
-        proj->Add(MakeConv(in_c, out_c, 1, stride, 0, init_rng));
-        mb.AddConv2d(&out_idx, &in_idx, false);
-        proj->Add(std::make_unique<nn::BatchNorm>(out_c));
-        mb.AddBatchNorm(&out_idx);
-        shortcut = std::move(proj);
-      } else {
-        MHB_CHECK_EQ(in_c, out_c);
-      }
-      blocks.push_back(
-          std::make_unique<nn::Residual>(std::move(body), std::move(shortcut)));
-      block_names.push_back("s" + std::to_string(s) + "b" + std::to_string(b));
-      block_stage.push_back(s);
-    }
-  }
-
-  std::vector<int> exits;
-  if (spec.multi_head) {
-    for (int b = 0; b < kept_blocks; ++b) exits.push_back(b);
-  } else {
-    exits.push_back(kept_blocks - 1);
-  }
-  std::vector<nn::ModulePtr> heads;
-  std::vector<std::string> head_names;
-  for (int e : exits) {
-    const auto stage =
-        static_cast<std::size_t>(block_stage[static_cast<std::size_t>(e)]);
-    const int feat = static_cast<int>(ch[stage].size());
-    auto head = std::make_unique<nn::Sequential>();
-    head->Add(std::make_unique<nn::GlobalAvgPool2d>());
-    head->Add(std::make_unique<nn::Linear>(
-        nn::KaimingNormal({config_.num_classes, feat}, feat, init_rng),
-        Tensor({config_.num_classes})));
-    mb.AddLinear(nullptr, &ch[stage], true);
-    heads.push_back(std::move(head));
-    head_names.push_back("head" + std::to_string(e));
-  }
-
-  BuiltModel built;
-  built.net = std::make_unique<TrunkModel>(
-      std::move(stem), std::move(blocks), std::move(exits), std::move(heads),
-      std::move(block_names), std::move(head_names));
-  built.mapping = mb.Finalize(*built.net);
-  return built;
+  TrunkBuilder tb(spec, total_blocks(), init_rng);
+  tb.ConvStem(config_.in_channels, ch[0], 3);
+  tb.AddResidualStages(
+      config_.stage_blocks, ch, /*relu_after=*/false,
+      [&](nn::Sequential& body, const std::vector<int>& in,
+          const std::vector<int>& out, int stage, int stride) {
+        const std::vector<int>& mid = exp_ch[static_cast<std::size_t>(stage)];
+        tb.ConvBn(body, in, mid, 1, 1, /*relu=*/true);         // expand
+        tb.ConvBn(body, mid, mid, 3, stride, /*relu=*/true);   // spatial
+        tb.ConvBn(body, mid, out, 1, 1, /*relu=*/false);       // project
+      });
+  return tb.Finish(config_.num_classes);
 }
 
 }  // namespace mhbench::models

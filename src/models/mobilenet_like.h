@@ -30,10 +30,10 @@ class MobileNetLike : public ModelFamily {
   std::string name() const override { return config_.name; }
   int num_classes() const override { return config_.num_classes; }
   Shape sample_shape() const override;
-  int total_blocks() const override;
+  int total_blocks() const override {
+    return TotalBlocks(config_.stage_blocks);
+  }
   BuiltModel Build(const BuildSpec& spec, Rng& init_rng) const override;
-
-  const MobileNetLikeConfig& config() const { return config_; }
 
  private:
   MobileNetLikeConfig config_;

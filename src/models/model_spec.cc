@@ -174,6 +174,12 @@ void TrunkModel::CollectParams(const std::string& prefix,
   }
 }
 
+int TotalBlocks(const std::vector<int>& stage_blocks) {
+  int n = 0;
+  for (int b : stage_blocks) n += b;
+  return n;
+}
+
 Tokenwise::Tokenwise(nn::ModulePtr inner) : inner_(std::move(inner)) {
   MHB_CHECK(inner_ != nullptr);
 }

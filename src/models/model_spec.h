@@ -173,4 +173,7 @@ class ModelFamily {
 
 using FamilyPtr = std::shared_ptr<const ModelFamily>;
 
+// Depth units of a staged family: the sum of its per-stage block counts.
+int TotalBlocks(const std::vector<int>& stage_blocks);
+
 }  // namespace mhbench::models

@@ -1,152 +1,41 @@
 #include "models/resnet_like.h"
 
-#include "nn/activation.h"
-#include "nn/conv.h"
-#include "nn/init.h"
-#include "nn/linear.h"
-#include "nn/norm.h"
-#include "nn/pool.h"
+#include "models/trunk_builder.h"
 
 namespace mhbench::models {
-namespace {
 
-// Builds conv weights of the sliced shape directly.
-nn::ModulePtr MakeConv(int in_c, int out_c, int k, int stride, int pad,
-                       Rng& rng) {
-  return std::make_unique<nn::Conv2d>(
-      nn::KaimingNormal({out_c, in_c, k, k}, in_c * k * k, rng), Tensor(),
-      stride, pad);
+BuiltModel BuildResidualCnn(int in_channels, int num_classes,
+                            const std::vector<int>& stage_channels,
+                            const std::vector<int>& stage_blocks,
+                            bool unit_height, const BuildSpec& spec,
+                            Rng& init_rng) {
+  std::vector<std::vector<int>> ch;  // kept channels per stage
+  for (int c : stage_channels) ch.push_back(spec.ChannelIndices(c));
+  TrunkBuilder tb(spec, TotalBlocks(stage_blocks), init_rng, unit_height);
+  tb.ConvStem(in_channels, ch[0], unit_height ? 5 : 3);
+  tb.AddResidualStages(
+      stage_blocks, ch, /*relu_after=*/true,
+      [&tb](nn::Sequential& body, const std::vector<int>& in,
+            const std::vector<int>& out, int /*stage*/, int stride) {
+        tb.ConvBn(body, in, out, 3, stride, /*relu=*/true);
+        tb.ConvBn(body, out, out, 3, 1, /*relu=*/false);
+      });
+  return tb.Finish(num_classes);
 }
 
-}  // namespace
-
 ResNetLike::ResNetLike(ResNetLikeConfig config) : config_(std::move(config)) {
-  MHB_CHECK_GT(config_.in_channels, 0);
-  MHB_CHECK_GT(config_.num_classes, 0);
-  MHB_CHECK_EQ(config_.stage_channels.size(), config_.stage_blocks.size());
-  MHB_CHECK(!config_.stage_channels.empty());
-  for (std::size_t s = 0; s < config_.stage_channels.size(); ++s) {
-    MHB_CHECK_GT(config_.stage_channels[s], 0);
-    MHB_CHECK_GT(config_.stage_blocks[s], 0);
-  }
+  CheckStages(config_.in_channels, config_.num_classes,
+              config_.stage_channels, config_.stage_blocks);
 }
 
 Shape ResNetLike::sample_shape() const {
   return {config_.in_channels, config_.image_size, config_.image_size};
 }
 
-int ResNetLike::total_blocks() const {
-  int n = 0;
-  for (int b : config_.stage_blocks) n += b;
-  return n;
-}
-
 BuiltModel ResNetLike::Build(const BuildSpec& spec, Rng& init_rng) const {
-  const int num_stages = static_cast<int>(config_.stage_channels.size());
-  // Kept-channel indices per stage.
-  std::vector<std::vector<int>> ch(static_cast<std::size_t>(num_stages));
-  for (int s = 0; s < num_stages; ++s) {
-    ch[static_cast<std::size_t>(s)] =
-        spec.ChannelIndices(config_.stage_channels[static_cast<std::size_t>(s)]);
-  }
-  const int kept_blocks = spec.KeptBlocks(total_blocks());
-
-  MappingBuilder mb;
-
-  // Stem: conv3x3 (full input channels -> stage-0 subset) + BN + ReLU.
-  auto stem = std::make_unique<nn::Sequential>();
-  {
-    const int c0 = static_cast<int>(ch[0].size());
-    stem->Add(MakeConv(config_.in_channels, c0, 3, 1, 1, init_rng));
-    mb.AddConv2d(&ch[0], nullptr, /*bias=*/false);
-    stem->Add(std::make_unique<nn::BatchNorm>(c0));
-    mb.AddBatchNorm(&ch[0]);
-    stem->Add(std::make_unique<nn::ReLU>());
-  }
-
-  std::vector<nn::ModulePtr> blocks;
-  std::vector<std::string> block_names;
-  std::vector<int> block_stage;  // stage of each kept block
-
-  int flat = 0;
-  for (int s = 0; s < num_stages && flat < kept_blocks; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    for (int b = 0; b < config_.stage_blocks[su] && flat < kept_blocks;
-         ++b, ++flat) {
-      const bool first_of_stage = (b == 0);
-      const bool downsample = first_of_stage && s > 0;
-      const std::vector<int>& in_idx =
-          (first_of_stage && s > 0) ? ch[su - 1] : ch[su];
-      const std::vector<int>& out_idx = ch[su];
-      const int in_c = static_cast<int>(in_idx.size());
-      const int out_c = static_cast<int>(out_idx.size());
-      const int stride = downsample ? 2 : 1;
-      // Projection shortcuts are decided by the *full-scale* structure so
-      // that sub-models always mirror the global model's module tree (a
-      // ratio that happens to collapse two stages to equal widths must not
-      // silently drop the projection).
-      const bool need_projection = first_of_stage && s > 0;
-      if (!need_projection) MHB_CHECK_EQ(in_c, out_c);
-
-      auto body = std::make_unique<nn::Sequential>();
-      body->Add(MakeConv(in_c, out_c, 3, stride, 1, init_rng));
-      mb.AddConv2d(&out_idx, &in_idx, false);
-      body->Add(std::make_unique<nn::BatchNorm>(out_c));
-      mb.AddBatchNorm(&out_idx);
-      body->Add(std::make_unique<nn::ReLU>());
-      body->Add(MakeConv(out_c, out_c, 3, 1, 1, init_rng));
-      mb.AddConv2d(&out_idx, &out_idx, false);
-      body->Add(std::make_unique<nn::BatchNorm>(out_c));
-      mb.AddBatchNorm(&out_idx);
-
-      nn::ModulePtr shortcut;
-      if (need_projection) {
-        auto proj = std::make_unique<nn::Sequential>();
-        proj->Add(MakeConv(in_c, out_c, 1, stride, 0, init_rng));
-        mb.AddConv2d(&out_idx, &in_idx, false);
-        proj->Add(std::make_unique<nn::BatchNorm>(out_c));
-        mb.AddBatchNorm(&out_idx);
-        shortcut = std::move(proj);
-      }
-
-      auto block = std::make_unique<nn::Sequential>();
-      block->Add(
-          std::make_unique<nn::Residual>(std::move(body), std::move(shortcut)));
-      block->Add(std::make_unique<nn::ReLU>());
-      blocks.push_back(std::move(block));
-      block_names.push_back("s" + std::to_string(s) + "b" + std::to_string(b));
-      block_stage.push_back(s);
-    }
-  }
-
-  // Heads: GAP + linear at every kept exit (multi_head) or only the deepest.
-  std::vector<int> exits;
-  if (spec.multi_head) {
-    for (int b = 0; b < kept_blocks; ++b) exits.push_back(b);
-  } else {
-    exits.push_back(kept_blocks - 1);
-  }
-  std::vector<nn::ModulePtr> heads;
-  std::vector<std::string> head_names;
-  for (int e : exits) {
-    const auto stage = static_cast<std::size_t>(block_stage[static_cast<std::size_t>(e)]);
-    const int feat = static_cast<int>(ch[stage].size());
-    auto head = std::make_unique<nn::Sequential>();
-    head->Add(std::make_unique<nn::GlobalAvgPool2d>());
-    head->Add(std::make_unique<nn::Linear>(
-        nn::KaimingNormal({config_.num_classes, feat}, feat, init_rng),
-        Tensor({config_.num_classes})));
-    mb.AddLinear(nullptr, &ch[stage], true);
-    heads.push_back(std::move(head));
-    head_names.push_back("head" + std::to_string(e));
-  }
-
-  BuiltModel built;
-  built.net = std::make_unique<TrunkModel>(
-      std::move(stem), std::move(blocks), std::move(exits), std::move(heads),
-      std::move(block_names), std::move(head_names));
-  built.mapping = mb.Finalize(*built.net);
-  return built;
+  return BuildResidualCnn(config_.in_channels, config_.num_classes,
+                          config_.stage_channels, config_.stage_blocks,
+                          /*unit_height=*/false, spec, init_rng);
 }
 
 }  // namespace mhbench::models

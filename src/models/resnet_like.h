@@ -21,6 +21,16 @@ struct ResNetLikeConfig {
   std::vector<int> stage_blocks = {2, 2};
 };
 
+// The residual CNN that ResNetLike and HarCnn both build: a conv-bn-relu
+// stem (3 wide over [C, H, W] images, 5 wide over unit-height [C, L]
+// sensor windows), basic blocks of two 3-wide conv-bn layers, and GAP +
+// linear heads.  `unit_height` selects 1 x k kernels over [N, C, L] input.
+BuiltModel BuildResidualCnn(int in_channels, int num_classes,
+                            const std::vector<int>& stage_channels,
+                            const std::vector<int>& stage_blocks,
+                            bool unit_height, const BuildSpec& spec,
+                            Rng& init_rng);
+
 class ResNetLike : public ModelFamily {
  public:
   explicit ResNetLike(ResNetLikeConfig config);
@@ -28,10 +38,10 @@ class ResNetLike : public ModelFamily {
   std::string name() const override { return config_.name; }
   int num_classes() const override { return config_.num_classes; }
   Shape sample_shape() const override;
-  int total_blocks() const override;
+  int total_blocks() const override {
+    return TotalBlocks(config_.stage_blocks);
+  }
   BuiltModel Build(const BuildSpec& spec, Rng& init_rng) const override;
-
-  const ResNetLikeConfig& config() const { return config_; }
 
  private:
   ResNetLikeConfig config_;

@@ -1,5 +1,6 @@
 #include "models/transformer_lite.h"
 
+#include "models/trunk_builder.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
@@ -28,9 +29,8 @@ BuiltModel TransformerLite::Build(const BuildSpec& spec,
   const int d = config_.d_model;
   const std::vector<int> ffn_idx = spec.ChannelIndices(config_.ffn_hidden);
   const int f = static_cast<int>(ffn_idx.size());
-  const int kept_blocks = spec.KeptBlocks(config_.num_blocks);
-
-  MappingBuilder mb;
+  TrunkBuilder tb(spec, config_.num_blocks, init_rng);
+  MappingBuilder& mb = tb.mapping();
 
   // Stem: embedding (optionally factorized) + positional embedding.
   auto stem = std::make_unique<nn::Sequential>();
@@ -51,10 +51,9 @@ BuiltModel TransformerLite::Build(const BuildSpec& spec,
   stem->Add(
       std::make_unique<PositionalEmbedding>(config_.seq_len, d, init_rng));
   mb.AddPositional();
+  tb.SetStem(std::move(stem));
 
-  std::vector<nn::ModulePtr> blocks;
-  std::vector<std::string> block_names;
-  for (int b = 0; b < kept_blocks; ++b) {
+  for (int b = 0; b < tb.kept_blocks(); ++b) {
     auto attn_body = std::make_unique<nn::Sequential>();
     attn_body->Add(std::make_unique<nn::LayerNorm>(d));
     mb.AddLayerNorm(nullptr);
@@ -81,37 +80,17 @@ BuiltModel TransformerLite::Build(const BuildSpec& spec,
     auto block = std::make_unique<nn::Sequential>();
     block->Add(std::make_unique<nn::Residual>(std::move(attn_body), nullptr));
     block->Add(std::make_unique<nn::Residual>(std::move(ffn_body), nullptr));
-    blocks.push_back(std::move(block));
-    block_names.push_back("layer" + std::to_string(b));
+    tb.AddBlock(std::move(block), "layer" + std::to_string(b), nullptr, d);
   }
 
-  std::vector<int> exits;
-  if (spec.multi_head) {
-    for (int b = 0; b < kept_blocks; ++b) exits.push_back(b);
-  } else {
-    exits.push_back(kept_blocks - 1);
-  }
-  std::vector<nn::ModulePtr> heads;
-  std::vector<std::string> head_names;
-  for (int e : exits) {
-    auto head = std::make_unique<nn::Sequential>();
-    head->Add(std::make_unique<nn::LayerNorm>(d));
-    mb.AddLayerNorm(nullptr);
-    head->Add(std::make_unique<nn::MeanPoolSeq>());
-    head->Add(std::make_unique<nn::Linear>(
-        nn::KaimingNormal({config_.num_classes, d}, d, init_rng),
-        Tensor({config_.num_classes})));
-    mb.AddLinear(nullptr, nullptr, true);
-    heads.push_back(std::move(head));
-    head_names.push_back("head" + std::to_string(e));
-  }
-
-  BuiltModel built;
-  built.net = std::make_unique<TrunkModel>(
-      std::move(stem), std::move(blocks), std::move(exits), std::move(heads),
-      std::move(block_names), std::move(head_names));
+  // Heads: LayerNorm + mean over the sequence, then the shared linear.
+  BuiltModel built = tb.Finish(
+      config_.num_classes, [d](nn::Sequential& head, MappingBuilder& hmb) {
+        head.Add(std::make_unique<nn::LayerNorm>(d));
+        hmb.AddLayerNorm(nullptr);
+        head.Add(std::make_unique<nn::MeanPoolSeq>());
+      });
   built.trunk().set_embedding_layout(TrunkModel::EmbeddingLayout::kSeqFirst);
-  built.mapping = mb.Finalize(*built.net);
   return built;
 }
 

@@ -39,8 +39,6 @@ class TransformerLite : public ModelFamily {
   int total_blocks() const override { return config_.num_blocks; }
   BuiltModel Build(const BuildSpec& spec, Rng& init_rng) const override;
 
-  const TransformerLiteConfig& config() const { return config_; }
-
  private:
   TransformerLiteConfig config_;
 };

@@ -1,8 +1,6 @@
 #include "models/zoo.h"
 
 #include "core/error.h"
-#include "models/albert_lite.h"
-#include "models/efficientnet_like.h"
 #include "models/googlenet_like.h"
 #include "models/har_cnn.h"
 #include "models/mobilenet_like.h"
@@ -23,12 +21,13 @@ FamilyPtr ResNet(const std::string& name, std::vector<int> channels,
 }
 
 FamilyPtr MobileNet(const std::string& name, std::vector<int> channels,
-                    std::vector<int> blocks, int classes) {
+                    std::vector<int> blocks, int classes, int expansion = 2) {
   MobileNetLikeConfig c;
   c.name = name;
   c.num_classes = classes;
   c.stage_channels = std::move(channels);
   c.stage_blocks = std::move(blocks);
+  c.expansion = expansion;
   return std::make_shared<MobileNetLike>(c);
 }
 
@@ -40,15 +39,21 @@ FamilyPtr Transformer(const std::string& name, int blocks, int classes) {
   return std::make_shared<TransformerLite>(c);
 }
 
+// ALBERT analogue: a transformer whose tokens embed into 8 dims and are
+// projected up to d_model (ALBERT's factorized embedding).  Its cross-layer
+// parameter sharing is modeled at the cost level only (device cost
+// descriptors): the trainable network keeps per-layer parameters so
+// depth-heterogeneous algorithms have distinct layers to aggregate.
 FamilyPtr Albert(const std::string& name, int d_model, int ffn, int blocks,
                  int classes) {
-  AlbertLiteConfig c;
+  TransformerLiteConfig c;
   c.name = name;
   c.d_model = d_model;
   c.ffn_hidden = ffn;
   c.num_blocks = blocks;
   c.num_classes = classes;
-  return std::make_shared<AlbertLite>(c);
+  c.factorized_embed_dim = 8;
+  return std::make_shared<TransformerLite>(c);
 }
 
 FamilyPtr Har(const std::string& name, std::vector<int> channels,
@@ -90,12 +95,11 @@ std::vector<FamilyPtr> MakeMixedCvFamilies(int num_classes) {
   }
   out.push_back(MobileNet("mobilenetv2-like", {8, 16}, {1, 1}, num_classes));
   out.push_back(ResNet("resnet-like", {12, 24}, {2, 2}, num_classes));
-  {
-    EfficientNetLikeConfig c;  // expansion-4 MBConv: the largest
-    c.num_classes = num_classes;
-    c.compound = 1;
-    out.push_back(std::make_shared<EfficientNetLike>(c));
-  }
+  // EfficientNet-B1 analogue: MBConv blocks at EfficientNet's expansion 4,
+  // B0's {8, 16} x {1, 2} scaled by one compound step (~1.1x wider, one
+  // block deeper): the largest.
+  out.push_back(MobileNet("efficientnet-like", {9, 18}, {1, 3}, num_classes,
+                          /*expansion=*/4));
   return out;
 }
 

@@ -33,10 +33,11 @@ void PlanesToNCHWInto(const float* rows, int n, int oc, std::size_t plane,
   }
 }
 
-// Inverse of PlanesToNCHWInto (no bias): NCHW `t` -> rows[oc, n*plane].
+// Inverse of PlanesToNCHWInto (no bias): NCHW (or NCL) `t` ->
+// rows[oc, n*plane].
 void NCHWToPlanesInto(const Tensor& t, float* rows) {
   const int n = t.dim(0), oc = t.dim(1);
-  const std::size_t plane = static_cast<std::size_t>(t.dim(2)) * t.dim(3);
+  const std::size_t plane = t.numel() / (static_cast<std::size_t>(n) * oc);
   const std::size_t ld = static_cast<std::size_t>(n) * plane;
   const float* in = t.data().data();
   for (int b = 0; b < n; ++b) {
@@ -103,12 +104,20 @@ Conv2d::Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad_h,
 }
 
 Conv2d::Geometry Conv2d::GeometryOf(const Shape& x) const {
-  MHB_CHECK_EQ(static_cast<int>(x.size()), 4);
+  MHB_CHECK(x.size() == 3 || x.size() == 4)
+      << "conv input" << ShapeToString(x);
   MHB_CHECK_EQ(x[1], in_channels());
   Geometry g;
   g.n = x[0];
-  g.oh = (x[2] + 2 * pad_h_ - kernel_h()) / stride_ + 1;
-  g.ow = (x[3] + 2 * pad_w_ - kernel_w()) / stride_ + 1;
+  g.unit_height = x.size() == 3;
+  if (g.unit_height) {
+    MHB_CHECK(kernel_h() == 1 && pad_h_ == 0)
+        << "[N, C, L] input needs a 1 x k kernel with pad_h 0";
+    g.oh = 1;
+  } else {
+    g.oh = (x[2] + 2 * pad_h_ - kernel_h()) / stride_ + 1;
+  }
+  g.ow = (x.back() + 2 * pad_w_ - kernel_w()) / stride_ + 1;
   g.ickk = in_channels() * kernel_h() * kernel_w();
   return g;
 }
@@ -122,7 +131,7 @@ Tensor Conv2d::FromColumns(const Geometry& g, const float* cols) const {
   kernels::Gemm(false, false, oc, g.rows(), g.ickk,
                 weight_.value.data().data(), g.ickk, cols, g.rows(), 0.0f,
                 rows, g.rows());
-  Tensor out = Tensor::Uninitialized({g.n, oc, g.oh, g.ow});
+  Tensor out = Tensor::Uninitialized(g.output(oc));
   PlanesToNCHWInto(rows, g.n, oc, static_cast<std::size_t>(g.oh) * g.ow,
                    has_bias() ? bias_.value.data().data() : nullptr,
                    out.data().data());
@@ -156,7 +165,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   MHB_CHECK(!cached_cols_.empty()) << "Backward before Forward";
   const Geometry g = GeometryOf(cached_input_shape_);
   const int oc = out_channels();
-  MHB_CHECK(grad_out.shape() == Shape({g.n, oc, g.oh, g.ow}))
+  MHB_CHECK(grad_out.shape() == g.output(oc))
       << "conv grad" << ShapeToString(grad_out.shape()) << "for input"
       << ShapeToString(cached_input_shape_);
   const int rows_n = g.rows();
@@ -186,54 +195,6 @@ void Conv2d::CollectParams(const std::string& prefix,
                            std::vector<NamedParam>& out) {
   out.push_back({JoinName(prefix, "weight"), &weight_});
   if (has_bias()) out.push_back({JoinName(prefix, "bias"), &bias_});
-}
-
-namespace {
-Tensor Unsqueeze1dWeight(Tensor w) {
-  MHB_CHECK_EQ(w.ndim(), 3);
-  const int oc = w.dim(0), ic = w.dim(1), k = w.dim(2);
-  return w.Reshape({oc, ic, 1, k});
-}
-}  // namespace
-
-Conv1d::Conv1d(int in_channels, int out_channels, int kernel, int stride,
-               int pad, Rng& rng, bool bias)
-    : conv_(KaimingNormal({out_channels, in_channels, 1, kernel},
-                          in_channels * kernel, rng),
-            bias ? Tensor({out_channels}) : Tensor(), stride, /*pad_h=*/0,
-            pad) {}
-
-Conv1d::Conv1d(Tensor weight, Tensor bias_or_empty, int stride, int pad)
-    : conv_(Unsqueeze1dWeight(std::move(weight)), std::move(bias_or_empty),
-            stride, /*pad_h=*/0, pad) {}
-
-namespace {
-// [N, C, L] <-> [N, C, 1, L] views of Conv1d's input and output.
-Tensor AddUnitHeight(const Tensor& x) {
-  MHB_CHECK_EQ(x.ndim(), 3);  // [N, C, L]
-  return x.Reshape({x.dim(0), x.dim(1), 1, x.dim(2)});
-}
-Tensor DropUnitHeight(Tensor y4) {
-  const Shape shape = {y4.dim(0), y4.dim(1), y4.dim(3)};
-  return std::move(y4).Reshape(shape);
-}
-}  // namespace
-
-Tensor Conv1d::Forward(const Tensor& x) {
-  return DropUnitHeight(conv_.Forward(AddUnitHeight(x)));
-}
-
-Tensor Conv1d::Infer(const Tensor& x, NormStats stats) const {
-  return DropUnitHeight(conv_.Infer(AddUnitHeight(x), stats));
-}
-
-Tensor Conv1d::Backward(const Tensor& grad_out) {
-  return DropUnitHeight(conv_.Backward(AddUnitHeight(grad_out)));
-}
-
-void Conv1d::CollectParams(const std::string& prefix,
-                           std::vector<NamedParam>& out) {
-  conv_.CollectParams(prefix, out);
 }
 
 }  // namespace mhbench::nn

@@ -1,8 +1,9 @@
-// Convolution layers (im2col based).
+// Convolution layer (im2col based).
 //
-// Conv2d operates on [N, C, H, W]; Conv1d on [N, C, L] (implemented as a
-// height-1 Conv2d).  Weight layout is [out_c, in_c, kh, kw] so sub-model
-// extraction can slice output/input channel dimensions directly.
+// Conv2d operates on [N, C, H, W], and on [N, C, L] as its unit-height case:
+// a 1 x k kernel with pad_h 0 maps [N, C, L] to [N, out_c, L'] with no copy
+// of the input or the gradient.  Weight layout is [out_c, in_c, kh, kw] so
+// sub-model extraction can slice output/input channel dimensions directly.
 //
 // Layout.  The im2col matrix is channel-major, cols[ickk, R] with
 // ickk = in_c*kh*kw and R = N*OH*OW (tensor/ops.h): each kernel tap's row is
@@ -32,7 +33,7 @@ class Conv2d : public Module {
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          Rng& rng, bool bias = true);
   Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad);
-  // Asymmetric padding variant (used by Conv1d to pad only the length axis).
+  // Asymmetric padding variant (1 x k kernels pad only the length axis).
   Conv2d(Tensor weight, Tensor bias_or_empty, int stride, int pad_h,
          int pad_w);
 
@@ -58,7 +59,11 @@ class Conv2d : public Module {
   // Output extents for an input of shape `x` (checked).
   struct Geometry {
     int n, oh, ow, ickk;
+    bool unit_height;  // [N, C, L] input, so [N, out_c, L'] output
     int rows() const { return n * oh * ow; }
+    Shape output(int oc) const {
+      return unit_height ? Shape{n, oc, ow} : Shape{n, oc, oh, ow};
+    }
   };
   Geometry GeometryOf(const Shape& x) const;
   // The output for the im2col matrix `cols` ([ickk, rows]) of an input.
@@ -71,27 +76,6 @@ class Conv2d : public Module {
   int pad_w_ = 0;
   Tensor cached_cols_;      // im2col of last input, [ickk, rows]
   Shape cached_input_shape_;
-};
-
-// 1-D convolution over [N, C, L]; wraps Conv2d by inserting a unit height.
-class Conv1d : public Module {
- public:
-  Conv1d(int in_channels, int out_channels, int kernel, int stride, int pad,
-         Rng& rng, bool bias = true);
-  Conv1d(Tensor weight /*[out_c, in_c, k]*/, Tensor bias_or_empty, int stride,
-         int pad);
-
-  Tensor Forward(const Tensor& x) override;
-  Tensor Infer(const Tensor& x, NormStats stats) const override;
-  Tensor Backward(const Tensor& grad_out) override;
-  void CollectParams(const std::string& prefix,
-                     std::vector<NamedParam>& out) override;
-
-  int in_channels() const { return conv_.in_channels(); }
-  int out_channels() const { return conv_.out_channels(); }
-
- private:
-  Conv2d conv_;
 };
 
 }  // namespace mhbench::nn

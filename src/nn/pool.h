@@ -5,20 +5,9 @@
 
 namespace mhbench::nn {
 
-// Global average pooling: [N, C, H, W] -> [N, C].
-class GlobalAvgPool2d : public Module {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Infer(const Tensor& x, NormStats stats) const override;
-  Tensor Backward(const Tensor& grad_out) override;
-  void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
-
- private:
-  Shape cached_input_shape_;
-};
-
-// Global average pooling over the length axis: [N, C, L] -> [N, C].
-class GlobalAvgPool1d : public Module {
+// Global average pooling over every trailing dim: [N, C, ...] -> [N, C]
+// (images [N, C, H, W], sensor windows [N, C, L]).
+class GlobalAvgPool : public Module {
  public:
   Tensor Forward(const Tensor& x) override;
   Tensor Infer(const Tensor& x, NormStats stats) const override;

@@ -217,16 +217,26 @@ int OutExtent(int in, int pad, int k, int stride) {
   return (in + 2 * pad - k) / stride + 1;
 }
 
+// [N, C, H, W], or [N, C, L] read as the unit-height case H = 1.
+struct ImageDims {
+  int n, c, h, w;
+};
+ImageDims ImageDimsOf(const Shape& s) {
+  MHB_CHECK(s.size() == 3 || s.size() == 4)
+      << "image input must be [N, C, H, W] or [N, C, L], got"
+      << ShapeToString(s);
+  if (s.size() == 3) return {s[0], s[1], 1, s[2]};
+  return {s[0], s[1], s[2], s[3]};
+}
+
 }  // namespace
 
 void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
                 int pad_w, float* out) {
-  MHB_CHECK_EQ(input.ndim(), 4);
   MHB_CHECK_GT(stride, 0);
   MHB_CHECK_GE(pad_h, 0);
   MHB_CHECK_GE(pad_w, 0);
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
+  const auto [n, c, h, w] = ImageDimsOf(input.shape());
   const int oh = OutExtent(h, pad_h, kh, stride);
   const int ow = OutExtent(w, pad_w, kw, stride);
   MHB_CHECK_GT(oh, 0);
@@ -301,9 +311,7 @@ void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
 
 Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
               int pad_w) {
-  MHB_CHECK_EQ(input.ndim(), 4);
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
+  const auto [n, c, h, w] = ImageDimsOf(input.shape());
   const int oh = OutExtent(h, pad_h, kh, stride);
   const int ow = OutExtent(w, pad_w, kw, stride);
   MHB_CHECK_GT(oh, 0);
@@ -315,9 +323,7 @@ Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
 
 void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
                int stride, int pad_h, int pad_w, float* out) {
-  MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
-  const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
-            w = input_shape[3];
+  const auto [n, c, h, w] = ImageDimsOf(input_shape);
   const int oh = OutExtent(h, pad_h, kh, stride);
   const int ow = OutExtent(w, pad_w, kw, stride);
   const std::size_t out_cs = static_cast<std::size_t>(h) * w;
@@ -382,9 +388,7 @@ void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
 Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh, int kw,
               int stride, int pad_h, int pad_w) {
   MHB_CHECK_EQ(cols.ndim(), 2);
-  MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
-  const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
-            w = input_shape[3];
+  const auto [n, c, h, w] = ImageDimsOf(input_shape);
   const int oh = OutExtent(h, pad_h, kh, stride);
   const int ow = OutExtent(w, pad_w, kw, stride);
   MHB_CHECK_EQ(cols.dim(0), c * kh * kw);

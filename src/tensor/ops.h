@@ -36,9 +36,10 @@ Tensor LogSoftmaxRows(const Tensor& logits);
 // Index of the max element in each row of [n, c].
 std::vector<int> ArgmaxRows(const Tensor& t);
 
-// im2col for 2-D convolution, channel-major.  Input [N, C, H, W]; returns
-// the column matrix [C*KH*KW, N*OH*OW] with zero padding (pad_h, pad_w) and
-// stride `stride`.  Row p = (ch*KH + ky)*KW + kx is one kernel tap, in the
+// im2col for 2-D convolution, channel-major.  Input [N, C, H, W], or
+// [N, C, L] as the unit-height case H = 1 (so too every input shape
+// below); returns the column matrix [C*KH*KW, N*OH*OW] with zero padding
+// (pad_h, pad_w) and stride `stride`.  Row p = (ch*KH + ky)*KW + kx is one kernel tap, in the
 // flat order of a [out_c, C, KH, KW] weight; column r = (b*OH + oy)*OW + ox
 // is one output pixel.  So W[out_c, C*KH*KW] · cols is the convolution as
 // [out_c, N*OH*OW], whose (b, oc) slices are the NCHW output planes, and

@@ -18,8 +18,6 @@ TEST(ParamStoreTest, FromModuleSnapshotsAllParams) {
   std::vector<nn::NamedParam> params;
   built.net->CollectParams("", params);
   EXPECT_EQ(store.size(), params.size());
-  EXPECT_EQ(store.TotalParams(), built.net->NumParams());
-  EXPECT_EQ(store.TotalBytes(), built.net->NumParams() * 4);
 }
 
 TEST(ParamStoreTest, GetUnknownThrows) {
@@ -58,19 +56,6 @@ TEST(ParamStoreTest, LoadIntoSubModelGathersSlices) {
     EXPECT_TRUE(params[i].param->value.AllClose(expect, 0.0f))
         << sub.mapping[i].name;
   }
-}
-
-TEST(ParamStoreTest, RoundTripLoadStore) {
-  Rng rng(3);
-  const auto tm = models::MakeTaskModels("cifar10");
-  auto built = tm.primary->Build(models::BuildSpec{}, rng);
-  ParamStore store = ParamStore::FromModule(*built.net);
-  // Perturb module, write back, reload: store must follow.
-  std::vector<nn::NamedParam> params;
-  built.net->CollectParams("", params);
-  params[0].param->value.Fill(42.0f);
-  store.StoreFrom(*built.net);
-  EXPECT_EQ(store.Get(params[0].name)[0], 42.0f);
 }
 
 TEST(ParamStoreTest, NamesSorted) {

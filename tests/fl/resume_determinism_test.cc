@@ -317,6 +317,41 @@ TEST(ResumeDeterminismTest, AuditComponentsMatchAcrossResume) {
   }
 }
 
+// Snapshots are byte-reproducible: one config at 1 and at 4 threads writes
+// the same round-2 snapshot byte for byte.  The obs section carries only
+// the metrics the det-audit ledger hashes; wall-clock and pool-scheduling
+// totals (client_wall_us, pool_tasks) stay in the measuring process.
+TEST(ResumeDeterminismTest, SnapshotBytesMatchAcrossThreadCounts) {
+  const Case c{"sheterofl", "cifar10"};
+  data::TaskConfig tcfg;
+  tcfg.train_samples = 240;
+  tcfg.test_samples = 120;
+  tcfg.num_clients = 6;
+  const data::Task task = data::MakeTask(c.task, tcfg);
+  const auto dir = testsupport::MakeTempDir();
+  std::vector<std::vector<char>> snapshots;
+  for (const int threads : {1, 4}) {
+    obs::Registry reg;
+    RunSpec spec;
+    spec.registry = &reg;
+    spec.num_threads = threads;
+    spec.checkpoint_every = 2;
+    spec.checkpoint_dir = dir.File("t" + std::to_string(threads));
+    RunCase(c, task, spec);
+    std::ifstream in(spec.checkpoint_dir + "/round_000002.mhbsnap",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    snapshots.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    if (threads == 4) {
+      EXPECT_GT(reg.Total("pool_tasks"), 0) << "the pool never ran a task";
+    }
+  }
+  ASSERT_FALSE(snapshots[0].empty());
+  EXPECT_TRUE(snapshots[0] == snapshots[1])
+      << "round_000002.mhbsnap differs between --threads 1 and 4";
+}
+
 // ---------------------------------------------------------------------------
 // Reject paths: a snapshot that does not match the run configuration, or
 // whose bytes are damaged, must throw from Run() instead of resuming.

@@ -6,7 +6,6 @@
 
 #include "core/rng.h"
 #include "fl/param_store.h"
-#include "models/efficientnet_like.h"
 #include "models/googlenet_like.h"
 #include "models/zoo.h"
 #include "nn/activation.h"
@@ -150,23 +149,11 @@ TEST(GoogleNetLikeTest, TrainsOneStep) {
   EXPECT_GT(with_grad, 10);
 }
 
-TEST(EfficientNetLikeTest, CompoundScalingGrows) {
-  std::size_t prev = 0;
-  Rng rng(7);
-  for (int compound : {0, 2, 4}) {
-    EfficientNetLikeConfig cfg;
-    cfg.compound = compound;
-    EfficientNetLike fam(cfg);
-    const std::size_t params = fam.Build(BuildSpec{}, rng).net->NumParams();
-    EXPECT_GT(params, prev) << compound;
-    prev = params;
-  }
-}
-
 TEST(EfficientNetLikeTest, ForwardShape) {
   Rng rng(8);
-  EfficientNetLike fam(EfficientNetLikeConfig{});
-  auto built = fam.Build(BuildSpec{}, rng);
+  const FamilyPtr fam = MakeMixedCvFamilies(10).back();
+  ASSERT_EQ(fam->name(), "efficientnet-like");
+  auto built = fam->Build(BuildSpec{}, rng);
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
   EXPECT_EQ(built.net->Forward(x).shape(), Shape({2, 10}));
 }

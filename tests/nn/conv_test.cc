@@ -1,12 +1,14 @@
 #include "nn/conv.h"
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
 #include "grad_check.h"
+#include "nn/init.h"
 #include "tensor/gemm.h"
 
 namespace mhbench::nn {
@@ -67,18 +69,26 @@ TEST(Conv2dTest, GradientCheckStride2NoBias) {
   testing::ExpectGradientsClose(conv, x, rng);
 }
 
-TEST(Conv1dTest, ShapeAndGradient) {
+// A 1 x k Conv2d with pad_h 0 over [N, C, L]: the unit-height case the HAR
+// CNN runs on sensor windows.
+Conv2d UnitHeightConv(int in_c, int out_c, int k, int stride, int pad,
+                      Rng& rng) {
+  return Conv2d(KaimingNormal({out_c, in_c, 1, k}, in_c * k, rng),
+                Tensor({out_c}), stride, /*pad_h=*/0, pad);
+}
+
+TEST(Conv2dUnitHeightTest, ShapeAndGradient) {
   Rng rng(6);
-  Conv1d conv(2, 4, 3, 1, 1, rng);
+  Conv2d conv = UnitHeightConv(2, 4, 3, 1, 1, rng);
   const Tensor x = Tensor::Randn({2, 2, 8}, rng);
   const Tensor y = conv.Forward(x);
   EXPECT_EQ(y.shape(), Shape({2, 4, 8}));
   testing::ExpectGradientsClose(conv, x, rng);
 }
 
-TEST(Conv1dTest, StrideReducesLength) {
+TEST(Conv2dUnitHeightTest, StrideReducesLength) {
   Rng rng(7);
-  Conv1d conv(1, 1, 3, 2, 1, rng);
+  Conv2d conv = UnitHeightConv(1, 1, 3, 2, 1, rng);
   const Tensor x = Tensor::Randn({1, 1, 8}, rng);
   EXPECT_EQ(conv.Forward(x).shape(), Shape({1, 1, 4}));
 }
@@ -98,9 +108,17 @@ TEST(Conv2dTest, BackwardRejectsGradOfWrongShape) {
   EXPECT_EQ(conv.Backward(Tensor({2, 4, 8, 8})).shape(), x.shape());
 }
 
-TEST(Conv1dTest, BackwardRejectsGradOfWrongShape) {
+TEST(Conv2dUnitHeightTest, RejectsKernelTallerThanOne) {
+  Rng rng(13);
+  Conv2d conv(2, 4, 3, 1, 1, rng);  // 3 x 3
+  EXPECT_THROW(conv.Forward(Tensor({1, 2, 8})), Error);
+  Conv2d padded(Tensor({4, 2, 1, 3}), Tensor(), 1, /*pad_h=*/1, 1);
+  EXPECT_THROW(padded.Forward(Tensor({1, 2, 8})), Error);
+}
+
+TEST(Conv2dUnitHeightTest, BackwardRejectsGradOfWrongShape) {
   Rng rng(10);
-  Conv1d conv(2, 4, 5, 1, 2, rng);
+  Conv2d conv = UnitHeightConv(2, 4, 5, 1, 2, rng);
   const Tensor x = Tensor::Randn({2, 2, 16}, rng);
   conv.Forward(x);
   EXPECT_THROW(conv.Backward(Tensor({4, 4, 16})), Error);
@@ -315,20 +333,57 @@ TEST(Conv2dReferenceTest, NaiveBackendAgreesToTolerance) {
   }
 }
 
-TEST(Conv1dTest, MatchesItsUnitHeightConv2dBitwise) {
+TEST(Conv2dUnitHeightTest, MatchesTheFourDimViewBitwise) {
   Rng rng(11);
-  const Tensor w = Tensor::Randn({5, 3, 5}, rng);
+  const Tensor w = Tensor::Randn({5, 3, 1, 5}, rng);
   const Tensor b = Tensor::Randn({5}, rng);
-  Conv1d conv1(w, b, 1, 2);
-  Conv2d conv2(w.Reshape({5, 3, 1, 5}), b, 1, 0, 2);
+  Conv2d conv1(w, b, 1, 0, 2);
+  Conv2d conv2(w, b, 1, 0, 2);
   const Tensor x = Tensor::Randn({2, 3, 12}, rng);
   const Tensor y = conv1.Forward(x);
+  EXPECT_EQ(y.shape(), Shape({2, 5, 12}));
   EXPECT_TRUE(BitEqual(y, conv2.Forward(x.Reshape({2, 3, 1, 12}))
                               .Reshape({2, 5, 12})));
+  EXPECT_TRUE(BitEqual(conv1.Infer(x, NormStats::kBatch), y));
   const Tensor g = Tensor::Randn(y.shape(), rng);
   EXPECT_TRUE(BitEqual(conv1.Backward(g),
                        conv2.Backward(g.Reshape({2, 5, 1, 12}))
                            .Reshape({2, 3, 12})));
+  EXPECT_TRUE(BitEqual(conv1.weight().grad, conv2.weight().grad));
+  EXPECT_TRUE(BitEqual(conv1.bias().grad, conv2.bias().grad));
+}
+
+// Tensor buffers (fresh or recycled) that `fn` takes on this thread.
+std::uint64_t TensorAllocs(const std::function<void()>& fn) {
+  const Tensor::AllocStats before = Tensor::ThreadAllocStats();
+  fn();
+  const Tensor::AllocStats after = Tensor::ThreadAllocStats();
+  return (after.heap_allocs - before.heap_allocs) +
+         (after.pool_hits - before.pool_hits);
+}
+
+TEST(Conv2dUnitHeightTest, CopiesNeitherInputNorGradient) {
+  // A conv over [N, C, L] takes no more tensor buffers than the same conv
+  // over the [N, C, 1, L] view: its input and gradient are read in place.
+  Rng rng(12);
+  const Tensor w = Tensor::Randn({4, 3, 1, 5}, rng);
+  Conv2d conv1(w, Tensor(), 1, 0, 2);
+  Conv2d conv4(w, Tensor(), 1, 0, 2);
+  const Tensor x = Tensor::Randn({2, 3, 16}, rng);
+  const Tensor x4 = x.Reshape({2, 3, 1, 16});
+  const Tensor g = Tensor::Randn({2, 4, 16}, rng);
+  const Tensor g4 = g.Reshape({2, 4, 1, 16});
+  // Warm both layers' column caches.
+  conv1.Forward(x);
+  conv1.Backward(g);
+  conv4.Forward(x4);
+  conv4.Backward(g4);
+  EXPECT_LE(TensorAllocs([&] { conv1.Forward(x); }),
+            TensorAllocs([&] { conv4.Forward(x4); }));
+  EXPECT_LE(TensorAllocs([&] { conv1.Infer(x, NormStats::kBatch); }),
+            TensorAllocs([&] { conv4.Infer(x4, NormStats::kBatch); }));
+  EXPECT_LE(TensorAllocs([&] { conv1.Backward(g); }),
+            TensorAllocs([&] { conv4.Backward(g4); }));
 }
 
 }  // namespace

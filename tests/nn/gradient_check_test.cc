@@ -32,7 +32,7 @@ TEST(CompositeGradTest, ConvBnReluStack) {
   net.Add(std::make_unique<Conv2d>(2, 4, 3, 1, 1, rng, /*bias=*/false));
   net.Add(std::make_unique<BatchNorm>(4));
   net.Add(std::make_unique<ReLU>());
-  net.Add(std::make_unique<GlobalAvgPool2d>());
+  net.Add(std::make_unique<GlobalAvgPool>());
   net.Add(std::make_unique<Linear>(4, 3, rng));
   const Tensor x = Tensor::Randn({4, 2, 4, 4}, rng);
   testing::GradCheckOptions opts;

@@ -100,7 +100,7 @@ TEST(TrainingTest, SmallCnnLearnsPatterns) {
   net.Add(std::make_unique<Conv2d>(1, 4, 3, 1, 1, rng, false));
   net.Add(std::make_unique<BatchNorm>(4));
   net.Add(std::make_unique<ReLU>());
-  net.Add(std::make_unique<GlobalAvgPool2d>());
+  net.Add(std::make_unique<GlobalAvgPool>());
   net.Add(std::make_unique<Linear>(4, 2, rng));
   SgdOptions opts;
   opts.lr = 0.1;

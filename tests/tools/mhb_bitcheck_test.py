@@ -62,7 +62,7 @@ class MhbBitcheckTest(unittest.TestCase):
             self.stub("parent"),
             self.stub("change", manifest_prefix="/elsewhere/"))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        self.assertIn("identical: 54 runs", result.stdout)
+        self.assertIn("identical: 90 runs", result.stdout)
 
     def test_one_byte_ledger_difference_is_named(self):
         result = self.bitcheck(

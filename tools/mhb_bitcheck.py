@@ -4,7 +4,8 @@
 A change that must keep every result bit (a refactor, a speed-up) is checked
 by running the parent's and the change's `mhbench` on the same configs and
 comparing what they write.  The matrix is every algorithm x {cifar10,
-ucihar, agnews} x --threads {1, 4}, each run as
+cifar100, ucihar, agnews, stackoverflow} (one task per model family the CLI
+reaches) x --threads {1, 4}, each run as
 
   MHB_TRAIN=240 MHB_TEST=120 mhbench run --task T --algorithm A
       --rounds 4 --clients 12 --checkpoint-every 2 --checkpoint-dir ck
@@ -12,8 +13,8 @@ ucihar, agnews} x --threads {1, 4}, each run as
 
 in a fresh directory per binary.  Compared, per run: stdout (the
 "[manifest written to ...]" path line dropped), and every det_audit.jsonl
-and clients.mhbj under the manifest dir.  Snapshots are not compared: they
-carry wall-clock telemetry totals.
+and clients.mhbj under the manifest dir.  Snapshots are not compared:
+those of older revisions carry wall-clock telemetry totals.
 
 Usage:
   mhb_bitcheck.py <parent-mhbench> <change-mhbench>
@@ -31,7 +32,7 @@ import tempfile
 
 ALGORITHMS = ("fedavg", "fjord", "sheterofl", "fedrolex", "depthfl",
               "inclusivefl", "fedepth", "fedproto", "fedet")
-TASKS = ("cifar10", "ucihar", "agnews")
+TASKS = ("cifar10", "cifar100", "ucihar", "agnews", "stackoverflow")
 THREADS = (1, 4)
 COMPARED_FILES = ("det_audit.jsonl", "clients.mhbj")
 ENV = {"MHB_TRAIN": "240", "MHB_TEST": "120"}
