@@ -165,20 +165,6 @@ void BM_GatherSubmodel(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherSubmodel);
 
-void BM_ScatterAdd(benchmark::State& state) {
-  Rng rng(5);
-  Tensor dst({64, 64, 3, 3});
-  const Tensor src = Tensor::Randn({32, 32, 3, 3}, rng);
-  const ops::DimIndices idx = {models::PrefixIndices(64, 32),
-                               models::PrefixIndices(64, 32), std::nullopt,
-                               std::nullopt};
-  for (auto _ : state) {
-    ops::ScatterAddDims(dst, src, idx);
-    benchmark::DoNotOptimize(dst);
-  }
-}
-BENCHMARK(BM_ScatterAdd);
-
 void BM_SubModelBuild(benchmark::State& state) {
   Rng rng(6);
   const auto tm = models::MakeTaskModels("cifar100");
@@ -206,12 +192,42 @@ void BM_MaskedAggregationRound(benchmark::State& state) {
   for (auto _ : state) {
     fl::MaskedAverager avg;
     for (auto& c : clients) {
-      avg.Accumulate(fl::ExtractUpdate(*c.net, c.mapping, 10.0), store);
+      avg.Accumulate(fl::ExtractUpdate(*c.net, c.mapping, store, 10.0),
+                     store);
     }
     avg.ApplyTo(store);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MaskedAggregationRound);
+
+// fleet-obs's merge: 60 SHeteroFL har-cnn uploads (ucihar) at widths
+// 0.25/0.5/0.75/1.0, staged before the timed loop, then Accumulate x60 and
+// ApplyTo on one averager that keeps its buffers across rounds.
+void BM_MaskedAggregationRoundUcihar60(benchmark::State& state) {
+  Rng rng(8);
+  const auto tm = models::MakeTaskModels("ucihar");
+  models::BuildSpec full;
+  full.multi_head = true;
+  auto global = tm.primary->Build(full, rng);
+  fl::ParamStore store = fl::ParamStore::FromModule(*global.net);
+  std::vector<fl::ClientUpdate> updates;
+  for (int c = 0; c < 60; ++c) {
+    models::BuildSpec spec;
+    spec.width_ratio = 0.25 * (c % 4 + 1);
+    auto built = tm.primary->Build(spec, rng);
+    updates.push_back(fl::ExtractUpdate(*built.net, built.mapping, store,
+                                        static_cast<double>(5 + c % 3)));
+  }
+  fl::MaskedAverager avg;
+  for (auto _ : state) {
+    for (const auto& u : updates) avg.Accumulate(u, store);
+    avg.ApplyTo(store);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MaskedAggregationRoundUcihar60)
+    ->Name("BM_MaskedAggregationRound/ucihar60");
 
 void BM_CostModel(benchmark::State& state) {
   const device::CostModel cm(device::PaperDesc("resnet101"));

@@ -12,11 +12,7 @@ namespace mhbench::algorithms {
 namespace {
 
 std::int64_t NumParams(const fl::ClientUpdate& update) {
-  std::int64_t params = 0;
-  for (const auto& v : update.values) {
-    params += static_cast<std::int64_t>(v.numel());
-  }
-  return params;
+  return static_cast<std::int64_t>(update.values.size());
 }
 
 }  // namespace
@@ -70,7 +66,8 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   // participants never touch the shared averager.
   obs::Span extract_span("extract_update", "client");
   extract_span.Arg("client", static_cast<std::int64_t>(client_id));
-  slot = fl::ExtractUpdate(*built.net, built.mapping, weight);
+  slot =
+      fl::ExtractUpdate(*built.net, built.mapping, global_->store(), weight);
   if (extract_span) extract_span.Arg("params", NumParams(slot));
 }
 

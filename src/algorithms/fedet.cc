@@ -69,6 +69,7 @@ void FedEt::RunClient(int client_id, int round, Rng& rng) {
   // Stage the upload; the per-group averagers and counters are shared, so
   // they are only touched in the serial merge below.
   slot = fl::ExtractUpdate(*built.net, built.mapping,
+                           group_models_[au]->store(),
                            static_cast<double>(shard.size()));
 }
 

@@ -8,14 +8,42 @@
 
 namespace mhbench::fl {
 
+namespace {
+
+// FNV-1a, 64-bit: the layout fingerprint only has to tell layouts apart.
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
+void ParamStore::Relayout() {
+  std::size_t offset = 0;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (auto& [name, entry] : params_) {
+    entry.offset = offset;
+    entry.numel = entry.value.numel();
+    offset += entry.numel;
+    h = Fnv1a(h, name.data(), name.size() + 1);  // with the terminator
+    h = Fnv1a(h, &entry.numel, sizeof(entry.numel));
+  }
+  flat_size_ = offset;
+  fingerprint_ = h;
+}
+
 ParamStore ParamStore::FromModule(nn::Module& module) {
   ParamStore store;
   std::vector<nn::NamedParam> params;
   module.CollectParams("", params);
   for (auto& p : params) {
     MHB_CHECK(!store.Has(p.name)) << "duplicate parameter name" << p.name;
-    store.params_[p.name] = p.param->value;
+    store.params_[p.name].value = p.param->value;
   }
+  store.Relayout();
   return store;
 }
 
@@ -26,23 +54,30 @@ bool ParamStore::Has(const std::string& name) const {
 const Tensor& ParamStore::Get(const std::string& name) const {
   auto it = params_.find(name);
   MHB_CHECK(it != params_.end()) << "unknown parameter" << name;
-  return it->second;
+  return it->second.value;
 }
 
 Tensor& ParamStore::GetMutable(const std::string& name) {
   auto it = params_.find(name);
   MHB_CHECK(it != params_.end()) << "unknown parameter" << name;
-  return it->second;
+  return it->second.value;
 }
 
 void ParamStore::Set(const std::string& name, Tensor value) {
-  params_[name] = std::move(value);
+  params_[name].value = std::move(value);
+  Relayout();
+}
+
+std::size_t ParamStore::FlatOffset(const std::string& name) const {
+  auto it = params_.find(name);
+  MHB_CHECK(it != params_.end()) << "unknown parameter" << name;
+  return it->second.offset;
 }
 
 std::vector<std::string> ParamStore::Names() const {
   std::vector<std::string> names;
   names.reserve(params_.size());
-  for (const auto& [name, t] : params_) names.push_back(name);
+  for (const auto& [name, entry] : params_) names.push_back(name);
   return names;
 }
 
@@ -77,9 +112,9 @@ void ParamStore::LoadAll(nn::Module& module) const {
 std::vector<std::uint8_t> ParamStore::Serialize() const {
   ByteWriter out;
   out.U32(static_cast<std::uint32_t>(params_.size()));
-  for (const auto& [name, tensor] : params_) {
+  for (const auto& [name, entry] : params_) {
     out.String(name);
-    SerializeTensor(tensor, out);
+    SerializeTensor(entry.value, out);
   }
   return out.Release();
 }
@@ -90,9 +125,10 @@ ParamStore ParamStore::Deserialize(const std::vector<std::uint8_t>& bytes) {
   ParamStore store;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name = in.String(kMaxSnapshotNameLen);
-    store.params_[std::move(name)] = DeserializeTensor(in);
+    store.params_[std::move(name)].value = DeserializeTensor(in);
   }
   in.ExpectEnd();
+  store.Relayout();
   return store;
 }
 

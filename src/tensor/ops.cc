@@ -13,9 +13,10 @@ namespace {
 // Iterates over every combination of the given per-dimension index lists in
 // contiguous blocks.  The longest suffix of unindexed dimensions is folded
 // into one block of `block` elements that is contiguous in both the small
-// and the large tensor, so the gather/scatter family runs a bulk
-// memcpy/vector loop per block instead of a lambda call per element.  The
-// callback receives (small_off, large_off, block).
+// and the large tensor, so GatherDims runs one memcpy and
+// AppendSelectedRuns emits one coordinate run per block instead of a
+// lambda call per element.  The callback receives (small_off, large_off,
+// block).
 template <typename Fn>
 void ForEachSelectedBlock(const Shape& full_shape, const DimIndices& index,
                           Fn&& fn) {
@@ -85,6 +86,7 @@ void ForEachSelectedBlock(const Shape& full_shape, const DimIndices& index,
 }
 
 Shape SelectedShape(const Shape& full_shape, const DimIndices& index) {
+  MHB_CHECK_EQ(index.size(), full_shape.size());
   Shape out = full_shape;
   for (std::size_t d = 0; d < index.size(); ++d) {
     if (index[d].has_value()) {
@@ -411,66 +413,21 @@ Tensor GatherDims(const Tensor& src, const DimIndices& index) {
   return out;
 }
 
-void ScatterAddDims(Tensor& dst, const Tensor& src, const DimIndices& index) {
-  const Shape expect = SelectedShape(dst.shape(), index);
-  MHB_CHECK(src.shape() == expect)
-      << "scatter source" << ShapeToString(src.shape()) << "expected"
-      << ShapeToString(expect);
-  const Scalar* ps = src.data().data();
-  Scalar* pd = dst.data().data();
+Shape AppendSelectedRuns(const Shape& full_shape, const DimIndices& index,
+                         std::size_t base, std::vector<CoordRun>& runs) {
+  Shape selected = SelectedShape(full_shape, index);
   ForEachSelectedBlock(
-      dst.shape(), index,
-      [&](std::size_t small_off, std::size_t large_off, std::size_t block) {
-        const Scalar* s = ps + small_off;
-        Scalar* d = pd + large_off;
-        for (std::size_t i = 0; i < block; ++i) d[i] += s[i];
-      });
-}
-
-void ScatterAxpyDims(Tensor& dst, Scalar alpha, const Tensor& src,
-                     const DimIndices& index) {
-  const Shape expect = SelectedShape(dst.shape(), index);
-  MHB_CHECK(src.shape() == expect)
-      << "scatter source" << ShapeToString(src.shape()) << "expected"
-      << ShapeToString(expect);
-  const Scalar* ps = src.data().data();
-  Scalar* pd = dst.data().data();
-  ForEachSelectedBlock(
-      dst.shape(), index,
-      [&](std::size_t small_off, std::size_t large_off, std::size_t block) {
-        const Scalar* s = ps + small_off;
-        Scalar* d = pd + large_off;
-        for (std::size_t i = 0; i < block; ++i) d[i] += alpha * s[i];
-      });
-}
-
-void ScatterAddScalarDims(Tensor& dst, Scalar value, const DimIndices& index) {
-  Scalar* pd = dst.data().data();
-  ForEachSelectedBlock(
-      dst.shape(), index,
+      full_shape, index,
       [&](std::size_t, std::size_t large_off, std::size_t block) {
-        Scalar* d = pd + large_off;
-        for (std::size_t i = 0; i < block; ++i) d[i] += value;
+        const std::size_t offset = base + large_off;
+        if (!runs.empty() &&
+            runs.back().offset + runs.back().length == offset) {
+          runs.back().length += block;
+        } else {
+          runs.push_back({offset, block});
+        }
       });
-}
-
-void ScatterAssignDims(Tensor& dst, const Tensor& src,
-                       const DimIndices& index) {
-  const Shape expect = SelectedShape(dst.shape(), index);
-  MHB_CHECK(src.shape() == expect)
-      << "scatter source" << ShapeToString(src.shape()) << "expected"
-      << ShapeToString(expect);
-  const Scalar* ps = src.data().data();
-  Scalar* pd = dst.data().data();
-  ForEachSelectedBlock(
-      dst.shape(), index,
-      [&](std::size_t small_off, std::size_t large_off, std::size_t block) {
-        std::memcpy(pd + large_off, ps + small_off, block * sizeof(Scalar));
-      });
-}
-
-void ScatterCountDims(Tensor& counts, const DimIndices& index) {
-  ScatterAddScalarDims(counts, 1.0f, index);
+  return selected;
 }
 
 }  // namespace mhbench::ops

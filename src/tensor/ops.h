@@ -1,6 +1,6 @@
 // Free-function tensor operations: GEMM variants, im2col for convolutions,
-// softmax, and the gather/scatter primitives that sub-model extraction and
-// masked federated aggregation are built on.
+// softmax, and the gather primitive and coordinate-run resolution that
+// sub-model extraction and masked federated aggregation are built on.
 //
 // The GEMM family routes through the packed kernel layer in
 // tensor/gemm.h; the raw `*Into` / `*Acc` variants let layers stage
@@ -8,6 +8,7 @@
 // allocating fresh tensors every minibatch.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -79,31 +80,28 @@ void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
 // Per-dimension index selection.  `index[d]`, when present, lists the kept
 // indices along dimension d (in order, duplicates allowed); absent means
 // keep the whole dimension.  This is the sub-model *extraction* primitive.
-// Trailing unindexed dimensions form contiguous blocks, which the whole
-// family processes with bulk memcpy/vector loops rather than per-element
-// calls.
+// Trailing unindexed dimensions form contiguous blocks: GatherDims copies
+// each with one memcpy, and AppendSelectedRuns emits each as one run.
 using DimIndices = std::vector<std::optional<std::vector<int>>>;
 Tensor GatherDims(const Tensor& src, const DimIndices& index);
 
-// Adjoint of GatherDims: adds `src` values into `dst` at the positions the
-// index selects.  `dst` retains its shape.  This is the server-side
-// *aggregation* primitive (scatter-add of client updates).
-void ScatterAddDims(Tensor& dst, const Tensor& src, const DimIndices& index);
+// A contiguous stretch of a flat buffer: `length` floats from `offset`.
+struct CoordRun {
+  std::size_t offset = 0;
+  std::size_t length = 0;
+  bool operator==(const CoordRun&) const = default;
+};
 
-// Fused scaled scatter-add: dst[sel] += alpha * src.  Saves the aggregator
-// a full weighted copy of every client tensor.
-void ScatterAxpyDims(Tensor& dst, Scalar alpha, const Tensor& src,
-                     const DimIndices& index);
-
-// Adds the constant `value` at every selected position (the aggregation
-// weight mass; generalizes ScatterCountDims).
-void ScatterAddScalarDims(Tensor& dst, Scalar value, const DimIndices& index);
-
-// Scatter-assign variant (overwrites instead of accumulating).
-void ScatterAssignDims(Tensor& dst, const Tensor& src, const DimIndices& index);
-
-// Adds 1 to `counts` at every position the index selects (for computing
-// per-coordinate contribution counts during aggregation).
-void ScatterCountDims(Tensor& counts, const DimIndices& index);
+// The adjoint direction of GatherDims as coordinate runs: appends to `runs`
+// the flat coordinates of a `full_shape` tensor that `index` selects, each
+// shifted by `base`, in the order GatherDims reads them, so the k-th
+// gathered element comes from the k-th coordinate the runs cover.  A run
+// that starts where the previous one (from this call or an earlier one)
+// ends extends it.  Checks what GatherDims checks (arity, index range,
+// no empty index list) and returns the selected shape.  This is how a
+// client upload names the global coordinates its values belong to
+// (fl/aggregator.h).
+Shape AppendSelectedRuns(const Shape& full_shape, const DimIndices& index,
+                         std::size_t base, std::vector<CoordRun>& runs);
 
 }  // namespace mhbench::ops

@@ -5,12 +5,14 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "models/zoo.h"
 #include "nn/linear.h"
 
@@ -38,7 +40,7 @@ TEST(MaskedAveragerTest, SingleClientOverwritesItsSlice) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0, 1}, 3.0f);
-  avg.Accumulate(ExtractUpdate(*m, map, 10.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m, map, f.store, 10.0), f.store);
   avg.ApplyTo(f.store);
   const Tensor& w = f.store.Get("weight");
   for (int j = 0; j < 4; ++j) {
@@ -54,8 +56,8 @@ TEST(MaskedAveragerTest, OverlapAveragedNonOverlapKept) {
   MaskedAverager avg;
   auto [m1, map1] = Fixture::ClientModel({0, 1}, 2.0f);
   auto [m2, map2] = Fixture::ClientModel({1, 2}, 6.0f);
-  avg.Accumulate(ExtractUpdate(*m1, map1, 1.0), f.store);
-  avg.Accumulate(ExtractUpdate(*m2, map2, 1.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m1, map1, f.store, 1.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m2, map2, f.store, 1.0), f.store);
   avg.ApplyTo(f.store);
   const Tensor& w = f.store.Get("weight");
   EXPECT_EQ(w.at({0, 0}), 2.0f);  // only client 1
@@ -69,8 +71,8 @@ TEST(MaskedAveragerTest, WeightedAverage) {
   MaskedAverager avg;
   auto [m1, map1] = Fixture::ClientModel({0}, 1.0f);
   auto [m2, map2] = Fixture::ClientModel({0}, 4.0f);
-  avg.Accumulate(ExtractUpdate(*m1, map1, 3.0), f.store);
-  avg.Accumulate(ExtractUpdate(*m2, map2, 1.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m1, map1, f.store, 3.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m2, map2, f.store, 1.0), f.store);
   avg.ApplyTo(f.store);
   // (3*1 + 1*4) / 4 = 1.75
   EXPECT_NEAR(f.store.Get("weight").at({0, 0}), 1.75f, 1e-6);
@@ -80,7 +82,7 @@ TEST(MaskedAveragerTest, ApplyClearsAccumulator) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0}, 1.0f);
-  avg.Accumulate(ExtractUpdate(*m, map, 1.0), f.store);
+  avg.Accumulate(ExtractUpdate(*m, map, f.store, 1.0), f.store);
   avg.ApplyTo(f.store);
   EXPECT_TRUE(avg.empty());
   EXPECT_THROW(avg.ApplyTo(f.store), Error);
@@ -90,8 +92,8 @@ TEST(MaskedAveragerTest, RejectsNonPositiveWeight) {
   Fixture f;
   MaskedAverager avg;
   auto [m, map] = Fixture::ClientModel({0}, 1.0f);
-  EXPECT_THROW(ExtractUpdate(*m, map, 0.0), Error);
-  ClientUpdate update = ExtractUpdate(*m, map, 1.0);
+  EXPECT_THROW(ExtractUpdate(*m, map, f.store, 0.0), Error);
+  ClientUpdate update = ExtractUpdate(*m, map, f.store, 1.0);
   update.weight = 0.0;
   EXPECT_THROW(avg.Accumulate(update, f.store), Error);
 }
@@ -102,12 +104,108 @@ TEST(MaskedAveragerTest, IdempotentOnIdenticalClients) {
   MaskedAverager avg;
   for (int k = 0; k < 5; ++k) {
     auto [m, map] = Fixture::ClientModel({0, 1, 2, 3}, 7.0f);
-    avg.Accumulate(ExtractUpdate(*m, map, 2.0), f.store);
+    avg.Accumulate(ExtractUpdate(*m, map, f.store, 2.0), f.store);
   }
   avg.ApplyTo(f.store);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(f.store.Get("weight")[i], 7.0f, 1e-5);
   }
+}
+
+TEST(MaskedAveragerTest, UpdateNamesItsRowsAsOneRunOfTheLayout) {
+  Fixture f;
+  f.store.Set("bias", Tensor({3}, 0.0f));  // sorts first: "weight" at 3
+  auto [m, map] = Fixture::ClientModel({1, 2}, 5.0f);
+  const ClientUpdate u = ExtractUpdate(*m, map, f.store, 1.0);
+  EXPECT_EQ(u.runs, (std::vector<ops::CoordRun>{{3 + 4, 8}}));
+  EXPECT_EQ(u.values, std::vector<Scalar>(8, 5.0f));
+}
+
+TEST(MaskedAveragerTest, ExtractRejectsAMappingThatDoesNotFit) {
+  Fixture f;
+  auto [m, map] = Fixture::ClientModel({0, 1}, 1.0f);
+  models::ParamMapping out_of_range = {{"weight", {std::vector<int>{0, 4},
+                                                  std::nullopt}}};
+  EXPECT_THROW(ExtractUpdate(*m, out_of_range, f.store, 1.0), Error);
+  models::ParamMapping empty_list = {{"weight", {std::vector<int>{},
+                                                 std::nullopt}}};
+  EXPECT_THROW(ExtractUpdate(*m, empty_list, f.store, 1.0), Error);
+  models::ParamMapping wrong_shape = {{"weight", {std::vector<int>{0, 1, 2},
+                                                  std::nullopt}}};
+  EXPECT_THROW(ExtractUpdate(*m, wrong_shape, f.store, 1.0), Error);
+  models::ParamMapping wrong_name = {{"bias", {std::vector<int>{0, 1},
+                                               std::nullopt}}};
+  EXPECT_THROW(ExtractUpdate(*m, wrong_name, f.store, 1.0), Error);
+  models::ParamMapping wrong_arity = {{"weight", {std::vector<int>{0, 1}}}};
+  EXPECT_THROW(ExtractUpdate(*m, wrong_arity, f.store, 1.0), Error);
+}
+
+TEST(MaskedAveragerTest, RejectsAStoreOfAnotherLayout) {
+  Fixture f;
+  auto [m, map] = Fixture::ClientModel({0}, 1.0f);
+  const ClientUpdate u = ExtractUpdate(*m, map, f.store, 1.0);
+
+  ParamStore renamed;  // same size, other name
+  renamed.Set("other", Tensor({4, 4}, 0.0f));
+  MaskedAverager avg;
+  avg.Accumulate(u, f.store);
+  EXPECT_THROW(avg.Accumulate(u, renamed), Error);
+  EXPECT_THROW(avg.ApplyTo(renamed), Error);
+
+  // A tensor resized behind GetMutable no longer fits the layout.
+  ParamStore resized = f.store;
+  resized.GetMutable("weight") = Tensor({2, 4}, 0.0f);
+  EXPECT_THROW(avg.ApplyTo(resized), Error);
+
+  // A run past the end of the layout.
+  ClientUpdate past_end = u;
+  past_end.runs = {{12, 8}};
+  past_end.values.assign(8, 1.0f);
+  MaskedAverager other;
+  EXPECT_THROW(other.Accumulate(past_end, f.store), Error);
+  EXPECT_TRUE(other.empty());
+}
+
+// Staged uploads made on pool workers are merged and destroyed on the
+// merging thread without touching its tensor pool: no buffer comes from
+// its heap and none is returned to it.  (Tensor buffers freed on a thread
+// land in that thread's pool, which the merging thread never reuses at
+// those sizes.)
+TEST(MaskedAveragerTest, RoundMergeReturnsNothingToTheMergingThreadsPool) {
+  Rng rng(5);
+  const auto tm = models::MakeTaskModels("ucihar");
+  models::BuildSpec full;
+  full.multi_head = true;
+  auto global = tm.primary->Build(full, rng);
+  ParamStore store = ParamStore::FromModule(*global.net);
+  std::vector<models::BuiltModel> clients;
+  for (int c = 0; c < 8; ++c) {
+    models::BuildSpec spec;
+    spec.width_ratio = 0.25 * (c % 4 + 1);
+    clients.push_back(tm.primary->Build(spec, rng));
+  }
+  core::ThreadPool pool(2);
+  MaskedAverager avg;
+  auto round = [&] {
+    std::vector<ClientUpdate> updates(clients.size());
+    std::latch done(static_cast<std::ptrdiff_t>(clients.size()));
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      pool.Submit([&, c] {
+        updates[c] = ExtractUpdate(*clients[c].net, clients[c].mapping, store,
+                                   static_cast<double>(c + 1));
+        done.count_down();
+      });
+    }
+    done.wait();
+    for (const ClientUpdate& u : updates) avg.Accumulate(u, store);
+    avg.ApplyTo(store);
+  };
+  round();  // warm-up
+  const Tensor::AllocStats before = Tensor::ThreadAllocStats();
+  round();
+  const Tensor::AllocStats after = Tensor::ThreadAllocStats();
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs);
+  EXPECT_EQ(after.pool_returns, before.pool_returns);
 }
 
 // Naive dense reference for masked averaging: walks every coordinate of
@@ -120,10 +218,26 @@ struct DenseResult {
   std::map<std::string, std::vector<bool>> covered;
 };
 
+// A trained client as the reference sees it: the model's parameter values
+// in mapping order, its mapping and its weight (no ClientUpdate involved).
+struct ClientValues {
+  models::ParamMapping mapping;
+  std::vector<Tensor> values;
+  double weight = 0.0;
+};
+
+ClientValues ValuesOf(const models::BuiltModel& built, double weight) {
+  std::vector<nn::NamedParam> params;
+  built.net->CollectParams("", params);
+  ClientValues out{built.mapping, {}, weight};
+  for (const auto& p : params) out.values.push_back(p.param->value);
+  return out;
+}
+
 DenseResult DenseReference(const ParamStore& before,
-                           const std::vector<ClientUpdate>& updates) {
+                           const std::vector<ClientValues>& clients) {
   std::map<std::string, std::vector<float>> sum, wsum;
-  for (const ClientUpdate& u : updates) {
+  for (const ClientValues& u : clients) {
     const auto w = static_cast<float>(u.weight);
     for (std::size_t i = 0; i < u.values.size(); ++i) {
       const models::ParamSlice& slice = u.mapping[i];
@@ -239,6 +353,7 @@ TEST(MaskedAveragerDenseReferenceTest, MatchesNaiveReferenceBitForBit) {
       FillRandom(before.GetMutable(name), rng);
     }
 
+    std::vector<ClientValues> clients;
     std::vector<ClientUpdate> updates;
     for (int c = 0; c < 5; ++c) {
       const double ratio = ratios[rng.UniformInt(ratios.size())];
@@ -246,11 +361,13 @@ TEST(MaskedAveragerDenseReferenceTest, MatchesNaiveReferenceBitForBit) {
       std::vector<nn::NamedParam> params;
       built.net->CollectParams("", params);
       for (auto& p : params) FillRandom(p.param->value, rng);
+      const double weight = rng.Uniform(0.5, 64.0);
+      clients.push_back(ValuesOf(built, weight));
       updates.push_back(
-          ExtractUpdate(*built.net, built.mapping, rng.Uniform(0.5, 64.0)));
+          ExtractUpdate(*built.net, built.mapping, before, weight));
     }
 
-    const DenseResult want = DenseReference(before, updates);
+    const DenseResult want = DenseReference(before, clients);
     ParamStore got = before;
     MaskedAverager avg;
     for (const ClientUpdate& u : updates) avg.Accumulate(u, got);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/rng.h"
 #include "models/zoo.h"
 
@@ -66,6 +69,52 @@ TEST(ParamStoreTest, NamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");
   EXPECT_EQ(names[1], "b");
+}
+
+TEST(ParamStoreTest, FlatLayoutConcatenatesInNameOrder) {
+  ParamStore store;
+  store.Set("c", Tensor({2, 3}));
+  store.Set("a", Tensor({4}));
+  store.Set("b", Tensor({1}));
+  EXPECT_EQ(store.flat_size(), 11u);
+  EXPECT_EQ(store.FlatOffset("a"), 0u);
+  EXPECT_EQ(store.FlatOffset("b"), 4u);
+  EXPECT_EQ(store.FlatOffset("c"), 5u);
+  EXPECT_THROW(store.FlatOffset("d"), Error);
+  std::vector<std::size_t> visited;
+  store.ForEachInLayout(
+      [&](std::size_t offset, Tensor&) { visited.push_back(offset); });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 4, 5}));
+}
+
+TEST(ParamStoreTest, LayoutFingerprintFollowsNamesAndSizes) {
+  Rng rng(3);
+  const auto tm = models::MakeTaskModels("ucihar");
+  auto built = tm.primary->Build(models::BuildSpec{}, rng);
+  const ParamStore store = ParamStore::FromModule(*built.net);
+  const ParamStore copy = store;
+  const ParamStore restored = ParamStore::Deserialize(store.Serialize());
+  EXPECT_EQ(copy.layout_fingerprint(), store.layout_fingerprint());
+  EXPECT_EQ(restored.layout_fingerprint(), store.layout_fingerprint());
+  EXPECT_EQ(restored.flat_size(), store.flat_size());
+
+  ParamStore resized = store;
+  const std::string first = store.Names().front();
+  resized.Set(first, Tensor({static_cast<int>(store.Get(first).numel()) + 1}));
+  EXPECT_NE(resized.layout_fingerprint(), store.layout_fingerprint());
+  EXPECT_EQ(resized.flat_size(), store.flat_size() + 1);
+
+  ParamStore a, b;
+  a.Set("x", Tensor({4}));
+  b.Set("y", Tensor({4}));
+  EXPECT_NE(a.layout_fingerprint(), b.layout_fingerprint());
+}
+
+TEST(ParamStoreTest, ForEachInLayoutRejectsATensorResizedBehindIt) {
+  ParamStore store;
+  store.Set("w", Tensor({2, 2}));
+  store.GetMutable("w") = Tensor({3, 2});
+  EXPECT_THROW(store.ForEachInLayout([](std::size_t, Tensor&) {}), Error);
 }
 
 TEST(ParamStoreTest, LoadAllRestoresEveryParam) {

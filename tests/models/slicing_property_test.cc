@@ -1,11 +1,13 @@
 // Property-style sweeps of the sub-model slicing machinery across every
 // family and ratio combination (parameterized gtest).
+#include <algorithm>
 #include <map>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "fl/aggregator.h"
 #include "fl/param_store.h"
 #include "models/zoo.h"
 #include "tensor/ops.h"
@@ -36,7 +38,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
     });
 
-// Loading a sub-model from the store and scattering it back must be the
+// Loading a sub-model from the store and writing it back must be the
 // identity on the selected coordinates (dispatch/upload round trip).
 TEST_P(SlicingSweep, DispatchUploadRoundTrip) {
   const auto& [task, ratio] = GetParam();
@@ -54,14 +56,25 @@ TEST_P(SlicingSweep, DispatchUploadRoundTrip) {
   auto sub = tm.primary->Build(spec, rng);
   store.LoadInto(*sub.net, sub.mapping);
 
-  // Scatter the (unchanged) sub-model back; the store must be unchanged.
-  std::vector<nn::NamedParam> params;
-  sub.net->CollectParams("", params);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& target = store.GetMutable(sub.mapping[i].name);
-    ops::ScatterAssignDims(target, params[i].param->value,
-                           sub.mapping[i].index);
+  // Write the (unchanged) sub-model back through the coordinate runs of
+  // its upload into the flat store; the store must be unchanged.
+  const fl::ClientUpdate upload =
+      fl::ExtractUpdate(*sub.net, sub.mapping, store, 1.0);
+  std::vector<Scalar> flat(store.flat_size());
+  store.ForEachInLayout([&](std::size_t offset, Tensor& t) {
+    std::copy(t.data().begin(), t.data().end(), flat.begin() + offset);
+  });
+  std::size_t k = 0;
+  for (const ops::CoordRun& run : upload.runs) {
+    for (std::size_t i = 0; i < run.length; ++i) {
+      flat[run.offset + i] = upload.values[k++];
+    }
   }
+  ASSERT_EQ(k, upload.values.size());
+  store.ForEachInLayout([&](std::size_t offset, Tensor& t) {
+    std::copy(flat.begin() + offset, flat.begin() + offset + t.numel(),
+              t.data().begin());
+  });
   for (const auto& name : store.Names()) {
     EXPECT_TRUE(store.Get(name).AllClose(original.Get(name), 0.0f)) << name;
   }
