@@ -9,8 +9,7 @@
 #include <cstdio>
 #include <map>
 
-#include "constraints/computation_limited.h"
-#include "constraints/memory_limited.h"
+#include "constraints/assignment.h"
 #include "core/table.h"
 #include "device/device_profile.h"
 #include "device/ima_fleet.h"
@@ -43,11 +42,8 @@ int main() {
                       "round time SHeteroFL (s)"});
     std::map<std::string, constraints::BuiltAssignments> built;
     for (const char* alg : {"sheterofl", "depthfl", "fedepth"}) {
-      built[alg] = std::string(constraint) == "computation"
-                       ? constraints::BuildComputationLimited(alg, "cifar100",
-                                                              fleet)
-                       : constraints::BuildMemoryLimited(alg, "cifar100",
-                                                         fleet);
+      built[alg] = constraints::BuildConstrained(
+          alg, "cifar100", fleet, constraints::ParseConstraintCase(constraint));
     }
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       table.AddRow(

@@ -85,10 +85,7 @@ void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
     }
   }
   staged_.Clear();
-  {
-    core::MutexLock lock(eval_model_mu_);
-    eval_model_.reset();
-  }
+  global_->StoreChanged();
   if (!averager_.empty()) {
     averager_.ApplyTo(global_->store());
   }
@@ -117,10 +114,7 @@ void WeightSharingAlgorithm::LoadState(fl::SnapshotReader& reader) {
   MHB_CHECK_EQ(saved, name()) << "algorithm state belongs to" << saved;
   last_round_ = reader.ReadI32();
   global_->store() = fl::ParamStore::Deserialize(reader.ReadBytes());
-  {
-    core::MutexLock lock(eval_model_mu_);
-    eval_model_.reset();
-  }
+  global_->StoreChanged();
   LoadExtraState(reader);
 }
 
@@ -140,28 +134,19 @@ models::BuildSpec WeightSharingAlgorithm::GlobalEvalSpec() {
   return models::BuildSpec{};
 }
 
-const models::BuiltModel& WeightSharingAlgorithm::GlobalEvalModel() {
-  core::MutexLock lock(eval_model_mu_);
-  if (eval_model_ == nullptr) {
-    models::BuildSpec spec = GlobalEvalSpec();
-    if (UseEnsembleEval()) spec.multi_head = true;
-    Rng build_rng(seed_ ^ 0x6E0BULL);
-    eval_model_ = std::make_unique<models::BuiltModel>(
-        family_->Build(spec, build_rng));
-    global_->store().LoadInto(*eval_model_->net, eval_model_->mapping);
-  }
-  return *eval_model_;
-}
-
 Tensor WeightSharingAlgorithm::GlobalLogits(const Tensor& x) {
   // Evaluation defaults to batch statistics (HeteroFL's static batch
   // norm): running BN statistics averaged over *different-width*
   // sub-networks are mutually inconsistent, so eval-mode normalization
   // collapses.  Batch statistics over the evaluation batch are the sBN
   // equivalent; set_sbn_eval(false) exposes the collapse for ablation.
-  const models::BuiltModel& built = GlobalEvalModel();
-  if (!UseEnsembleEval()) return built.net->Infer(x, EvalNormStats());
-  auto logits = built.trunk().InferHeads(x, EvalNormStats()).logits;
+  models::BuildSpec spec = GlobalEvalSpec();
+  if (!UseEnsembleEval()) {
+    return global_->Model(spec).net->Infer(x, EvalNormStats());
+  }
+  spec.multi_head = true;
+  auto logits =
+      global_->Model(spec).trunk().InferHeads(x, EvalNormStats()).logits;
   Tensor mean = logits.front();
   for (std::size_t h = 1; h < logits.size(); ++h) mean.AddInPlace(logits[h]);
   mean.Scale(1.0f / static_cast<Scalar>(logits.size()));
@@ -173,12 +158,13 @@ models::BuildSpec WeightSharingAlgorithm::EvalSpec(int client_id) {
   return ClientSpec(client_id, last_round_, fixed);
 }
 
+void WeightSharingAlgorithm::PrepareEvaluation() {
+  for (int c = 0; c < ctx_->num_clients(); ++c) global_->Model(EvalSpec(c));
+}
+
 Tensor WeightSharingAlgorithm::ClientLogits(int client_id, const Tensor& x) {
-  const models::BuildSpec spec = EvalSpec(client_id);
-  Rng build_rng(seed_ ^ 0xC11E);
-  models::BuiltModel built = family_->Build(spec, build_rng);
-  global_->store().LoadInto(*built.net, built.mapping);
-  return built.net->Infer(x, EvalNormStats());  // sBN, see GlobalLogits
+  // sBN, see GlobalLogits.
+  return global_->Model(EvalSpec(client_id)).net->Infer(x, EvalNormStats());
 }
 
 double WeightSharingAlgorithm::TrainClientModel(models::BuiltModel& built,

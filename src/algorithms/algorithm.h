@@ -9,8 +9,6 @@
 // lives here.
 #pragma once
 
-#include "core/mutex.h"
-#include "core/thread_annotations.h"
 #include "fl/aggregator.h"
 #include "fl/engine.h"
 #include "fl/server.h"
@@ -29,7 +27,12 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Merges staged uploads in participant order (bit-identical to eager
   // serial accumulation), applies the masked average, then PostAggregate.
   void FinishRound(int round, Rng& rng) override;
-  // Both evaluate through const Infer, so concurrent calls are safe.
+  // Loads every client's eval model serially, on the thread that later
+  // destroys them.  A model first built on a pool worker would return its
+  // buffers to this thread's tensor pool at teardown, piling up run after run.
+  void PrepareEvaluation() override;
+  // Both evaluate the global store's model for their spec (GlobalEvalSpec,
+  // EvalSpec) through const Infer, so concurrent calls are safe.
   Tensor GlobalLogits(const Tensor& x) override;
   Tensor ClientLogits(int client_id, const Tensor& x) override;
 
@@ -88,10 +91,6 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   nn::NormStats EvalNormStats() const {
     return sbn_eval_ ? nn::NormStats::kBatch : nn::NormStats::kRunning;
   }
-  // The GlobalEvalSpec model loaded from the store: built by the first
-  // GlobalLogits after each store change, shared by the concurrent rest.
-  const models::BuiltModel& GlobalEvalModel();
-
   const fl::FlContext* ctx_ = nullptr;
   models::FamilyPtr family_;
   std::unique_ptr<fl::GlobalModel> global_;
@@ -102,12 +101,6 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   AggregationWeighting weighting_ = AggregationWeighting::kDataSize;
   // Current round's staged uploads; RunClient writes only its own slot.
   fl::StagedUploads<fl::ClientUpdate> staged_;
-
- private:
-  // Reset wherever the store changes (FinishRound, LoadState).
-  core::Mutex eval_model_mu_;
-  std::unique_ptr<models::BuiltModel> eval_model_
-      MHB_GUARDED_BY(eval_model_mu_);
 };
 
 }  // namespace mhbench::algorithms

@@ -86,11 +86,11 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   }
   staged_.Clear();
 
-  // Within-group FedAvg; the synced models stay fixed until the next one.
+  // Within-group FedAvg; the group models reload at their next use.
   for (std::size_t a = 0; a < families_.size(); ++a) {
     if (!group_averagers_[a].empty()) {
       group_averagers_[a].ApplyTo(group_models_[a]->store());
-      group_models_[a]->Sync();
+      group_models_[a]->StoreChanged();
     }
   }
 
@@ -222,7 +222,7 @@ void FedEt::LoadState(fl::SnapshotReader& reader) {
       << "restored group count mismatch";
   for (auto& group : group_models_) {
     group->store() = fl::ParamStore::Deserialize(reader.ReadBytes());
-    group->Sync();
+    group->StoreChanged();
   }
   fl::ParamStore::Deserialize(reader.ReadBytes()).LoadAll(*server_model_.net);
 }

@@ -7,9 +7,10 @@
 // unlabeled slice of the training pool (labels unused); Fed-ET's diversity
 // regularization term is omitted at sim scale (see DESIGN.md).
 //
-// Threading: group models are synced once after each change to their store
-// (FinishRound, LoadState) and only read through const Infer afterwards, so
-// the stability eval's concurrent ClientLogits share them without a lock.
+// Threading: each group's store and model live in an fl::GlobalModel.
+// FinishRound and LoadState mark the model stale after changing the store;
+// its first Logits afterwards (the round's first teacher, or the stability
+// eval) reloads it under the GlobalModel's lock, and inference takes none.
 // FinishRound fans the (step x group) teacher forwards out to the engine
 // pool, overlapped with the student's SGD steps, which stay serial.
 #pragma once

@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "algorithms/registry.h"
-#include "constraints/combined.h"
-#include "constraints/communication_limited.h"
-#include "constraints/computation_limited.h"
-#include "constraints/memory_limited.h"
+#include "constraints/assignment.h"
 #include "core/env.h"
 #include "core/error.h"
 #include "core/logging.h"
@@ -76,31 +73,12 @@ constraints::BuiltAssignments BuildAssignments(
     const device::Fleet& fleet, const std::vector<double>& ladder) {
   constraints::ConstraintOptions copts;
   copts.ratio_ladder = ladder;
-  const std::string& c = options.constraint;
-  if (c == "none") {
+  if (options.constraint == "none") {
     return ProportionalAssignments(algorithm, options.task, fleet, ladder);
   }
-  if (c == "computation") {
-    return constraints::BuildComputationLimited(algorithm, options.task,
-                                                fleet, copts);
-  }
-  if (c == "communication") {
-    return constraints::BuildCommunicationLimited(algorithm, options.task,
-                                                  fleet, copts);
-  }
-  if (c == "memory") {
-    return constraints::BuildMemoryLimited(algorithm, options.task, fleet,
-                                           copts);
-  }
-  if (c == "comm+mem") {
-    return constraints::BuildCommMemLimited(algorithm, options.task, fleet,
-                                            copts);
-  }
-  if (c == "comp+comm+mem") {
-    return constraints::BuildCompCommMemLimited(algorithm, options.task,
-                                                fleet, copts);
-  }
-  throw Error("unknown constraint case: " + c);
+  return constraints::BuildConstrained(
+      algorithm, options.task, fleet,
+      constraints::ParseConstraintCase(options.constraint), copts);
 }
 
 metrics::MetricBundle RunWith(const std::string& algorithm,

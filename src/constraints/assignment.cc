@@ -47,6 +47,26 @@ std::vector<Candidate> Candidates(const std::string& algorithm,
 
 }  // namespace
 
+ConstraintFlags ParseConstraintCase(const std::string& name) {
+  ConstraintFlags flags;
+  if (name == "computation") {
+    flags.computation = true;
+  } else if (name == "communication") {
+    flags.communication = true;
+  } else if (name == "memory") {
+    flags.memory = true;
+  } else if (name == "comm+mem") {
+    flags.communication = flags.memory = true;
+  } else if (name == "comp+comm+mem") {
+    flags.computation = flags.communication = flags.memory = true;
+  } else {
+    throw Error("unknown constraint case '" + name +
+                "': expected computation, communication, memory, comm+mem "
+                "or comp+comm+mem");
+  }
+  return flags;
+}
+
 BuiltAssignments BuildConstrained(const std::string& algorithm,
                                   const std::string& task_name,
                                   const device::Fleet& fleet,

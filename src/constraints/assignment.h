@@ -43,7 +43,13 @@ struct BuiltAssignments {
   double comm_budget_s = 0.0;
 };
 
-// Core builder; the per-case headers wrap it.
+// The flags of a constraint case named exactly "computation",
+// "communication", "memory", "comm+mem" or "comp+comm+mem" (the paper's
+// Section IV cases and Figure 7 combinations); throws Error listing the
+// names for anything else.
+ConstraintFlags ParseConstraintCase(const std::string& name);
+
+// Core builder; computation_limited.h and combined.h wrap it.
 BuiltAssignments BuildConstrained(const std::string& algorithm,
                                   const std::string& task_name,
                                   const device::Fleet& fleet,

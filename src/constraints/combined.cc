@@ -2,16 +2,6 @@
 
 namespace mhbench::constraints {
 
-BuiltAssignments BuildCommMemLimited(const std::string& algorithm,
-                                     const std::string& task_name,
-                                     const device::Fleet& fleet,
-                                     const ConstraintOptions& options) {
-  ConstraintFlags flags;
-  flags.communication = true;
-  flags.memory = true;
-  return BuildConstrained(algorithm, task_name, fleet, flags, options);
-}
-
 BuiltAssignments BuildCompCommMemLimited(const std::string& algorithm,
                                          const std::string& task_name,
                                          const device::Fleet& fleet,

@@ -1,15 +1,10 @@
-// Constraint combinations (paper Figure 7): communication+memory and
-// computation+communication+memory limited MHFL.
+// Constraint combination (paper Figure 7): computation+communication+memory
+// limited MHFL.
 #pragma once
 
 #include "constraints/assignment.h"
 
 namespace mhbench::constraints {
-
-BuiltAssignments BuildCommMemLimited(const std::string& algorithm,
-                                     const std::string& task_name,
-                                     const device::Fleet& fleet,
-                                     const ConstraintOptions& options = {});
 
 BuiltAssignments BuildCompCommMemLimited(
     const std::string& algorithm, const std::string& task_name,

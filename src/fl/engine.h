@@ -94,7 +94,8 @@ struct FlContext {
   // independent work out to it with core::ParallelFor, writing per-index
   // slots only (the tasks see the run's collectors without an install);
   // RunClient and ClientLogits already run inside a parallel region, where
-  // a nested ParallelFor runs inline.
+  // a nested ParallelFor runs inline.  Shared eval models come from
+  // fl::GlobalModel, whose lock covers a build or reload, never a fan-out.
   core::ThreadPool* pool = nullptr;
   int num_clients() const { return static_cast<int>(shards.size()); }
   // Local training options; the learning rate carries the round's schedule
@@ -116,7 +117,9 @@ struct FlContext {
 // again) — merging in that fixed order is what keeps multi-threaded runs
 // bit-identical to serial ones.  RunClient must not mutate state shared
 // across clients; lazily-created per-client state must be created in
-// BeginRound (or PrepareEvaluation for evaluation-only state).
+// BeginRound (or PrepareEvaluation for evaluation-only state).  Models
+// evaluated from a parameter store are the exception: fl::GlobalModel::Model
+// builds and reloads them lazily, on any thread, under its own lock.
 class MhflAlgorithm {
  public:
   virtual ~MhflAlgorithm() = default;
@@ -139,7 +142,8 @@ class MhflAlgorithm {
   virtual void FinishRound(int round, Rng& rng) = 0;
 
   // Called serially once before the engine evaluates ClientLogits for every
-  // client, possibly concurrently.  Pre-create lazily-built eval state here.
+  // client, possibly concurrently.  Pre-create eval state here (FedProto's
+  // client states, the weight-sharing eval models), on the calling thread.
   virtual void PrepareEvaluation();
 
   // Global-model logits (eval mode) for the global-accuracy metric.

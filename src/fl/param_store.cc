@@ -3,36 +3,24 @@
 #include "core/bytes.h"
 #include "core/error.h"
 #include "fl/checkpoint.h"
+#include "obs/det_audit.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 
 namespace mhbench::fl {
 
-namespace {
-
-// FNV-1a, 64-bit: the layout fingerprint only has to tell layouts apart.
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 void ParamStore::Relayout() {
   std::size_t offset = 0;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  obs::DetHash h;  // the fingerprint only has to tell layouts apart
   for (auto& [name, entry] : params_) {
     entry.offset = offset;
     entry.numel = entry.value.numel();
     offset += entry.numel;
-    h = Fnv1a(h, name.data(), name.size() + 1);  // with the terminator
-    h = Fnv1a(h, &entry.numel, sizeof(entry.numel));
+    h.Update(name.data(), name.size() + 1);  // with the terminator
+    h.UpdateU64(entry.numel);
   }
   flat_size_ = offset;
-  fingerprint_ = h;
+  fingerprint_ = h.value();
 }
 
 ParamStore ParamStore::FromModule(nn::Module& module) {

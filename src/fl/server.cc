@@ -2,19 +2,50 @@
 
 namespace mhbench::fl {
 
+namespace {
+
+// The store must hold every head any client uses.
+models::BuildSpec FullSpec() {
+  models::BuildSpec spec;
+  spec.multi_head = true;
+  return spec;
+}
+
+}  // namespace
+
 GlobalModel::GlobalModel(models::FamilyPtr family, Rng& init_rng)
     : family_(std::move(family)) {
   MHB_CHECK(family_ != nullptr);
-  models::BuildSpec spec;
-  spec.multi_head = true;  // the store must hold every head any client uses
-  built_ = family_->Build(spec, init_rng);
-  store_ = ParamStore::FromModule(*built_.net);
+  core::MutexLock lock(mu_);
+  Entry& full = models_[FullSpec()];
+  full.built = family_->Build(FullSpec(), init_rng);
+  full.loaded = version_;
+  store_ = ParamStore::FromModule(*full.built.net);
+  full_ = &full.built;
 }
 
-void GlobalModel::Sync() { store_.LoadInto(*built_.net, built_.mapping); }
+void GlobalModel::StoreChanged() {
+  core::MutexLock lock(mu_);
+  ++version_;
+}
 
-Tensor GlobalModel::Logits(const Tensor& x) const {
-  return built_.net->Infer(x, nn::NormStats::kRunning);
+const models::BuiltModel& GlobalModel::Model(const models::BuildSpec& spec) {
+  core::MutexLock lock(mu_);
+  auto it = models_.find(spec);
+  if (it == models_.end()) {
+    Rng any_seed(0);
+    it = models_.emplace(spec, Entry{family_->Build(spec, any_seed)}).first;
+  }
+  Entry& entry = it->second;
+  if (entry.loaded != version_) {
+    store_.LoadInto(*entry.built.net, entry.built.mapping);
+    entry.loaded = version_;
+  }
+  return entry.built;
+}
+
+Tensor GlobalModel::Logits(const Tensor& x) {
+  return Model(FullSpec()).net->Infer(x, nn::NormStats::kRunning);
 }
 
 }  // namespace mhbench::fl

@@ -6,6 +6,7 @@
 // the truncation point; topology heterogeneity swaps the family entirely.
 #pragma once
 
+#include <compare>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +29,9 @@ struct BuildSpec {
   // Attach classifier heads at *all* exits up to the kept depth (DepthFL);
   // otherwise only the deepest kept exit has a head.
   bool multi_head = false;
+
+  // Every field names the model, so a spec keys a cache of built models.
+  auto operator<=>(const BuildSpec&) const = default;
 
   // Kept-channel indices for a group of `full` channels.
   std::vector<int> ChannelIndices(int full) const;

@@ -2,6 +2,7 @@
 // end-to-end learning checks in algorithms_test.cc).
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -269,6 +270,41 @@ TEST(FedRolexMechanicsTest, FullModelServedDespiteSmallClients) {
   FedRolex alg(h.tm.primary, 7);
   const fl::RunResult r = RunAlgo(h, alg);
   EXPECT_GT(r.final_accuracy, 0.1);
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(Scalar)) == 0;
+}
+
+TEST(WeightSharingEvalTest, EqualEvalSpecsGetEqualLogits) {
+  // Clients 0 and 2 (x0.5) and 1 and 3 (x1.0) share a capacity, so their
+  // EvalSpecs are equal under every weight-sharing method.
+  Harness h("cifar10", {0.5, 1.0});
+  Rng xr(3);
+  const Tensor x = Tensor::Randn({5, 3, 8, 8}, xr);
+  for (const std::string name : {"fedavg", "fjord", "sheterofl", "fedrolex",
+                                  "depthfl", "inclusivefl", "fedepth"}) {
+    const auto alg = MakeAlgorithm(name, h.tm);
+    fl::FlEngine engine(h.task, h.cfg, h.assignments, *alg);
+    engine.Run();
+    EXPECT_TRUE(SameBytes(alg->ClientLogits(0, x), alg->ClientLogits(2, x)))
+        << name;
+    EXPECT_TRUE(SameBytes(alg->ClientLogits(1, x), alg->ClientLogits(3, x)))
+        << name;
+  }
+}
+
+TEST(WeightSharingEvalTest, SHeteroFlGlobalEvalIsTheMaxCapacityClientModel) {
+  Harness h("cifar10", {0.5, 1.0});
+  SHeteroFl alg(h.tm.primary, 7);
+  fl::FlEngine engine(h.task, h.cfg, h.assignments, alg);
+  engine.Run();
+  Rng xr(4);
+  const Tensor x = Tensor::Randn({5, 3, 8, 8}, xr);
+  EXPECT_TRUE(SameBytes(alg.GlobalLogits(x), alg.ClientLogits(1, x)));
+  EXPECT_FALSE(SameBytes(alg.GlobalLogits(x), alg.ClientLogits(0, x)));
 }
 
 TEST(AblationHooksTest, SbnOffChangesEvaluation) {

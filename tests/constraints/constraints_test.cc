@@ -5,9 +5,7 @@
 #include "core/error.h"
 
 #include "constraints/combined.h"
-#include "constraints/communication_limited.h"
 #include "constraints/computation_limited.h"
-#include "constraints/memory_limited.h"
 #include "device/cost_model.h"
 
 namespace mhbench::constraints {
@@ -18,6 +16,15 @@ device::Fleet TestFleet(int n = 40, std::uint64_t seed = 3) {
   cfg.num_clients = n;
   cfg.seed = seed;
   return device::SampleFleet(cfg);
+}
+
+// The named constraint case on cifar100.
+BuiltAssignments BuildCase(const std::string& name,
+                           const std::string& algorithm,
+                           const device::Fleet& fleet,
+                           const ConstraintOptions& options = {}) {
+  return BuildConstrained(algorithm, "cifar100", fleet,
+                          ParseConstraintCase(name), options);
 }
 
 TEST(ComputationLimitedTest, EveryClientMeetsDeadlineOrRunsSmallest) {
@@ -61,7 +68,7 @@ TEST(CommunicationLimitedTest, CommWithinBudget) {
   ConstraintOptions opts;
   opts.comm_budget_s = 200.0;
   const auto built =
-      BuildCommunicationLimited("fedrolex", "cifar100", fleet, opts);
+      BuildCase("communication", "fedrolex", fleet, opts);
   for (const auto& a : built.assignments) {
     if (a.capacity > 0.25 + 1e-9) {
       EXPECT_LE(a.system.comm_time_s, 200.0 + 1e-9);
@@ -75,9 +82,9 @@ TEST(CommunicationLimitedTest, TighterBudgetSmallerModels) {
   loose.comm_budget_s = 500.0;
   tight.comm_budget_s = 30.0;
   const auto big =
-      BuildCommunicationLimited("sheterofl", "cifar100", fleet, loose);
+      BuildCase("communication", "sheterofl", fleet, loose);
   const auto small =
-      BuildCommunicationLimited("sheterofl", "cifar100", fleet, tight);
+      BuildCase("communication", "sheterofl", fleet, tight);
   double big_mean = 0, small_mean = 0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     big_mean += big.assignments[i].capacity;
@@ -88,7 +95,7 @@ TEST(CommunicationLimitedTest, TighterBudgetSmallerModels) {
 
 TEST(MemoryLimitedTest, FitsTier) {
   const device::Fleet fleet = TestFleet();
-  const auto built = BuildMemoryLimited("depthfl", "cifar100", fleet);
+  const auto built = BuildCase("memory", "depthfl", fleet);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     const auto& a = built.assignments[i];
     if (a.capacity > 0.25 + 1e-9) {
@@ -101,8 +108,8 @@ TEST(MemoryLimitedTest, FedepthHostsLargerModelsThanDepthfl) {
   // The paper's central memory-case finding: FeDepth's small footprint
   // admits larger models than DepthFL under the same tiers.
   const device::Fleet fleet = TestFleet(200);
-  const auto fedepth = BuildMemoryLimited("fedepth", "cifar100", fleet);
-  const auto depthfl = BuildMemoryLimited("depthfl", "cifar100", fleet);
+  const auto fedepth = BuildCase("memory", "fedepth", fleet);
+  const auto depthfl = BuildCase("memory", "depthfl", fleet);
   double cap_fedepth = 0, cap_depthfl = 0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     cap_fedepth += fedepth.assignments[i].capacity;
@@ -111,12 +118,40 @@ TEST(MemoryLimitedTest, FedepthHostsLargerModelsThanDepthfl) {
   EXPECT_GT(cap_fedepth, cap_depthfl);
 }
 
+TEST(ConstraintCaseTest, NamesMapExactlyToFlags) {
+  struct Case {
+    const char* name;
+    bool computation, communication, memory;
+  };
+  for (const Case& c : {Case{"computation", true, false, false},
+                        Case{"communication", false, true, false},
+                        Case{"memory", false, false, true},
+                        Case{"comm+mem", false, true, true},
+                        Case{"comp+comm+mem", true, true, true}}) {
+    const ConstraintFlags flags = ParseConstraintCase(c.name);
+    EXPECT_EQ(flags.computation, c.computation) << c.name;
+    EXPECT_EQ(flags.communication, c.communication) << c.name;
+    EXPECT_EQ(flags.memory, c.memory) << c.name;
+  }
+  // Substrings of the case names used to parse in one command only.
+  for (const char* bad : {"comp+mem", "none", "", "Memory", "comm"}) {
+    try {
+      ParseConstraintCase(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("comp+comm+mem"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CombinedTest, CombinationIsMoreRestrictive) {
   const device::Fleet fleet = TestFleet(100);
   const auto comm =
-      BuildCommunicationLimited("sheterofl", "cifar100", fleet);
-  const auto mem = BuildMemoryLimited("sheterofl", "cifar100", fleet);
-  const auto both = BuildCommMemLimited("sheterofl", "cifar100", fleet);
+      BuildCase("communication", "sheterofl", fleet);
+  const auto mem = BuildCase("memory", "sheterofl", fleet);
+  const auto both = BuildCase("comm+mem", "sheterofl", fleet);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     EXPECT_LE(both.assignments[i].capacity,
               std::min(comm.assignments[i].capacity,
@@ -127,7 +162,7 @@ TEST(CombinedTest, CombinationIsMoreRestrictive) {
 
 TEST(CombinedTest, TripleAtLeastAsRestrictiveAsDouble) {
   const device::Fleet fleet = TestFleet(100);
-  const auto two = BuildCommMemLimited("fedrolex", "cifar100", fleet);
+  const auto two = BuildCase("comm+mem", "fedrolex", fleet);
   const auto three = BuildCompCommMemLimited("fedrolex", "cifar100", fleet);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     EXPECT_LE(three.assignments[i].capacity,
@@ -137,7 +172,7 @@ TEST(CombinedTest, TripleAtLeastAsRestrictiveAsDouble) {
 
 TEST(TopologyConstraintTest, ArchIndexVariesWithMemory) {
   const device::Fleet fleet = TestFleet(200);
-  const auto built = BuildMemoryLimited("fedet", "cifar100", fleet);
+  const auto built = BuildCase("memory", "fedet", fleet);
   int min_arch = 99, max_arch = -1;
   for (const auto& a : built.assignments) {
     min_arch = std::min(min_arch, a.arch_index);

@@ -108,6 +108,11 @@ TEST(ParamStoreTest, LayoutFingerprintFollowsNamesAndSizes) {
   a.Set("x", Tensor({4}));
   b.Set("y", Tensor({4}));
   EXPECT_NE(a.layout_fingerprint(), b.layout_fingerprint());
+
+  // FNV-1a over each name with its terminator, then its size as a
+  // little-endian u64.
+  a.Set("y", Tensor({2, 3}));
+  EXPECT_EQ(a.layout_fingerprint(), 0x56f64eca7fb70dfeULL);
 }
 
 TEST(ParamStoreTest, ForEachInLayoutRejectsATensorResizedBehindIt) {

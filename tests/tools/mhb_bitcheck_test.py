@@ -2,10 +2,12 @@
 """Tests for tools/mhb_bitcheck.py against two stub mhbench binaries.
 
 Each stub is a small script that answers `run` like mhbench does: it prints
-a metric line and the "[manifest written to ...]" path line, and writes a
-det_audit.jsonl and a clients.mhbj into its --manifest-dir.  Identical stubs
-must pass (a differing path line included); one byte of difference in one
-config's journal must be named by algorithm, task, threads and file.
+a metric line and the "[manifest written to ...]" path line, writes a
+det_audit.jsonl and a clients.mhbj into its --manifest-dir and a snapshot
+into its --checkpoint-dir.  Identical stubs must pass (a differing path line
+included); one byte of difference in one config's journal or snapshot must
+be named by algorithm, task, threads and file, and a run that writes no
+snapshot fails the check.
 """
 import pathlib
 import stat
@@ -32,6 +34,14 @@ if config == {diff_at!r}:
     journal = journal[:-1] + b"X"
 with open(os.path.join(run_dir, "clients.mhbj"), "wb") as f:
     f.write(journal)
+snapshot = b"snapshot " + "-".join(config).encode()
+if config == {snapshot_diff_at!r}:
+    snapshot = b"X" + snapshot[1:]
+if {write_snapshot!r}:
+    os.makedirs(args["--checkpoint-dir"])
+    with open(os.path.join(args["--checkpoint-dir"], "round_000002.mhbsnap"),
+              "wb") as f:
+        f.write(snapshot)
 """
 
 
@@ -43,11 +53,14 @@ class MhbBitcheckTest(unittest.TestCase):
     def tearDown(self):
         self._tmp.cleanup()
 
-    def stub(self, name, manifest_prefix="", diff_at=None):
+    def stub(self, name, manifest_prefix="", diff_at=None,
+             snapshot_diff_at=None, write_snapshot=True):
         path = self.dir / name
         path.write_text(STUB.format(python=sys.executable,
                                     manifest_prefix=manifest_prefix,
-                                    diff_at=diff_at))
+                                    diff_at=diff_at,
+                                    snapshot_diff_at=snapshot_diff_at,
+                                    write_snapshot=write_snapshot))
         path.chmod(path.stat().st_mode | stat.S_IXUSR)
         return str(path)
 
@@ -62,7 +75,7 @@ class MhbBitcheckTest(unittest.TestCase):
             self.stub("parent"),
             self.stub("change", manifest_prefix="/elsewhere/"))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        self.assertIn("identical: 90 runs", result.stdout)
+        self.assertIn("identical: 90 runs, 360 outputs", result.stdout)
 
     def test_one_byte_ledger_difference_is_named(self):
         result = self.bitcheck(
@@ -71,6 +84,20 @@ class MhbBitcheckTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("DIFFER: algorithm=fedproto task=agnews threads=4 "
                       "file=fedproto-agnews/clients.mhbj", result.stdout)
+
+    def test_one_byte_snapshot_difference_is_named(self):
+        result = self.bitcheck(
+            self.stub("parent"),
+            self.stub("change", snapshot_diff_at=("fedet", "ucihar", "1")))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("DIFFER: algorithm=fedet task=ucihar threads=1 "
+                      "file=ck/round_000002.mhbsnap", result.stdout)
+
+    def test_run_without_snapshot_exits_2(self):
+        result = self.bitcheck(self.stub("parent"),
+                               self.stub("change", write_snapshot=False))
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn("wrote no ck/round_*.mhbsnap", result.stderr)
 
     def test_failing_run_exits_2(self):
         broken = self.dir / "broken"

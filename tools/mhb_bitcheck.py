@@ -12,16 +12,15 @@ reaches) x --threads {1, 4}, each run as
       --det-audit 1 --manifest-dir md --threads N
 
 in a fresh directory per binary.  Compared, per run: stdout (the
-"[manifest written to ...]" path line dropped), and every det_audit.jsonl
-and clients.mhbj under the manifest dir.  Snapshots are not compared:
-those of older revisions carry wall-clock telemetry totals.
+"[manifest written to ...]" path line dropped), every det_audit.jsonl and
+clients.mhbj under the manifest dir, and every ck/round_*.mhbsnap snapshot.
 
 Usage:
   mhb_bitcheck.py <parent-mhbench> <change-mhbench>
 
 Exits 0 when every file of every run matches, 1 naming the first differing
 (algorithm, task, threads, file), and 2 when a run fails or writes no
-ledger or journal.  Pure python, no third-party dependencies.
+ledger, journal or snapshot.  Pure python, no third-party dependencies.
 """
 
 import argparse
@@ -70,6 +69,17 @@ def run_one(binary, workdir, algorithm, task, threads):
         if not any(os.path.basename(k) == name for k in outputs):
             fail(f"{binary} wrote no {name} for {algorithm}/{task}"
                  f"/threads={threads}")
+    checkpoint_dir = os.path.join(workdir, "ck")
+    snapshots = sorted(
+        name for name in (os.listdir(checkpoint_dir)
+                          if os.path.isdir(checkpoint_dir) else [])
+        if name.startswith("round_") and name.endswith(".mhbsnap"))
+    if not snapshots:
+        fail(f"{binary} wrote no ck/round_*.mhbsnap for {algorithm}/{task}"
+             f"/threads={threads}")
+    for name in snapshots:
+        with open(os.path.join(checkpoint_dir, name), "rb") as f:
+            outputs[os.path.join("ck", name)] = f.read()
     return outputs
 
 
@@ -85,6 +95,7 @@ def main():
             fail(f"{b} is not an executable")
 
     runs = 0
+    outputs = 0
     with tempfile.TemporaryDirectory(prefix="mhb_bitcheck_") as tmp:
         for algorithm in ALGORITHMS:
             for task in TASKS:
@@ -96,14 +107,17 @@ def main():
                     change = run_one(binaries[1],
                                      os.path.join(tmp, "change", config),
                                      algorithm, task, threads)
-                    for name in sorted(set(parent) | set(change)):
+                    names = sorted(set(parent) | set(change))
+                    for name in names:
                         if parent.get(name) != change.get(name):
                             print(f"DIFFER: algorithm={algorithm} task={task} "
                                   f"threads={threads} file={name}")
                             return 1
                     runs += 1
-    print(f"identical: {runs} runs x {len(COMPARED_FILES) + 1} outputs "
-          f"({len(ALGORITHMS)} algorithms x {len(TASKS)} tasks x "
+                    outputs += len(names)
+    print(f"identical: {runs} runs, {outputs} outputs (stdout, "
+          f"{', '.join(COMPARED_FILES)}, ck/round_*.mhbsnap; "
+          f"{len(ALGORITHMS)} algorithms x {len(TASKS)} tasks x "
           f"threads {'/'.join(map(str, THREADS))})")
     return 0
 

@@ -8,6 +8,9 @@
 //   mhbench plan --task cifar100 --constraint memory [--algorithm sheterofl]
 //                [--clients 12] [--seed 11]
 //       Print the per-client model assignment a constraint case produces.
+//       --constraint names one case: computation, communication, memory,
+//       comm+mem or comp+comm+mem.  run also takes none (capacities split
+//       proportionally over the ratio ladder, no device constraint).
 //   mhbench run --task cifar10 --algorithm sheterofl
 //               [--constraint computation] [--rounds 20] [--clients 10]
 //               [--alpha 0.5] [--deadline 0] [--seed 1] [--threads 1]
@@ -226,17 +229,12 @@ int CmdPlan(Args& args) {
   args.RejectUnused();
   const device::Fleet fleet = device::SampleFleet(fcfg);
 
-  // "comp" only occurs in computation, "comm" only in communication, and
-  // "mem" only in memory, so substring matching covers the combined names.
-  constraints::ConstraintFlags flags;
-  flags.computation = constraint.find("comp") != std::string::npos;
-  flags.communication = constraint.find("comm") != std::string::npos;
-  flags.memory = constraint.find("mem") != std::string::npos;
-  MHB_CHECK(flags.computation || flags.communication || flags.memory)
-      << "unknown constraint" << constraint;
-
-  const auto built =
-      constraints::BuildConstrained(algorithm, task, fleet, flags);
+  if (constraint == "none") {
+    throw Error("plan: --constraint none has no device constraint to plan "
+                "for (run assigns its capacities proportionally)");
+  }
+  const auto built = constraints::BuildConstrained(
+      algorithm, task, fleet, constraints::ParseConstraintCase(constraint));
   std::printf("%s / %s / %s (deadline %.1f s)\n", task.c_str(),
               constraint.c_str(), algorithm.c_str(),
               built.compute_deadline_s);
