@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -240,10 +241,7 @@ RunResult FlEngine::Run() {
       pool_ != nullptr ? pool_->stats() : core::ThreadPool::Stats{};
   // Totals at Run() entry: snapshots export per-run deltas relative to
   // these so registries shared across runs never double-count on resume.
-  if (reg != nullptr) {
-    obs_base_counters_ = reg->Totals();
-    obs_base_hists_ = reg->Histograms();
-  }
+  if (reg != nullptr) obs_base_ = reg->SnapshotTotals();
 
   Rng setup_rng = rng_.Fork(1);
   {
@@ -302,58 +300,45 @@ RunResult FlEngine::Run() {
     obs::Span select_span("select", "fl");
     std::vector<Participant> participants;
     participants.reserve(sampled.size());
-    // Per-client timeline rows, built serially for every sampled client
-    // (dropped ones included, with their drop reason) and handed to the
-    // registry at the barrier, which counts every client metric from them.
-    // Each participant remembers its row index so the dispatch lambda can
-    // write the measured wall time into its own slot without
-    // synchronization.
-    std::vector<obs::Registry::ClientRow> client_rows;
-    std::vector<std::size_t> participant_row;
+    // One timeline row per sampled client (dropped ones included, with
+    // their drop reason): the run's participation counts and, at the
+    // barrier, every registry client metric are counted from them.  Each
+    // participant remembers its row, so the dispatch lambda writes the
+    // measured wall time into its own slot without synchronization.
+    std::vector<obs::Registry::ClientRow> client_rows(sampled.size());
     double round_time = 0.0;
-    int round_offline = 0;
-    int round_dropped = 0;
-    for (int c : sampled) {
+    for (std::size_t i = 0; i < sampled.size(); ++i) {
+      const int c = sampled[i];
       const auto& sys = ctx_.assignments[static_cast<std::size_t>(c)].system;
       const double client_time = sys.compute_time_s + sys.comm_time_s;
-      ++result.total_participations;
-      obs::Registry::ClientRow* row = nullptr;
-      if (reg != nullptr) {
-        row = &client_rows.emplace_back();
-        row->run = algorithm_.name();
-        row->round = round;
-        row->client = c;
-        row->device_tier = sys.device_tier;
-        row->sim_compute_s = sys.compute_time_s;
-        row->sim_comm_s = sys.comm_time_s;
-        row->memory_mb = sys.memory_mb;
-      }
+      obs::Registry::ClientRow& row = client_rows[i];
+      row.run = algorithm_.name();
+      row.round = round;
+      row.client = c;
+      row.device_tier = sys.device_tier;
+      row.sim_compute_s = sys.compute_time_s;
+      row.sim_comm_s = sys.comm_time_s;
+      row.memory_mb = sys.memory_mb;
       if (sys.availability < 1.0 &&
           round_rng.Uniform() >= sys.availability) {
         // State heterogeneity: the device is offline this round.
-        ++result.offline_skips;
-        ++round_offline;
-        if (row != nullptr) row->drop_reason = "offline";
-        continue;
-      }
-      if (config_.round_deadline_s > 0 &&
-          client_time > config_.round_deadline_s) {
+        row.drop_reason = "offline";
+      } else if (config_.round_deadline_s > 0 &&
+                 client_time > config_.round_deadline_s) {
         // Straggler: the synchronous round closes without this client.
-        ++result.straggler_drops;
-        ++round_dropped;
-        if (row != nullptr) row->drop_reason = "straggler";
-        continue;
-      }
-      if (row != nullptr) {
+        row.drop_reason = "straggler";
+      } else {
         // The cost model charges comm_mb for the full up+down payload.
-        row->bytes_up = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        row->bytes_down = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        row->train_mflops = static_cast<std::int64_t>(sys.train_gflops * 1e3);
-        participant_row.push_back(client_rows.size() - 1);
+        row.bytes_up = static_cast<std::int64_t>(sys.comm_mb * 5e5);
+        row.bytes_down = static_cast<std::int64_t>(sys.comm_mb * 5e5);
+        row.train_mflops = static_cast<std::int64_t>(sys.train_gflops * 1e3);
+        participants.push_back(
+            {c, round_rng.Fork(static_cast<std::uint64_t>(c)), i});
+        round_time = std::max(round_time, client_time);
       }
-      participants.push_back(
-          {c, round_rng.Fork(static_cast<std::uint64_t>(c))});
-      round_time = std::max(round_time, client_time);
+      ++result.total_participations;
+      if (row.drop_reason == "offline") ++result.offline_skips;
+      if (row.drop_reason == "straggler") ++result.straggler_drops;
     }
     if (config_.round_deadline_s > 0) {
       // The server waits until the deadline regardless of who made it.
@@ -388,12 +373,10 @@ RunResult FlEngine::Run() {
         obs::ProfileScope profile_scope("client");
         algorithm_.RunClient(client_id, round, participants[i].rng);
       }
-      if (reg != nullptr) {
-        client_rows[participant_row[i]].wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - client_wall_start)
-                .count();
-      }
+      client_rows[participants[i].row].wall_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - client_wall_start)
+              .count();
     });
     dispatch_span.End();
     // mhb-obs-phase: serial — dispatch joined; barrier merge and gauges.
@@ -464,22 +447,22 @@ RunResult FlEngine::Run() {
       for (auto& row : client_rows) reg->AddClientRow(std::move(row));
       reg->EndRound(algorithm_.name(), round);
       MHB_LOG_TRACE << algorithm_.name() << " round " << round
+                    << " sampled=" << sampled.size()
                     << " participants=" << participants.size()
-                    << " offline=" << round_offline
-                    << " dropped=" << round_dropped << " wall_ms=" << wall_ms;
+                    << " wall_ms=" << wall_ms;
     }
 
-    // Divergence ledger, also after EndRound: the counter component must
-    // hash the published totals, not a mid-round pending view.  Read-only
-    // over engine state, so auditing cannot perturb the run it audits.
+    // Divergence ledger, after EndRound: the counter component hashes the
+    // totals with the whole round counted.  Read-only over engine state, so
+    // auditing cannot perturb the run it audits.
     if (config_.obs.det_audit != nullptr) {
       AuditRound(round);
     }
 
     if (config_.checkpoint_every > 0 &&
         (round + 1) % config_.checkpoint_every == 0) {
-      // After the round barrier: all counts published (EndRound above when
-      // a registry is attached), no client work in flight.
+      // After the round barrier: the round counted (EndRound above when a
+      // registry is attached), no client work in flight.
       obs::Span ckpt_span("checkpoint", "fl");
       WriteCheckpoint(round + 1, sim_time, result);
     }
@@ -507,7 +490,6 @@ RunResult FlEngine::Run() {
             ctx_.task->test, config_.stability_max_samples);
       });
   stability_span.End();
-  if (reg != nullptr) reg->Flush();
   return result;
 }
 
@@ -567,12 +549,12 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
   obs::Registry* const reg = config_.obs.registry;
   if (reg != nullptr) {
     w.BeginSection("obs");
-    const auto counters = reg->Totals();
+    const obs::Registry::LiveSnapshot snap = reg->SnapshotTotals();
     std::map<std::string, std::int64_t> counter_deltas;
-    for (const auto& [name, total] : counters) {
+    for (const auto& [name, total] : snap.counters) {
       if (!obs::DetAuditor::AuditableMetric(name)) continue;
-      auto it = obs_base_counters_.find(name);
-      const std::int64_t base = it == obs_base_counters_.end() ? 0 : it->second;
+      auto it = obs_base_.counters.find(name);
+      const std::int64_t base = it == obs_base_.counters.end() ? 0 : it->second;
       // Zero deltas are written too: the registered-name set is fixed
       // serially, so the section lists the same names at any --threads.
       // Importing a zero delta is a no-op.
@@ -583,13 +565,12 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
       w.WriteString(name);
       w.WriteI64(delta);
     }
-    const auto hists = reg->Histograms();
     std::map<std::string, obs::Registry::HistogramData> hist_deltas;
-    for (const auto& [name, data] : hists) {
+    for (const auto& [name, data] : snap.hists) {
       if (!obs::DetAuditor::AuditableMetric(name)) continue;
       obs::Registry::HistogramData delta = data;
-      auto it = obs_base_hists_.find(name);
-      if (it != obs_base_hists_.end()) {
+      auto it = obs_base_.hists.find(name);
+      if (it != obs_base_.hists.end()) {
         for (std::size_t b = 0; b < delta.buckets.size(); ++b) {
           delta.buckets[b] -= it->second.buckets[b];
         }
@@ -653,12 +634,13 @@ void FlEngine::AuditRound(int round) const {
   obs::DetHash hh;
   obs::Registry* const reg = config_.obs.registry;
   if (reg != nullptr) {
-    for (const auto& [name, total] : reg->Totals()) {
+    const obs::Registry::LiveSnapshot snap = reg->SnapshotTotals();
+    for (const auto& [name, total] : snap.counters) {
       if (!obs::DetAuditor::AuditableMetric(name)) continue;
       hc.UpdateString(name);
       hc.UpdateI64(total);
     }
-    for (const auto& [name, data] : reg->Histograms()) {
+    for (const auto& [name, data] : snap.hists) {
       if (!obs::DetAuditor::AuditableMetric(name)) continue;
       hh.UpdateString(name);
       for (const std::int64_t b : data.buckets) hh.UpdateI64(b);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,10 +200,12 @@ class FlEngine {
   const FlContext& context() const { return ctx_; }
 
  private:
-  // One surviving sampled client of a round with its serially-forked Rng.
+  // One surviving sampled client of a round with its serially-forked Rng
+  // and the index of its row among the round's client rows.
   struct Participant {
     int client_id;
     Rng rng;
+    std::size_t row;
   };
 
   // Serializes engine + algorithm + RNG + obs state after round
@@ -230,8 +231,7 @@ class FlEngine {
   // Obs totals at Run() entry.  Snapshots store per-run *deltas* relative
   // to these, so a registry shared across runs (the bench suites run a
   // baseline first) never double-counts on resume.
-  std::map<std::string, std::int64_t> obs_base_counters_;
-  std::map<std::string, obs::Registry::HistogramData> obs_base_hists_;
+  obs::Registry::LiveSnapshot obs_base_;
 };
 
 }  // namespace mhbench::fl

@@ -165,7 +165,7 @@ ClientJournalContents ReadClientJournal(const std::string& path) {
     const std::string run = body.String();
     const std::uint32_t count = body.U32();
     for (std::uint32_t i = 0; i < count; ++i) {
-      ClientJournalRecord rec;
+      Registry::ClientRow rec;
       rec.run = run;
       rec.round = round;
       rec.client = body.I32();

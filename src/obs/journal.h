@@ -99,26 +99,13 @@ class ClientJournalWriter {
   std::size_t peak_block_bytes_ = 0;
 };
 
-// One decoded journal record (round/run denormalized from its block).
-struct ClientJournalRecord {
-  std::string run;
-  int round = 0;
-  int client = 0;
-  std::string device_tier;
-  std::string drop_reason;  // "" (trained), "offline", "straggler"
-  double sim_compute_s = 0.0;
-  double sim_comm_s = 0.0;
-  double memory_mb = 0.0;
-  std::int64_t bytes_up = 0;
-  std::int64_t bytes_down = 0;
-  std::int64_t train_mflops = 0;
-};
-
 struct ClientJournalContents {
   std::uint32_t version = 0;
   double sample_rate = 1.0;
   std::uint64_t sample_seed = 0;
-  std::vector<ClientJournalRecord> records;
+  // The decoded rows, run/round denormalized from their blocks; wall_ms is
+  // not journaled and reads 0.
+  std::vector<Registry::ClientRow> records;
 };
 
 // Reads and fully validates a journal: magic, version, every block's frame

@@ -9,12 +9,6 @@ namespace mhbench::obs {
 
 namespace {
 
-std::string FmtD(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
 // Prometheus metric names allow [a-zA-Z0-9_:]; registry counter names are
 // already lowercase identifiers, but sanitize defensively.
 std::string MetricName(const std::string& name) {
@@ -40,10 +34,10 @@ std::string MetricsText(const Registry::LiveSnapshot& snap) {
   out << "# TYPE mhb_last_round gauge\nmhb_last_round " << snap.last_round
       << "\n";
   out << "# TYPE mhb_sim_time_seconds gauge\nmhb_sim_time_seconds "
-      << FmtD(snap.sim_time_s) << "\n";
+      << FormatDouble(snap.sim_time_s) << "\n";
   if (!snap.accuracy.empty()) {
     out << "# TYPE mhb_global_accuracy gauge\nmhb_global_accuracy "
-        << FmtD(snap.accuracy.back().second) << "\n";
+        << FormatDouble(snap.accuracy.back().second) << "\n";
   }
   // Tier twins (obs/registry.h, DESIGN.md §5j) render as
   // the base metric with a Prometheus `tier` label; untiered entries render
@@ -67,6 +61,7 @@ std::string MetricsText(const Registry::LiveSnapshot& snap) {
   }
   last_type.clear();
   for (const auto& [name, h] : snap.hists) {
+    if (h.empty()) continue;
     const auto [base, raw_tier] = SplitTierName(name);
     const std::string tier = JsonEscape(raw_tier);
     const std::string metric = "mhb_hist_" + MetricName(base);
@@ -79,10 +74,11 @@ std::string MetricsText(const Registry::LiveSnapshot& snap) {
     };
     const std::string suffix_labels =
         tier.empty() ? "" : "{tier=\"" + tier + "\"}";
-    out << metric << label("0.5") << " " << FmtD(h.Quantile(0.50)) << "\n";
-    out << metric << label("0.95") << " " << FmtD(h.Quantile(0.95))
+    out << metric << label("0.5") << " " << FormatDouble(h.Quantile(0.50))
         << "\n";
-    out << metric << label("0.99") << " " << FmtD(h.Quantile(0.99))
+    out << metric << label("0.95") << " " << FormatDouble(h.Quantile(0.95))
+        << "\n";
+    out << metric << label("0.99") << " " << FormatDouble(h.Quantile(0.99))
         << "\n";
     out << metric << "_sum" << suffix_labels << " " << h.sum << "\n";
     out << metric << "_count" << suffix_labels << " " << h.count() << "\n";
@@ -99,14 +95,14 @@ std::string StatusJson(const Registry::LiveSnapshot& snap,
   out << "  \"rounds_completed\": " << snap.rounds_completed << ",\n";
   out << "  \"last_round\": " << snap.last_round << ",\n";
   out << "  \"rounds_total\": " << rounds_total << ",\n";
-  out << "  \"sim_time_s\": " << FmtD(snap.sim_time_s) << ",\n";
+  out << "  \"sim_time_s\": " << FormatDouble(snap.sim_time_s) << ",\n";
   // Accuracy-curve tail: the last few evaluated points, oldest first.
   out << "  \"accuracy\": [";
   const std::size_t tail =
       snap.accuracy.size() > 32 ? snap.accuracy.size() - 32 : 0;
   for (std::size_t i = tail; i < snap.accuracy.size(); ++i) {
     out << (i == tail ? "" : ", ") << "[" << snap.accuracy[i].first << ", "
-        << FmtD(snap.accuracy[i].second) << "]";
+        << FormatDouble(snap.accuracy[i].second) << "]";
   }
   out << "],\n";
   // Tier twins (obs/registry.h) are regrouped under "tiers";
@@ -125,13 +121,9 @@ std::string StatusJson(const Registry::LiveSnapshot& snap,
   {
     std::size_t i = 0;
     for (const auto& [name, h] : snap.hists) {
-      if (!SplitTierName(name).second.empty()) continue;
+      if (h.empty() || !SplitTierName(name).second.empty()) continue;
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-          << "\": {\"count\":" << h.count() << ",\"sum\":" << h.sum
-          << ",\"min\":" << h.min << ",\"max\":" << h.max
-          << ",\"p50\":" << FmtD(h.Quantile(0.50))
-          << ",\"p95\":" << FmtD(h.Quantile(0.95))
-          << ",\"p99\":" << FmtD(h.Quantile(0.99)) << "}";
+          << "\": " << HistogramSummaryJson(h);
     }
   }
   out << "\n  },\n";
@@ -151,9 +143,9 @@ std::string StatusJson(const Registry::LiveSnapshot& snap,
       for (const auto& [name, h] : m.hists) {
         out << (j++ == 0 ? "" : ", ") << "\"" << JsonEscape(name)
             << "\": {\"count\":" << h.count()
-            << ",\"p50\":" << FmtD(h.Quantile(0.50))
-            << ",\"p95\":" << FmtD(h.Quantile(0.95))
-            << ",\"p99\":" << FmtD(h.Quantile(0.99)) << "}";
+            << ",\"p50\":" << FormatDouble(h.Quantile(0.50))
+            << ",\"p95\":" << FormatDouble(h.Quantile(0.95))
+            << ",\"p99\":" << FormatDouble(h.Quantile(0.99)) << "}";
       }
       out << "}}";
     }
@@ -164,7 +156,7 @@ std::string StatusJson(const Registry::LiveSnapshot& snap,
     std::size_t i = 0;
     for (const auto& [name, value] : snap.last_gauges) {
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-          << "\": " << FmtD(value);
+          << "\": " << FormatDouble(value);
     }
   }
   out << "\n  }\n";

@@ -13,7 +13,12 @@
 //                  last round's gauges.
 //
 // Both renderers are pure functions of a Registry::SnapshotTotals() value
-// (plus the run id and round total for status.json), and the publisher
+// (plus the run id and round total for status.json) — the same view
+// manifest.json reads, so the final files carry the manifest's totals.  The
+// snapshot lists every registered histogram; both documents leave the
+// empty ones out.  `rounds_completed` counts the rounds of the engine run
+// that cut the last row, so a suite sharing one registry (the CLI runs a
+// baseline first) reads like its current run.  The publisher
 // runs on the barrier thread, so nothing runs concurrently with client
 // work and nothing written here feeds back into the registry or the engine:
 // publishing cannot change results, counters or histograms at any

@@ -74,12 +74,6 @@ void AppendJsonString(std::ostringstream& out, const std::string& s) {
   out << "\"" << JsonEscape(s) << "\"";
 }
 
-std::string FormatDouble(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
 // One CSV line's source: its leading cells and the metrics it spreads over
 // the file's column union.
 struct CsvLine {
@@ -256,28 +250,26 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
     AppendJsonString(json, m.metrics[i].first);
     json << ": " << m.metrics[i].second;
   }
+  const Registry::LiveSnapshot snap = registry != nullptr
+                                          ? registry->SnapshotTotals()
+                                          : Registry::LiveSnapshot{};
   json << "\n  },\n  \"counters\": {";
-  if (registry != nullptr) {
-    const auto totals = registry->Totals();
+  {
     std::size_t i = 0;
-    for (const auto& [name, value] : totals) {
+    for (const auto& [name, value] : snap.counters) {
       json << (i++ == 0 ? "\n" : ",\n") << "    ";
       AppendJsonString(json, name);
       json << ": " << value;
     }
   }
   json << "\n  },\n  \"histograms\": {";
-  if (registry != nullptr) {
+  {
     std::size_t i = 0;
-    for (const auto& [name, h] : registry->Histograms()) {
+    for (const auto& [name, h] : snap.hists) {
       if (h.empty()) continue;
       json << (i++ == 0 ? "\n" : ",\n") << "    ";
       AppendJsonString(json, name);
-      json << ": {\"count\":" << h.count() << ",\"sum\":" << h.sum
-           << ",\"min\":" << h.min << ",\"max\":" << h.max
-           << ",\"p50\":" << FormatDouble(h.Quantile(0.50))
-           << ",\"p95\":" << FormatDouble(h.Quantile(0.95))
-           << ",\"p99\":" << FormatDouble(h.Quantile(0.99)) << "}";
+      json << ": " << HistogramSummaryJson(h);
     }
   }
   // Per-tier rollups: the tier twins' totals regrouped by tier, so report
@@ -285,10 +277,9 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
   // objects above still carry the raw twin entries — that keeps
   // mhb_diff's exact-counter gate covering the tier dimension for free.
   json << "\n  },\n  \"tiers\": {";
-  if (registry != nullptr) {
+  {
     std::size_t i = 0;
-    for (const auto& [tier, m] :
-         GroupByTier(registry->Totals(), registry->Histograms())) {
+    for (const auto& [tier, m] : GroupByTier(snap.counters, snap.hists)) {
       json << (i++ == 0 ? "\n" : ",\n") << "    ";
       AppendJsonString(json, tier);
       json << ": {\"counters\": {";
@@ -301,7 +292,6 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
       json << "}, \"histograms\": {";
       j = 0;
       for (const auto& [name, h] : m.hists) {
-        if (h.empty()) continue;
         json << (j++ == 0 ? "" : ", ");
         AppendJsonString(json, name);
         json << ": {\"count\":" << h.count() << ",\"sum\":" << h.sum

@@ -14,6 +14,12 @@
 //                   the round rows (DESIGN.md §5j)
 //   profile.json  — per-op attribution table when a profiler is supplied
 //
+// manifest.json's totals come from Registry::SnapshotTotals(), the view
+// the live files, the checkpoint's obs section and the det-audit ledger
+// read too, so every document of a finished run carries the same numbers;
+// its flat histogram summaries and numbers share status.json's renderers
+// (HistogramSummaryJson, FormatDouble in obs/registry.h).
+//
 // The per-client per-round timeline is no longer retained in memory or
 // written here: the registry drains it into the bounded client event
 // journal (obs/journal.h, clients.mhbj); `tools/mhb_journal.py csv`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 namespace mhbench::obs {
@@ -117,7 +118,6 @@ Registry::CounterId Registry::CounterLocked(const std::string& name) {
   names_.push_back(name);
   ids_.emplace(name, id);
   totals_.push_back(0);
-  pending_.push_back(0);
   round_base_.push_back(0);
   return id;
 }
@@ -134,14 +134,13 @@ Registry::HistogramId Registry::HistogramLocked(const std::string& name) {
   hist_names_.push_back(name);
   hist_ids_.emplace(name, id);
   hist_totals_.emplace_back();
-  hist_pending_.emplace_back();
   hist_round_.emplace_back();
   return id;
 }
 
 void Registry::Add(CounterId id, std::int64_t delta) {
   core::MutexLock lock(mu_);
-  pending_[id] += delta;
+  totals_[id] += delta;
 }
 
 void Registry::AddNamed(const std::string& name, std::int64_t delta) {
@@ -150,7 +149,12 @@ void Registry::AddNamed(const std::string& name, std::int64_t delta) {
 
 void Registry::Observe(HistogramId id, std::int64_t value) {
   core::MutexLock lock(mu_);
-  hist_pending_[id].Observe(value);
+  ObserveLocked(id, value);
+}
+
+void Registry::ObserveLocked(HistogramId id, std::int64_t value) {
+  hist_totals_[id].Observe(value);
+  hist_round_[id].Observe(value);
 }
 
 void Registry::ObserveNamed(const std::string& name, std::int64_t value) {
@@ -162,30 +166,12 @@ void Registry::SetGauge(const std::string& name, double value) {
   gauges_[name] = value;
 }
 
-void Registry::FlushLocked() {
-  for (std::size_t id = 0; id < pending_.size(); ++id) {
-    totals_[id] += pending_[id];
-    pending_[id] = 0;
-  }
-  for (std::size_t id = 0; id < hist_pending_.size(); ++id) {
-    hist_totals_[id].Merge(hist_pending_[id]);
-    hist_round_[id].Merge(hist_pending_[id]);
-    hist_pending_[id] = HistogramData{};
-  }
-}
-
-void Registry::Flush() {
-  core::MutexLock lock(mu_);
-  FlushLocked();
-}
-
 void Registry::EndRound(const std::string& run, int round) {
   std::function<void(const RoundRow&)> sink;
   std::function<void(std::vector<ClientRow>&&)> row_sink;
   std::vector<ClientRow> drained;
   {
     core::MutexLock lock(mu_);
-    FlushLocked();
     // Drain the staged client rows unconditionally: with no sink installed
     // they are simply discarded, so staging memory stays bounded by one
     // round's cohort either way.
@@ -239,15 +225,13 @@ Registry::LiveSnapshot Registry::SnapshotTotals() const {
     snap.counters[names_[id]] = totals_[id];
   }
   for (std::size_t id = 0; id < hist_names_.size(); ++id) {
-    if (!hist_totals_[id].empty()) {
-      snap.hists[hist_names_[id]] = hist_totals_[id];
-    }
+    snap.hists[hist_names_[id]] = hist_totals_[id];
   }
-  snap.rounds_completed = rounds_.size();
   snap.accuracy = accuracy_;
   if (!rounds_.empty()) {
     const RoundRow& last = rounds_.back();
     snap.last_round = last.round;
+    snap.rounds_completed = static_cast<std::size_t>(last.round) + 1;
     snap.last_run = last.run;
     snap.last_gauges = last.gauges;
     auto it = last.gauges.find("sim_time_s");
@@ -262,29 +246,11 @@ std::int64_t Registry::Total(const std::string& name) const {
   return it == ids_.end() ? 0 : totals_[it->second];
 }
 
-std::map<std::string, std::int64_t> Registry::Totals() const {
-  core::MutexLock lock(mu_);
-  std::map<std::string, std::int64_t> out;
-  for (std::size_t id = 0; id < names_.size(); ++id) {
-    out[names_[id]] = totals_[id];
-  }
-  return out;
-}
-
 Registry::HistogramData Registry::HistogramTotals(
     const std::string& name) const {
   core::MutexLock lock(mu_);
   auto it = hist_ids_.find(name);
   return it == hist_ids_.end() ? HistogramData{} : hist_totals_[it->second];
-}
-
-std::map<std::string, Registry::HistogramData> Registry::Histograms() const {
-  core::MutexLock lock(mu_);
-  std::map<std::string, HistogramData> out;
-  for (std::size_t id = 0; id < hist_names_.size(); ++id) {
-    out[hist_names_[id]] = hist_totals_[id];
-  }
-  return out;
 }
 
 void Registry::ImportTotals(
@@ -330,23 +296,22 @@ void Registry::DeclareClientTiers(
 
 void Registry::CountClientRowLocked(const ClientIds& ids,
                                     const ClientRow& row) {
-  pending_[ids.selected] += 1;
+  totals_[ids.selected] += 1;
   if (row.drop_reason == "offline") {
-    pending_[ids.offline] += 1;
+    totals_[ids.offline] += 1;
     return;
   }
   if (!row.drop_reason.empty()) {
-    pending_[ids.dropped] += 1;
+    totals_[ids.dropped] += 1;
     return;
   }
-  pending_[ids.trained] += 1;
-  pending_[ids.bytes_up] += row.bytes_up;
-  pending_[ids.bytes_down] += row.bytes_down;
-  pending_[ids.train_mflops] += row.train_mflops;
-  hist_pending_[ids.wall_us_hist].Observe(
-      static_cast<std::int64_t>(row.wall_ms * 1e3));
-  hist_pending_[ids.bytes_up_hist].Observe(row.bytes_up);
-  hist_pending_[ids.train_mflops_hist].Observe(row.train_mflops);
+  totals_[ids.trained] += 1;
+  totals_[ids.bytes_up] += row.bytes_up;
+  totals_[ids.bytes_down] += row.bytes_down;
+  totals_[ids.train_mflops] += row.train_mflops;
+  ObserveLocked(ids.wall_us_hist, static_cast<std::int64_t>(row.wall_ms * 1e3));
+  ObserveLocked(ids.bytes_up_hist, row.bytes_up);
+  ObserveLocked(ids.train_mflops_hist, row.train_mflops);
 }
 
 void Registry::AddClientRow(ClientRow row) {
@@ -373,9 +338,27 @@ std::map<std::string, TierMetrics> GroupByTier(
   }
   for (const auto& [name, h] : hists) {
     auto [base, tier] = SplitTierName(name);
-    if (!tier.empty()) tiers[tier].hists.emplace(std::move(base), h);
+    if (!tier.empty() && !h.empty()) {
+      tiers[tier].hists.emplace(std::move(base), h);
+    }
   }
   return tiers;
+}
+
+std::string FormatDouble(double v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+std::string HistogramSummaryJson(const Registry::HistogramData& h) {
+  std::ostringstream out;
+  out << "{\"count\":" << h.count() << ",\"sum\":" << h.sum
+      << ",\"min\":" << h.min << ",\"max\":" << h.max
+      << ",\"p50\":" << FormatDouble(h.Quantile(0.50))
+      << ",\"p95\":" << FormatDouble(h.Quantile(0.95))
+      << ",\"p99\":" << FormatDouble(h.Quantile(0.99)) << "}";
+  return out.str();
 }
 
 }  // namespace mhbench::obs

@@ -1,25 +1,31 @@
 // Counter/gauge/histogram registry with deterministic aggregation.
 //
-// Counters are 64-bit integers (bytes, FLOPs, drops, task counts).  Add()
-// may be called from any thread: the delta lands in a pending buffer under
-// the registry mutex and is folded into the published totals only at a
-// serial round barrier (EndRound, Flush).  Integer addition is
-// order-independent, so totals are identical for any thread count.
+// One stage: every write lands in the totals at once, under the registry
+// mutex.  No src/ code writes the registry from a pool task — every call
+// runs at a serial barrier (the `barrier-phase-writes` lint rule, DESIGN.md
+// §5k) — so a write needs no staging.  Add and Observe stay safe to call
+// from any thread, and integer addition and the histogram merge commute,
+// so totals are identical for any thread count.
+//
+// Counters are 64-bit integers (bytes, FLOPs, drops, task counts).
 //
 // Histograms are fixed log2-bucketed int64 distributions (latency µs,
-// bytes, batch sizes).  Observe() lands in the pending buffer like Add;
-// bucket counts, sums and min/max all merge with commutative operations,
-// so bucket totals are thread-count independent too.  Quantiles
-// (p50/p95/p99) are derived from the bucket counts at export time by linear
-// interpolation inside the crossing bucket, clamped to the observed
-// [min, max] — never tracked online.
+// bytes, batch sizes).  Bucket counts, sums and min/max all combine with
+// commutative operations.  Quantiles (p50/p95/p99) are derived from the
+// bucket counts at export time by linear interpolation inside the crossing
+// bucket, clamped to the observed [min, max] — never tracked online.
 //
 // Gauges are doubles (simulated time, wall time, accuracy) set only from
 // serial phases.
 //
-// EndRound snapshots the per-round counter deltas, histogram deltas and the
-// round's gauges into a row; the manifest writer turns the rows into
-// rounds.csv.
+// EndRound cuts a row: the counter deltas since the previous EndRound, the
+// histogram observations since then and the round's gauges.  A write made
+// before EndRound(r) lands in round r's row, one made after it in round
+// r+1's.  The manifest writer turns the rows into rounds.csv.
+//
+// One read view: SnapshotTotals() is the only bulk read of the totals.
+// manifest.json, the live files, the checkpoint's obs section and the
+// det-audit ledger all read it, each applying its own name filter.
 //
 // Client-scoped telemetry has one source: AddClientRow (serial barrier
 // only) counts each ClientRow into the client metrics and stages it;
@@ -91,9 +97,7 @@ class Registry {
   // registry's lifetime.
   CounterId Counter(const std::string& name);
 
-  // Adds `delta` to the counter.  Safe to call concurrently from any
-  // thread; the value stays pending (invisible to Total, Totals and
-  // SnapshotTotals) until the next Flush or EndRound publishes it.
+  // Adds `delta` to the counter's total.  Thread-safe.
   void Add(CounterId id, std::int64_t delta) MHB_EXCLUDES(mu_);
 
   // Serial convenience: register + add in one call.
@@ -112,23 +116,14 @@ class Registry {
   // Sets a gauge for the current round.  Serial phases only.
   void SetGauge(const std::string& name, double value);
 
-  // Publishes the pending counter/histogram contributions into the totals.
-  // Serial barrier only.
-  void Flush() MHB_EXCLUDES(mu_);
-
-  // Flushes, then snapshots this round's counter/histogram deltas and
-  // gauges into a row labelled (`run`, `round`).  Serial barrier only.
+  // Cuts this round's counter/histogram deltas and gauges into a row
+  // labelled (`run`, `round`).  Serial barrier only.
   void EndRound(const std::string& run, int round) MHB_EXCLUDES(mu_);
 
-  // Total for a counter (0 if never registered).  Includes only flushed
-  // contributions.
+  // Total for one counter (0 if never registered) / merged state of one
+  // histogram (empty data if never registered).
   std::int64_t Total(const std::string& name) const;
-  std::map<std::string, std::int64_t> Totals() const;
-
-  // Merged state of one histogram (empty data if never registered) / all
-  // histograms.  Includes only flushed contributions.
   HistogramData HistogramTotals(const std::string& name) const;
-  std::map<std::string, HistogramData> Histograms() const;
 
   // Checkpoint restore (fl/checkpoint): folds previously exported counter
   // deltas and histogram state into the whole-run totals.  Counter imports
@@ -161,20 +156,23 @@ class Registry {
   void SetRoundSink(std::function<void(const RoundRow&)> sink)
       MHB_EXCLUDES(mu_);
 
-  // Lock-bounded view of the *published* state: flushed counter/histogram
-  // totals plus the last completed round's label, gauges and the
-  // accuracy-curve points gathered from the round rows.  Reads only
-  // published state — never the pending buffer — so it cannot observe
-  // anything that has not crossed a round barrier yet.  Strictly
-  // read-only: the live-file renderers (obs/live.h, DESIGN.md §5h) read
-  // the registry only through it.
+  // The one bulk read: every registered counter and histogram total, plus
+  // the last completed round's label, gauges and the accuracy-curve points
+  // gathered from the round rows, copied under one lock.  Histograms are
+  // listed empty ones included (the det-audit ledger hashes every
+  // registered name), so each exporter that prints summaries skips the
+  // empty ones itself.  Strictly read-only: manifest.json, the live files
+  // (obs/live.h, DESIGN.md §5h), the checkpoint's obs section and the
+  // det-audit ledger all read the registry's totals through it.
   struct LiveSnapshot {
-    std::map<std::string, std::int64_t> counters;    // flushed totals
-    std::map<std::string, HistogramData> hists;      // flushed, non-empty
+    std::map<std::string, std::int64_t> counters;    // every counter
+    std::map<std::string, HistogramData> hists;      // every histogram
     int last_round = -1;                   // -1 before the first EndRound
     std::string last_run;                  // last round row's run label
     std::map<std::string, double> last_gauges;  // last round row's gauges
-    std::size_t rounds_completed = 0;      // number of EndRound rows
+    // Rounds of the engine run that cut the last row: last_round + 1.  A
+    // registry shared by a suite of runs counts only the current one.
+    std::size_t rounds_completed = 0;
     double sim_time_s = 0.0;               // last row's sim_time_s gauge
     // (round, global_acc) for every row that carried an evaluation.
     std::vector<std::pair<int, double>> accuracy;
@@ -223,7 +221,8 @@ class Registry {
   // in clients_dropped; a trained row (empty drop_reason) in
   // clients_trained, bytes_up, bytes_down, train_mflops and the
   // client_wall_us, client_bytes_up and client_train_mflops histograms.
-  // Serial barrier only; EndRound publishes the counts.
+  // The counts land in the totals at once; the row reaches the client-row
+  // sink at the next EndRound.  Serial barrier only.
   void AddClientRow(ClientRow row) MHB_EXCLUDES(mu_);
 
   // Installs the per-round client-row drain, invoked by EndRound with the
@@ -253,25 +252,22 @@ class Registry {
       MHB_REQUIRES(mu_);
   void CountClientRowLocked(const ClientIds& ids, const ClientRow& row)
       MHB_REQUIRES(mu_);
-  void FlushLocked() MHB_REQUIRES(mu_);
+  // Adds one observation to a histogram's total and its round accumulator.
+  void ObserveLocked(HistogramId id, std::int64_t value) MHB_REQUIRES(mu_);
 
   // Guards everything below.
   mutable core::Mutex mu_;
   std::vector<std::string> names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, CounterId> ids_ MHB_GUARDED_BY(mu_);
-  // Flushed totals, by id.
+  // Totals, by id.
   std::vector<std::int64_t> totals_ MHB_GUARDED_BY(mu_);
-  // Added since the last flush, by id.
-  std::vector<std::int64_t> pending_ MHB_GUARDED_BY(mu_);
   // Totals at the last EndRound.
   std::vector<std::int64_t> round_base_ MHB_GUARDED_BY(mu_);
   std::vector<std::string> hist_names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, HistogramId> hist_ids_ MHB_GUARDED_BY(mu_);
-  // Flushed, by histogram id.
+  // Totals, by histogram id.
   std::vector<HistogramData> hist_totals_ MHB_GUARDED_BY(mu_);
-  // Observed since the last flush.
-  std::vector<HistogramData> hist_pending_ MHB_GUARDED_BY(mu_);
-  // Flushed since the last EndRound.
+  // Observed since the last EndRound.
   std::vector<HistogramData> hist_round_ MHB_GUARDED_BY(mu_);
   // Client metric ids by tier name ("" = base); map nodes keep references
   // stable while further tiers are registered.
@@ -308,10 +304,18 @@ struct TierMetrics {
 };
 
 // Regroups the tier twins of a counter map and a histogram map as
-// tier -> base -> value (untiered names have no tier and are left out).
-// Filters nothing else: each exporter applies its own empty-histogram rule.
+// tier -> base -> value.  Untiered names have no tier and are left out, and
+// so are empty histograms: no tier view prints a summary of nothing.
 std::map<std::string, TierMetrics> GroupByTier(
     const std::map<std::string, std::int64_t>& counters,
     const std::map<std::string, Registry::HistogramData>& hists);
+
+// The exporters' shared renderings (manifest.json, rounds.csv, tiers.csv,
+// status.json, metrics.prom).  A double as `operator<<` prints it (six
+// significant digits).
+std::string FormatDouble(double v);
+// A histogram's flat JSON summary:
+// {"count":N,"sum":S,"min":m,"max":M,"p50":q,"p95":q,"p99":q}.
+std::string HistogramSummaryJson(const Registry::HistogramData& h);
 
 }  // namespace mhbench::obs

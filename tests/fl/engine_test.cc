@@ -177,7 +177,8 @@ TEST(FlEngineTest, UnsampledTierStillExportsZeroTwins) {
   obs::Registry reg;
   // Sampling does not depend on tiers: the same clients are drawn.
   EXPECT_EQ(sampled_clients(assign, reg), sampled);
-  const auto totals = reg.Totals();
+  const obs::Registry::LiveSnapshot snap = reg.SnapshotTotals();
+  const auto& totals = snap.counters;
   for (const char* name :
        {"clients_selected@mem16g", "clients_offline@mem16g",
         "clients_dropped@mem16g", "clients_trained@mem16g", "bytes_up@mem16g",
@@ -185,7 +186,7 @@ TEST(FlEngineTest, UnsampledTierStillExportsZeroTwins) {
     ASSERT_EQ(totals.count(name), 1u) << name;
     EXPECT_EQ(totals.at(name), 0) << name;
   }
-  const auto hists = reg.Histograms();
+  const auto& hists = snap.hists;
   for (const char* name : {"client_wall_us@mem16g", "client_bytes_up@mem16g",
                            "client_train_mflops@mem16g"}) {
     ASSERT_EQ(hists.count(name), 1u) << name;

@@ -193,7 +193,7 @@ TEST(ParallelDeterminismTest, InstrumentedRunsStayBitIdentical) {
     // Counter totals are thread-count independent.  Wall-clock gauges
     // (wall_ms, pool idle) legitimately differ, and pool_tasks counts
     // helper tasks (a function of the worker count), so drop it too.
-    auto totals = registry.Totals();
+    auto totals = registry.SnapshotTotals().counters;
     totals.erase("pool_tasks");
     EXPECT_GT(totals.at("clients_trained"), 0);
     EXPECT_GT(totals.at("bytes_up"), 0);
@@ -237,7 +237,7 @@ TEST(ParallelDeterminismTest, KernelCountersDeterministicOnConvModel) {
     obs::ObsConfig obs;
     obs.registry = &registry;
     const RunResult result = RunWithThreads(c, task, threads, obs);
-    const std::int64_t flops = registry.Totals().at("gemm_flops");
+    const std::int64_t flops = registry.Total("gemm_flops");
     EXPECT_GT(flops, 0);
     if (threads == 1) {
       reference = result;

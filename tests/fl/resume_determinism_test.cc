@@ -145,7 +145,7 @@ void ExpectIdentical(const RunResult& want, const RunResult& got,
 // and the uninterrupted reference (asserted separately below).
 std::map<std::string, std::int64_t> DeterministicTotals(
     const obs::Registry& reg) {
-  auto totals = reg.Totals();
+  auto totals = reg.SnapshotTotals().counters;
   totals.erase("pool_tasks");
   for (auto it = totals.begin(); it != totals.end();) {
     it = it->first.rfind("checkpoint_", 0) == 0 ? totals.erase(it)

@@ -11,7 +11,7 @@ void Register(obs::Registry* reg) {
   reg->AddNamed("agg_updates", 1);
 }
 
-// mhb-obs-phase: parallel — thread-safe pending writes only.
+// mhb-obs-phase: parallel — thread-safe writes only.
 void Worker(obs::Registry* reg, std::size_t id) {
   reg->Add(id, 1);
   reg->Observe(id, 2);
@@ -20,7 +20,6 @@ void Worker(obs::Registry* reg, std::size_t id) {
 // mhb-obs-phase: serial — the round barrier.
 void Barrier(obs::Registry* reg) {
   reg->EndRound("algo", 0);
-  reg->Flush();
 }
 
 }  // namespace mhbench

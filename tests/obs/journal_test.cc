@@ -190,13 +190,14 @@ bool SurvivesIntact(const std::vector<std::uint8_t>& bytes,
   for (const auto& r : ExampleRound2()) expect.push_back(r);
   if (got.records.size() != expect.size()) return false;
   for (std::size_t i = 0; i < expect.size(); ++i) {
-    const ClientJournalRecord& g = got.records[i];
+    const Registry::ClientRow& g = got.records[i];
     const Registry::ClientRow& e = expect[i];
     if (g.run != e.run || g.round != e.round || g.client != e.client ||
         g.device_tier != e.device_tier || g.drop_reason != e.drop_reason ||
         g.sim_compute_s != e.sim_compute_s || g.sim_comm_s != e.sim_comm_s ||
         g.memory_mb != e.memory_mb || g.bytes_up != e.bytes_up ||
-        g.bytes_down != e.bytes_down || g.train_mflops != e.train_mflops) {
+        g.bytes_down != e.bytes_down || g.train_mflops != e.train_mflops ||
+        g.wall_ms != 0.0) {
       return false;
     }
   }

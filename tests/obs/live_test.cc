@@ -43,14 +43,13 @@ void FillRegistry(Registry* reg) {
   reg->EndRound("fedavg", 0);
 }
 
-TEST(RegistrySnapshotTest, SeesOnlyFlushedState) {
+TEST(RegistrySnapshotTest, SeesTotalsAndTheLastCutRound) {
   Registry reg;
   const Registry::CounterId id = reg.Counter("bytes_up");
   reg.Add(id, 999);
 
-  // Nothing has crossed a barrier: the snapshot must not see the sink.
+  // No round has been cut yet.
   Registry::LiveSnapshot snap = reg.SnapshotTotals();
-  EXPECT_EQ(snap.counters.at("bytes_up"), 0);
   EXPECT_EQ(snap.last_round, -1);
   EXPECT_EQ(snap.rounds_completed, 0u);
   EXPECT_TRUE(snap.accuracy.empty());
@@ -76,6 +75,56 @@ TEST(RegistrySnapshotTest, SeesOnlyFlushedState) {
   EXPECT_EQ(snap.last_round, 1);
   EXPECT_EQ(snap.rounds_completed, 2u);
   EXPECT_EQ(snap.accuracy.size(), 1u);
+}
+
+// A CLI run is a suite sharing one registry: the fedavg-small baseline's
+// rounds 0-3, then the requested algorithm's rounds 0-3.  The live files
+// report the current engine run, so rounds_completed reads 4, not the 8
+// rows the registry holds.
+TEST(RegistrySnapshotTest, RoundsCompletedCountsTheRunOfTheLastRow) {
+  Registry reg;
+  for (int r = 0; r < 4; ++r) reg.EndRound("fedavg-small", r);
+  EXPECT_EQ(reg.SnapshotTotals().rounds_completed, 4u);
+  for (int r = 0; r < 4; ++r) {
+    reg.EndRound("sheterofl", r);
+    const Registry::LiveSnapshot snap = reg.SnapshotTotals();
+    EXPECT_EQ(snap.rounds_completed, static_cast<std::size_t>(r + 1));
+    EXPECT_EQ(snap.last_run, "sheterofl");
+  }
+  ASSERT_EQ(reg.rounds().size(), 8u);
+  const Registry::LiveSnapshot snap = reg.SnapshotTotals();
+  EXPECT_NE(MetricsText(snap).find("\nmhb_rounds_completed 4\n"),
+            std::string::npos);
+  EXPECT_NE(StatusJson(snap, "suite", 4).find("\"rounds_completed\": 4,\n"),
+            std::string::npos);
+}
+
+// The snapshot lists a declared tier's histograms while nothing has been
+// observed in them (the det-audit ledger hashes every registered name);
+// metrics.prom and status.json leave the empty ones out.
+TEST(RegistrySnapshotTest, ListsEmptyHistogramsThatTheLiveFilesSkip) {
+  Registry reg;
+  reg.DeclareClientTiers({"mem16g"});
+  reg.AddNamed("bytes_up", 1500);
+  reg.EndRound("fedavg", 0);
+  const Registry::LiveSnapshot snap = reg.SnapshotTotals();
+  for (const char* name :
+       {"client_wall_us", "client_bytes_up@mem16g",
+        "client_train_mflops@mem16g"}) {
+    ASSERT_EQ(snap.hists.count(name), 1u) << name;
+    EXPECT_TRUE(snap.hists.at(name).empty()) << name;
+  }
+
+  const std::string metrics = MetricsText(snap);
+  EXPECT_EQ(metrics.find("mhb_hist_"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("mhb_counter_bytes_up 1500\n"), std::string::npos);
+  const std::string status = StatusJson(snap, "", 0);
+  EXPECT_NE(status.find("\"histograms\": {\n  },\n"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("\"mem16g\": {\"counters\": {"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("\"histograms\": {}}"), std::string::npos) << status;
+  EXPECT_EQ(status.find("client_wall_us"), std::string::npos) << status;
 }
 
 TEST(RegistrySnapshotTest, RoundSinkStreamsPublishedRows) {
@@ -159,7 +208,6 @@ TEST(LiveFilesTest, StatusJsonCarriesTheSchema) {
   Registry reg;
   FillRegistry(&reg);
   reg.AddNamed("checkpoint_writes", 1);
-  reg.Flush();
 
   const std::string json =
       StatusJson(reg.SnapshotTotals(), "cifar100-none-fedavg-seed7", 8);
@@ -260,7 +308,7 @@ TEST(LiveDeterminismTest, PublishingSinkDoesNotPerturbEngineRuns) {
   const data::Task task = SmallTask();
   // pool_tasks tracks the pool size, so it is left out of the comparison.
   auto comparable_totals = [](const Registry& reg) {
-    auto totals = reg.Totals();
+    auto totals = reg.SnapshotTotals().counters;
     totals.erase("pool_tasks");
     return totals;
   };

@@ -118,8 +118,9 @@ TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
   journal.Close();
   out.journal_blocks = journal.blocks_written();
   out.journal_peak = journal.peak_block_bytes();
-  out.totals = registry.Totals();
-  out.hists = registry.Histograms();
+  Registry::LiveSnapshot snap = registry.SnapshotTotals();
+  out.totals = std::move(snap.counters);
+  out.hists = std::move(snap.hists);
 
   std::ifstream in(dir.File("clients.mhbj"), std::ios::binary);
   EXPECT_TRUE(in.good());

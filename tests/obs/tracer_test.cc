@@ -186,11 +186,43 @@ TEST(RegistryTest, ConcurrentAddsSumToOrderIndependentTotals) {
   core::ParallelFor(&pool, 1000, [&](std::size_t i) {
     reg.Add(c, static_cast<std::int64_t>(i));
   });
-  // Pending until the barrier publishes it.
-  EXPECT_EQ(reg.Total("c"), 0);
-  EXPECT_EQ(reg.SnapshotTotals().counters.at("c"), 0);
-  reg.Flush();
   EXPECT_EQ(reg.Total("c"), 999 * 1000 / 2);
+}
+
+// A write made after EndRound(r) — as SnapshotWriter::WriteFile makes
+// after the barrier — is in the totals at once and lands in round r+1's
+// row, never in round r's.
+TEST(RegistryTest, WriteAfterTheBarrierCountsAtOnceAndInTheNextRow) {
+  Registry reg;
+  reg.AddNamed("bytes_up", 10);
+  reg.EndRound("alg", 0);
+  reg.AddNamed("checkpoint_writes", 1);
+  reg.ObserveNamed("lat_us", 7);
+  EXPECT_EQ(reg.Total("checkpoint_writes"), 1);
+  EXPECT_EQ(reg.SnapshotTotals().counters.at("checkpoint_writes"), 1);
+  EXPECT_EQ(reg.HistogramTotals("lat_us").count(), 1);
+  ASSERT_EQ(reg.rounds().size(), 1u);
+  EXPECT_EQ(reg.rounds()[0].counters.count("checkpoint_writes"), 0u);
+  EXPECT_EQ(reg.rounds()[0].hists.count("lat_us"), 0u);
+
+  reg.EndRound("alg", 1);
+  ASSERT_EQ(reg.rounds().size(), 2u);
+  EXPECT_EQ(reg.rounds()[1].counters.at("checkpoint_writes"), 1);
+  EXPECT_EQ(reg.rounds()[1].counters.count("bytes_up"), 0u);
+  EXPECT_EQ(reg.rounds()[1].hists.at("lat_us").count(), 1);
+}
+
+// An AddNamed made before EndRound(r) — as FinishRound makes at the merge —
+// lands in round r's row.
+TEST(RegistryTest, AddNamedBeforeTheBarrierLandsInThatRound) {
+  Registry reg;
+  reg.EndRound("alg", 0);
+  reg.AddNamed("agg_updates", 3);
+  reg.EndRound("alg", 1);
+  ASSERT_EQ(reg.rounds().size(), 2u);
+  EXPECT_EQ(reg.rounds()[0].counters.count("agg_updates"), 0u);
+  EXPECT_EQ(reg.rounds()[1].counters.at("agg_updates"), 3);
+  EXPECT_EQ(reg.Total("agg_updates"), 3);
 }
 
 TEST(RegistryTest, CounterRegistrationIsIdempotent) {
@@ -198,7 +230,6 @@ TEST(RegistryTest, CounterRegistrationIsIdempotent) {
   EXPECT_EQ(reg.Counter("x"), reg.Counter("x"));
   reg.AddNamed("x", 2);
   reg.AddNamed("x", 3);
-  reg.Flush();
   EXPECT_EQ(reg.Total("x"), 5);
 }
 
@@ -225,8 +256,9 @@ TEST(RegistryTest, ClientRowsCountIntoBaseAndTierTwins) {
   reg.AddClientRow(row(2, "mem4g", "", 7.0, 3000, 90));
   reg.AddClientRow(row(3, "mem4g", "straggler", 0.0, 0, 0));
   reg.AddClientRow(row(4, "mem4g", "", 1.25, 500, 10));
-  // Counted at the barrier, not before.
-  EXPECT_EQ(reg.Total("clients_selected"), 0);
+  // Counted at once; the round row is cut at the barrier.
+  EXPECT_EQ(reg.Total("clients_selected"), 5);
+  EXPECT_TRUE(reg.rounds().empty());
   reg.EndRound("alg", 0);
 
   EXPECT_EQ(reg.Total("clients_selected"), 5);
@@ -250,7 +282,7 @@ TEST(RegistryTest, ClientRowsCountIntoBaseAndTierTwins) {
   EXPECT_EQ(reg.Total("bytes_down@mem4g"), 3500);
   EXPECT_EQ(reg.Total("train_mflops@mem4g"), 100);
   // Zero-valued twins are registered, so they export.
-  EXPECT_EQ(reg.Totals().count("clients_dropped@cpu"), 1u);
+  EXPECT_EQ(reg.SnapshotTotals().counters.count("clients_dropped@cpu"), 1u);
 
   // Histograms observe trained rows only; wall time in whole microseconds.
   const Registry::HistogramData wall = reg.HistogramTotals("client_wall_us");
@@ -279,13 +311,14 @@ TEST(RegistryTest, ClientRowsCountIntoBaseAndTierTwins) {
 TEST(RegistryTest, DeclaredTiersRegisterZeroTwinsAndEmptyTierIsUntiered) {
   Registry reg;
   reg.DeclareClientTiers({"cpu", "", "cpu"});
-  const auto totals = reg.Totals();
+  const Registry::LiveSnapshot snap = reg.SnapshotTotals();
+  const auto& totals = snap.counters;
   for (const char* name :
        {"clients_selected", "clients_offline@cpu", "train_mflops@untiered"}) {
     ASSERT_EQ(totals.count(name), 1u) << name;
     EXPECT_EQ(totals.at(name), 0) << name;
   }
-  EXPECT_EQ(reg.Histograms().count("client_wall_us@untiered"), 1u);
+  EXPECT_EQ(snap.hists.count("client_wall_us@untiered"), 1u);
 
   std::vector<Registry::ClientRow> drained;
   reg.SetClientRowSink([&](std::vector<Registry::ClientRow>&& rows) {

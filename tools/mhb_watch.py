@@ -65,7 +65,6 @@ def render(status, age_s):
     lines.append(
         f"rounds   {progress_bar(done, total)} {done}"
         + (f"/{total}{pct}" if total > 0 else " completed")
-        + f"   {status.get('rounds_completed', 0)} barriers in all"
     )
     lines.append(
         f"clock    sim {status.get('sim_time_s', 0):.1f} s"

@@ -380,8 +380,8 @@ int CmdRun(Args& args) {
 
   const auto bundles = bench_support::RunSuite({algorithm}, options);
   if (!run_dir.empty()) {
-    // Once more after the run: the last round's checkpoint write counts
-    // only at the engine's closing flush, after the last round sink.
+    // Once more after the run: the last round's checkpoint write adds its
+    // checkpoint_* counts after the last round sink has published.
     obs::WriteLiveFiles(run_dir, *registry, run_id, options.preset.rounds);
   }
   if (registry != nullptr) {
