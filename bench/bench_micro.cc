@@ -1,9 +1,10 @@
 // Google-benchmark micro-benchmarks of the primitives the platform's
 // hot loops are built on: GEMM, convolution, one local-training step of
-// each task's primary model, sub-model gather/scatter, masked aggregation,
-// and the cost model.
+// each task's primary model, one client of a set-up algorithm, sub-model
+// gather/scatter, masked aggregation, and the cost model.
 #include <benchmark/benchmark.h>
 
+#include "algorithms/sheterofl.h"
 #include "core/rng.h"
 #include "data/loader.h"
 #include "data/tasks.h"
@@ -11,6 +12,7 @@
 #include "device/device_profile.h"
 #include "fl/aggregator.h"
 #include "fl/client.h"
+#include "fl/engine.h"
 #include "models/zoo.h"
 #include "nn/conv.h"
 #include "nn/loss.h"
@@ -228,6 +230,34 @@ void BM_MaskedAggregationRoundUcihar60(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskedAggregationRoundUcihar60)
     ->Name("BM_MaskedAggregationRound/ucihar60");
+
+// fleet-obs's client: one SHeteroFL har-cnn client (ucihar, width 0.5) of
+// 5 samples through RunClient on a set-up algorithm: check out and load its
+// sub-model, train one local epoch, extract the upload.  The store never
+// changes between iterations, as within one round.
+void BM_RunClientUcihar(benchmark::State& state) {
+  constexpr int kClients = 120;
+  data::TaskConfig tcfg;
+  tcfg.num_clients = kClients;
+  tcfg.train_samples = 5 * kClients;
+  tcfg.test_samples = 8;
+  const data::Task task = data::MakeTask("ucihar", tcfg);
+  algorithms::SHeteroFl alg(models::MakeTaskModels("ucihar").primary, 7);
+  const fl::FlConfig cfg;
+  fl::FlEngine engine(task, cfg,
+                      fl::UniformCapacityAssignments(kClients, {0.5}), alg);
+  const std::vector<data::Dataset>& shards = engine.context().shards;
+  int client = 0;
+  while (shards.at(static_cast<std::size_t>(client)).size() != 5) ++client;
+  Rng rng(9);
+  alg.Setup(engine.context(), rng);
+  alg.BeginRound(1, {client});
+  for (auto _ : state) {
+    Rng client_rng(11);
+    alg.RunClient(client, 1, client_rng);
+  }
+}
+BENCHMARK(BM_RunClientUcihar)->Name("BM_RunClient/ucihar");
 
 void BM_CostModel(benchmark::State& state) {
   const device::CostModel cm(device::PaperDesc("resnet101"));

@@ -45,11 +45,12 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
   fl::ClientUpdate& slot = staged_.For(client_id);
   const models::BuildSpec spec = ClientSpec(client_id, round, rng);
-  Rng build_rng = rng.Fork(0xB1D);
+  // Fork advances `rng`: this draw, once the model's init stream, keeps
+  // the training stream below where it has always started.
+  rng.Fork(0xB1D);
   obs::Span build_span("build_submodel", "client");
   build_span.Arg("client", static_cast<std::int64_t>(client_id));
-  models::BuiltModel built = family_->Build(spec, build_rng);
-  global_->store().LoadInto(*built.net, built.mapping);
+  models::BuiltModel& built = global_->TrainingModel(spec);
   build_span.End();
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));

@@ -21,8 +21,10 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
 
   void Setup(const fl::FlContext& ctx, Rng& rng) override;
   void BeginRound(int round, const std::vector<int>& participants) override;
-  // Trains the client's sub-model and stages the upload into the client's
-  // private buffer; safe to run concurrently for distinct participants.
+  // Trains the client's sub-model in the calling thread's training model
+  // for its spec (fl::GlobalModel::TrainingModel) and stages the upload
+  // into the client's private buffer; safe to run concurrently for
+  // distinct participants.
   void RunClient(int client_id, int round, Rng& rng) override;
   // Merges staged uploads in participant order (bit-identical to eager
   // serial accumulation), applies the masked average, then PostAggregate.

@@ -59,10 +59,10 @@ void FedEt::RunClient(int client_id, int round, Rng& rng) {
   fl::ClientUpdate& slot = staged_.For(client_id);
   const int arch = ArchOf(client_id);
   const auto au = static_cast<std::size_t>(arch);
-  Rng build_rng = rng.Fork(0xB1D);
-  models::BuiltModel built =
-      families_[au]->Build(models::BuildSpec{}, build_rng);
-  group_models_[au]->store().LoadInto(*built.net, built.mapping);
+  // Keeps the training stream's start; see WeightSharingAlgorithm::RunClient.
+  rng.Fork(0xB1D);
+  models::BuiltModel& built =
+      group_models_[au]->TrainingModel(models::BuildSpec{});
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));
   fl::TrainLocal(*built.net, shard, ctx_->local_options(round), rng);

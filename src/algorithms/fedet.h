@@ -7,8 +7,9 @@
 // unlabeled slice of the training pool (labels unused); Fed-ET's diversity
 // regularization term is omitted at sim scale (see DESIGN.md).
 //
-// Threading: each group's store and model live in an fl::GlobalModel.
-// FinishRound and LoadState mark the model stale after changing the store;
+// Threading: each group's store and models live in an fl::GlobalModel;
+// a client trains in its thread's training model of the group.
+// FinishRound and LoadState mark the models stale after changing the store;
 // its first Logits afterwards (the round's first teacher, or the stability
 // eval) reloads it under the GlobalModel's lock, and inference takes none.
 // FinishRound fans the (step x group) teacher forwards out to the engine
@@ -51,6 +52,11 @@ class FedEt : public fl::MhflAlgorithm {
   void SaveState(fl::SnapshotWriter& writer) const override;
   void LoadState(fl::SnapshotReader& reader) override;
 
+ protected:
+  // Current round's staged uploads; RunClient fills only its own slot,
+  // FinishRound merges in order.
+  fl::StagedUploads<fl::ClientUpdate> staged_;
+
  private:
   int ArchOf(int client_id) const;
   // One SGD step of the server model toward `teacher` (the consensus
@@ -66,10 +72,6 @@ class FedEt : public fl::MhflAlgorithm {
   std::vector<std::unique_ptr<fl::GlobalModel>> group_models_;
   std::vector<fl::MaskedAverager> group_averagers_;
   std::vector<int> group_round_clients_;  // sampled clients per group
-
-  // Current round's staged uploads; RunClient fills only its own slot,
-  // FinishRound merges in order.
-  fl::StagedUploads<fl::ClientUpdate> staged_;
 
   // Server (large) model, trained by distillation.
   models::BuiltModel server_model_;

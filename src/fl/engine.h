@@ -117,8 +117,10 @@ struct FlContext {
 // bit-identical to serial ones.  RunClient must not mutate state shared
 // across clients; lazily-created per-client state must be created in
 // BeginRound (or PrepareEvaluation for evaluation-only state).  Models
-// evaluated from a parameter store are the exception: fl::GlobalModel::Model
-// builds and reloads them lazily, on any thread, under its own lock.
+// built from a parameter store are the exception: fl::GlobalModel::Model
+// builds and reloads shared eval models lazily, on any thread, under its
+// own lock, and fl::GlobalModel::TrainingModel keeps each thread's own
+// training models.
 class MhflAlgorithm {
  public:
   virtual ~MhflAlgorithm() = default;

@@ -1,12 +1,19 @@
 // Server-side global model holder: a parameter store plus the models
-// evaluated from it.
+// evaluated and trained from it.
 //
 // The store is authoritative: sub-model dispatch gathers from it, and every
-// evaluation reads a model loaded from it.  Model(spec) returns the one
-// model of a BuildSpec, built on its first use and reloaded on its first
-// use after StoreChanged(), so all evaluations of one spec share a model.
+// evaluation and every client's training starts from a model loaded from
+// it.  Two kinds of model, both keyed by BuildSpec (DESIGN.md §5b):
+//   - Model(spec) returns the one shared evaluation model of a spec, built
+//     on its first use and reloaded on its first use after StoreChanged(),
+//     so all evaluations of one spec share a model.
+//   - TrainingModel(spec) returns the calling thread's own training model
+//     of a spec, built on the thread's first checkout and reloaded on every
+//     checkout, so a thread trains client after client in one model.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -23,6 +30,12 @@ class GlobalModel {
   // the two start in sync.  That model is the entry behind Logits() and
   // trunk().
   GlobalModel(models::FamilyPtr family, Rng& init_rng);
+  // Frees the calling thread's training models of this GlobalModel; other
+  // threads free theirs when they exit.
+  ~GlobalModel();
+
+  GlobalModel(const GlobalModel&) = delete;
+  GlobalModel& operator=(const GlobalModel&) = delete;
 
   ParamStore& store() { return store_; }
   const ParamStore& store() const { return store_; }
@@ -40,6 +53,25 @@ class GlobalModel {
   // key, since LoadInto overwrites every parameter and running statistic.
   const models::BuiltModel& Model(const models::BuildSpec& spec);
 
+  // The calling thread's training model for `spec`, loaded with the
+  // store's current values.  Built on the thread's first checkout of the
+  // spec (the build seed is again no part of the key) and reloaded on every
+  // checkout, since training changes it; the reference is valid until the
+  // thread's next checkout from this GlobalModel.  Takes no lock, so any
+  // number of threads may check out and train at once, but the store must
+  // not change meanwhile.  A model lives on the thread that built it, which
+  // also frees it, because a tensor returns its buffer to the freeing
+  // thread's pool.  A checkout drops the thread's models of every spec it
+  // used in neither the current nor the previous store version, so
+  // per-round specs (FedRolex's rolling windows) do not pile up, and parks
+  // the thread's other models: their values and gradients go back to its
+  // pool until their next checkout, so an idle model keeps only its
+  // structure and mapping.
+  models::BuiltModel& TrainingModel(const models::BuildSpec& spec);
+
+  // Training models the calling thread holds, over every GlobalModel.
+  static std::size_t ThreadTrainingModels();
+
   // Logits of the full model's deepest head with running statistics.
   Tensor Logits(const Tensor& x);
 
@@ -54,8 +86,9 @@ class GlobalModel {
 
   models::FamilyPtr family_;
   ParamStore store_;
+  const std::uint64_t id_;  // never reused; keys the threads' training models
+  std::atomic<std::uint64_t> version_{1};  // bumped by StoreChanged
   core::Mutex mu_;
-  std::uint64_t version_ MHB_GUARDED_BY(mu_) = 1;
   std::map<models::BuildSpec, Entry> models_ MHB_GUARDED_BY(mu_);
   const models::BuiltModel* full_ = nullptr;  // the construction entry
 };

@@ -146,6 +146,7 @@ Tensor TrunkModel::BackwardHeads(const std::vector<Tensor>& head_grads,
     }
   }
   MHB_CHECK(!g.empty()) << "BackwardHeads called with no head gradients";
+  last_embedding_ = Tensor();
   obs::ProfileScope stem_scope("stem");
   return stem_->Backward(g);
 }
@@ -203,12 +204,15 @@ Tensor Tokenwise::Infer(const Tensor& x, nn::NormStats stats) const {
 }
 
 Tensor Tokenwise::Backward(const Tensor& grad_out) {
+  MHB_CHECK(cached_n_ > 0) << "Backward before Forward";
   MHB_CHECK_EQ(grad_out.ndim(), 3);
   const Tensor g2 =
       grad_out.Reshape({cached_n_ * cached_l_, grad_out.dim(2)});
   Tensor gx2 = inner_->Backward(g2);
   const int d = gx2.dim(1);
-  return std::move(gx2).Reshape({cached_n_, cached_l_, d});
+  Tensor gx = std::move(gx2).Reshape({cached_n_, cached_l_, d});
+  cached_n_ = cached_l_ = 0;
+  return gx;
 }
 
 void Tokenwise::CollectParams(const std::string& prefix,
@@ -223,7 +227,9 @@ PositionalEmbedding::PositionalEmbedding(int seq_len, int dim, Rng& rng)
 }
 
 Tensor PositionalEmbedding::Forward(const Tensor& x) {
-  return Infer(x, nn::NormStats::kBatch);
+  Tensor y = Infer(x, nn::NormStats::kBatch);
+  forwarded_ = true;
+  return y;
 }
 
 Tensor PositionalEmbedding::Infer(const Tensor& x,
@@ -245,6 +251,7 @@ Tensor PositionalEmbedding::Infer(const Tensor& x,
 }
 
 Tensor PositionalEmbedding::Backward(const Tensor& grad_out) {
+  MHB_CHECK(forwarded_) << "Backward before Forward";
   MHB_CHECK_EQ(grad_out.ndim(), 3);
   const int n = grad_out.dim(0);
   const std::size_t ld = table_.value.numel();
@@ -254,6 +261,7 @@ Tensor PositionalEmbedding::Backward(const Tensor& grad_out) {
     Scalar* g = table_.grad.data().data();
     for (std::size_t i = 0; i < ld; ++i) g[i] += row[i];
   }
+  forwarded_ = false;
   return grad_out;
 }
 

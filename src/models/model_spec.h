@@ -95,8 +95,8 @@ class TrunkModel : public nn::Module {
   }
 
   // Embedding of the deepest head's input (output of the last block) from
-  // the last ForwardHeads, captured when `capture_embedding` was set; the
-  // training side of InferHeads' `embedding`.
+  // the pending ForwardHeads, captured when `capture_embedding` was set; the
+  // training side of InferHeads' `embedding`.  BackwardHeads releases it.
   void set_capture_embedding(bool v) { capture_embedding_ = v; }
   const Tensor& last_embedding() const { return last_embedding_; }
 
@@ -135,7 +135,7 @@ class Tokenwise : public nn::Module {
 
  private:
   nn::ModulePtr inner_;
-  int cached_n_ = 0, cached_l_ = 0;
+  int cached_n_ = 0, cached_l_ = 0;  // 0 outside Forward..Backward
 };
 
 // Adds a learned positional embedding [L, D] to [N, L, D] inputs.
@@ -153,6 +153,7 @@ class PositionalEmbedding : public nn::Module {
 
  private:
   nn::Parameter table_;  // [L, D]
+  bool forwarded_ = false;  // a Forward awaits its Backward
 };
 
 // An architecture family that can produce scaled sub-models.

@@ -11,18 +11,23 @@ namespace mhbench::models {
 namespace {
 
 // Conv + BN (+ ReLU) from `in_c` input channels, kept as `in` (null: all).
-void AddConvBn(nn::Sequential& seq, MappingBuilder& mb, Rng& rng,
-               bool unit_height, const std::vector<int>* in, int in_c,
-               const std::vector<int>& out, int k, int stride, bool relu) {
+// Returns the conv.
+nn::Conv2d& AddConvBn(nn::Sequential& seq, MappingBuilder& mb, Rng& rng,
+                      bool unit_height, const std::vector<int>* in, int in_c,
+                      const std::vector<int>& out, int k, int stride,
+                      bool relu) {
   const int out_c = static_cast<int>(out.size());
   const int kh = unit_height ? 1 : k;
-  seq.Add(std::make_unique<nn::Conv2d>(
+  auto conv = std::make_unique<nn::Conv2d>(
       nn::KaimingNormal({out_c, in_c, kh, k}, in_c * kh * k, rng), Tensor(),
-      stride, unit_height ? 0 : k / 2, k / 2));
+      stride, unit_height ? 0 : k / 2, k / 2);
+  nn::Conv2d& added = *conv;
+  seq.Add(std::move(conv));
   mb.AddConv2d(&out, in, /*bias=*/false);
   seq.Add(std::make_unique<nn::BatchNorm>(out_c));
   mb.AddBatchNorm(&out);
   if (relu) seq.Add(std::make_unique<nn::ReLU>());
+  return added;
 }
 
 }  // namespace
@@ -57,8 +62,10 @@ void TrunkBuilder::ConvBn(nn::Sequential& seq, const std::vector<int>& in,
 void TrunkBuilder::ConvStem(int in_channels, const std::vector<int>& out,
                             int k) {
   auto stem = std::make_unique<nn::Sequential>();
+  // The stem reads the raw input, whose gradient nothing uses.
   AddConvBn(*stem, mb_, rng_, unit_height_, nullptr, in_channels, out, k, 1,
-            /*relu=*/true);
+            /*relu=*/true)
+      .set_input_grad(false);
   stem_ = std::move(stem);
 }
 

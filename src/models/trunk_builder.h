@@ -38,6 +38,8 @@ class TrunkBuilder {
   void ConvBn(nn::Sequential& seq, const std::vector<int>& in,
               const std::vector<int>& out, int k, int stride, bool relu);
   // The CNN stem: conv + BatchNorm + ReLU from all `in_channels` inputs.
+  // Its conv computes no input gradient, so the model's Backward returns
+  // an empty tensor.
   void ConvStem(int in_channels, const std::vector<int>& out, int k);
   void SetStem(nn::ModulePtr stem) { stem_ = std::move(stem); }
 

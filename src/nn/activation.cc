@@ -26,6 +26,7 @@ Tensor ReLU::Infer(const Tensor& x, NormStats /*stats*/) const {
 }
 
 Tensor ReLU::Backward(const Tensor& grad_out) {
+  MHB_CHECK(!cached_input_.empty()) << "Backward before Forward";
   MHB_CHECK(grad_out.shape() == cached_input_.shape());
   Tensor gx = Tensor::Uninitialized(grad_out.shape());
   const Scalar* in = cached_input_.data().data();
@@ -37,6 +38,7 @@ Tensor ReLU::Backward(const Tensor& grad_out) {
     const Scalar gi = g[i];
     pgx[i] = in[i] <= 0 ? 0.0f : gi;
   }
+  cached_input_ = Tensor();
   return gx;
 }
 
@@ -83,6 +85,7 @@ Tensor Gelu::Infer(const Tensor& x, NormStats /*stats*/) const {
 }
 
 Tensor Gelu::Backward(const Tensor& grad_out) {
+  MHB_CHECK(!cached_input_.empty()) << "Backward before Forward";
   MHB_CHECK(grad_out.shape() == cached_input_.shape());
   Tensor gx = Tensor::Uninitialized(grad_out.shape());
   const Scalar* in = cached_input_.data().data();
@@ -91,6 +94,8 @@ Tensor Gelu::Backward(const Tensor& grad_out) {
   for (std::size_t i = 0; i < gx.numel(); ++i) {
     pgx[i] = static_cast<Scalar>(g[i] * GeluDeriv(in[i], cached_tanh_[i]));
   }
+  cached_input_ = Tensor();
+  std::vector<double>().swap(cached_tanh_);
   return gx;
 }
 
@@ -109,6 +114,7 @@ Tensor Tanh::Infer(const Tensor& x, NormStats /*stats*/) const {
 }
 
 Tensor Tanh::Backward(const Tensor& grad_out) {
+  MHB_CHECK(!cached_output_.empty()) << "Backward before Forward";
   MHB_CHECK(grad_out.shape() == cached_output_.shape());
   Tensor gx = Tensor::Uninitialized(grad_out.shape());
   const Scalar* out = cached_output_.data().data();
@@ -117,6 +123,7 @@ Tensor Tanh::Backward(const Tensor& grad_out) {
   for (std::size_t i = 0; i < gx.numel(); ++i) {
     pgx[i] = g[i] * (1.0f - out[i] * out[i]);
   }
+  cached_output_ = Tensor();
   return gx;
 }
 

@@ -1,4 +1,5 @@
-// Elementwise activations (shape-preserving, any rank).
+// Elementwise activations (shape-preserving, any rank).  Each holds its
+// Forward cache until the matching Backward, which releases it.
 #pragma once
 
 #include "nn/module.h"
@@ -25,7 +26,7 @@ class Gelu : public Module {
 
  private:
   Tensor cached_input_;
-  // tanh(u) per element from the last Forward; Backward reuses it.
+  // tanh(u) per element from Forward; Backward reuses it.
   std::vector<double> cached_tanh_;
 };
 

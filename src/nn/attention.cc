@@ -73,7 +73,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) {
   cached_k_ = wk_.Forward(x2);
   cached_v_ = wv_.Forward(x2);
   cached_attn_ = Tensor::Uninitialized({n, h, l, l});
-  cached_concat_ = Tensor::Uninitialized({n * l, d});
+  Tensor concat = Tensor::Uninitialized({n * l, d});
 
   const Scalar scale = 1.0f / std::sqrt(static_cast<Scalar>(dh));
   for (int b = 0; b < n; ++b) {
@@ -85,10 +85,10 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) {
                          static_cast<std::size_t>(l) * l;
       AttendBlock(cached_q_.data().data(), cached_k_.data().data(),
                   cached_v_.data().data(), off, l, d, dh, scale, attn,
-                  cached_concat_.data().data());
+                  concat.data().data());
     }
   }
-  return wo_.Forward(cached_concat_).Reshape({n, l, d});
+  return wo_.Forward(concat).Reshape({n, l, d});
 }
 
 Tensor MultiHeadSelfAttention::Infer(const Tensor& x, NormStats stats) const {
@@ -176,6 +176,10 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_out) {
                     pdk + off, d);
     }
   }
+  cached_q_ = Tensor();
+  cached_k_ = Tensor();
+  cached_v_ = Tensor();
+  cached_attn_ = Tensor();
 
   Tensor dx2 = wq_.Backward(dq);
   dx2.AddInPlace(wk_.Backward(dk));

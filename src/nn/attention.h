@@ -31,9 +31,9 @@ class MultiHeadSelfAttention : public Module {
   int heads_;
   Linear wq_, wk_, wv_, wo_;
 
-  // Caches for backward: flattened [N*L, D] projections and attention
-  // probabilities [N, H, L, L].
-  Tensor cached_q_, cached_k_, cached_v_, cached_attn_, cached_concat_;
+  // Forward's caches for Backward, which releases them: flattened
+  // [N*L, D] projections and attention probabilities [N, H, L, L].
+  Tensor cached_q_, cached_k_, cached_v_, cached_attn_;
   int cached_n_ = 0, cached_l_ = 0;
 };
 

@@ -203,6 +203,7 @@ Tensor ConcatBranches::Backward(const Tensor& grad_out) {
     }
     ch_base += static_cast<std::size_t>(ck);
   }
+  cached_channels_.clear();
   return gx;
 }
 

@@ -142,8 +142,8 @@ Tensor Conv2d::Forward(const Tensor& x) {
   obs::ProfileScope profile_scope("conv2d_fwd");
   const Geometry g = GeometryOf(x.shape());
   cached_input_shape_ = x.shape();
-  // The column matrix lives in a member tensor so repeated steps with the
-  // same geometry reuse the buffer; Backward reads it back.
+  // The column matrix lives in a member tensor until Backward reads it
+  // back and releases it; the next step draws it from the thread's pool.
   const int cols_shape[2] = {g.ickk, g.rows()};
   cached_cols_.ResizeUninitialized(cols_shape);
   ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
@@ -182,12 +182,17 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   if (has_bias()) RowSumAcc(grows, oc, rows_n, bias_.grad.data().data());
 
   // dcols = W^T · G, then scatter back to the input shape.
-  float* dcols = scratch.Alloc(static_cast<std::size_t>(g.ickk) * rows_n);
-  kernels::Gemm(true, false, g.ickk, rows_n, oc, weight_.value.data().data(),
-                g.ickk, grows, rows_n, 0.0f, dcols, rows_n);
-  Tensor dx(cached_input_shape_);
-  ops::Col2ImAcc(dcols, cached_input_shape_, kernel_h(), kernel_w(), stride_,
-                 pad_h_, pad_w_, dx.data().data());
+  Tensor dx;
+  if (input_grad_) {
+    float* dcols = scratch.Alloc(static_cast<std::size_t>(g.ickk) * rows_n);
+    kernels::Gemm(true, false, g.ickk, rows_n, oc,
+                  weight_.value.data().data(), g.ickk, grows, rows_n, 0.0f,
+                  dcols, rows_n);
+    dx = Tensor(cached_input_shape_);
+    ops::Col2ImAcc(dcols, cached_input_shape_, kernel_h(), kernel_w(),
+                   stride_, pad_h_, pad_w_, dx.data().data());
+  }
+  cached_cols_ = Tensor();
   return dx;
 }
 

@@ -52,6 +52,13 @@ class Conv2d : public Module {
   int pad_w() const { return pad_w_; }
   bool has_bias() const { return !bias_.value.empty(); }
 
+  // Whether Backward returns the input gradient (the default).  A model's
+  // first conv reads the raw input, whose gradient nothing uses, so
+  // models::TrunkBuilder turns it off there: Backward then skips the dcols
+  // GEMM and Col2ImAcc and returns an empty tensor.  The parameter
+  // gradients are the same either way.
+  void set_input_grad(bool needed) { input_grad_ = needed; }
+
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
@@ -74,7 +81,9 @@ class Conv2d : public Module {
   int stride_ = 1;
   int pad_h_ = 0;
   int pad_w_ = 0;
-  Tensor cached_cols_;      // im2col of last input, [ickk, rows]
+  bool input_grad_ = true;
+  // im2col of the input, [ickk, rows]; held from Forward to Backward only.
+  Tensor cached_cols_;
   Shape cached_input_shape_;
 };
 

@@ -47,6 +47,7 @@ Tensor Embedding::Infer(const Tensor& ids, NormStats /*stats*/) const {
 
 Tensor Embedding::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("embedding_bwd");
+  MHB_CHECK(!cached_id_shape_.empty()) << "Backward before Forward";
   MHB_CHECK_EQ(grad_out.ndim(), 3);
   const int d = dim();
   MHB_CHECK_EQ(grad_out.dim(2), d);
@@ -58,7 +59,10 @@ Tensor Embedding::Backward(const Tensor& grad_out) {
     for (int j = 0; j < d; ++j) row[j] += grow[j];
   }
   // Ids are not differentiable; return a zero gradient of the id shape.
-  return Tensor(cached_id_shape_);
+  Tensor gx(std::move(cached_id_shape_));
+  cached_id_shape_.clear();
+  std::vector<int>().swap(cached_ids_);
+  return gx;
 }
 
 void Embedding::CollectParams(const std::string& prefix,

@@ -67,6 +67,7 @@ Tensor Linear::Backward(const Tensor& grad_out) {
   Tensor dx = Tensor::Uninitialized({n, in});
   kernels::Gemm(false, false, n, in, out, grad_out.data().data(), out,
                 weight_.value.data().data(), in, 0.0f, dx.data().data(), in);
+  cached_input_ = Tensor();
   return dx;
 }
 

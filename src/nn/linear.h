@@ -32,7 +32,7 @@ class Linear : public Module {
 
   Parameter weight_;  // [out, in]
   Parameter bias_;    // [out] or empty
-  Tensor cached_input_;
+  Tensor cached_input_;  // Forward to Backward
 };
 
 }  // namespace mhbench::nn

@@ -9,7 +9,9 @@
 // Two passes, split by what they may touch:
 //   - Forward is the training pass.  It normalizes with batch statistics,
 //     updates BatchNorm running statistics and caches activations for
-//     Backward, so one model serves one thread at a time.
+//     Backward, so one model serves one thread at a time.  A module holds
+//     those activations only from Forward to its Backward, which releases
+//     them, so an idle model holds no activations.
 //   - Infer is the evaluation pass.  It is const: it writes no member (no
 //     cache, no running statistic) and takes its temporaries from the
 //     calling thread's scratch arena or fresh tensors, so any number of
@@ -67,8 +69,10 @@ class Module {
   virtual Tensor Infer(const Tensor& x, NormStats stats) const = 0;
 
   // Propagates `grad_out` (gradient of the loss w.r.t. this module's last
-  // output) back to the input, accumulating parameter gradients.  Must be
-  // called after Forward with matching shapes.
+  // output) back to the input, accumulating parameter gradients, and
+  // releases Forward's activation caches.  Must be called once per Forward,
+  // with matching shapes: a Backward with no Forward since the last one
+  // throws "Backward before Forward".
   virtual Tensor Backward(const Tensor& grad_out) = 0;
 
   // Appends this module's parameters, prefixing names with `prefix`.

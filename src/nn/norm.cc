@@ -202,6 +202,7 @@ Tensor BatchNorm::Infer(const Tensor& x, NormStats stats) const {
 
 Tensor BatchNorm::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("batchnorm_bwd");
+  MHB_CHECK(!cached_xhat_.empty()) << "Backward before Forward";
   MHB_CHECK(grad_out.shape() == cached_shape_);
   const NcsLayout l(cached_shape_);
   const double m = l.Count();
@@ -233,6 +234,7 @@ Tensor BatchNorm::Backward(const Tensor& grad_out) {
       }
     }
   }
+  cached_xhat_ = Tensor();
   return gx;
 }
 
@@ -297,6 +299,7 @@ Tensor LayerNorm::Normalize(const Tensor& x, Tensor* xhat,
 
 Tensor LayerNorm::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("layernorm_bwd");
+  MHB_CHECK(!cached_xhat_.empty()) << "Backward before Forward";
   MHB_CHECK(grad_out.shape() == cached_xhat_.shape());
   const int d = dim();
   const auto du = static_cast<std::size_t>(d);
@@ -330,6 +333,8 @@ Tensor LayerNorm::Backward(const Tensor& grad_out) {
           inv_std * (gh - sum_g / d - xhr[j] * sum_gxh / d));
     }
   }
+  cached_xhat_ = Tensor();
+  std::vector<Scalar>().swap(cached_inv_std_);
   return gx;
 }
 

@@ -42,7 +42,7 @@ class BatchNorm : public Module {
   Parameter running_mean_, running_var_;
   Scalar momentum_, eps_;
 
-  // Caches from the last Forward.
+  // Caches from Forward; Backward releases x-hat.
   Tensor cached_xhat_;
   std::vector<Scalar> cached_std_;  // per channel
   Shape cached_shape_;

@@ -30,7 +30,7 @@ Tensor GlobalAvgPool::Infer(const Tensor& x, NormStats /*stats*/) const {
 }
 
 Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
-  MHB_CHECK(!cached_input_shape_.empty());
+  MHB_CHECK(!cached_input_shape_.empty()) << "Backward before Forward";
   const int n = cached_input_shape_[0], c = cached_input_shape_[1];
   MHB_CHECK(grad_out.shape() == Shape({n, c}));
   Tensor gx(cached_input_shape_);
@@ -45,6 +45,7 @@ Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
       for (std::size_t i = 0; i < spatial; ++i) plane[i] = g;
     }
   }
+  cached_input_shape_.clear();
   return gx;
 }
 
@@ -73,7 +74,7 @@ Tensor MeanPoolSeq::Infer(const Tensor& x, NormStats /*stats*/) const {
 }
 
 Tensor MeanPoolSeq::Backward(const Tensor& grad_out) {
-  MHB_CHECK(!cached_input_shape_.empty());
+  MHB_CHECK(!cached_input_shape_.empty()) << "Backward before Forward";
   const int n = cached_input_shape_[0], l = cached_input_shape_[1],
             d = cached_input_shape_[2];
   MHB_CHECK(grad_out.shape() == Shape({n, d}));
@@ -88,6 +89,7 @@ Tensor MeanPoolSeq::Backward(const Tensor& grad_out) {
       for (int j = 0; j < d; ++j) xr[j] = gr[j] * inv;
     }
   }
+  cached_input_shape_.clear();
   return gx;
 }
 

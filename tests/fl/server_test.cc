@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "algorithms/sheterofl.h"
+#include "core/mutex.h"
 #include "core/rng.h"
 #include "data/tasks.h"
 #include "fl/engine.h"
@@ -202,14 +204,28 @@ class CountingFamily : public models::ModelFamily {
   models::FamilyPtr inner_;
 };
 
+// SHeteroFL that counts its trained clients and their distinct specs (a
+// SHeteroFL spec is the client's capacity).
 class CountingSHeteroFl : public algorithms::SHeteroFl {
  public:
   using SHeteroFl::SHeteroFl;
   void RunClient(int client_id, int round, Rng& rng) override {
     trained.fetch_add(1);
+    {
+      core::MutexLock lock(mu_);
+      capacities_.insert(ClientCapacity(client_id));
+    }
     SHeteroFl::RunClient(client_id, round, rng);
   }
+  int distinct_specs() {
+    core::MutexLock lock(mu_);
+    return static_cast<int>(capacities_.size());
+  }
   std::atomic<int> trained{0};
+
+ private:
+  core::Mutex mu_;
+  std::set<double> capacities_ MHB_GUARDED_BY(mu_);
 };
 
 TEST(GlobalModelTest, OneModelPerSpecAcrossTheStabilityEval) {
@@ -218,26 +234,126 @@ TEST(GlobalModelTest, OneModelPerSpecAcrossTheStabilityEval) {
   tcfg.test_samples = 80;
   tcfg.num_clients = 12;
   const data::Task task = data::MakeTask("cifar10", tcfg);
-  auto family = std::make_shared<CountingFamily>(
-      models::MakeTaskModels("cifar10").primary);
-  FlConfig cfg;
-  cfg.rounds = 3;
-  cfg.sample_fraction = 0.5;
-  cfg.eval_every = 1;
-  cfg.eval_max_samples = 80;
-  cfg.stability_max_samples = 80;
-  cfg.num_threads = 2;
-  CountingSHeteroFl alg(family, 7);
-  FlEngine engine(task, cfg, UniformCapacityAssignments(12, {0.25, 0.5, 1.0}),
-                  alg);
-  const RunResult result = engine.Run();
-  ASSERT_EQ(result.client_accuracies.size(), 12u);
-  ASSERT_GT(alg.trained.load(), 0);
-  // One full model at construction, one sub-model per trained client, and
-  // one eval model per capacity: the global eval (width 1.0) shares the
-  // 1.0 clients' model, and every per-round global eval and every test
-  // batch of the stability eval reuses its key's model.
-  EXPECT_EQ(family->builds.load(), 1 + alg.trained.load() + 3);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    auto family = std::make_shared<CountingFamily>(
+        models::MakeTaskModels("cifar10").primary);
+    FlConfig cfg;
+    cfg.rounds = 3;
+    cfg.sample_fraction = 1.0;
+    cfg.eval_every = 1;
+    cfg.eval_max_samples = 80;
+    cfg.stability_max_samples = 80;
+    cfg.num_threads = threads;
+    CountingSHeteroFl alg(family, 7);
+    FlEngine engine(task, cfg,
+                    UniformCapacityAssignments(12, {0.25, 0.5, 1.0}), alg);
+    const RunResult result = engine.Run();
+    ASSERT_EQ(result.client_accuracies.size(), 12u);
+    ASSERT_EQ(alg.trained.load(), 36);
+    const int specs = alg.distinct_specs();
+    ASSERT_EQ(specs, 3);
+    // One full model at construction, one eval model per capacity (the
+    // global eval, width 1.0, shares the 1.0 clients' model, and every
+    // per-round global eval and every test batch of the stability eval
+    // reuses its key's model), and one training model per spec per
+    // thread, not one per trained client.  At one thread every round
+    // trains every spec, so each is built once.  At two, a thread rebuilds
+    // a spec only after a round in which it trained none of its clients,
+    // so at most every other round.
+    const int evals = 3;
+    if (threads == 1) {
+      EXPECT_EQ(family->builds.load(), 1 + specs + evals);
+    } else {
+      EXPECT_LE(family->builds.load(),
+                1 + threads * specs * ((cfg.rounds + 1) / 2) + evals);
+    }
+  }
+}
+
+TEST(GlobalModelTest, TrainingModelIsReusedAndReloadedOnEveryCheckout) {
+  Rng rng(10);
+  const auto tm = models::MakeTaskModels("cifar10");
+  GlobalModel gm(tm.primary, rng);
+  PerturbStore(gm.store(), rng);
+  gm.StoreChanged();
+  const Tensor x = MakeInput(*tm.primary, 3, rng);
+  for (const BuildSpec& spec : {Width(0.5), Depth(0.5)}) {
+    BuiltModel& first = gm.TrainingModel(spec);
+    // Training moves every parameter; the next checkout loads the store
+    // back into the same model.
+    std::vector<nn::NamedParam> params;
+    first.net->CollectParams("", params);
+    for (auto& p : params) p.param->value.Scale(0.5f);
+    BuiltModel& again = gm.TrainingModel(spec);
+    EXPECT_EQ(&again, &first);
+    EXPECT_TRUE(SameBytes(again.net->Infer(x, nn::NormStats::kRunning),
+                          FreshModel(gm, spec, 11).net->Infer(
+                              x, nn::NormStats::kRunning)));
+  }
+}
+
+TEST(GlobalModelTest, IdleTrainingModelsParkTheirTensors) {
+  Rng rng(13);
+  const auto tm = models::MakeTaskModels("cifar10");
+  GlobalModel gm(tm.primary, rng);
+  PerturbStore(gm.store(), rng);
+  gm.StoreChanged();
+  const Tensor x = MakeInput(*tm.primary, 3, rng);
+  auto params_of = [](BuiltModel& m) {
+    std::vector<nn::NamedParam> params;
+    m.net->CollectParams("", params);
+    return params;
+  };
+  BuiltModel& narrow = gm.TrainingModel(Width(0.5));
+  const std::size_t num_params = params_of(narrow).size();
+  for (auto& p : params_of(narrow)) p.param->grad.Fill(1.0f);
+  // Checking out another spec parks the narrow model: its values and
+  // gradients go back to the thread's pool.
+  gm.TrainingModel(Width(1.0));
+  for (auto& p : params_of(narrow)) {
+    EXPECT_TRUE(p.param->value.empty()) << p.name;
+    EXPECT_TRUE(p.param->grad.empty()) << p.name;
+  }
+  // Its next checkout restores it as a fresh build + LoadInto would be:
+  // every parameter (optional biases included) loaded, gradients zeroed.
+  EXPECT_EQ(&gm.TrainingModel(Width(0.5)), &narrow);
+  ASSERT_EQ(params_of(narrow).size(), num_params);
+  for (auto& p : params_of(narrow)) {
+    EXPECT_TRUE(SameBytes(p.param->grad, Tensor(p.param->value.shape())))
+        << p.name;
+  }
+  EXPECT_TRUE(SameBytes(
+      narrow.net->Infer(x, nn::NormStats::kRunning),
+      FreshModel(gm, Width(0.5), 11).net->Infer(x, nn::NormStats::kRunning)));
+}
+
+TEST(GlobalModelTest, ThreadDropsTrainingModelsOfStaleSpecs) {
+  Rng rng(12);
+  const auto tm = models::MakeTaskModels("cifar10");
+  const std::size_t before = GlobalModel::ThreadTrainingModels();
+  {
+    GlobalModel gm(tm.primary, rng);
+    gm.TrainingModel(Width(0.25));
+    gm.TrainingModel(Width(0.5));
+    EXPECT_EQ(GlobalModel::ThreadTrainingModels() - before, 2u);
+    // Width 0.5 was used in the previous version: kept.
+    gm.StoreChanged();
+    gm.TrainingModel(Width(0.25));
+    EXPECT_EQ(GlobalModel::ThreadTrainingModels() - before, 2u);
+    // Now in neither the current nor the previous one: dropped.
+    gm.StoreChanged();
+    gm.TrainingModel(Width(0.25));
+    EXPECT_EQ(GlobalModel::ThreadTrainingModels() - before, 1u);
+    // Another thread's models are its own.
+    std::thread([&] {
+      EXPECT_EQ(GlobalModel::ThreadTrainingModels(), 0u);
+      gm.TrainingModel(Width(0.5));
+      EXPECT_EQ(GlobalModel::ThreadTrainingModels(), 1u);
+    }).join();
+    EXPECT_EQ(GlobalModel::ThreadTrainingModels() - before, 1u);
+  }
+  EXPECT_EQ(GlobalModel::ThreadTrainingModels(), before);
 }
 
 TEST(GlobalModelTest, ConcurrentFirstUseOfDistinctSpecs) {

@@ -182,6 +182,26 @@ TEST_P(AllFamiliesTest, SubModelTrainsOneStep) {
   EXPECT_LT(l1, l0 + 0.05) << tm.primary->name();
 }
 
+TEST_P(AllFamiliesTest, ConvStemComputesNoInputGradient) {
+  // Nothing reads the gradient of a model's raw input, so a conv stem
+  // skips it and Backward returns an empty tensor; a token model's
+  // embedding returns its (zero) id-shaped gradient as before.
+  Rng rng(9);
+  const TaskModels tm = MakeTaskModels(GetParam());
+  std::vector<FamilyPtr> families = tm.topology;
+  families.push_back(tm.primary);
+  for (const FamilyPtr& family : families) {
+    SCOPED_TRACE(family->name());
+    BuiltModel m = family->Build(BuildSpec{}, rng);
+    const Tensor x = MakeInput(*family, 4, rng);
+    Tensor grad;
+    nn::SoftmaxCrossEntropy(m.net->Forward(x), {0, 1, 0, 1}, grad);
+    const Tensor dx = m.net->Backward(grad);
+    const bool token_ids = family->sample_shape().size() == 1;
+    EXPECT_EQ(dx.empty(), !token_ids);
+  }
+}
+
 TEST(TrunkModelTest, MultiHeadBackwardTrainsAllHeads) {
   Rng rng(9);
   const TaskModels tm = MakeTaskModels("cifar100");

@@ -293,12 +293,26 @@ void CompareWithReference(const ConvCase& k, kernels::Backend backend,
   const Tensor dx = conv.Backward(g);
   kernels::SetBackend(kernels::Backend::kFast);
 
+  // A conv that computes no input gradient (a model's stem) accumulates
+  // the same parameter gradients and returns an empty tensor.
+  kernels::SetBackend(backend);
+  Conv2d stem(weight, bias, k.stride, k.pad_h, k.pad_w);
+  stem.set_input_grad(false);
+  stem.weight().grad = dw0;
+  if (k.bias) stem.bias().grad = db0;
+  stem.Forward(x);
+  const Tensor no_dx = stem.Backward(g);
+  kernels::SetBackend(kernels::Backend::kFast);
+
   same(y, want_y, "forward");
   same(y_running, want_y, "infer running");
   same(y_batch, want_y, "infer batch");
   same(dx, want_dx, "dx");
   same(conv.weight().grad, want_dw, "dW");
   if (k.bias) same(conv.bias().grad, want_db, "db");
+  EXPECT_TRUE(no_dx.empty());
+  same(stem.weight().grad, want_dw, "dW without dx");
+  if (k.bias) same(stem.bias().grad, want_db, "db without dx");
 }
 
 TEST(Conv2dReferenceTest, ChannelMajorIsBitIdenticalToRowMajor) {
@@ -373,7 +387,7 @@ TEST(Conv2dUnitHeightTest, CopiesNeitherInputNorGradient) {
   const Tensor x4 = x.Reshape({2, 3, 1, 16});
   const Tensor g = Tensor::Randn({2, 4, 16}, rng);
   const Tensor g4 = g.Reshape({2, 4, 1, 16});
-  // Warm both layers' column caches.
+  // Warm the thread's tensor pool.
   conv1.Forward(x);
   conv1.Backward(g);
   conv4.Forward(x4);

@@ -1,9 +1,13 @@
 // Edge cases and cross-checks across the nn substrate.
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "models/model_spec.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/composite.h"
@@ -12,6 +16,7 @@
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/norm.h"
+#include "nn/pool.h"
 
 namespace mhbench::nn {
 namespace {
@@ -125,6 +130,90 @@ TEST(EdgeCaseTest, NumParamsCountsEverything) {
   net.Add(std::make_unique<BatchNorm>(4));            // 16 (incl. running)
   net.Add(std::make_unique<Linear>(4, 2, rng, false));  // 8
   EXPECT_EQ(net.NumParams(), 16u + 16u + 8u);
+}
+
+// One instance of every layer type with an input it accepts.
+struct LayerCase {
+  std::string name;
+  ModulePtr layer;
+  Tensor x;
+};
+
+std::vector<LayerCase> EveryLayerType() {
+  Rng rng(10);
+  std::vector<LayerCase> cases;
+  auto add = [&](std::string name, ModulePtr layer, Shape x_shape) {
+    cases.push_back(
+        {std::move(name), std::move(layer), Tensor::Randn(x_shape, rng)});
+  };
+  add("Conv2d", std::make_unique<Conv2d>(2, 3, 3, 1, 1, rng), {2, 2, 4, 4});
+  auto stem = std::make_unique<Conv2d>(2, 3, 3, 1, 1, rng);
+  stem->set_input_grad(false);
+  add("Conv2d without input grad", std::move(stem), {2, 2, 4, 4});
+  add("Linear", std::make_unique<Linear>(3, 2, rng), {4, 3});
+  add("ReLU", std::make_unique<ReLU>(), {2, 5});
+  add("Gelu", std::make_unique<Gelu>(), {2, 5});
+  add("Tanh", std::make_unique<Tanh>(), {2, 5});
+  add("BatchNorm", std::make_unique<BatchNorm>(3), {4, 3, 2});
+  add("LayerNorm", std::make_unique<LayerNorm>(4), {3, 4});
+  add("MultiHeadSelfAttention",
+      std::make_unique<MultiHeadSelfAttention>(4, 2, rng), {2, 3, 4});
+  add("GlobalAvgPool", std::make_unique<GlobalAvgPool>(), {2, 3, 4});
+  add("MeanPoolSeq", std::make_unique<MeanPoolSeq>(), {2, 3, 4});
+  Tensor ids({2, 3});
+  for (std::size_t i = 0; i < ids.numel(); ++i) {
+    ids[i] = static_cast<Scalar>(i % 5);
+  }
+  cases.push_back({"Embedding", std::make_unique<Embedding>(5, 4, rng), ids});
+  auto seq = std::make_unique<Sequential>();
+  seq->Add(std::make_unique<Linear>(3, 3, rng));
+  seq->Add(std::make_unique<ReLU>());
+  add("Sequential", std::move(seq), {2, 3});
+  add("Residual",
+      std::make_unique<Residual>(std::make_unique<Linear>(3, 3, rng), nullptr),
+      {2, 3});
+  std::vector<ModulePtr> branches;
+  branches.push_back(std::make_unique<Conv2d>(2, 1, 1, 1, 0, rng));
+  branches.push_back(std::make_unique<Conv2d>(2, 2, 3, 1, 1, rng));
+  add("ConcatBranches", std::make_unique<ConcatBranches>(std::move(branches)),
+      {2, 2, 4, 4});
+  add("Tokenwise",
+      std::make_unique<models::Tokenwise>(std::make_unique<Linear>(4, 2, rng)),
+      {2, 3, 4});
+  add("PositionalEmbedding",
+      std::make_unique<models::PositionalEmbedding>(3, 4, rng), {2, 3, 4});
+  return cases;
+}
+
+void ExpectBackwardBeforeForward(const std::function<void()>& backward) {
+  try {
+    backward();
+    ADD_FAILURE() << "Backward without a pending Forward did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Backward before Forward"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EdgeCaseTest, EveryLayerRejectsABackwardWithoutItsForward) {
+  // A layer keeps its Forward caches only until the matching Backward, so
+  // a Backward before any Forward, and a second Backward after one, must
+  // both fail instead of reusing stale (or no) activations.
+  std::vector<LayerCase> cases = EveryLayerType();
+  const std::vector<LayerCase> never_run = EveryLayerType();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    LayerCase& c = cases[i];
+    SCOPED_TRACE(c.name);
+    const Tensor y = c.layer->Forward(c.x);
+    const Tensor g(y.shape(), 0.5f);
+    ExpectBackwardBeforeForward([&] { never_run[i].layer->Backward(g); });
+    c.layer->Backward(g);
+    ExpectBackwardBeforeForward([&] { c.layer->Backward(g); });
+    // A new Forward makes the next Backward legal again.
+    c.layer->Forward(c.x);
+    EXPECT_NO_THROW(c.layer->Backward(g));
+  }
 }
 
 }  // namespace

@@ -420,8 +420,9 @@ PY
 
 # Kernel benchmark smoke: builds Release, runs the GEMM/conv micro-benchmarks
 # through both backends (fast vs naive), one training step of each
-# ws-grid task's primary model (BM_TrainStep/*) and one masked-aggregation
-# round (BM_MaskedAggregationRound*; these two are recorded but not gated,
+# ws-grid task's primary model (BM_TrainStep/*), one masked-aggregation
+# round (BM_MaskedAggregationRound*) and one fleet-obs client through
+# RunClient (BM_RunClient/ucihar; these three are recorded but not gated,
 # as they have no naive twin), and distills the raw google-benchmark output into
 # BENCH_kernels.json (p50/p95 wall time per shape plus machine-normalized
 # speedup ratios).  Per-repetition rows (no
@@ -444,7 +445,7 @@ smoke_bench() {
   raw="$(mktemp)"
   trap 'rm -f "$raw"' RETURN
   "$build_dir/bench/bench_micro" \
-    --benchmark_filter='BM_Matmul|BM_Conv2d|BM_TrainStep|BM_MaskedAggregation' \
+    --benchmark_filter='BM_Matmul|BM_Conv2d|BM_TrainStep|BM_MaskedAggregation|BM_RunClient' \
     --benchmark_min_time=0.3 --benchmark_repetitions=5 \
     --benchmark_out="$raw" --benchmark_out_format=json >/dev/null
   python3 "$repo/tools/bench_report.py" "$raw" "$build_dir/BENCH_kernels.json"
