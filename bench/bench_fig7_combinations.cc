@@ -40,12 +40,6 @@ int main() {
   std::puts("-- accuracy vs constraint combination --");
   std::fputs(summary.Render().c_str(), stdout);
 
-  const std::string csv_path =
-      EnvString("MHB_CSV_DIR", ".") + "/fig7_combinations.csv";
-  std::ofstream csv(csv_path);
-  if (csv.good()) {
-    csv << metrics::ToCsv(all);
-    std::printf("[csv written to %s]\n", csv_path.c_str());
-  }
+  benchmain::WriteFigureCsv("fig7_combinations", all);
   return 0;
 }

@@ -29,12 +29,6 @@ int main() {
     }
   }
 
-  const std::string csv_path =
-      EnvString("MHB_CSV_DIR", ".") + "/fig8_noniid.csv";
-  std::ofstream csv(csv_path);
-  if (csv.good()) {
-    csv << metrics::ToCsv(all);
-    std::printf("[csv written to %s]\n", csv_path.c_str());
-  }
+  benchmain::WriteFigureCsv("fig8_noniid", all);
   return 0;
 }

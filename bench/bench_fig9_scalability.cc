@@ -40,12 +40,6 @@ int main() {
   std::puts("-- final accuracy vs client count --");
   std::fputs(summary.Render().c_str(), stdout);
 
-  const std::string csv_path =
-      EnvString("MHB_CSV_DIR", ".") + "/fig9_scalability.csv";
-  std::ofstream csv(csv_path);
-  if (csv.good()) {
-    csv << metrics::ToCsv(all);
-    std::printf("[csv written to %s]\n", csv_path.c_str());
-  }
+  benchmain::WriteFigureCsv("fig9_scalability", all);
   return 0;
 }

@@ -1,17 +1,18 @@
 // Shared driver for the figure-shaped benches (Figures 4, 5, 6): run every
 // MHFL algorithm plus the effectiveness baseline on each task under one
 // constraint case, print the paper's 2x2 metric panel and accuracy curves,
-// and dump a CSV next to the binary's working directory.
+// and write a CSV into MHB_CSV_DIR (default: the working directory) with
+// WriteFigureCsv, which Figures 7-9 share.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "algorithms/registry.h"
 #include "bench_support/experiment.h"
+#include "core/bytes.h"
 #include "core/env.h"
 #include "metrics/report.h"
 #include "obs/manifest.h"
@@ -26,6 +27,15 @@ inline std::vector<std::string> MhflAlgorithms() {
     if (info.name != "fedavg") names.push_back(info.name);
   }
   return names;
+}
+
+// Writes a figure's bundles to <MHB_CSV_DIR, default .>/<name>.csv; throws
+// Error naming the path when the write fails.
+inline void WriteFigureCsv(const std::string& name,
+                           const std::vector<metrics::MetricBundle>& bundles) {
+  const std::string path = EnvString("MHB_CSV_DIR", ".") + "/" + name + ".csv";
+  WriteFileAtomic(path, metrics::ToCsv(bundles));
+  std::printf("[csv written to %s]\n", path.c_str());
 }
 
 inline int RunConstraintFigure(const std::string& figure_id,
@@ -83,20 +93,14 @@ inline int RunConstraintFigure(const std::string& figure_id,
       }
       const std::string run_dir =
           obs::WriteRunManifest(obs_dir, m, registry.get());
-      tracer->WriteChromeJson(run_dir + "/trace.json");
-      tracer->WriteJsonl(run_dir + "/trace.jsonl");
+      WriteFileAtomic(run_dir + "/trace.json", tracer->ToChromeJson());
+      WriteFileAtomic(run_dir + "/trace.jsonl", tracer->ToJsonl());
       std::printf("[telemetry written to %s]\n", run_dir.c_str());
     }
     all.insert(all.end(), bundles.begin(), bundles.end());
   }
 
-  const std::string csv_path =
-      EnvString("MHB_CSV_DIR", ".") + "/" + figure_id + ".csv";
-  std::ofstream csv(csv_path);
-  if (csv.good()) {
-    csv << metrics::ToCsv(all);
-    std::printf("[csv written to %s]\n", csv_path.c_str());
-  }
+  WriteFigureCsv(figure_id, all);
   return 0;
 }
 

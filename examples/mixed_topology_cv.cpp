@@ -45,20 +45,17 @@ int main() {
   cfg.rounds = 16;
   cfg.sample_fraction = 0.5;
   cfg.eval_every = 4;
-  cfg.lr_schedule = fl::LrScheduleKind::kCosine;
 
   AsciiTable table({"Algorithm", "Global accuracy", "Stability (var)"});
   {
-    algorithms::FedProto fedproto(families, /*lambda=*/1.0, /*proto_dim=*/16,
-                                  /*seed=*/7);
+    algorithms::FedProto fedproto(families, /*seed=*/7);
     fl::FlEngine engine(task, cfg, assignments, fedproto);
     const auto r = engine.Run();
     table.AddRow({"fedproto", AsciiTable::Num(r.final_accuracy, 3),
                   AsciiTable::Num(r.StabilityVariance(), 4)});
   }
   {
-    algorithms::FedEt fedet(families, algorithms::FedEt::Options{},
-                            /*seed=*/7);
+    algorithms::FedEt fedet(families, /*seed=*/7);
     fl::FlEngine engine(task, cfg, assignments, fedet);
     const auto r = engine.Run();
     table.AddRow({"fedet", AsciiTable::Num(r.final_accuracy, 3),

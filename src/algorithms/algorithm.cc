@@ -171,7 +171,7 @@ Tensor WeightSharingAlgorithm::ClientLogits(int client_id, const Tensor& x) {
 double WeightSharingAlgorithm::TrainClientModel(models::BuiltModel& built,
                                                 const data::Dataset& shard,
                                                 Rng& rng) {
-  return fl::TrainLocal(*built.net, shard, ctx_->local_options(last_round_), rng);
+  return fl::TrainLocal(*built.net, shard, fl::LocalTrainOptions{}, rng);
 }
 
 }  // namespace mhbench::algorithms

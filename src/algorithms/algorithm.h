@@ -40,7 +40,7 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
 
   // Checkpoint hooks: the persistent state of every weight-sharing
   // algorithm at a round barrier is the global store plus the last trained
-  // round (EvalSpec / local LR lookups); subclasses with extra server
+  // round (EvalSpec lookups); subclasses with extra server
   // state add it through {Save,Load}ExtraState.
   void SaveState(fl::SnapshotWriter& writer) const override;
   void LoadState(fl::SnapshotReader& reader) override;

@@ -4,15 +4,17 @@
 #include "nn/loss.h"
 
 namespace mhbench::algorithms {
+namespace {
 
-DepthFl::DepthFl(models::FamilyPtr family, double distill_weight,
-                 double temperature, std::uint64_t seed)
-    : WeightSharingAlgorithm(std::move(family), seed),
-      distill_weight_(distill_weight),
-      temperature_(temperature) {
-  MHB_CHECK_GE(distill_weight, 0.0);
-  MHB_CHECK_GT(temperature, 0.0);
-}
+// Weight of each head's distillation term next to its cross-entropy, and
+// the softmax temperature of the consensus the heads distill from.
+constexpr double kDistillWeight = 0.5;
+constexpr double kTemperature = 2.0;
+
+}  // namespace
+
+DepthFl::DepthFl(models::FamilyPtr family, std::uint64_t seed)
+    : WeightSharingAlgorithm(std::move(family), seed) {}
 
 models::BuildSpec DepthFl::ClientSpec(int client_id, int /*round*/,
                                       Rng& /*rng*/) {
@@ -32,7 +34,7 @@ double DepthFl::TrainClientModel(models::BuiltModel& built,
                                  const data::Dataset& shard, Rng& rng) {
   auto& trunk = built.trunk();
   const int num_heads = trunk.num_heads();
-  const bool distill = num_heads > 1 && distill_weight_ > 0;
+  const bool distill = num_heads > 1;
   // Every head's loss gradient, from forward to backward.
   std::vector<Tensor> grads;
   fl::BatchObjective objective;
@@ -43,10 +45,10 @@ double DepthFl::TrainClientModel(models::BuiltModel& built,
     // Consensus soft target: mean of all heads' tempered probabilities.
     Tensor consensus;
     if (distill) {
-      consensus = nn::SoftmaxWithTemperature(logits[0], temperature_);
+      consensus = nn::SoftmaxWithTemperature(logits[0], kTemperature);
       for (int h = 1; h < num_heads; ++h) {
         consensus.AddInPlace(nn::SoftmaxWithTemperature(
-            logits[static_cast<std::size_t>(h)], temperature_));
+            logits[static_cast<std::size_t>(h)], kTemperature));
       }
       consensus.Scale(1.0f / static_cast<Scalar>(num_heads));
     }
@@ -57,17 +59,17 @@ double DepthFl::TrainClientModel(models::BuiltModel& built,
       batch_loss += nn::SoftmaxCrossEntropy(logits[hu], y, grads[hu]);
       if (distill) {
         Tensor kd_grad;
-        batch_loss += distill_weight_ *
-                      nn::DistillationKL(logits[hu], consensus, temperature_,
+        batch_loss += kDistillWeight *
+                      nn::DistillationKL(logits[hu], consensus, kTemperature,
                                          kd_grad);
-        kd_grad.Scale(static_cast<Scalar>(distill_weight_));
+        kd_grad.Scale(static_cast<Scalar>(kDistillWeight));
         grads[hu].AddInPlace(kd_grad);
       }
     }
     return batch_loss;
   };
   objective.backward = [&] { trunk.BackwardHeads(grads); };
-  return fl::TrainLocal(trunk, shard, ctx_->local_options(last_round_), rng,
+  return fl::TrainLocal(trunk, shard, fl::LocalTrainOptions{}, rng,
                         objective);
 }
 

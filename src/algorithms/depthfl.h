@@ -14,8 +14,7 @@ namespace mhbench::algorithms {
 
 class DepthFl : public WeightSharingAlgorithm {
  public:
-  DepthFl(models::FamilyPtr family, double distill_weight, double temperature,
-          std::uint64_t seed);
+  DepthFl(models::FamilyPtr family, std::uint64_t seed);
 
   std::string name() const override { return "depthfl"; }
 
@@ -26,10 +25,6 @@ class DepthFl : public WeightSharingAlgorithm {
   double TrainClientModel(models::BuiltModel& built,
                           const data::Dataset& shard, Rng& rng) override;
   bool UseEnsembleEval() const override { return true; }
-
- private:
-  double distill_weight_;
-  double temperature_;
 };
 
 }  // namespace mhbench::algorithms

@@ -48,7 +48,7 @@ double FeDepth::TrainClientModel(models::BuiltModel& built,
     }
     start = (start + active) % total;
   };
-  return fl::TrainLocal(trunk, shard, ctx_->local_options(last_round_), rng,
+  return fl::TrainLocal(trunk, shard, fl::LocalTrainOptions{}, rng,
                         objective);
 }
 

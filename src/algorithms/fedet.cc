@@ -11,14 +11,22 @@
 #include "tensor/ops.h"
 
 namespace mhbench::algorithms {
+namespace {
 
-FedEt::FedEt(std::vector<models::FamilyPtr> families, Options options,
-             std::uint64_t seed)
-    : families_(std::move(families)), options_(options), seed_(seed) {
+// Softmax temperature of the teachers' consensus and the student's
+// distillation loss.
+constexpr double kTemperature = 2.0;
+// Server distillation per round: kDistillBatches SGD steps at kServerLr,
+// each on a random batch of the kPublicSamples-sample public slice.
+constexpr int kDistillBatches = 10;
+constexpr int kPublicSamples = 128;
+constexpr double kServerLr = 0.1;
+
+}  // namespace
+
+FedEt::FedEt(std::vector<models::FamilyPtr> families, std::uint64_t seed)
+    : families_(std::move(families)), seed_(seed) {
   MHB_CHECK(!families_.empty());
-  MHB_CHECK_GT(options_.temperature, 0.0);
-  MHB_CHECK_GT(options_.distill_batches, 0);
-  MHB_CHECK_GT(options_.public_samples, 0);
 }
 
 void FedEt::Setup(const fl::FlContext& ctx, Rng& rng) {
@@ -36,7 +44,7 @@ void FedEt::Setup(const fl::FlContext& ctx, Rng& rng) {
   server_model_ = families_.back()->Build(models::BuildSpec{}, server_init);
 
   // Public unlabeled slice of the training pool.
-  const int n = std::min<int>(options_.public_samples,
+  const int n = std::min<int>(kPublicSamples,
                               static_cast<int>(ctx.task->train.size()));
   std::vector<int> idx(static_cast<std::size_t>(n));
   std::iota(idx.begin(), idx.end(), 0);
@@ -54,7 +62,7 @@ void FedEt::BeginRound(int /*round*/, const std::vector<int>& participants) {
   staged_.Begin(participants);
 }
 
-void FedEt::RunClient(int client_id, int round, Rng& rng) {
+void FedEt::RunClient(int client_id, int /*round*/, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr);
   fl::ClientUpdate& slot = staged_.For(client_id);
   const int arch = ArchOf(client_id);
@@ -65,7 +73,7 @@ void FedEt::RunClient(int client_id, int round, Rng& rng) {
       group_models_[au]->TrainingModel(models::BuildSpec{});
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));
-  fl::TrainLocal(*built.net, shard, ctx_->local_options(round), rng);
+  fl::TrainLocal(*built.net, shard, fl::LocalTrainOptions{}, rng);
   // Stage the upload; the per-group averagers and counters are shared, so
   // they are only touched in the serial merge below.
   slot = fl::ExtractUpdate(*built.net, built.mapping,
@@ -108,8 +116,8 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   // Every step's random public batch, drawn up front in the serial rng
   // order.
   const int n_public = public_features_.dim(0);
-  const int batch = std::max(1, n_public / options_.distill_batches);
-  std::vector<Tensor> xs(static_cast<std::size_t>(options_.distill_batches));
+  const int batch = std::max(1, n_public / kDistillBatches);
+  std::vector<Tensor> xs(static_cast<std::size_t>(kDistillBatches));
   for (Tensor& x : xs) {
     std::vector<int> idx(static_cast<std::size_t>(batch));
     for (auto& i : idx) {
@@ -142,10 +150,7 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
   }
   const std::size_t g = groups.size();
   std::vector<Tensor> probs(xs.size() * g);
-  nn::SgdOptions sgd_opts;
-  sgd_opts.lr = options_.server_lr;
-  sgd_opts.momentum = 0.9;
-  nn::Sgd sgd(*server_model_.net, sgd_opts);
+  nn::Sgd sgd(*server_model_.net, {kServerLr, /*momentum=*/0.9});
   for (std::size_t step = 0; step <= xs.size(); ++step) {
     const std::size_t student = step > 0 ? 1 : 0;  // item 0, when present
     const std::size_t teachers = step < xs.size() ? g : 0;
@@ -163,7 +168,7 @@ void FedEt::FinishRound(int /*round*/, Rng& rng) {
       const std::size_t k = i - student;
       const std::size_t a = groups[k];
       Tensor p = nn::SoftmaxWithTemperature(group_models_[a]->Logits(xs[step]),
-                                            options_.temperature);
+                                            kTemperature);
       p.Scale(static_cast<Scalar>(group_weight[a] / total));
       probs[step * g + k] = std::move(p);
     });
@@ -180,7 +185,7 @@ void FedEt::DistillStep(const Tensor& x, const Tensor& teacher,
   sgd.ZeroGrad();
   const Tensor student = server_model_.net->Forward(x);
   Tensor kd_grad;
-  nn::DistillationKL(student, teacher, options_.temperature, kd_grad);
+  nn::DistillationKL(student, teacher, kTemperature, kd_grad);
   for (int i = 0; i < batch; ++i) {
     Scalar conf = 0;
     for (int c = 0; c < classes; ++c) {

@@ -27,15 +27,7 @@ namespace mhbench::algorithms {
 
 class FedEt : public fl::MhflAlgorithm {
  public:
-  struct Options {
-    double temperature = 2.0;
-    int distill_batches = 10;
-    int public_samples = 128;
-    double server_lr = 0.1;
-  };
-
-  FedEt(std::vector<models::FamilyPtr> families, Options options,
-        std::uint64_t seed);
+  FedEt(std::vector<models::FamilyPtr> families, std::uint64_t seed);
 
   std::string name() const override { return "fedet"; }
 
@@ -64,7 +56,6 @@ class FedEt : public fl::MhflAlgorithm {
   void DistillStep(const Tensor& x, const Tensor& teacher, nn::Sgd& sgd);
 
   std::vector<models::FamilyPtr> families_;
-  Options options_;
   std::uint64_t seed_;
   const fl::FlContext* ctx_ = nullptr;
 

@@ -88,21 +88,16 @@ Tensor UnpoolGrad(const Tensor& grad_pooled, const Shape& emb_shape,
 
 }  // namespace
 
-FedProto::FedProto(std::vector<models::FamilyPtr> families, double lambda,
-                   int proto_dim, std::uint64_t seed)
-    : families_(std::move(families)),
-      lambda_(lambda),
-      proto_dim_(proto_dim),
-      seed_(seed) {
+FedProto::FedProto(std::vector<models::FamilyPtr> families,
+                   std::uint64_t seed)
+    : families_(std::move(families)), seed_(seed) {
   MHB_CHECK(!families_.empty());
-  MHB_CHECK_GE(lambda_, 0.0);
-  MHB_CHECK_GT(proto_dim_, 0);
 }
 
 void FedProto::Setup(const fl::FlContext& ctx, Rng& /*rng*/) {
   ctx_ = &ctx;
   num_classes_ = ctx.task->train.num_classes;
-  proto_sum_ = Tensor({num_classes_, proto_dim_});
+  proto_sum_ = Tensor({num_classes_, kProtoDim});
   proto_count_.assign(static_cast<std::size_t>(num_classes_), 0.0);
 }
 
@@ -135,8 +130,8 @@ FedProto::ClientState& FedProto::GetOrCreateState(int client_id) {
       state.model.trunk().embedding_layout());
   const int emb_dim = pooled.dim(1);
   state.proj = std::make_unique<nn::Linear>(
-      nn::KaimingNormal({proto_dim_, emb_dim}, emb_dim, rng),
-      Tensor({proto_dim_}));
+      nn::KaimingNormal({kProtoDim, emb_dim}, emb_dim, rng),
+      Tensor({kProtoDim}));
   return states_.emplace(client_id, std::move(state)).first->second;
 }
 
@@ -157,10 +152,10 @@ Tensor FedProto::DistanceLogits(const Tensor& proto_emb) const {
   for (int i = 0; i < n; ++i) {
     for (int c = 0; c < num_classes_; ++c) {
       double d2 = 0.0;
-      for (int j = 0; j < proto_dim_; ++j) {
+      for (int j = 0; j < kProtoDim; ++j) {
         const double d =
-            proto_emb[static_cast<std::size_t>(i) * proto_dim_ + j] -
-            global_protos_[static_cast<std::size_t>(c) * proto_dim_ + j];
+            proto_emb[static_cast<std::size_t>(i) * kProtoDim + j] -
+            global_protos_[static_cast<std::size_t>(c) * kProtoDim + j];
         d2 += d * d;
       }
       logits[static_cast<std::size_t>(i) * num_classes_ + c] =
@@ -183,44 +178,43 @@ void FedProto::PrepareEvaluation() {
   for (int c = 0; c < ctx_->num_clients(); ++c) GetOrCreateState(c);
 }
 
-void FedProto::RunClient(int client_id, int round, Rng& rng) {
+void FedProto::RunClient(int client_id, int /*round*/, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr);
   ProtoStage& stage = staged_.For(client_id);
   ClientState& state = GetOrCreateState(client_id);
   auto& trunk = state.model.trunk();
   const data::Dataset& shard =
       ctx_->shards.at(static_cast<std::size_t>(client_id));
-  const auto opts = ctx_->local_options(round);
+  const fl::LocalTrainOptions opts;
 
   // Cross-entropy on the deepest head plus the prototype MSE through the
   // projection head.  The objective zeroes and steps the projection head's
   // optimizer itself, so TrainLocal's gradient clip covers the model only.
-  const auto proj_opt =
-      nn::MakeOptimizer(*state.proj, fl::OptimizerOptionsOf(opts));
+  nn::Sgd proj_opt(*state.proj, {opts.lr, opts.momentum, opts.weight_decay});
   std::vector<Tensor> grads;  // per head; only the deepest has a loss
   Tensor mse_grad;             // prototype loss w.r.t. the projection
   fl::BatchObjective objective;
   objective.forward = [&](const Tensor& x, const std::vector<int>& y) {
-    proj_opt->ZeroGrad();
+    proj_opt.ZeroGrad();
     auto logits = trunk.ForwardHeads(x);
     grads.assign(logits.size(), Tensor());
     double loss = nn::SoftmaxCrossEntropy(logits.back(), y, grads.back());
     mse_grad = Tensor();
-    if (!global_protos_.empty() && lambda_ > 0) {
+    if (!global_protos_.empty()) {
       const Tensor pooled =
           PoolEmbedding(trunk.last_embedding(), trunk.embedding_layout());
       const Tensor proto_emb = state.proj->Forward(pooled);
       // Targets: each sample's class prototype.
-      Tensor target({proto_emb.dim(0), proto_dim_});
+      Tensor target({proto_emb.dim(0), kProtoDim});
       for (int i = 0; i < proto_emb.dim(0); ++i) {
         const int cls = y[static_cast<std::size_t>(i)];
-        for (int j = 0; j < proto_dim_; ++j) {
-          target[static_cast<std::size_t>(i) * proto_dim_ + j] =
-              global_protos_[static_cast<std::size_t>(cls) * proto_dim_ + j];
+        for (int j = 0; j < kProtoDim; ++j) {
+          target[static_cast<std::size_t>(i) * kProtoDim + j] =
+              global_protos_[static_cast<std::size_t>(cls) * kProtoDim + j];
         }
       }
-      loss += lambda_ * nn::MeanSquaredError(proto_emb, target, mse_grad);
-      mse_grad.Scale(static_cast<Scalar>(lambda_));
+      loss += kLambda * nn::MeanSquaredError(proto_emb, target, mse_grad);
+      mse_grad.Scale(static_cast<Scalar>(kLambda));
     }
     return loss;
   };
@@ -232,7 +226,7 @@ void FedProto::RunClient(int client_id, int round, Rng& rng) {
                             trunk.embedding_layout());
     }
     trunk.BackwardHeads(grads, emb_grad);
-    proj_opt->Step();
+    proj_opt.Step();
   };
   fl::TrainLocal(trunk, shard, opts, rng, objective);
 
@@ -247,9 +241,9 @@ void FedProto::RunClient(int client_id, int round, Rng& rng) {
     EmbedAndLogits(state, x, proto_emb, logits);
     for (int i = 0; i < proto_emb.dim(0); ++i) {
       stage.classes.push_back(y[static_cast<std::size_t>(i)]);
-      for (int j = 0; j < proto_dim_; ++j) {
+      for (int j = 0; j < kProtoDim; ++j) {
         stage.embeddings.push_back(
-            proto_emb[static_cast<std::size_t>(i) * proto_dim_ + j]);
+            proto_emb[static_cast<std::size_t>(i) * kProtoDim + j]);
       }
     }
   }
@@ -261,9 +255,9 @@ void FedProto::FinishRound(int /*round*/, Rng& /*rng*/) {
   for (const ProtoStage& stage : staged_.uploads()) {
     for (std::size_t s = 0; s < stage.classes.size(); ++s) {
       const int cls = stage.classes[s];
-      for (int j = 0; j < proto_dim_; ++j) {
-        proto_sum_[static_cast<std::size_t>(cls) * proto_dim_ + j] +=
-            stage.embeddings[s * static_cast<std::size_t>(proto_dim_) +
+      for (int j = 0; j < kProtoDim; ++j) {
+        proto_sum_[static_cast<std::size_t>(cls) * kProtoDim + j] +=
+            stage.embeddings[s * static_cast<std::size_t>(kProtoDim) +
                              static_cast<std::size_t>(j)];
       }
       proto_count_[static_cast<std::size_t>(cls)] += 1.0;
@@ -277,15 +271,15 @@ void FedProto::FinishRound(int /*round*/, Rng& /*rng*/) {
   }
   if (!any) return;
   if (global_protos_.empty()) {
-    global_protos_ = Tensor({num_classes_, proto_dim_});
+    global_protos_ = Tensor({num_classes_, kProtoDim});
   }
   for (int c = 0; c < num_classes_; ++c) {
     const double count = proto_count_[static_cast<std::size_t>(c)];
     if (count <= 0) continue;  // keep previous prototype
-    for (int j = 0; j < proto_dim_; ++j) {
-      global_protos_[static_cast<std::size_t>(c) * proto_dim_ + j] =
+    for (int j = 0; j < kProtoDim; ++j) {
+      global_protos_[static_cast<std::size_t>(c) * kProtoDim + j] =
           static_cast<Scalar>(
-              proto_sum_[static_cast<std::size_t>(c) * proto_dim_ + j] /
+              proto_sum_[static_cast<std::size_t>(c) * kProtoDim + j] /
               count);
     }
   }
@@ -355,7 +349,7 @@ void FedProto::LoadState(fl::SnapshotReader& reader) {
   MHB_CHECK_EQ(saved, name()) << "algorithm state belongs to" << saved;
   if (reader.ReadU8() != 0) {
     global_protos_ = reader.ReadTensor();
-    MHB_CHECK(global_protos_.shape() == Shape({num_classes_, proto_dim_}))
+    MHB_CHECK(global_protos_.shape() == Shape({num_classes_, kProtoDim}))
         << "restored prototype shape mismatch";
   } else {
     global_protos_ = Tensor();

@@ -25,8 +25,7 @@ namespace mhbench::algorithms {
 
 class FedProto : public fl::MhflAlgorithm {
  public:
-  FedProto(std::vector<models::FamilyPtr> families, double lambda,
-           int proto_dim, std::uint64_t seed);
+  FedProto(std::vector<models::FamilyPtr> families, std::uint64_t seed);
 
   std::string name() const override { return "fedproto"; }
 
@@ -62,7 +61,7 @@ class FedProto : public fl::MhflAlgorithm {
   // serial accumulation performed, keeping parallel runs bit-identical.
   struct ProtoStage {
     std::vector<int> classes;       // one per sample
-    std::vector<Scalar> embeddings; // proto_dim_ values per sample
+    std::vector<Scalar> embeddings; // kProtoDim values per sample
   };
 
   // Thread-safe; the returned state is stable (map nodes never move).
@@ -74,9 +73,12 @@ class FedProto : public fl::MhflAlgorithm {
                       Tensor& proto_emb, Tensor& logits) const;
   Tensor DistanceLogits(const Tensor& proto_emb) const;
 
+  // Width of the shared prototype space, and the weight of the prototype
+  // term next to the cross-entropy.
+  static constexpr int kProtoDim = 16;
+  static constexpr double kLambda = 1.0;
+
   std::vector<models::FamilyPtr> families_;
-  double lambda_;
-  int proto_dim_;
   std::uint64_t seed_;
   const fl::FlContext* ctx_ = nullptr;
   int num_classes_ = 0;

@@ -3,9 +3,9 @@
 // its own capacity and trains the nested prefix sub-model of width p; the
 // aggregation is the same masked average as HeteroFL.
 //
-// We sample p once per round per client (our local_epochs default is 1, so
-// per-round sampling equals Fjord's per-iteration sampling granularity at
-// sim scale).
+// We sample p once per round per client (every client trains one local
+// epoch, fl::LocalTrainOptions, so per-round sampling equals Fjord's
+// per-iteration sampling granularity at sim scale).
 #pragma once
 
 #include "algorithms/algorithm.h"

@@ -3,13 +3,15 @@
 #include "fl/checkpoint.h"
 
 namespace mhbench::algorithms {
+namespace {
 
-InclusiveFl::InclusiveFl(models::FamilyPtr family, double momentum,
-                         std::uint64_t seed)
-    : WeightSharingAlgorithm(std::move(family), seed), momentum_(momentum) {
-  MHB_CHECK_GE(momentum, 0.0);
-  MHB_CHECK_LE(momentum, 1.0);
-}
+// Share of a deeper block's round update transferred onto its predecessor.
+constexpr double kMomentum = 0.3;
+
+}  // namespace
+
+InclusiveFl::InclusiveFl(models::FamilyPtr family, std::uint64_t seed)
+    : WeightSharingAlgorithm(std::move(family), seed) {}
 
 models::BuildSpec InclusiveFl::ClientSpec(int client_id, int /*round*/,
                                           Rng& /*rng*/) {
@@ -38,7 +40,7 @@ void InclusiveFl::BeginRound(int round, const std::vector<int>& participants) {
 }
 
 void InclusiveFl::PostAggregate(int /*round*/, Rng& /*rng*/) {
-  if (momentum_ <= 0 || pre_round_.empty()) return;
+  if (pre_round_.empty()) return;
   // Ordered block names from the full model.
   const auto& trunk = global_->trunk();
   for (int b = 0; b + 1 < trunk.num_blocks(); ++b) {
@@ -59,7 +61,7 @@ void InclusiveFl::PostAggregate(int /*round*/, Rng& /*rng*/) {
       // dst += momentum * (now - before)
       Tensor delta = now;
       delta.SubInPlace(before);
-      dst.AxpyInPlace(static_cast<Scalar>(momentum_), delta);
+      dst.AxpyInPlace(static_cast<Scalar>(kMomentum), delta);
     }
   }
   pre_round_.clear();

@@ -17,7 +17,7 @@ namespace mhbench::algorithms {
 
 class InclusiveFl : public WeightSharingAlgorithm {
  public:
-  InclusiveFl(models::FamilyPtr family, double momentum, std::uint64_t seed);
+  InclusiveFl(models::FamilyPtr family, std::uint64_t seed);
 
   std::string name() const override { return "inclusivefl"; }
 
@@ -38,7 +38,6 @@ class InclusiveFl : public WeightSharingAlgorithm {
   void LoadExtraState(fl::SnapshotReader& reader) override;
 
  private:
-  double momentum_;
   // Snapshot of block parameters taken before the round's aggregation, for
   // computing per-block updates.
   std::map<std::string, Tensor> pre_round_;

@@ -59,30 +59,21 @@ std::unique_ptr<fl::MhflAlgorithm> MakeAlgorithm(
     return std::make_unique<FedRolex>(task_models.primary, options.seed);
   }
   if (name == "depthfl") {
-    return std::make_unique<DepthFl>(task_models.primary,
-                                     options.distill_weight,
-                                     options.distill_temperature,
-                                     options.seed);
+    return std::make_unique<DepthFl>(task_models.primary, options.seed);
   }
   if (name == "inclusivefl") {
-    return std::make_unique<InclusiveFl>(task_models.primary,
-                                         options.inclusive_momentum,
-                                         options.seed);
+    return std::make_unique<InclusiveFl>(task_models.primary, options.seed);
   }
   if (name == "fedepth") {
     return std::make_unique<FeDepth>(task_models.primary, options.seed);
   }
   if (name == "fedproto") {
     MHB_CHECK(!task_models.topology.empty());
-    return std::make_unique<FedProto>(task_models.topology,
-                                      options.proto_lambda, options.proto_dim,
-                                      options.seed);
+    return std::make_unique<FedProto>(task_models.topology, options.seed);
   }
   if (name == "fedet") {
     MHB_CHECK(!task_models.topology.empty());
-    FedEt::Options fo;
-    fo.temperature = options.distill_temperature;
-    return std::make_unique<FedEt>(task_models.topology, fo, options.seed);
+    return std::make_unique<FedEt>(task_models.topology, options.seed);
   }
   throw Error("unknown algorithm: " + name);
 }

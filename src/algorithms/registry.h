@@ -28,11 +28,6 @@ struct AlgorithmOptions {
   // FedAvg: model ratio of the homogeneous baseline (the effectiveness
   // baseline uses the minimum client capacity).
   double fedavg_ratio = 1.0;
-  double distill_weight = 0.5;       // DepthFL self-distillation
-  double distill_temperature = 2.0;  // DepthFL / Fed-ET
-  double inclusive_momentum = 0.3;   // InclusiveFL layer-knowledge transfer
-  double proto_lambda = 1.0;         // FedProto regularization
-  int proto_dim = 16;
   std::uint64_t seed = 7;
 };
 

@@ -8,17 +8,7 @@ namespace mhbench {
 namespace {
 
 LogLevel LevelFromEnv() {
-  const std::string named = EnvString("MHB_LOG_LEVEL", "");
-  if (!named.empty()) return ParseLogLevel(named, LogLevel::kInfo);
-  // Legacy MHB_LOG mapping: 0 silent, 1 info, 2 debug.
-  switch (EnvInt("MHB_LOG", 1)) {
-    case 0:
-      return LogLevel::kSilent;
-    case 2:
-      return LogLevel::kDebug;
-    default:
-      return LogLevel::kInfo;
-  }
+  return ParseLogLevel(EnvString("MHB_LOG_LEVEL", ""), LogLevel::kInfo);
 }
 
 LogLevel g_level = LevelFromEnv();

@@ -1,10 +1,9 @@
 // Lightweight leveled logging to stderr.
 //
 // Verbosity is controlled by `MHB_LOG_LEVEL` (named: silent / error / warn /
-// info / debug / trace, or the matching number 0-5); the legacy `MHB_LOG`
-// numeric variable (0 = silent, 1 = info, 2 = debug) is still honoured when
-// `MHB_LOG_LEVEL` is unset.  Logging is intentionally minimal: experiment
-// *results* go through metrics/report, not the log.
+// info / debug / trace, or the matching number 0-5; info when unset).
+// Logging is intentionally minimal: experiment *results* go through
+// metrics/report, not the log.
 //
 // Each line is assembled in full and written with a single stdio call, so
 // lines from concurrent threads (e.g. engine workers under --threads > 1)

@@ -21,23 +21,13 @@ std::vector<ClientAssignment> UniformCapacityAssignments(
   return out;
 }
 
-nn::OptimizerOptions OptimizerOptionsOf(const LocalTrainOptions& options) {
-  nn::OptimizerOptions opt_opts;
-  opt_opts.kind = options.optimizer;
-  opt_opts.lr = options.lr;
-  opt_opts.momentum = options.momentum;
-  opt_opts.weight_decay = options.weight_decay;
-  return opt_opts;
-}
-
 double TrainLocal(nn::Module& model, const data::Dataset& shard,
                   const LocalTrainOptions& options, Rng& rng,
                   const BatchObjective& objective) {
   MHB_CHECK(!shard.empty());
   MHB_CHECK(objective.forward && objective.backward);
   obs::ProfileScope train_scope("local_train");
-  const std::unique_ptr<nn::Optimizer> opt =
-      nn::MakeOptimizer(model, OptimizerOptionsOf(options));
+  nn::Sgd opt(model, {options.lr, options.momentum, options.weight_decay});
 
   double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
@@ -51,7 +41,7 @@ double TrainLocal(nn::Module& model, const data::Dataset& shard,
       // Rewind this thread's scratch arena: every kernel temporary from the
       // previous step is dead here, so the step reuses the same storage.
       kernels::ResetThreadScratch();
-      opt->ZeroGrad();
+      opt.ZeroGrad();
       {
         obs::ProfileScope fwd_scope("forward");
         loss_sum += objective.forward(x, y);
@@ -62,8 +52,8 @@ double TrainLocal(nn::Module& model, const data::Dataset& shard,
       }
       {
         obs::ProfileScope opt_scope("opt_step");
-        if (options.grad_clip > 0) opt->ClipGradNorm(options.grad_clip);
-        opt->Step();
+        if (options.grad_clip > 0) opt.ClipGradNorm(options.grad_clip);
+        opt.Step();
       }
       ++batch_count;
     }

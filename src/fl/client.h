@@ -1,6 +1,7 @@
 // Client-side types: per-client assignments (model capacity + system costs),
-// the one local-training loop every algorithm trains through, and the
-// per-round participant slots clients stage their uploads into.
+// the one local recipe (SGD, LocalTrainOptions) and training loop every
+// algorithm trains through, and the per-round participant slots clients
+// stage their uploads into.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +13,6 @@
 #include "core/rng.h"
 #include "data/dataset.h"
 #include "nn/module.h"
-#include "nn/optimizer.h"
 
 namespace mhbench::fl {
 
@@ -55,8 +55,10 @@ struct ClientAssignment {
 std::vector<ClientAssignment> UniformCapacityAssignments(
     int num_clients, const std::vector<double>& capacities);
 
+// The local recipe: every client of every algorithm trains with SGD under
+// these values.  Tests vary them; the engine and the algorithms use the
+// defaults.
 struct LocalTrainOptions {
-  nn::OptimizerKind optimizer = nn::OptimizerKind::kSgd;
   int epochs = 1;
   int batch_size = 16;
   double lr = 0.05;
@@ -64,11 +66,6 @@ struct LocalTrainOptions {
   double weight_decay = 1e-4;
   double grad_clip = 5.0;
 };
-
-// The optimizer settings in `options` (kind, lr, momentum, weight decay).
-// TrainLocal builds its optimizer from them, and so does an objective that
-// steps a module of its own.
-nn::OptimizerOptions OptimizerOptionsOf(const LocalTrainOptions& options);
 
 // What one minibatch step computes; algorithms differ here, not in the loop.
 // `forward` runs the model on the batch and returns the batch loss, keeping
@@ -81,7 +78,7 @@ struct BatchObjective {
   std::function<void(Rng& rng)> before_epoch;
 };
 
-// The local-training loop.  Builds the optimizer over `model`'s parameters
+// The local-training loop.  Builds an nn::Sgd over `model`'s parameters
 // from `options`; per epoch runs `before_epoch`, then shuffled batches of
 // `shard`, each as: rewind the thread's scratch arena, ZeroGrad, `forward`,
 // `backward`, clip the gradient norm (options.grad_clip > 0), step.

@@ -16,7 +16,6 @@
 #include "data/partition.h"
 #include "fl/checkpoint.h"
 #include "fl/evaluation.h"
-#include "nn/lr_schedule.h"
 #include "obs/det_audit.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
@@ -25,33 +24,6 @@
 #include "tensor/scratch.h"
 
 namespace mhbench::fl {
-
-double FlContext::LrMultiplier(int round) const {
-  if (round < 0) return 1.0;
-  switch (config->lr_schedule) {
-    case LrScheduleKind::kConstant:
-      return 1.0;
-    case LrScheduleKind::kStepDecay:
-      return nn::StepDecayLr(config->lr_step, config->lr_gamma)
-          .Multiplier(round, config->rounds);
-    case LrScheduleKind::kCosine:
-      return nn::CosineLr(config->lr_cosine_floor)
-          .Multiplier(round, config->rounds);
-  }
-  return 1.0;
-}
-
-LocalTrainOptions FlContext::local_options(int round) const {
-  LocalTrainOptions opts;
-  opts.optimizer = config->optimizer;
-  opts.epochs = config->local_epochs;
-  opts.batch_size = config->batch_size;
-  opts.lr = config->lr * LrMultiplier(round);
-  opts.momentum = config->momentum;
-  opts.weight_decay = config->weight_decay;
-  opts.grad_clip = config->grad_clip;
-  return opts;
-}
 
 double RunResult::TimeToAccuracy(double target) const {
   for (const auto& r : curve) {
@@ -96,37 +68,42 @@ struct MetaField {
   MetaValue value;
 };
 
-// The meta section in wire order, valued from the running config; it
-// drives both WriteCheckpoint and RestoreCheckpoint.
+// Sampled clients per round when sample_fraction * clients rounds lower.
+constexpr int kMinSampled = 2;
+
+// The meta section in wire order (the 23-field v1 layout), valued from the
+// running config; it drives both WriteCheckpoint and RestoreCheckpoint.
+// The local-recipe rows carry LocalTrainOptions' defaults, and the five
+// retired optimizer/schedule rows their last defaults (SGD, constant
+// schedule, step 50, gamma 0.5, floor 0.05).  No config sets those rows,
+// so a snapshot holding any other value was written by a recipe this
+// build cannot run, and they are hard.
 std::vector<MetaField> MetaFields(const FlConfig& c, int num_clients,
                                   const std::string& algorithm) {
-  const auto u8 = [](auto e) { return static_cast<std::uint8_t>(e); };
-  // Cosine multipliers depend on the horizon: a changed round count would
-  // silently re-shape every remaining round's learning rate.
-  const bool cosine = c.lr_schedule == LrScheduleKind::kCosine;
+  const LocalTrainOptions local;
   return {
       {"algorithm", true, algorithm},
       {"seed", true, c.seed},
       {"num_clients", true, num_clients},
-      {"rounds", cosine, c.rounds},
+      {"rounds", false, c.rounds},
       {"sample_fraction", false, c.sample_fraction},
-      {"min_sampled", false, c.min_sampled},
-      {"local_epochs", true, c.local_epochs},
-      {"batch_size", true, c.batch_size},
-      {"lr", false, c.lr},
-      {"momentum", false, c.momentum},
-      {"weight_decay", false, c.weight_decay},
-      {"grad_clip", false, c.grad_clip},
-      {"optimizer", true, u8(c.optimizer)},
-      {"lr_schedule", false, u8(c.lr_schedule)},
-      {"lr_step", false, c.lr_step},
-      {"lr_gamma", false, c.lr_gamma},
-      {"lr_cosine_floor", false, c.lr_cosine_floor},
+      {"min_sampled", true, kMinSampled},
+      {"local_epochs", true, local.epochs},
+      {"batch_size", true, local.batch_size},
+      {"lr", true, local.lr},
+      {"momentum", true, local.momentum},
+      {"weight_decay", true, local.weight_decay},
+      {"grad_clip", true, local.grad_clip},
+      {"optimizer", true, std::uint8_t{0}},
+      {"lr_schedule", true, std::uint8_t{0}},
+      {"lr_step", true, std::int32_t{50}},
+      {"lr_gamma", true, 0.5},
+      {"lr_cosine_floor", true, 0.05},
       {"round_deadline_s", false, c.round_deadline_s},
       {"eval_every", false, c.eval_every},
       {"eval_max_samples", false, c.eval_max_samples},
       {"stability_max_samples", false, c.stability_max_samples},
-      {"partition", true, u8(c.partition)},
+      {"partition", true, static_cast<std::uint8_t>(c.partition)},
       {"dirichlet_alpha", true, c.dirichlet_alpha},
   };
 }
@@ -168,7 +145,6 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
                    MhflAlgorithm& algorithm)
     : config_(config), algorithm_(algorithm), rng_(config.seed) {
   ctx_.task = &task;
-  ctx_.config = &config_;
   MHB_CHECK_GE(config_.eval_every, 1) << "eval_every must be >= 1";
   MHB_CHECK(!config_.threaded_gemm)
       << "threaded_gemm: the kernel-layer threaded GEMM was removed; every "
@@ -265,7 +241,7 @@ RunResult FlEngine::Run() {
   std::uint64_t gemm_base = kernels::TotalGemmFlops();
   const int num_clients = ctx_.num_clients();
   const int sample_count = std::max(
-      config_.min_sampled,
+      kMinSampled,
       static_cast<int>(std::lround(config_.sample_fraction * num_clients)));
 
   // The test batches run on the pool; GlobalLogits is safe to call

@@ -2,6 +2,12 @@
 // simulated wall clock, and metric collection.  Algorithm behaviour is
 // injected through the MhflAlgorithm interface.
 //
+// FlConfig holds what an experiment varies (rounds, sampling, the
+// deadline, evaluation, partition, seed, threads, collectors,
+// checkpoints).  Every client trains with the one local recipe,
+// fl::LocalTrainOptions' defaults (fl/client.h): SGD at a constant
+// learning rate.
+//
 // Run installs FlConfig::obs as the calling thread's collector context
 // (obs/obs_config.h) for the whole run; core::ParallelFor hands it to
 // every pool task, so algorithms and the layers below reach the run's
@@ -26,25 +32,10 @@ class SnapshotReader;
 
 enum class PartitionKind { kIid, kDirichlet };
 
-enum class LrScheduleKind { kConstant, kStepDecay, kCosine };
-
 struct FlConfig {
   int rounds = 40;
+  // Share of clients sampled per round (at least two).
   double sample_fraction = 0.25;
-  int min_sampled = 2;
-  int local_epochs = 1;
-  int batch_size = 16;
-  double lr = 0.05;
-  double momentum = 0.9;
-  double weight_decay = 1e-4;
-  double grad_clip = 5.0;
-  // Local optimizer (SGD for the CNN recipes, Adam for transformer tasks).
-  nn::OptimizerKind optimizer = nn::OptimizerKind::kSgd;
-  // Learning-rate schedule over rounds (applied to `lr`).
-  LrScheduleKind lr_schedule = LrScheduleKind::kConstant;
-  int lr_step = 50;          // step-decay period (rounds)
-  double lr_gamma = 0.5;     // step-decay factor
-  double lr_cosine_floor = 0.05;
   // Synchronous-round deadline in simulated seconds: sampled clients whose
   // compute+comm time exceeds it are stragglers — they are dropped from the
   // round and contribute no update (0 disables).  This is the failure mode
@@ -86,7 +77,6 @@ struct FlConfig {
 // run's lifetime.
 struct FlContext {
   const data::Task* task = nullptr;
-  const FlConfig* config = nullptr;
   std::vector<data::Dataset> shards;           // per client
   std::vector<ClientAssignment> assignments;   // per client
   // The engine's worker pool (null at one thread).  Serial phases may fan
@@ -97,11 +87,6 @@ struct FlContext {
   // fl::GlobalModel, whose lock covers a build or reload, never a fan-out.
   core::ThreadPool* pool = nullptr;
   int num_clients() const { return static_cast<int>(shards.size()); }
-  // Local training options; the learning rate carries the round's schedule
-  // multiplier when `round` is given.
-  LocalTrainOptions local_options(int round = -1) const;
-  // Schedule multiplier for a round (1.0 for kConstant).
-  double LrMultiplier(int round) const;
 };
 
 // Algorithm plug-in interface.  One instance per run.

@@ -16,19 +16,24 @@ bool DecayEnabled(const std::string& name, double weight_decay,
 
 }  // namespace
 
-Optimizer::Optimizer(Module& module) {
+Sgd::Sgd(Module& module, SgdOptions options) : options_(std::move(options)) {
   module.CollectParams("", params_);
   is_running_stat_.reserve(params_.size());
+  velocity_.reserve(params_.size());
+  decay_enabled_.reserve(params_.size());
   for (const auto& p : params_) {
     is_running_stat_.push_back(p.name.find("running_") != std::string::npos);
+    velocity_.emplace_back(p.param->value.shape());
+    decay_enabled_.push_back(
+        DecayEnabled(p.name, options_.weight_decay, options_.no_decay));
   }
 }
 
-void Optimizer::ZeroGrad() {
+void Sgd::ZeroGrad() {
   for (auto& p : params_) p.param->ZeroGrad();
 }
 
-void Optimizer::ClipGradNorm(double max_norm) {
+void Sgd::ClipGradNorm(double max_norm) {
   MHB_CHECK_GT(max_norm, 0.0);
   double sq = 0.0;
   for (const auto& p : params_) sq += p.param->grad.SquaredL2();
@@ -36,17 +41,6 @@ void Optimizer::ClipGradNorm(double max_norm) {
   if (norm <= max_norm || norm == 0.0) return;
   const auto scale = static_cast<Scalar>(max_norm / norm);
   for (auto& p : params_) p.param->grad.Scale(scale);
-}
-
-Sgd::Sgd(Module& module, SgdOptions options)
-    : Optimizer(module), options_(std::move(options)) {
-  velocity_.reserve(params_.size());
-  decay_enabled_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.emplace_back(p.param->value.shape());
-    decay_enabled_.push_back(
-        DecayEnabled(p.name, options_.weight_decay, options_.no_decay));
-  }
 }
 
 void Sgd::Step() {
@@ -70,64 +64,6 @@ void Sgd::Step() {
       pv[j] -= lr * vel[j];
     }
   }
-}
-
-Adam::Adam(Module& module, AdamOptions options)
-    : Optimizer(module), options_(std::move(options)) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  decay_enabled_.reserve(params_.size());
-  for (const auto& p : params_) {
-    m_.emplace_back(p.param->value.shape());
-    v_.emplace_back(p.param->value.shape());
-    decay_enabled_.push_back(
-        DecayEnabled(p.name, options_.weight_decay, options_.no_decay));
-  }
-}
-
-void Adam::Step() {
-  ++step_;
-  const double b1 = options_.beta1;
-  const double b2 = options_.beta2;
-  const double bias1 = 1.0 - std::pow(b1, static_cast<double>(step_));
-  const double bias2 = 1.0 - std::pow(b2, static_cast<double>(step_));
-  const double lr = options_.lr;
-  const double eps = options_.eps;
-  const auto wd = static_cast<Scalar>(options_.weight_decay);
-
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (is_running_stat_[i]) continue;
-    Parameter& p = *params_[i].param;
-    auto pv = p.value.data();
-    auto pg = p.grad.data();
-    auto m = m_[i].data();
-    auto v = v_[i].data();
-    const bool decay = decay_enabled_[i];
-    for (std::size_t j = 0; j < pv.size(); ++j) {
-      const double g = pg[j];
-      m[j] = static_cast<Scalar>(b1 * m[j] + (1.0 - b1) * g);
-      v[j] = static_cast<Scalar>(b2 * v[j] + (1.0 - b2) * g * g);
-      const double mhat = m[j] / bias1;
-      const double vhat = v[j] / bias2;
-      pv[j] -= static_cast<Scalar>(lr * mhat / (std::sqrt(vhat) + eps));
-      if (decay) pv[j] -= static_cast<Scalar>(lr * wd) * pv[j];
-    }
-  }
-}
-
-std::unique_ptr<Optimizer> MakeOptimizer(Module& module,
-                                         const OptimizerOptions& options) {
-  if (options.kind == OptimizerKind::kAdam) {
-    AdamOptions adam;
-    adam.lr = options.lr;
-    adam.weight_decay = options.weight_decay;
-    return std::make_unique<Adam>(module, adam);
-  }
-  SgdOptions sgd;
-  sgd.lr = options.lr;
-  sgd.momentum = options.momentum;
-  sgd.weight_decay = options.weight_decay;
-  return std::make_unique<Sgd>(module, sgd);
 }
 
 }  // namespace mhbench::nn

@@ -1,37 +1,14 @@
-// Optimizers.  SGD with momentum covers the CNN training recipes; Adam is
-// provided for the transformer tasks.  Both share the Optimizer interface
-// so the FL layer can switch per configuration.
+// SGD with momentum and weight decay (norm parameters and running
+// statistics exempt): the one optimizer, which every client's local
+// training (fl/client.h) and Fed-ET's server distillation step with.
 #pragma once
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/module.h"
 
 namespace mhbench::nn {
-
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  // Applies one step using accumulated gradients; does not zero them.
-  virtual void Step() = 0;
-
-  virtual void set_lr(double lr) = 0;
-  virtual double lr() const = 0;
-
-  void ZeroGrad();
-
-  // Clips the global gradient norm to `max_norm` (no-op when below).
-  void ClipGradNorm(double max_norm);
-
- protected:
-  // Binds to the parameters of `module`; pointers must outlive this object.
-  explicit Optimizer(Module& module);
-
-  std::vector<NamedParam> params_;
-  std::vector<bool> is_running_stat_;
-};
 
 struct SgdOptions {
   double lr = 0.01;
@@ -42,55 +19,25 @@ struct SgdOptions {
   std::vector<std::string> no_decay = {"gamma", "beta", "running_"};
 };
 
-class Sgd : public Optimizer {
+class Sgd {
  public:
+  // Binds to the parameters of `module`; pointers must outlive this object.
   Sgd(Module& module, SgdOptions options);
 
-  void Step() override;
-  void set_lr(double lr) override { options_.lr = lr; }
-  double lr() const override { return options_.lr; }
+  // Applies one step using accumulated gradients; does not zero them.
+  void Step();
+
+  void ZeroGrad();
+
+  // Clips the global gradient norm to `max_norm` (no-op when below).
+  void ClipGradNorm(double max_norm);
 
  private:
+  std::vector<NamedParam> params_;
+  std::vector<bool> is_running_stat_;
   std::vector<Tensor> velocity_;
   std::vector<bool> decay_enabled_;
   SgdOptions options_;
 };
-
-struct AdamOptions {
-  double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
-  double weight_decay = 0.0;  // decoupled (AdamW-style)
-  std::vector<std::string> no_decay = {"gamma", "beta", "running_"};
-};
-
-class Adam : public Optimizer {
- public:
-  Adam(Module& module, AdamOptions options);
-
-  void Step() override;
-  void set_lr(double lr) override { options_.lr = lr; }
-  double lr() const override { return options_.lr; }
-
- private:
-  std::vector<Tensor> m_, v_;
-  std::vector<bool> decay_enabled_;
-  AdamOptions options_;
-  long step_ = 0;
-};
-
-// Factory used by the FL layer.
-enum class OptimizerKind { kSgd, kAdam };
-
-struct OptimizerOptions {
-  OptimizerKind kind = OptimizerKind::kSgd;
-  double lr = 0.01;
-  double momentum = 0.9;   // SGD only
-  double weight_decay = 0.0;
-};
-
-std::unique_ptr<Optimizer> MakeOptimizer(Module& module,
-                                         const OptimizerOptions& options);
 
 }  // namespace mhbench::nn

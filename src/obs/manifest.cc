@@ -313,10 +313,7 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
   }
 
   if (profiler != nullptr) {
-    const fs::path profile_path = run_dir / "profile.json";
-    if (!profiler->WriteJson(profile_path.string())) {
-      throw Error("failed writing " + profile_path.string());
-    }
+    WriteFileAtomic((run_dir / "profile.json").string(), profiler->ToJson());
   }
 
   return run_dir.string();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -213,13 +212,6 @@ std::string Profiler::ToJson() const {
   EmitTreeRows(tree, "", 0, &first_row, &rows);
   out << rows.str() << "\n  ]\n}\n";
   return out.str();
-}
-
-bool Profiler::WriteJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ToJson();
-  return static_cast<bool>(out);
 }
 
 }  // namespace mhbench::obs

@@ -68,7 +68,6 @@ class Profiler {
 
   // profile.json: {"op_totals": {...}, "tree": [flame-style rows]}.
   std::string ToJson() const;
-  bool WriteJson(const std::string& path) const;
 
   // ---- Hot path (called by ProfileScope; not for direct use) ----
 

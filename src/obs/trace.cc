@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "core/error.h"
 
 namespace mhbench::obs {
 
@@ -137,25 +135,6 @@ std::string Tracer::ToJsonl() const {
     out << "\n";
   }
   return out.str();
-}
-
-namespace {
-
-void WriteFileOrThrow(const std::string& path, const std::string& content) {
-  std::ofstream f(path);
-  if (!f.good()) throw Error("cannot open trace output: " + path);
-  f << content;
-  if (!f.good()) throw Error("failed writing trace output: " + path);
-}
-
-}  // namespace
-
-void Tracer::WriteChromeJson(const std::string& path) const {
-  WriteFileOrThrow(path, ToChromeJson());
-}
-
-void Tracer::WriteJsonl(const std::string& path) const {
-  WriteFileOrThrow(path, ToJsonl());
 }
 
 Span::Span(const char* name, const char* cat)

@@ -74,11 +74,6 @@ class Tracer {
   std::string ToChromeJson() const;  // JSON array of complete ("X") events
   std::string ToJsonl() const;       // one JSON object per line
 
-  // Writes ToChromeJson()/ToJsonl() to `path`; throws mhbench::Error on
-  // I/O failure.
-  void WriteChromeJson(const std::string& path) const;
-  void WriteJsonl(const std::string& path) const;
-
  private:
   std::chrono::steady_clock::time_point epoch_;
   // One event buffer per recording thread; a buffer's index is its wall

@@ -61,17 +61,10 @@ Probe MakeProbe(const std::string& name, const models::TaskModels& tm) {
   }
   if (name == "sheterofl") return MakeProbe<SHeteroFl>(tm.primary, o.seed);
   if (name == "fedrolex") return MakeProbe<FedRolex>(tm.primary, o.seed);
-  if (name == "depthfl") {
-    return MakeProbe<DepthFl>(tm.primary, o.distill_weight,
-                              o.distill_temperature, o.seed);
-  }
-  if (name == "inclusivefl") {
-    return MakeProbe<InclusiveFl>(tm.primary, o.inclusive_momentum, o.seed);
-  }
+  if (name == "depthfl") return MakeProbe<DepthFl>(tm.primary, o.seed);
+  if (name == "inclusivefl") return MakeProbe<InclusiveFl>(tm.primary, o.seed);
   if (name == "fedepth") return MakeProbe<FeDepth>(tm.primary, o.seed);
-  FedEt::Options fo;
-  fo.temperature = o.distill_temperature;
-  return MakeProbe<FedEt>(tm.topology, fo, o.seed);
+  return MakeProbe<FedEt>(tm.topology, o.seed);
 }
 
 bool SameUpload(const fl::ClientUpdate& a, const fl::ClientUpdate& b) {

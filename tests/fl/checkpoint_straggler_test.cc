@@ -1,5 +1,5 @@
 // Checkpointing (ParamStore serialization) and the engine's synchronous
-// round deadline (straggler dropping) + LR schedules.
+// round deadline (straggler dropping).
 #include <gtest/gtest.h>
 
 #include "algorithms/registry.h"
@@ -100,33 +100,6 @@ TEST(StragglerTest, AllDroppedStillRuns) {
   const RunResult r = engine.Run();  // no client ever contributes
   EXPECT_EQ(r.straggler_drops, r.total_participations);
   EXPECT_GE(r.final_accuracy, 0.0);  // evaluates the untouched init model
-}
-
-TEST(LrScheduleEngineTest, MultiplierKinds) {
-  EngineFixture f;
-  auto alg = algorithms::MakeAlgorithm("fedavg", f.tm);
-  f.cfg.lr_schedule = LrScheduleKind::kCosine;
-  f.cfg.lr_cosine_floor = 0.1;
-  FlEngine engine(f.task, f.cfg, f.assignments, *alg);
-  const auto& ctx = engine.context();
-  EXPECT_NEAR(ctx.LrMultiplier(0), 1.0, 1e-9);
-  EXPECT_LT(ctx.LrMultiplier(3), 1.0);
-  EXPECT_DOUBLE_EQ(ctx.LrMultiplier(-1), 1.0);
-  EXPECT_NEAR(ctx.local_options(0).lr, f.cfg.lr, 1e-9);
-  EXPECT_LT(ctx.local_options(3).lr, f.cfg.lr);
-}
-
-TEST(LrScheduleEngineTest, StepDecayInEngine) {
-  EngineFixture f;
-  auto alg = algorithms::MakeAlgorithm("fedavg", f.tm);
-  f.cfg.lr_schedule = LrScheduleKind::kStepDecay;
-  f.cfg.lr_step = 2;
-  f.cfg.lr_gamma = 0.5;
-  FlEngine engine(f.task, f.cfg, f.assignments, *alg);
-  EXPECT_DOUBLE_EQ(engine.context().LrMultiplier(1), 1.0);
-  EXPECT_DOUBLE_EQ(engine.context().LrMultiplier(2), 0.5);
-  // And the run completes.
-  EXPECT_GE(engine.Run().final_accuracy, 0.0);
 }
 
 }  // namespace

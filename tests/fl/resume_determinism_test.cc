@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "algorithms/registry.h"
+#include "core/bytes.h"
+#include "core/error.h"
 #include "data/tasks.h"
 #include "fl/checkpoint.h"
 #include "fl/engine.h"
@@ -436,19 +438,6 @@ TEST(ResumeRejectTest, ChangedPartitionRejected) {
                Error);
 }
 
-TEST(ResumeRejectTest, CosineScheduleRejectsChangedRoundCount) {
-  RejectFixture f;
-  const auto cosine = [](FlConfig& c) {
-    c.lr_schedule = LrScheduleKind::kCosine;
-  };
-  // Re-snapshot under the cosine schedule.
-  f.Run("sheterofl", "", /*checkpoint=*/true, 2, 1, cosine);
-  EXPECT_THROW(f.Run("sheterofl", f.snap_path, false, /*rounds=*/3, 1, cosine),
-               Error);
-  // The same horizon resumes.
-  EXPECT_NO_THROW(f.Run("sheterofl", f.snap_path, false, 2, 1, cosine));
-}
-
 TEST(ResumeRejectTest, ChangedSoftFieldResumes) {
   RejectFixture f;
   // A changed eval cadence makes a new experiment, not a broken one: the
@@ -457,6 +446,72 @@ TEST(ResumeRejectTest, ChangedSoftFieldResumes) {
                             [](FlConfig& c) { c.eval_every = 1; });
   ASSERT_FALSE(r.curve.empty());
   EXPECT_EQ(r.curve.back().round, 1);
+}
+
+// The fixture snapshot's "meta" payload in the v1 layout, built field by
+// field in wire order and wire types.  The local recipe and the retired
+// optimizer/schedule rows can no longer be configured, but every snapshot
+// still carries them.  `lr_schedule_at` receives the byte offset of the
+// lr_schedule row.
+std::vector<std::uint8_t> ExpectedFixtureMeta(std::size_t* lr_schedule_at) {
+  ByteWriter w;
+  w.String("sheterofl");  // algorithm
+  w.U64(1);               // seed
+  w.I32(4);               // num_clients
+  w.I32(2);               // rounds
+  w.F64(1.0);             // sample_fraction
+  w.I32(2);               // min_sampled
+  w.I32(1);               // local_epochs
+  w.I32(16);              // batch_size
+  w.F64(0.05);            // lr
+  w.F64(0.9);             // momentum
+  w.F64(1e-4);            // weight_decay
+  w.F64(5.0);             // grad_clip
+  w.U8(0);                // optimizer: SGD
+  *lr_schedule_at = w.size();
+  w.U8(0);                // lr_schedule: constant
+  w.I32(50);              // lr_step
+  w.F64(0.5);             // lr_gamma
+  w.F64(0.05);            // lr_cosine_floor
+  w.F64(0.0);             // round_deadline_s
+  w.I32(2);               // eval_every
+  w.I32(80);              // eval_max_samples
+  w.I32(20);              // stability_max_samples
+  w.U8(0);                // partition: IID
+  w.F64(0.5);             // dirichlet_alpha
+  return w.Release();
+}
+
+TEST(SnapshotMetaTest, V1LayoutFieldByField) {
+  RejectFixture f;
+  std::size_t lr_schedule_at = 0;
+  EXPECT_EQ(SnapshotReader(f.SnapshotBytes()).SectionPayload("meta"),
+            ExpectedFixtureMeta(&lr_schedule_at));
+}
+
+TEST(ResumeRejectTest, RetiredScheduleRowRejected) {
+  RejectFixture f;
+  // The snapshot with its lr_schedule row patched to 2 (the retired cosine
+  // schedule), every section re-framed so the CRCs still pass.
+  std::size_t lr_schedule_at = 0;
+  ExpectedFixtureMeta(&lr_schedule_at);
+  const SnapshotReader saved(f.SnapshotBytes());
+  SnapshotWriter patched;
+  for (const std::string& name : saved.SectionNames()) {
+    std::vector<std::uint8_t> payload = saved.SectionPayload(name);
+    if (name == "meta") payload.at(lr_schedule_at) = 2;
+    patched.BeginSection(name);
+    for (const std::uint8_t b : payload) patched.WriteU8(b);
+    patched.EndSection();
+  }
+  const std::string path = f.Mutated("cosine.mhbsnap", patched.Finish());
+  try {
+    f.Run("sheterofl", path, false);
+    ADD_FAILURE() << "resumed a snapshot written under a cosine schedule";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("lr_schedule"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ResumeRejectTest, FewerRoundsThanSnapshotRejected) {

@@ -375,16 +375,16 @@ TEST(ScratchArenaTest, TrainStepSteadyStateAllocatesNothing) {
     data::BatchIterator batches(t.train, 16, rng);
     ASSERT_TRUE(batches.Next(x, y));
     const fl::LocalTrainOptions options;
-    const auto opt =
-        nn::MakeOptimizer(*built.net, fl::OptimizerOptionsOf(options));
+    nn::Sgd opt(*built.net,
+                {options.lr, options.momentum, options.weight_decay});
     Tensor grad;
     auto step = [&] {
       kernels::ResetThreadScratch();
-      opt->ZeroGrad();
+      opt.ZeroGrad();
       nn::SoftmaxCrossEntropy(built.net->Forward(x), y, grad);
       built.net->Backward(grad);
-      opt->ClipGradNorm(options.grad_clip);
-      opt->Step();
+      opt.ClipGradNorm(options.grad_clip);
+      opt.Step();
     };
     for (int warmup = 0; warmup < 2; ++warmup) step();
     const auto heap_before = Tensor::ThreadAllocStats().heap_allocs;

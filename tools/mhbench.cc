@@ -75,6 +75,7 @@
 #include "algorithms/registry.h"
 #include "bench_support/experiment.h"
 #include "constraints/assignment.h"
+#include "core/bytes.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/table.h"
@@ -403,7 +404,7 @@ int CmdRun(Args& args) {
              stdout);
 
   if (tracer != nullptr) {
-    tracer->WriteChromeJson(trace_path);
+    WriteFileAtomic(trace_path, tracer->ToChromeJson());
     // Event log next to the Chrome trace: out.json -> out.jsonl.
     std::string jsonl = trace_path;
     const std::string suffix = ".json";
@@ -414,7 +415,7 @@ int CmdRun(Args& args) {
     } else {
       jsonl += ".jsonl";
     }
-    tracer->WriteJsonl(jsonl);
+    WriteFileAtomic(jsonl, tracer->ToJsonl());
     std::printf("[trace written to %s + %s]\n", trace_path.c_str(),
                 jsonl.c_str());
   }
